@@ -12,7 +12,6 @@ import argparse
 import configparser
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BudgetError, SpecValidationError
 from .expsums import ExpSumSpec
@@ -32,6 +31,7 @@ from .quadrature import DEFAULT_CELL_BUDGET, moment_quadrature
 from .records import (
     OutputLayout,
     args_digest,
+    format_cell,
     new_manifest,
     to_jsonable,
     write_csv,
@@ -44,9 +44,9 @@ from .sharpness import (
     assemble_mainexp_report,
     broad_narrow_check,
     coeffs_for,
-    exponent_fit,
     maincor_row,
     mainexp_row,
+    sweep_rows,
 )
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ GEOMETRY_ALIASES = {
     "cone-smallcap": "geo2",
     "cone-canonical": "geo3",
 }
-SWEEP_KINDS = ("mainexp", "maincor", "synthetic")
+SWEEP_KINDS = ("mainexp", "maincor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="broad-narrow: separation parameter E")
     g.add_argument("--out", default=".", metavar="DIR")
     return parser
-
-
-def _human(x) -> str:
-    from .records import format_cell
-
-    return format_cell(x)
 
 
 def _cmd_moment(args, argv: list[str]) -> int:
@@ -186,9 +180,9 @@ def _cmd_moment(args, argv: list[str]) -> int:
     manifest.wall_time_s = wall
     layout.flush_manifest(manifest)
     print(
-        f"moment N={args.N} sigma={_human(args.sigma)} s={args.s} "
-        f"family={args.coeffs} method={res.method} value={_human(res.value)} "
-        f"err={_human(res.err_estimate)}"
+        f"moment N={args.N} sigma={format_cell(args.sigma)} s={args.s} "
+        f"family={args.coeffs} method={res.method} value={format_cell(res.value)} "
+        f"err={format_cell(res.err_estimate)}"
     )
     return EXIT_OK
 
@@ -213,18 +207,21 @@ def _load_sweep_config(path: str) -> dict:
     if not raw_x:
         raise SpecValidationError("config needs x_values")
     try:
-        x_values = _parse_values(raw_x, int)
+        return _parse_sweep_section(section, kind, raw_x)
     except ValueError as exc:
-        raise SpecValidationError(f"bad x_values: {exc}") from None
+        raise SpecValidationError(f"bad value in [sweep]: {exc}") from None
+
+
+def _parse_sweep_section(section, kind: str, raw_x: str) -> dict:
     if "seeds" in section:
         seeds = _parse_values(section["seeds"], int)
     elif "n_seeds" in section:
         seeds = tuple(range(1, section.getint("n_seeds") + 1))
     else:
         seeds = (1,)
-    cfg = {
+    return {
         "kind": kind,
-        "x_values": x_values,
+        "x_values": _parse_values(raw_x, int),
         "family": section.get("family", "constant").strip(),
         "seeds": seeds,
         "sigma": section.getfloat("sigma", 0.0),
@@ -236,23 +233,7 @@ def _load_sweep_config(path: str) -> dict:
         "tolerance": section.getfloat("tolerance", 0.3),
         "oversample": section.getfloat("oversample", 4.0),
         "budget_tuples": section.getint("budget_tuples", 0) or None,
-        "coefficient": section.getfloat("coefficient", 1.0),
-        "exponent": section.getfloat("exponent", 0.0),
     }
-    return cfg
-
-
-def _synthetic_rows(cfg: dict):
-    from .sharpness import SweepRow
-
-    rows = []
-    for x in cfg["x_values"]:
-        value = cfg["coefficient"] * float(x) ** cfg["exponent"]
-        rows.append(
-            SweepRow(x=x, value=value, envelope=value, seed_count=1,
-                     method="synthetic", err_estimate=0.0)
-        )
-    return rows
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:
@@ -266,78 +247,55 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     fit_path = layout.result_path(slug + "-fit")
     t0 = time.perf_counter()
 
-    if kind == "synthetic":
-        rows = _synthetic_rows(cfg)
-        fit = exponent_fit((r.x, r.value) for r in rows)
-        target = cfg["exponent"]
-        passed = abs(fit.slope - target) <= cfg["tolerance"]
-        x_label = "N"
-        report_detail = {"kind": kind, "coefficient": cfg["coefficient"]}
-        c_factor = 1.0
-        tolerance = cfg["tolerance"]
+    sweep_cfg = SweepConfig(
+        x_values=cfg["x_values"],
+        family=cfg["family"],
+        seeds=cfg["seeds"],
+        sigma=cfg["sigma"],
+        s=cfg["s"],
+        p=cfg["p"],
+        beta=cfg["beta"],
+        h0=cfg["h0"],
+        h0_policy=cfg["h0_policy"],
+        tolerance=cfg["tolerance"],
+        oversample=cfg["oversample"],
+        budget_tuples=cfg["budget_tuples"],
+    )
+    row_fn = mainexp_row if kind == "mainexp" else maincor_row
+    rows = []
+    try:
+        for row in sweep_rows(row_fn, sweep_cfg, args.workers):
+            rows.append(row)
+    except BudgetError as exc:
+        # Flush whatever completed so the run is diagnosable post hoc.
+        _write_sweep_csv(csv_path, "N" if kind == "mainexp" else "R", rows)
+        manifest.add_output(csv_path)
+        manifest.status = "failed"
+        manifest.wall_time_s = time.perf_counter() - t0
+        layout.flush_manifest(manifest)
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    if kind == "mainexp":
+        report = assemble_mainexp_report(sweep_cfg, rows)
     else:
-        sweep_cfg = SweepConfig(
-            x_values=cfg["x_values"],
-            family=cfg["family"],
-            seeds=cfg["seeds"],
-            sigma=cfg["sigma"],
-            s=cfg["s"],
-            p=cfg["p"],
-            beta=cfg["beta"],
-            h0=cfg["h0"],
-            h0_policy=cfg["h0_policy"],
-            tolerance=cfg["tolerance"],
-            oversample=cfg["oversample"],
-            budget_tuples=cfg["budget_tuples"],
-        )
-        row_fn = mainexp_row if kind == "mainexp" else maincor_row
-        rows = []
-        try:
-            if args.workers > 1:
-                with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                    for row in pool.map(lambda x: row_fn(sweep_cfg, x), cfg["x_values"]):
-                        rows.append(row)
-            else:
-                for x in cfg["x_values"]:
-                    rows.append(row_fn(sweep_cfg, x))
-        except BudgetError as exc:
-            # Flush whatever completed so the run is diagnosable post hoc.
-            _write_sweep_csv(csv_path, "N" if kind == "mainexp" else "R", rows)
-            manifest.add_output(csv_path)
-            manifest.status = "failed"
-            manifest.wall_time_s = time.perf_counter() - t0
-            layout.flush_manifest(manifest)
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        if kind == "mainexp":
-            report = assemble_mainexp_report(sweep_cfg, rows)
-        else:
-            report = assemble_maincor_report(sweep_cfg, rows)
-        fit = report.fit
-        target = report.target
-        passed = report.passed
-        x_label = report.x_label
-        report_detail = dict(report.detail)
-        report_detail["kind"] = kind
-        c_factor = report.c_factor
-        tolerance = report.tolerance
-
-    _write_sweep_csv(csv_path, x_label, rows)
-    verdict = "PASS" if passed else "FAIL"
+        report = assemble_maincor_report(sweep_cfg, rows)
+    fit = report.fit
+    _write_sweep_csv(csv_path, report.x_label, rows)
+    verdict = "PASS" if report.passed else "FAIL"
     summary = {
         "command": "sweep",
         "manifest": manifest.run_id,
         "config": cfg,
-        "x_label": x_label,
+        "x_label": report.x_label,
         "slope": fit.slope,
         "intercept": fit.intercept,
         "max_residual": fit.max_residual,
         "n_points": fit.n_points,
-        "target": target,
-        "tolerance": tolerance,
-        "c_factor": c_factor,
+        "target": report.target,
+        "tolerance": report.tolerance,
+        "c_factor": report.c_factor,
         "verdict": verdict,
-        "detail": report_detail,
+        "detail": {**report.detail, "kind": kind},
         "table": csv_path,
     }
     write_json(fit_path, summary)
@@ -346,7 +304,8 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     manifest.wall_time_s = time.perf_counter() - t0
     layout.flush_manifest(manifest)
     print(
-        f"sweep kind={kind} slope={_human(fit.slope)} target={_human(target)} "
+        f"sweep kind={kind} slope={format_cell(fit.slope)} "
+        f"target={format_cell(report.target)} "
         f"verdict={verdict} table={csv_path}"
     )
     return EXIT_OK

@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, SpecValidationError
+from .errors import SpecValidationError
 
 TWO_PI = 2.0 * math.pi
 
 # Unit-modulus phase factors drift away from the unit circle under repeated
 # multiplication; renormalize after this many recurrence steps.
 RENORM_INTERVAL = 4096
-
-# Default cap on cells materialized by eval_grid (complex128 => ~256 MiB).
-DEFAULT_GRID_CELL_BUDGET = 2**24
 
 COEFF_MODULUS_TOL = 1e-12
 
@@ -43,30 +40,6 @@ class Point3:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3], dtype=float)
-
-
-@dataclass(frozen=True)
-class FreqInterval:
-    """Half-open frequency band [lo, hi) on the normalized axis k/N.
-
-    A band ending at hi = 1 is closed on the right, so k = N belongs to the
-    final band of any partition of [0, 1].
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo < self.hi <= 1.0):
-            raise SpecValidationError(
-                f"frequency band needs 0 <= lo < hi <= 1, got [{self.lo}, {self.hi})"
-            )
-
-    def selects(self, n: int) -> np.ndarray:
-        """Boolean mask over k = 1..n of frequencies with k/n in the band."""
-        ratio = np.arange(1, n + 1) / n
-        upper = ratio <= self.hi if self.hi == 1.0 else ratio < self.hi
-        return (ratio >= self.lo) & upper
 
 
 @dataclass(frozen=True)
@@ -147,32 +120,6 @@ def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
     return values
 
 
-def eval_partial_sum(spec: ExpSumSpec, band: FreqInterval, x) -> complex | np.ndarray:
-    """Evaluate the sub-sum restricted to frequencies with k/N in `band`."""
-    mask = band.selects(spec.n)
-    if not mask.any():
-        pts = _as_points(x)
-        zeros = np.zeros(pts.shape[0], dtype=complex)
-        if isinstance(x, Point3) or np.asarray(x).ndim == 1:
-            return 0j
-        return zeros
-    sub = ExpSumSpec(
-        n=spec.n,
-        coeffs=np.where(mask, spec.coeffs, 0.0),
-        sigma=spec.sigma,
-        h0=spec.h0,
-    )
-    return eval_sum(sub, x)
-
-
-def band_partition(edges: np.ndarray) -> list[FreqInterval]:
-    """Turn sorted edges 0 = e0 < e1 < ... < em = 1 into half-open bands."""
-    edges = np.asarray(edges, dtype=float)
-    if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-        raise SpecValidationError("edges must increase strictly from 0 to 1")
-    return [FreqInterval(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def phase_row(nu: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
     """Phase factors e(nu * (start + step*j)) for j = 0..count-1, per frequency.
 
@@ -195,45 +142,3 @@ def phase_row(nu: np.ndarray, start: float, step: float, count: int) -> np.ndarr
         last = out[:, pos - 1]
         out[:, pos - 1] = last / np.abs(last)
     return out
-
-
-def grid_axes(box_corner, box_sides, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell-center coordinates of a uniform grid over an axis-aligned box."""
-    axes = []
-    for corner, side, m in zip(box_corner, box_sides, counts):
-        m = int(m)
-        if m < 1:
-            raise SpecValidationError("grid counts must be >= 1")
-        step = side / m
-        axes.append(corner + step * (np.arange(m) + 0.5))
-    return tuple(axes)
-
-
-def eval_grid(
-    spec: ExpSumSpec,
-    box_corner=(0.0, 0.0, 0.0),
-    box_sides=(1.0, 1.0, 1.0),
-    counts=(16, 16, 16),
-    cell_budget: int = DEFAULT_GRID_CELL_BUDGET,
-) -> np.ndarray:
-    """Evaluate S on the cell centers of a uniform grid over a box.
-
-    Returns a complex array of shape `counts`. Phase factors along each axis
-    come from per-frequency multiplicative recurrences (see phase_row), so the
-    cost is O(N * m1 * m2 * m3) multiplications plus O(N * (m1 + m2 + m3))
-    exponentials. Grids larger than `cell_budget` cells are rejected.
-    """
-    m1, m2, m3 = (int(c) for c in counts)
-    if min(m1, m2, m3) < 1:
-        raise SpecValidationError("grid counts must be >= 1")
-    cells = m1 * m2 * m3
-    if cells > cell_budget:
-        raise BudgetError("grid cells", cells, cell_budget)
-    k = np.arange(1, spec.n + 1, dtype=float)
-    steps = [side / m for side, m in zip(box_sides, (m1, m2, m3))]
-    starts = [corner + step / 2 for corner, step in zip(box_corner, steps)]
-    u = spec.coeffs[:, None] * phase_row(k, starts[0], steps[0], m1)
-    v = phase_row(k**2, starts[1], steps[1], m2)
-    w = phase_row(k**3, starts[2], steps[2], m3)
-    planes = u[:, :, None] * v[:, None, :]
-    return np.tensordot(planes, w, axes=(0, 0))

@@ -65,24 +65,6 @@ class TupleGroupTable:
     def n_entries(self) -> int:
         return int(self.p1.size)
 
-    def total_mass(self) -> complex:
-        return complex(np.sum(self.coeffs))
-
-    def key_ranges_valid(self) -> bool:
-        s, n = self.s, self.n
-        return bool(
-            np.all((self.p1 >= s) & (self.p1 <= s * n))
-            and np.all((self.p2 >= s) & (self.p2 <= s * n**2))
-            and np.all((self.p3 >= s) & (self.p3 <= s * n**3))
-        )
-
-    def as_nested_dict(self) -> dict:
-        """{(p1, p2): {p3: coeff}} view; intended for small tables in tests."""
-        out: dict = {}
-        for a, b, c, w in zip(self.p1, self.p2, self.p3, self.coeffs):
-            out.setdefault((int(a), int(b)), {})[int(c)] = complex(w)
-        return out
-
 
 def interval_kernel(d, sigma: float, h0: float, n: int):
     """Integral of e(d * x3) over H = [h0, h0 + n^(-sigma)] for integer d.

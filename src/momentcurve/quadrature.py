@@ -100,6 +100,8 @@ def box_power_integral(
     if xi.ndim != 1 or coeffs.shape != xi.shape:
         raise SpecValidationError("xi and coeffs must be 1-d arrays of equal length")
     m1, m2, m3 = (int(c) for c in counts)
+    if min(m1, m2, m3) < 1:
+        raise SpecValidationError("grid counts must be >= 1")
     cells = m1 * m2 * m3
     if cells > cell_budget:
         raise BudgetError("quadrature cells", cells, cell_budget)

@@ -161,11 +161,21 @@ class EnvelopeReport:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _map_rows(fn, xs, workers: int):
+def sweep_rows(row_fn, cfg: SweepConfig, workers: int = 1):
+    """Yield row_fn(cfg, x) for each x in cfg.x_values, in that order.
+
+    With workers > 1 the rows are computed on a thread pool but still yielded
+    in x_values order, so a caller that stops at an exception (a BudgetError
+    at a large x) keeps every row finished before it.
+    """
+    def row(x):
+        return row_fn(cfg, x)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, xs))
-    return [fn(x) for x in xs]
+            yield from pool.map(row, cfg.x_values)
+    else:
+        yield from map(row, cfg.x_values)
 
 
 def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
@@ -218,8 +228,7 @@ def verify_mainexp_bound(cfg: SweepConfig, workers: int = 1) -> EnvelopeReport:
     c_factor is the largest observed value/envelope ratio (the empirical
     constant in front of the envelope).
     """
-    rows = _map_rows(lambda n: mainexp_row(cfg, n), cfg.x_values, workers)
-    return assemble_mainexp_report(cfg, rows)
+    return assemble_mainexp_report(cfg, sweep_rows(mainexp_row, cfg, workers))
 
 
 def maincor_row(cfg: SweepConfig, r_scale: int) -> SweepRow:
@@ -280,8 +289,7 @@ def verify_maincor(cfg: SweepConfig, workers: int = 1) -> EnvelopeReport:
     cube side is the smallest admissible R^max(2 beta, 1). The bound is
     one-sided: passed means fitted slope <= target + tolerance.
     """
-    rows = _map_rows(lambda r: maincor_row(cfg, r), cfg.x_values, workers)
-    return assemble_maincor_report(cfg, rows)
+    return assemble_maincor_report(cfg, sweep_rows(maincor_row, cfg, workers))
 
 
 @dataclass(frozen=True)

@@ -75,22 +75,6 @@ class TestMomentCommand:
 
 
 class TestSweepCommand:
-    def test_synthetic_power_law_pass(self, tmp_path):
-        cfg = write_config(tmp_path / "synth.ini", """
-[sweep]
-kind = synthetic
-x_values = 4 16 64
-coefficient = 2.0
-exponent = 1.5
-tolerance = 1e-9
-""")
-        rc = main(["sweep", cfg, "--out", str(tmp_path)])
-        assert rc == 0
-        summary = read_only_json(tmp_path / "results", "sweep-synthetic-*-fit.json")
-        assert summary["verdict"] == "PASS"
-        assert summary["slope"] == pytest.approx(1.5, abs=1e-9)
-        assert summary["target"] == 1.5
-
     def test_mainexp_sweep_table_and_fit(self, tmp_path):
         cfg = write_config(tmp_path / "main.ini", """
 [sweep]
@@ -143,7 +127,19 @@ s = 2
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["sweep", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 2
 
-    def test_budget_exit_3_flushes_failed_manifest(self, tmp_path):
+    @pytest.mark.parametrize("line", ["seeds = 1 x", "sigma = abc"], ids=["seeds", "sigma"])
+    def test_bad_number_exit_2(self, tmp_path, line):
+        cfg = write_config(tmp_path / "bad.ini", f"""
+[sweep]
+kind = mainexp
+x_values = 8 16 32
+s = 2
+{line}
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_exit_3_flushes_failed_manifest(self, tmp_path, workers):
         cfg = write_config(tmp_path / "tiny.ini", """
 [sweep]
 kind = mainexp
@@ -151,7 +147,7 @@ x_values = 4 8 64
 s = 4
 budget_tuples = 100000
 """)
-        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["sweep", cfg, "--out", str(tmp_path), "--workers", workers]) == 3
         manifest = read_only_json(tmp_path / "manifests", "2*.json")
         assert manifest["status"] == "failed"
         # The first two points fit the budget and were flushed.

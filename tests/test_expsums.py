@@ -8,16 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentcurve import (
-    BudgetError,
     ExpSumSpec,
-    FreqInterval,
     Point3,
     SpecValidationError,
-    band_partition,
-    eval_grid,
-    eval_partial_sum,
     eval_sum,
-    grid_axes,
     phase_row,
 )
 
@@ -134,37 +128,6 @@ class TestEvalSum:
         assert eval_sum(scaled, x) == pytest.approx(lam * eval_sum(spec, x), abs=1e-12)
 
 
-class TestBands:
-    def test_band_partition_covers_all_frequencies(self):
-        bands = band_partition(np.array([0.0, 0.25, 0.5, 1.0]))
-        assert len(bands) == 3
-        masks = np.stack([b.selects(8) for b in bands])
-        # Each k falls in exactly one band.
-        np.testing.assert_array_equal(masks.sum(axis=0), np.ones(8, dtype=int))
-
-    def test_partial_sums_add_to_full_sum(self):
-        rng = np.random.default_rng(7)
-        coeffs = rng.uniform(-1, 1, 16)
-        spec = ExpSumSpec(n=16, coeffs=coeffs)
-        bands = band_partition(np.array([0.0, 0.3, 0.6, 0.8, 1.0]))
-        x = (0.17, 0.29, 0.41)
-        total = sum(eval_partial_sum(spec, b, x) for b in bands)
-        assert total == pytest.approx(eval_sum(spec, x))
-
-    def test_empty_band_is_zero(self):
-        spec = spec_ones(4)
-        band = FreqInterval(0.01, 0.2)  # k/N in {0.25, 0.5, 0.75, 1.0} misses it
-        assert eval_partial_sum(spec, band, (0.1, 0.2, 0.3)) == 0j
-
-    def test_band_validation(self):
-        with pytest.raises(SpecValidationError):
-            FreqInterval(0.5, 0.5)
-        with pytest.raises(SpecValidationError):
-            band_partition(np.array([0.0, 0.5, 0.4, 1.0]))
-        with pytest.raises(SpecValidationError):
-            band_partition(np.array([0.1, 0.5, 1.0]))
-
-
 class TestGrids:
     def test_phase_row_matches_direct_exponentials(self):
         nu = np.array([1.0, 4.0, 9.0])
@@ -178,29 +141,3 @@ class TestGrids:
         row = phase_row(np.array([123.0]), start=0.0, step=1e-4, count=100000)
         drift = np.abs(np.abs(row) - 1.0).max()
         assert drift < 1e-12
-
-    def test_grid_axes_are_cell_centers(self):
-        (ax,) = grid_axes((0.0,), (1.0,), (4,))[:1]
-        np.testing.assert_allclose(ax, [0.125, 0.375, 0.625, 0.875])
-
-    def test_eval_grid_matches_pointwise_eval(self):
-        rng = np.random.default_rng(11)
-        coeffs = rng.uniform(-1, 1, 6)
-        spec = ExpSumSpec(n=6, coeffs=coeffs)
-        counts = (3, 4, 5)
-        grid = eval_grid(spec, (0.1, 0.2, 0.3), (0.4, 0.5, 0.6), counts)
-        assert grid.shape == counts
-        a1, a2, a3 = grid_axes((0.1, 0.2, 0.3), (0.4, 0.5, 0.6), counts)
-        for i in (0, 2):
-            for j in (1, 3):
-                for k in (0, 4):
-                    want = eval_sum(spec, (a1[i], a2[j], a3[k]))
-                    assert grid[i, j, k] == pytest.approx(want, abs=1e-11)
-
-    def test_eval_grid_budget(self):
-        with pytest.raises(BudgetError):
-            eval_grid(spec_ones(2), counts=(300, 300, 300), cell_budget=10**6)
-
-    def test_grid_count_validation(self):
-        with pytest.raises(SpecValidationError):
-            eval_grid(spec_ones(2), counts=(0, 4, 4))

@@ -11,7 +11,7 @@ from momentcurve import (
     QuadratureGrid,
     SpecValidationError,
     box_power_integral,
-    eval_grid,
+    eval_sum,
     local_moment_quadrature,
     moment_exact,
     moment_quadrature,
@@ -53,13 +53,16 @@ class TestGridRule:
 
 class TestBoxPowerIntegral:
     def test_matches_dense_grid_mean(self):
+        # Midpoint rule against eval_sum at explicitly computed cell centres.
         rng = np.random.default_rng(3)
         n = 4
         coeffs = rng.uniform(-1, 1, n)
         spec = ExpSumSpec(n=n, coeffs=coeffs)
         corner, sides, counts = (0.1, 0.0, 0.2), (0.5, 0.25, 0.125), (6, 7, 8)
-        grid = eval_grid(spec, corner, sides, counts)
-        want = float(np.mean(np.abs(grid) ** 4)) * np.prod(sides)
+        axes = [c + side / m * (np.arange(m) + 0.5)
+                for c, side, m in zip(corner, sides, counts)]
+        centres = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        want = float(np.mean(np.abs(eval_sum(spec, centres)) ** 4)) * np.prod(sides)
         xi = np.arange(1, n + 1, dtype=float)
         got = box_power_integral(xi, coeffs, 4.0, corner, sides, counts)
         assert got == pytest.approx(want, rel=1e-12)
@@ -78,6 +81,12 @@ class TestBoxPowerIntegral:
         with pytest.raises(BudgetError):
             box_power_integral(xi, np.ones(1), 2.0, (0, 0, 0), (1, 1, 1),
                                (1024, 1024, 1024), cell_budget=10**6)
+
+    def test_grid_count_validation(self):
+        for counts in ((0, 4, 4), (4, -1, 4)):
+            with pytest.raises(SpecValidationError):
+                box_power_integral(np.array([1.0, 2.0]), np.ones(2), 2.0, (0, 0, 0),
+                                   (1, 1, 1), counts)
 
     def test_rejects_nonpositive_power(self):
         with pytest.raises(SpecValidationError):

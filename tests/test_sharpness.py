@@ -1,11 +1,13 @@
 """Unit tests for coefficient families, sweeps, fits, and the dichotomy."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from momentcurve import (
+    BudgetError,
     ExpSumSpec,
     SpecValidationError,
     SweepConfig,
@@ -20,6 +22,7 @@ from momentcurve import (
     verify_maincor,
     verify_mainexp_bound,
 )
+from momentcurve.sharpness import sweep_rows
 
 
 class TestCoefficientFamilies:
@@ -147,6 +150,21 @@ class TestEnvelopeSweeps:
         a = verify_mainexp_bound(cfg)
         b = verify_mainexp_bound(cfg)
         assert [r.value for r in a.rows] == [r.value for r in b.rows]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rows_in_order_until_first_error(self, workers):
+        # Smaller x sleep longer, so on a pool x = 2 finishes before x = 1.
+        def row_fn(cfg, x):
+            if x == 3:
+                raise BudgetError("rows", x, 2)
+            time.sleep(0.02 * (3 - x))
+            return x
+
+        done = []
+        with pytest.raises(BudgetError):
+            for row in sweep_rows(row_fn, SweepConfig(x_values=(1, 2, 3, 4)), workers):
+                done.append(row)
+        assert done == [1, 2]
 
 
 class TestInterference:
