@@ -194,7 +194,10 @@ def _parse_values(raw: str, cast):
 
 def _load_sweep_config(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise SpecValidationError(f"unreadable config {path}: {exc}") from None
     if not read:
         raise SpecValidationError(f"config file not found: {path}")
     if "sweep" not in parser:

@@ -111,65 +111,43 @@ def _packing_multipliers(n: int, s: int) -> tuple[int, int] | None:
     return None
 
 
-def _dedupe_packed(keys: np.ndarray, coeffs: np.ndarray):
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    if np.iscomplexobj(coeffs):
-        acc = np.bincount(inverse, weights=coeffs.real).astype(complex)
-        acc += 1j * np.bincount(inverse, weights=coeffs.imag)
-    else:
-        acc = np.bincount(inverse, weights=coeffs)
-    return uniq, acc
+def _dedupe(keys: np.ndarray, coeffs: np.ndarray):
+    """Sum coefficients of equal key columns; columns come out sorted.
 
-
-def _dedupe_columns(cols: np.ndarray, coeffs: np.ndarray):
-    order = np.lexsort((cols[2], cols[1], cols[0]))
-    cols = cols[:, order]
+    keys has shape (rows, entries). The sort is stable, so each group's
+    summands are added in input order.
+    """
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
     coeffs = coeffs[order]
-    fresh = np.empty(cols.shape[1], dtype=bool)
+    fresh = np.empty(keys.shape[1], dtype=bool)
     fresh[0] = True
-    fresh[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+    fresh[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
     gid = np.cumsum(fresh) - 1
     if np.iscomplexobj(coeffs):
         acc = np.bincount(gid, weights=coeffs.real).astype(complex)
         acc += 1j * np.bincount(gid, weights=coeffs.imag)
     else:
         acc = np.bincount(gid, weights=coeffs)
-    return cols[:, fresh], acc
+    return keys[:, fresh], acc
 
 
-def _join_packed(ka, ca, kb, cb):
+def _join(ka, ca, kb, cb):
     """All pairwise key sums / coefficient products, deduplicated, chunked."""
-    chunk = max(1, _JOIN_CHUNK // max(1, ka.size))
+    chunk = max(1, _JOIN_CHUNK // max(1, ka.shape[1]))
     acc_k = acc_c = None
-    for lo in range(0, kb.size, chunk):
-        hi = min(kb.size, lo + chunk)
-        kk = (ka[:, None] + kb[None, lo:hi]).ravel()
+    for lo in range(0, kb.shape[1], chunk):
+        hi = min(kb.shape[1], lo + chunk)
+        kk = (ka[:, :, None] + kb[:, None, lo:hi]).reshape(ka.shape[0], -1)
         cc = (ca[:, None] * cb[None, lo:hi]).ravel()
-        kk, cc = _dedupe_packed(kk, cc)
+        kk, cc = _dedupe(kk, cc)
         if acc_k is None:
             acc_k, acc_c = kk, cc
         else:
-            acc_k, acc_c = _dedupe_packed(
-                np.concatenate([acc_k, kk]), np.concatenate([acc_c, cc])
+            acc_k, acc_c = _dedupe(
+                np.concatenate([acc_k, kk], axis=1), np.concatenate([acc_c, cc])
             )
     return acc_k, acc_c
-
-
-def _join_columns(cols_a, ca, cols_b, cb):
-    chunk = max(1, _JOIN_CHUNK // max(1, cols_a.shape[1]))
-    acc = accw = None
-    for lo in range(0, cols_b.shape[1], chunk):
-        hi = min(cols_b.shape[1], lo + chunk)
-        cc = (cols_a[:, :, None] + cols_b[:, None, lo:hi]).reshape(3, -1)
-        ww = (ca[:, None] * cb[None, lo:hi]).ravel()
-        cc, ww = _dedupe_columns(cc, ww)
-        if acc is None:
-            acc, accw = cc, ww
-        else:
-            acc, accw = _dedupe_columns(
-                np.concatenate([acc, cc], axis=1), np.concatenate([accw, ww])
-            )
-    return acc, accw
 
 
 def build_group_table(
@@ -203,35 +181,27 @@ def build_group_table(
 
     if packing is not None:
         a_mul, b_mul = packing
-        single = (k * a_mul + k**2 * b_mul + k**3, base_c)
-        cache: dict[int, tuple] = {1: single}
+        single = (k * a_mul + k**2 * b_mul + k**3)[None, :]
+    else:
+        single = np.stack([k, k**2, k**3])
+    cache: dict[int, tuple] = {1: (single, base_c)}
 
-        def build(m: int):
-            if m not in cache:
-                left = build(m // 2)
-                right = build(m - m // 2)
-                cache[m] = _join_packed(*left, *right)
-            return cache[m]
+    def build(m: int):
+        if m not in cache:
+            left = build(m // 2)
+            right = build(m - m // 2)
+            cache[m] = _join(*left, *right)
+        return cache[m]
 
-        keys, acc = build(s)
-        p3 = keys % b_mul
-        rest = keys // b_mul
+    keys, acc = build(s)
+    if packing is not None:
+        p3 = keys[0] % b_mul
+        rest = keys[0] // b_mul
         m2 = s * n**2 + 1
         p2 = rest % m2
         p1 = rest // m2
     else:
-        single = (np.stack([k, k**2, k**3]), base_c)
-        cache = {1: single}
-
-        def build(m: int):
-            if m not in cache:
-                left = build(m // 2)
-                right = build(m - m // 2)
-                cache[m] = _join_columns(*left, *right)
-            return cache[m]
-
-        cols, acc = build(s)
-        p1, p2, p3 = cols[0], cols[1], cols[2]
+        p1, p2, p3 = keys
 
     return TupleGroupTable(
         n=n, s=s, p1=p1, p2=p2, p3=p3, coeffs=acc, n_tuples=n_tuples
@@ -285,7 +255,7 @@ def moment_exact(
     t0 = time.perf_counter()
     table = build_group_table(spec, s, budget_tuples)
     if spec.sigma == 0.0:
-        total = complex(np.sum(np.abs(table.coeffs.astype(complex)) ** 2))
+        total = complex(np.sum(np.abs(table.coeffs) ** 2))
     else:
         total = _pair_assemble(table, spec.sigma, spec.h0)
     wall = time.perf_counter() - t0

@@ -138,6 +138,15 @@ s = 2
 """)
         assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x_values = 1\n", "[sweep]\nx_values = 8 16 32\ns = 2\ns = 3\n"],
+        ids=["no_section_header", "duplicate_key"],
+    )
+    def test_malformed_ini_exit_2(self, tmp_path, text):
+        cfg = write_config(tmp_path / "bad.ini", text)
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_exit_3_flushes_failed_manifest(self, tmp_path, workers):
         cfg = write_config(tmp_path / "tiny.ini", """

@@ -18,6 +18,7 @@ from momentcurve import (
     random_sign_coeffs,
     vinogradov_count,
 )
+from momentcurve.moments import _packing_multipliers
 
 
 def spec_ones(n, sigma=0.0, h0=0.0):
@@ -144,6 +145,23 @@ class TestMomentExact:
         assert res.value >= 0.0
         assert res.err_estimate < 1e-9 * max(1.0, res.value)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.75])
+    def test_s2_closed_form_unpacked_keys(self, sigma):
+        # N = 1100 is too large to pack (p1, p2, p3) into one int64 at s = 2,
+        # so the table keeps three key rows. Every (p1, p2) class at s = 2 is
+        # one multiset {k1, k2}, so the moment is
+        # N^(-sigma) (2 (sum |a|^2)^2 - sum |a|^4).
+        n = 1100
+        assert _packing_multipliers(n, 2) is None
+        rng = np.random.default_rng(17)
+        coeffs = rng.uniform(0.2, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0, 1, n))
+        spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=0.3)
+        energy = np.abs(coeffs) ** 2
+        want = n**-sigma * (2.0 * np.sum(energy) ** 2 - np.sum(energy**2))
+        res = moment_exact(spec, 2)
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.err_estimate <= 1e-9 * want
+
     def test_result_record_fields(self):
         res = moment_exact(spec_ones(4), 2)
         assert res.method == "exact"
@@ -191,7 +209,7 @@ class TestBruteAgreement:
 
 class TestVinogradovCount:
     def test_closed_form_small(self):
-        for n in (1, 2, 3, 5, 10, 50):
+        for n in (1, 2, 3, 5, 10, 50, 1100):
             assert vinogradov_count(n, 2) == 2 * n * n - n
 
     def test_matches_sigma0_moment(self):
