@@ -7,12 +7,22 @@ computation groups s-tuples by (p1, p2), accumulates coefficient products per
 cube power sum p3 = sum k_i^3, and pairs the groups against the x3-interval
 kernel. Group tables are built meet-in-the-middle (tables for s come from
 joining tables for s//2 and s - s//2), never by enumerating 2s-tuples.
+
+A join never compares keys of different p1: both halves are sorted by p1, so
+the pairs that land on each output p1 are known in advance (a convolution of
+the two p1 histograms). The join cuts the output p1 range into batches of
+about _JOIN_CHUNK pairs, dedupes each batch on a shared thread pool, and
+writes the batches in p1 order into one output buffer. The result is sorted
+without any merge of partial results.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +33,23 @@ from .expsums import ExpSumSpec
 DEFAULT_TUPLE_BUDGET = int(2e8)
 DEFAULT_BRUTE_BUDGET = int(1e8)
 
-# Combination work per chunk while joining partial tables.
-_JOIN_CHUNK = 8_000_000
-# Pairwise kernel work per chunk while assembling group contributions.
-_PAIR_CHUNK = 4_000_000
+# Pairs per join batch. A batch is a run of consecutive output p1 values
+# holding about this many pairs; one p1 value with more pairs is a batch of
+# its own.
+_JOIN_CHUNK = 500_000
+# Kernel entries evaluated at once while assembling group contributions.
+_PAIR_CHUNK = 500_000
+# Products added up by one np.sum. Pairwise summation rounds differently for
+# other block sizes, so this stays fixed while _PAIR_CHUNK bounds the memory.
+_PAIR_SUM_BLOCK = 4_000_000
+
+# Join batches of every caller (sweep rows too) run on this one pool. Sorting
+# releases the GIL, so batches on different threads overlap.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="momentcurve-join")
 
 
 @dataclass(frozen=True)
@@ -132,22 +155,71 @@ def _dedupe(keys: np.ndarray, coeffs: np.ndarray):
     return keys[:, fresh], acc
 
 
-def _join(ka, ca, kb, cb):
-    """All pairwise key sums / coefficient products, deduplicated, chunked."""
-    chunk = max(1, _JOIN_CHUNK // max(1, ka.shape[1]))
-    acc_k = acc_c = None
-    for lo in range(0, kb.shape[1], chunk):
-        hi = min(kb.shape[1], lo + chunk)
-        kk = (ka[:, :, None] + kb[:, None, lo:hi]).reshape(ka.shape[0], -1)
-        cc = (ca[:, None] * cb[None, lo:hi]).ravel()
-        kk, cc = _dedupe(kk, cc)
-        if acc_k is None:
-            acc_k, acc_c = kk, cc
-        else:
-            acc_k, acc_c = _dedupe(
-                np.concatenate([acc_k, kk], axis=1), np.concatenate([acc_c, cc])
-            )
-    return acc_k, acc_c
+def _p1_offsets(keys: np.ndarray, unit: int):
+    """p1 - min(p1) of every key column, and the count of each offset.
+
+    p1 is key row 0 floor-divided by unit (the packing multiplier of p1, or 1
+    for three key rows); columns are sorted, so the first has the least p1.
+    """
+    off = keys[0] // unit
+    off -= off[0]
+    return off, np.bincount(off)
+
+
+def _in_order(fn, arg_tuples):
+    """Yield fn(*args) for each args on the shared pool, in input order.
+
+    At most one more call than the pool has workers is in flight, so
+    finished results never pile up behind a slow one. Calls not yet started
+    are cancelled when a call raises or the caller stops early.
+    """
+    pending = deque()
+    try:
+        for args in arg_tuples:
+            pending.append(_POOL.submit(fn, *args))
+            if len(pending) > _WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _join(ka, ca, kb, cb, unit: int):
+    """All pairwise key sums / coefficient products, deduplicated and sorted.
+
+    Both sides are sorted by p1, so for a run of output p1 values each left
+    entry i meets one contiguous slice of the right side. Pairs are formed in
+    (i, j) order, so every group sums its products in that order whatever the
+    batch size.
+    """
+    p1a, hist_a = _p1_offsets(ka, unit)
+    _, hist_b = _p1_offsets(kb, unit)
+    starts_b = np.concatenate([[0], np.cumsum(hist_b)])
+    per_p1 = np.convolve(hist_a, hist_b)
+    batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
+
+    def batch(q_lo, q_hi):
+        # Output p1 offsets q_lo <= q < q_hi; entry i meets right p1 offset q - p1a[i].
+        jlo = starts_b[np.clip(q_lo - p1a, 0, hist_b.size)]
+        lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
+        j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
+        keys = np.repeat(ka, lens, axis=1) + kb[:, j]
+        return _dedupe(keys, np.repeat(ca, lens) * cb[j])
+
+    n_pairs = ka.shape[1] * kb.shape[1]
+    # Sized for the worst case (no duplicates); pages past the filled part are
+    # never touched, so they never become resident.
+    out_k = np.empty((ka.shape[0], n_pairs), dtype=np.int64)
+    out_c = np.empty(n_pairs, dtype=np.result_type(ca, cb))
+    used = 0
+    for keys, acc in _in_order(batch, zip(cuts[:-1], cuts[1:])):
+        out_k[:, used : used + acc.size] = keys
+        out_c[used : used + acc.size] = acc
+        used += acc.size
+    return out_k[:, :used], out_c[:used]
 
 
 def build_group_table(
@@ -172,7 +244,7 @@ def build_group_table(
         raise BudgetError("tuple enumeration", n_tuples, budget_tuples)
 
     coeffs = spec.coeffs
-    if np.allclose(coeffs.imag, 0.0):
+    if not np.any(coeffs.imag):
         base_c = coeffs.real.astype(float)
     else:
         base_c = coeffs.astype(complex)
@@ -183,6 +255,7 @@ def build_group_table(
         a_mul, b_mul = packing
         single = (k * a_mul + k**2 * b_mul + k**3)[None, :]
     else:
+        a_mul = 1
         single = np.stack([k, k**2, k**3])
     cache: dict[int, tuple] = {1: (single, base_c)}
 
@@ -190,16 +263,15 @@ def build_group_table(
         if m not in cache:
             left = build(m // 2)
             right = build(m - m // 2)
-            cache[m] = _join(*left, *right)
+            cache[m] = _join(*left, *right, a_mul)
         return cache[m]
 
     keys, acc = build(s)
+    cache.clear()
     if packing is not None:
-        p3 = keys[0] % b_mul
-        rest = keys[0] // b_mul
-        m2 = s * n**2 + 1
-        p2 = rest % m2
-        p1 = rest // m2
+        rest, p3 = np.divmod(keys[0], b_mul)
+        del keys
+        p1, p2 = np.divmod(rest, s * n**2 + 1)
     else:
         p1, p2, p3 = keys
 
@@ -228,14 +300,21 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> complex:
     for g in np.unique(sizes[sizes > 1]):
         g = int(g)
         g_starts = starts[sizes == g]
+        block = max(1, _PAIR_SUM_BLOCK // (g * g))
         chunk = max(1, _PAIR_CHUNK // (g * g))
-        for lo in range(0, g_starts.size, chunk):
-            sel = g_starts[lo : lo + chunk, None] + np.arange(g)[None, :]
-            d = table.p3[sel]
-            c = coeffs[sel]
-            delta = d[:, :, None] - d[:, None, :]
-            w = interval_kernel(delta.ravel(), sigma, h0, n).reshape(delta.shape)
-            total += np.sum(c[:, :, None] * np.conj(c[:, None, :]) * w)
+        for lo in range(0, g_starts.size, block):
+            b_starts = g_starts[lo : lo + block]
+            terms = np.empty((b_starts.size, g, g), dtype=complex)
+            for c_lo in range(0, b_starts.size, chunk):
+                sel = b_starts[c_lo : c_lo + chunk, None] + np.arange(g)[None, :]
+                d = table.p3[sel]
+                c = coeffs[sel]
+                delta = d[:, :, None] - d[:, None, :]
+                w = interval_kernel(delta.ravel(), sigma, h0, n).reshape(delta.shape)
+                np.multiply(
+                    c[:, :, None] * np.conj(c[:, None, :]), w, out=terms[c_lo : c_lo + chunk]
+                )
+            total += np.sum(terms)
     return total
 
 

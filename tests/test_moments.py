@@ -1,6 +1,8 @@
 """Unit tests for the exact moment engine and its brute-force oracle."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from momentcurve import (
     interval_kernel,
     moment_brute,
     moment_exact,
+    random_phase_coeffs,
     random_sign_coeffs,
     vinogradov_count,
 )
+from momentcurve import moments
 from momentcurve.moments import _packing_multipliers
 
 
@@ -88,6 +92,87 @@ class TestGroupTable:
     def test_rejects_bad_s(self):
         with pytest.raises(SpecValidationError):
             build_group_table(spec_ones(3), 0)
+
+
+def naive_table(coeffs, s):
+    """(p1, p2, p3) rows and summed coefficient products of all n^s tuples."""
+    n = coeffs.size
+    grids = np.meshgrid(*([np.arange(1, n + 1, dtype=np.int64)] * s), indexing="ij")
+    flat = [g.ravel() for g in grids]
+    keys = np.stack([sum(g**e for g in flat) for e in (1, 2, 3)], axis=1)
+    prod = np.prod([coeffs[g - 1] for g in flat], axis=0)
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    acc = np.zeros(len(uniq), dtype=prod.dtype)
+    np.add.at(acc, inv.ravel(), prod)
+    return uniq.T, acc
+
+
+class TestJoin:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+    def test_matches_naive_grouping_for_every_batch_size_and_key_form(
+        self, monkeypatch, s, kind
+    ):
+        rng = np.random.default_rng(10 * s + len(kind))
+        for n in (1, 2, 5, 7):
+            coeffs = rng.uniform(-1, 1, n)
+            if kind == "complex":
+                coeffs = coeffs * np.exp(2j * math.pi * rng.uniform(0, 1, n))
+            spec = ExpSumSpec(n=n, coeffs=coeffs)
+            keys, acc = naive_table(coeffs, s)
+            tables = []
+            for packing in (_packing_multipliers, lambda n, s: None):
+                monkeypatch.setattr(moments, "_packing_multipliers", packing)
+                for chunk in (1, 10**9):
+                    monkeypatch.setattr(moments, "_JOIN_CHUNK", chunk)
+                    tables.append(build_group_table(spec, s))
+            first = tables[0]
+            assert np.array_equal(np.stack([first.p1, first.p2, first.p3]), keys)
+            np.testing.assert_allclose(first.coeffs, acc, rtol=1e-12, atol=1e-12)
+            assert first.coeffs.dtype == acc.dtype
+            for other in tables[1:]:
+                for name in ("p1", "p2", "p3", "coeffs"):
+                    a, b = getattr(first, name), getattr(other, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
+
+    def test_concurrent_builds_match_serial(self, monkeypatch):
+        # Sweep rows built at once share the join pool; their batches must
+        # neither mix nor reorder. More builders than cores, frequent switches.
+        monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
+        spec = ExpSumSpec(n=24, coeffs=random_phase_coeffs(24, 3))
+        serial = build_group_table(spec, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_group_table, spec, 4) for _ in range(4)]
+                tables = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in tables:
+            for name in ("p1", "p2", "p3", "coeffs"):
+                assert np.array_equal(getattr(table, name), getattr(serial, name))
+
+    def test_batch_error_propagates_and_pool_stays_usable(self, monkeypatch):
+        spec = spec_ones(12)
+        want = build_group_table(spec, 4)
+        monkeypatch.setattr(moments, "_JOIN_CHUNK", 1)
+        dedupe = moments._dedupe
+        calls = []
+
+        def failing(keys, coeffs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise MemoryError("batch")
+            return dedupe(keys, coeffs)
+
+        monkeypatch.setattr(moments, "_dedupe", failing)
+        with pytest.raises(MemoryError):
+            build_group_table(spec, 4)
+        monkeypatch.setattr(moments, "_dedupe", dedupe)
+        again = build_group_table(spec, 4)
+        assert np.array_equal(again.coeffs, want.coeffs)
+        assert np.array_equal(again.p3, want.p3)
 
 
 class TestMomentExact:
@@ -181,6 +266,15 @@ class TestBruteAgreement:
             a = moment_exact(spec, s).value
             b = moment_brute(spec, s).value
             assert a == pytest.approx(b, rel=1e-10)
+
+    def test_tiny_imaginary_parts_are_kept(self):
+        # Coefficients of modulus 1e-9 have imaginary parts below any absolute
+        # closeness tolerance; dropping them changes the moment completely.
+        rng = np.random.default_rng(3)
+        coeffs = 1e-9 * np.exp(2j * math.pi * rng.uniform(0, 1, 12))
+        spec = ExpSumSpec(n=12, coeffs=coeffs, sigma=1.0, h0=0.3)
+        want = moment_brute(spec, 2).value
+        assert moment_exact(spec, 2).value == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_complex_coefficients(self):
         rng = np.random.default_rng(6)
