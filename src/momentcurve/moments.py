@@ -14,12 +14,21 @@ the two p1 histograms). The join cuts the output p1 range into batches of
 about _JOIN_CHUNK pairs, dedupes each batch on a shared thread pool, and
 writes the batches in p1 order into one output buffer. The result is sorted
 without any merge of partial results.
+
+Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
+the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
+real part of its strict upper triangle, and only that triangle reaches the
+kernel. Blocks of same-size groups, about _PAIR_CHUNK pairs each, run on the
+same pool and are taken in block order; math.fsum adds their partial sums with
+one rounding, so the value does not depend on the number of cores or on other
+callers, and err_estimate is a stated bound on the rounding.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -37,19 +46,26 @@ DEFAULT_BRUTE_BUDGET = int(1e8)
 # holding about this many pairs; one p1 value with more pairs is a batch of
 # its own.
 _JOIN_CHUNK = 500_000
-# Kernel entries evaluated at once while assembling group contributions.
+# Pairs per pair-assembly block. A block is a run of groups of one size
+# holding about this many upper-triangle pairs; one group with more pairs is
+# a block of its own.
 _PAIR_CHUNK = 500_000
-# Products added up by one np.sum. Pairwise summation rounds differently for
-# other block sizes, so this stays fixed while _PAIR_CHUNK bounds the memory.
-_PAIR_SUM_BLOCK = 4_000_000
+# Terms added by one np.sum. numpy sums pairwise, so a term of a segment goes
+# through at most 32 roundings; math.fsum adds the segment sums exactly, which
+# keeps the bound in _pair_assemble a constant multiple of u = 2^-53.
+_SUM_SEG = 4096
+# err_estimate = _ROUNDOFF_K * u * M, derived in _pair_assemble.
+_ROUNDOFF_K = 40
 
-# Join batches of every caller (sweep rows too) run on this one pool. Sorting
-# releases the GIL, so batches on different threads overlap.
+# Join batches and pair-assembly blocks of every caller (sweep rows too) run
+# on this one pool. Sorting and the kernel's ufuncs release the GIL, so tasks
+# on different threads overlap. Only callers submit, through _in_order.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="momentcurve-join")
+_POOL_PREFIX = "momentcurve-pool"
+_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix=_POOL_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -115,10 +131,13 @@ def interval_kernel(d, sigma: float, h0: float, n: int):
     nz = ~zero
     x = df[nz] * length
     y = x - np.round(x)
-    val = np.exp(1j * math.pi * y) * (np.sin(math.pi * y) / (math.pi * df[nz]))
+    # np.multiply pins the operand order. The * operator may evaluate a * b
+    # in place as b * a on large temporaries, and complex products are not
+    # bitwise commutative, so values would depend on the array's length.
+    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df[nz]))
     if h0 != 0.0:
         w = df[nz] * h0
-        val = val * np.exp(2j * math.pi * (w - np.round(w)))
+        np.multiply(val, np.exp(2j * math.pi * (w - np.round(w))), out=val)
     out[nz] = val
     return complex(out[0]) if scalar else out
 
@@ -171,8 +190,11 @@ def _in_order(fn, arg_tuples):
 
     At most one more call than the pool has workers is in flight, so
     finished results never pile up behind a slow one. Calls not yet started
-    are cancelled when a call raises or the caller stops early.
+    are cancelled when a call raises or the caller stops early. Pool workers
+    may not call it: a worker waiting on its own pool can deadlock it.
     """
+    if threading.current_thread().name.startswith(_POOL_PREFIX):
+        raise RuntimeError("a pool worker must not submit to the shared pool")
     pending = deque()
     try:
         for args in arg_tuples:
@@ -280,42 +302,71 @@ def build_group_table(
     )
 
 
-def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> complex:
-    """Sum c(d) conj(c(d')) kernel(d - d') over all same-(p1,p2) pairs."""
-    n = table.n
+def _segment_sums(t: np.ndarray) -> np.ndarray:
+    """np.sum of each run of _SUM_SEG consecutive terms of the 1-D array t."""
+    full = t.size - t.size % _SUM_SEG
+    return np.append(t[:full].reshape(-1, _SUM_SEG).sum(axis=1), t[full:].sum())
+
+
+def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[float, float]:
+    """Sum c_i conj(c_j) K(p3_i - p3_j) over all same-(p1, p2) pairs, and a bound.
+
+    Within a group the p3 values are distinct and K(-d) = conj(K(d)), so the
+    sum is L sum |c_i|^2 + 2 Re sum_{i<j} c_i conj(c_j) K(p3_i - p3_j) with
+    L = K(0) = n^-sigma, the one kernel value taken on the calling thread.
+    At sigma = 0 the kernel is exactly 0 off the diagonal and only the first
+    term is formed.
+
+    The second value bounds |computed - exact sum| for the given coefficients
+    and float kernel values by k u M, with u = 2^-53, k = _ROUNDOFF_K = 40 and
+    M = L sum_G (sum_{i in G} |c_i|)^2 (M = L sum |c_i|^2 at sigma = 0), which
+    bounds the sum of |term| over both triangles and the diagonal. To first
+    order in u, with |K| <= L:
+      - a pair term is two complex products and a real part; each product
+        component errs by at most 2u |a||b|, so a term errs by at most
+        (1 + sqrt 2) 2u |c_i||c_j| L < 5u |c_i||c_j| L;
+      - a diagonal term |c_i|^2 is a hypot within one ulp, then a square:
+        at most 5u |c_i|^2;
+      - a segment sum adds at most _SUM_SEG terms pairwise, at most 32
+        roundings per term: 32u times the sum of its |terms|;
+      - L times a diagonal segment sum adds u; doubling a pair sum is exact;
+      - math.fsum rounds the sum of all segment sums once: u M.
+    That is at most (5 + 32 + 1) u M + u M = 39u M; k = 40 leaves u M for the
+    second-order terms. The error of the kernel's own float phase reduction
+    (d h0 and d L reduced mod 1 in float64) is not included; that is ROADMAP
+    item 3.
+    """
+    mod = np.abs(table.coeffs)
+    if sigma == 0.0:
+        value = math.fsum(_segment_sums(np.square(mod, out=mod)))  # = M up to rounding
+        return value, _ROUNDOFF_K * 2.0**-53 * value
+
+    length = interval_kernel(0, sigma, h0, table.n).real
     fresh = np.empty(table.n_entries, dtype=bool)
     fresh[0] = True
     fresh[1:] = (table.p1[1:] != table.p1[:-1]) | (table.p2[1:] != table.p2[:-1])
     starts = np.flatnonzero(fresh)
     sizes = np.diff(np.append(starts, table.n_entries))
+    mass = length * np.sum(np.add.reduceat(mod, starts) ** 2)
+    partials = [length * _segment_sums(np.square(mod, out=mod))]
 
-    coeffs = table.coeffs.astype(complex)
-    total = 0.0 + 0.0j
-    k0 = interval_kernel(0, sigma, h0, n)
+    def block(g, rows):
+        iu, ju = np.triu_indices(g, 1)
+        sel = rows[:, None] + np.arange(g)
+        p3, c = table.p3[sel], table.coeffs[sel]
+        w = interval_kernel((p3[:, iu] - p3[:, ju]).ravel(), sigma, h0, table.n)
+        terms = np.multiply(c[:, iu], np.conj(c[:, ju])).ravel()
+        return _segment_sums(np.multiply(terms, w).real)
 
-    singles = starts[sizes == 1]
-    if singles.size:
-        total += k0 * np.sum(np.abs(coeffs[singles]) ** 2)
+    def blocks():
+        for g in np.unique(sizes[sizes > 1]).tolist():
+            g_starts = starts[sizes == g]
+            per = max(1, _PAIR_CHUNK // (g * (g - 1) // 2))
+            for lo in range(0, g_starts.size, per):
+                yield g, g_starts[lo : lo + per]
 
-    for g in np.unique(sizes[sizes > 1]):
-        g = int(g)
-        g_starts = starts[sizes == g]
-        block = max(1, _PAIR_SUM_BLOCK // (g * g))
-        chunk = max(1, _PAIR_CHUNK // (g * g))
-        for lo in range(0, g_starts.size, block):
-            b_starts = g_starts[lo : lo + block]
-            terms = np.empty((b_starts.size, g, g), dtype=complex)
-            for c_lo in range(0, b_starts.size, chunk):
-                sel = b_starts[c_lo : c_lo + chunk, None] + np.arange(g)[None, :]
-                d = table.p3[sel]
-                c = coeffs[sel]
-                delta = d[:, :, None] - d[:, None, :]
-                w = interval_kernel(delta.ravel(), sigma, h0, n).reshape(delta.shape)
-                np.multiply(
-                    c[:, :, None] * np.conj(c[:, None, :]), w, out=terms[c_lo : c_lo + chunk]
-                )
-            total += np.sum(terms)
-    return total
+    partials += [2.0 * part for part in _in_order(block, blocks())]
+    return math.fsum(np.concatenate(partials)), _ROUNDOFF_K * 2.0**-53 * mass
 
 
 def moment_exact(
@@ -327,21 +378,18 @@ def moment_exact(
 
     The x1, x2 integrals enforce the (p1, p2) matching; the x3 integral over H
     contributes interval_kernel(d - d') per inner pair. At sigma = 0 the
-    kernel is a Kronecker delta and the pair sum collapses to sum |c|^2. The
-    assembled imaginary part (an exactness diagnostic; the true value is
-    real) is recorded in err_estimate.
+    kernel is a Kronecker delta and the pair sum collapses to sum |c|^2.
+    err_estimate bounds the rounding of the assembly (see _pair_assemble);
+    it leaves out the kernel's float phase reduction.
     """
     t0 = time.perf_counter()
     table = build_group_table(spec, s, budget_tuples)
-    if spec.sigma == 0.0:
-        total = complex(np.sum(np.abs(table.coeffs) ** 2))
-    else:
-        total = _pair_assemble(table, spec.sigma, spec.h0)
+    value, err = _pair_assemble(table, spec.sigma, spec.h0)
     wall = time.perf_counter() - t0
     return MomentResult(
-        value=float(total.real),
+        value=value,
         method="exact",
-        err_estimate=abs(float(total.imag)),
+        err_estimate=err,
         wall_time=wall,
         detail={"table_entries": table.n_entries, "n_tuples": table.n_tuples},
     )

@@ -211,18 +211,18 @@ class TestGeometryCommand:
 
 
 class TestEntrypoint:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "momentcurve.cli", "moment", "--N", "3",
              "--s", "2", "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120,
+            env=child_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
         assert "value=15" in proc.stdout
 
-    def test_usage_error_is_exit_2(self):
+    def test_usage_error_is_exit_2(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "momentcurve.cli", "unknown-command"],
-            capture_output=True, text=True, timeout=120,
+            env=child_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2

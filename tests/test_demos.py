@@ -1,6 +1,5 @@
 """Smoke test: every demo script runs to completion at small sizes."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,14 +21,10 @@ def test_every_demo_is_covered():
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
-def test_demo_exits_0(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_demo_exits_0(name, child_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name), *DEMOS[name]],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=child_env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -3,6 +3,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestIntervalKernel:
         k_pos = complex(interval_kernel(7, 1.5, 0.2, 5))
         k_neg = complex(interval_kernel(-7, 1.5, 0.2, 5))
         assert k_neg == pytest.approx(np.conj(k_pos))
+
+    @pytest.mark.parametrize("h0", [0.0, 0.37])
+    def test_values_do_not_depend_on_array_length(self, h0):
+        # Long arrays cross numpy's temporary-elision threshold, where a * b
+        # may run in place as b * a; the kernel pins the operand order.
+        rng = np.random.default_rng(12)
+        d = rng.integers(-4 * 96**3, 4 * 96**3, 20_000)
+        long = interval_kernel(d, 1.5, h0, 96)[:777]
+        short = interval_kernel(d[:777], 1.5, h0, 96)
+        assert np.array_equal(long.view(np.uint64), short.view(np.uint64))
 
     def test_vectorized(self):
         d = np.array([-2, 0, 1, 9])
@@ -173,6 +184,145 @@ class TestJoin:
         again = build_group_table(spec, 4)
         assert np.array_equal(again.coeffs, want.coeffs)
         assert np.array_equal(again.p3, want.p3)
+
+
+def group_slices(table):
+    """Slices of the table's (p1, p2) groups, in table order."""
+    keys = np.stack([table.p1, table.p2], axis=1)
+    _, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    return [slice(a, a + g) for a, g in sorted(zip(first.tolist(), counts.tolist()))]
+
+
+def full_square_sum(table, sigma, h0):
+    """Sum of c_i conj(c_j) K(p3_i - p3_j) over the full g x g square of each group."""
+    total = 0.0 + 0.0j
+    for sl in group_slices(table):
+        d = table.p3[sl, None] - table.p3[None, sl]
+        w = interval_kernel(d.ravel(), sigma, h0, table.n).reshape(d.shape)
+        c = table.coeffs[sl].astype(complex)
+        total += np.sum(c[:, None] * np.conj(c[None, :]) * w)
+    return total.real
+
+
+def phased_coeffs(rng, n, kind):
+    coeffs = rng.uniform(0.2, 1.0, n)
+    if kind == "complex":
+        coeffs = coeffs * np.exp(2j * math.pi * rng.uniform(0, 1, n))
+    return coeffs
+
+
+class TestPairAssembly:
+    @pytest.mark.parametrize("h0", [0.0, 0.37])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("s, n", [(2, 12), (3, 10), (4, 8)])
+    def test_matches_full_square_for_every_block_size(self, monkeypatch, s, n, kind, h0):
+        rng = np.random.default_rng(100 * s + n)
+        spec = ExpSumSpec(n=n, coeffs=phased_coeffs(rng, n, kind), sigma=1.2, h0=h0)
+        table = build_group_table(spec, s)
+        want = full_square_sum(table, spec.sigma, h0)
+        for chunk in (1, 7, 10**9):
+            monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
+            assert moment_exact(spec, s).value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.3])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_err_estimate_bounds_exact_rational_sum(self, monkeypatch, sigma, kind):
+        # The same float coefficients and kernel values, summed without
+        # rounding: the assembly's only error is its own arithmetic.
+        n, s = 8, 3
+        rng = np.random.default_rng(31)
+        spec = ExpSumSpec(n=n, coeffs=phased_coeffs(rng, n, kind), sigma=sigma, h0=0.61)
+        table = build_group_table(spec, s)
+        exact = Fraction(0)
+        for sl in group_slices(table):
+            d = table.p3[sl, None] - table.p3[None, sl]
+            w = interval_kernel(d.ravel(), sigma, spec.h0, n)
+            c = table.coeffs[sl].astype(complex)
+            ci, cj = np.repeat(c, c.size), np.tile(c, c.size)
+            for a, b, k in zip(ci.tolist(), cj.tolist(), w.tolist()):
+                re = Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+                im = Fraction(a.imag) * Fraction(b.real) - Fraction(a.real) * Fraction(b.imag)
+                exact += re * Fraction(k.real) - im * Fraction(k.imag)
+        for seg in (5, moments._SUM_SEG):
+            monkeypatch.setattr(moments, "_SUM_SEG", seg)
+            res = moment_exact(spec, s)
+            assert 0.0 < res.err_estimate < 1e-12 * res.value
+            assert abs(Fraction(res.value) - exact) <= Fraction(res.err_estimate)
+
+    def test_kernel_sees_only_the_strict_upper_triangle(self, monkeypatch):
+        spec = ExpSumSpec(n=14, coeffs=random_phase_coeffs(14, 2), sigma=1.1, h0=0.2)
+        table = build_group_table(spec, 4)
+        sizes = np.array([sl.stop - sl.start for sl in group_slices(table)])
+        kernel = moments.interval_kernel
+        diagonal, pairs = [], []
+
+        def counting(d, *args):
+            # One scalar K(0) gives the diagonal's L; pair blocks pass arrays.
+            (diagonal if np.ndim(d) == 0 else pairs).append(d)
+            return kernel(d, *args)
+
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", 1000)
+        monkeypatch.setattr(moments, "interval_kernel", counting)
+        moment_exact(spec, 4)
+        assert diagonal == [0]
+        assert all(np.all(d != 0) for d in pairs)
+        assert sum(d.size for d in pairs) == int(np.sum(sizes * (sizes - 1) // 2)) > 0
+
+    def test_concurrent_moments_match_serial(self, monkeypatch):
+        # Rows of a sweep assemble at once on the shared pool; their blocks
+        # must neither mix nor change the sums.
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", 2_000)
+        spec = ExpSumSpec(n=20, coeffs=random_phase_coeffs(20, 5), sigma=1.2, h0=0.3)
+        serial = moment_exact(spec, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(moment_exact, spec, 4) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in results:
+            assert (res.value, res.err_estimate) == (serial.value, serial.err_estimate)
+
+    def test_block_error_propagates_and_pool_stays_usable(self, monkeypatch):
+        spec = ExpSumSpec(n=12, coeffs=random_phase_coeffs(12, 4), sigma=1.0, h0=0.4)
+        want = moment_exact(spec, 4).value
+        monkeypatch.setattr(moments, "_PAIR_CHUNK", 1)
+        kernel = moments.interval_kernel
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise MemoryError("block")
+            return kernel(*args)
+
+        monkeypatch.setattr(moments, "interval_kernel", failing)
+        with pytest.raises(MemoryError):
+            moment_exact(spec, 4)
+        monkeypatch.setattr(moments, "interval_kernel", kernel)
+        assert moment_exact(spec, 4).value == pytest.approx(want, rel=1e-13)
+        monkeypatch.undo()
+        assert moment_exact(spec, 4).value == want
+
+    def test_pool_workers_cannot_submit(self):
+        def nested():
+            return list(moments._in_order(abs, [(-1,)]))
+
+        with pytest.raises(RuntimeError):
+            moments._POOL.submit(nested).result(timeout=60)
+
+    def test_segment_sums_are_pairwise(self):
+        # The err_estimate bound counts at most 32 roundings per term of a
+        # segment. Added one by one, 1 + (_SUM_SEG - 1) halves of an ulp
+        # would stay 1.0.
+        seg = moments._SUM_SEG
+        t = np.full(2 * seg + 3, 2.0**-53, dtype=complex)
+        t[::seg] = 1.0
+        sums = moments._segment_sums(t.real)
+        assert sums.shape == (3,)
+        assert np.all(sums[:2] > 1.0)
 
 
 class TestMomentExact:
