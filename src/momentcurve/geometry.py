@@ -58,17 +58,19 @@ def frame_matrix(t: float) -> np.ndarray:
     return np.column_stack(frenet_frame(t))
 
 
-def frame_coordinates(t0: float, q) -> np.ndarray:
+def frame_coordinates(t0, q) -> np.ndarray:
     """Coefficients (A, B, C) with q = A gamma'(t0) + B gamma''(t0) + C gamma'''(t0).
 
     The frame matrix is lower triangular in this ordering, so the solve is an
-    exact back-substitution.
+    exact back-substitution. It works element by element, so t0 may be an
+    array that broadcasts against q[..., 0]; each entry equals the scalar-t0
+    solve bit for bit.
     """
     q = np.asarray(q, dtype=float)
     a = q[..., 0]
     b = (q[..., 1] - 2.0 * t0 * a) / 2.0
     c = (q[..., 2] - 3.0 * t0 * t0 * a - 6.0 * t0 * b) / 6.0
-    return np.stack([a, b, c], axis=-1)
+    return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
 
 
 def defect2(xi) -> np.ndarray:
@@ -404,6 +406,11 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise SpecValidationError("samples must be >= 1")
+
+
 def _spread_l_indices(n_slots: int, rng, cap: int = 64) -> np.ndarray:
     if n_slots <= cap:
         return np.arange(n_slots)
@@ -439,13 +446,23 @@ def check_overlap_geo1(
     because the B-coordinate picks up the exact shear (t0 - t0') A whose
     magnitude then exceeds the combined B widths. Hits beyond the threshold
     count as violations.
+
+    The box ranges do not depend on the index, so the box at l serves as the
+    membership test for every l'; all l' of one l (and all far probes) are
+    inverted in one broadcast back-substitution of shape (l' count, per_l).
     """
+    if not (1.0 <= r_k <= r_next):
+        raise SpecValidationError("need 1 <= r_k <= r_next")
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     n_l = int(r_k)
     ls = _spread_l_indices(n_l, rng)
     per_l = max(1, samples // ls.size)
     threshold = OVERLAP_FACTOR * c_eps * (r_next / r_k)
     window = int(math.ceil(threshold)) + 2
+
+    def hits(box: ParamBox, lps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        return box.contains_abc(frame_coordinates(lps[:, None] / r_k, pts))
 
     violations = 0
     max_mult = 0
@@ -457,24 +474,15 @@ def check_overlap_geo1(
         pts = box.to_points(box.sample(rng, per_l))
         used += per_l
         near = np.arange(max(0, l - window), min(n_l, l + window + 1))
-        mult = np.zeros(per_l, dtype=int)
-        for lp in near:
-            other = gamma_tilde(r_k, r_next, R, int(lp), c_eps)
-            abc = frame_coordinates(other.t0, pts)
-            mult += other.contains_abc(abc).astype(int)
-            pairs += 1
-        max_mult = max(max_mult, int(mult.max()))
+        max_mult = max(max_mult, int(hits(box, near, pts).sum(axis=0).max()))
+        pairs += near.size
         far_candidates = np.concatenate(
             [np.arange(0, max(0, l - window)), np.arange(min(n_l, l + window + 1), n_l)]
         )
         if far_candidates.size:
             probe = rng.choice(far_candidates, size=min(8, far_candidates.size), replace=False)
-            for lp in probe:
-                other = gamma_tilde(r_k, r_next, R, int(lp), c_eps)
-                abc = frame_coordinates(other.t0, pts)
-                hits = int(np.count_nonzero(other.contains_abc(abc)))
-                violations += hits
-                far_pairs += 1
+            violations += int(np.count_nonzero(hits(box, probe, pts)))
+            far_pairs += probe.size
     return OverlapReport(
         threshold=threshold,
         l_count=int(ls.size),
@@ -611,6 +619,7 @@ def check_cone_containment_geo2(
     20 * c_eps / r_k; when omitted, the largest dyadic slab reachable by
     every box's A range is used.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     if r_k >= math.sqrt(R):
         case, beta1 = "1", None
@@ -678,6 +687,7 @@ def check_cone_containment_geo3(
     around the angle of the block's base parameter. The inverse dilation 1/r
     must lie in [r_next_scale^(-1/3), c_eps * r_k_scale^(-1/3)].
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     s = round(r_k_scale ** (1.0 / 3.0))
     if s**3 != round(r_k_scale) or s < 2:
@@ -782,6 +792,7 @@ def check_rescale(
     block(l) intersected with the neighborhood stay inside the rescaled
     neighborhood (defect tolerances multiplied by S^2 and S^3 exactly).
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     lmap = rescale_map_L(r_prev, l)
     s = float(np.cbrt(r_prev))
@@ -844,6 +855,7 @@ def check_partition(params: DecouplingParams, samples: int = 100000, seed: int =
     the xi1 windows are disjoint); exactly one may contain it, with
     slack 0 so shared boundaries cannot double-count.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     xi = sample_neighborhood(params, rng, samples)
     idx = cap_index_of(params, xi)
@@ -895,6 +907,7 @@ def check_cap_frame_comparability(
         raise SpecValidationError("need 2 <= r_k <= R")
     if r_k < R ** (1.0 / 3.0) * (1.0 - SLACK):
         raise SpecValidationError("comparability needs r_k >= R^(1/3)")
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     t0 = l / r_k
     base = curve_point(t0)

@@ -125,21 +125,26 @@ def interval_kernel(d, sigma: float, h0: float, n: int):
 
     length = float(n) ** (-sigma)
     df = d_arr.astype(float)
-    out = np.empty(d_arr.shape, dtype=complex)
+    # Pair assembly never passes d = 0, so the mask and its gathers are only
+    # paid for when some d is 0; then K(0) = length.
     zero = d_arr == 0
-    out[zero] = length
-    nz = ~zero
-    x = df[nz] * length
+    has_zero = bool(zero.any())
+    if has_zero:
+        df = df[~zero]
+    x = df * length
     y = x - np.round(x)
     # np.multiply pins the operand order. The * operator may evaluate a * b
     # in place as b * a on large temporaries, and complex products are not
     # bitwise commutative, so values would depend on the array's length.
-    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df[nz]))
+    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df))
     if h0 != 0.0:
-        w = df[nz] * h0
+        w = df * h0
         np.multiply(val, np.exp(2j * math.pi * (w - np.round(w))), out=val)
-    out[nz] = val
-    return complex(out[0]) if scalar else out
+    if has_zero:
+        out = np.full(d_arr.shape, length, dtype=complex)
+        out[~zero] = val
+        val = out
+    return complex(val[0]) if scalar else val
 
 
 def _packing_multipliers(n: int, s: int) -> tuple[int, int] | None:

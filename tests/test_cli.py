@@ -210,6 +210,24 @@ class TestGeometryCommand:
                      "--r-next", "2048", "--out", str(tmp_path)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geo1", "--samples", "0"],
+            ["geo2", "--samples", "0"],
+            ["geo3", "--samples", "0"],
+            ["rescale", "--samples", "0"],
+            ["partition", "--samples", "0"],
+            ["broad-narrow", "--samples", "0"],
+            ["geo1", "--r-k", "0.5", "--r-next", "1"],
+        ],
+        ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k"],
+    )
+    def test_bad_argument_exit_2(self, tmp_path, argv):
+        assert main(["geometry", *argv, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
+
 class TestEntrypoint:
     def test_module_invocation(self, tmp_path, child_env):
         proc = subprocess.run(

@@ -35,8 +35,52 @@ from momentcurve import (
     sample_block,
     sample_neighborhood,
 )
+from momentcurve import geometry
+from momentcurve.geometry import OverlapReport, _spread_l_indices
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _geo1_loop_reference(r_k, r_next, R, c_eps=1.0, samples=10000, seed=0):
+    """check_overlap_geo1 as a double loop: one gamma_tilde box and one
+    scalar-t0 frame solve per (l, l') pair, in the same rng draw order."""
+    rng = np.random.default_rng(seed)
+    n_l = int(r_k)
+    ls = _spread_l_indices(n_l, rng)
+    per_l = max(1, samples // ls.size)
+    threshold = geometry.OVERLAP_FACTOR * c_eps * (r_next / r_k)
+    window = int(math.ceil(threshold)) + 2
+    violations = max_mult = pairs = far_pairs = used = 0
+    for l in ls:
+        box = gamma_tilde(r_k, r_next, R, int(l), c_eps)
+        pts = box.to_points(box.sample(rng, per_l))
+        used += per_l
+        near = np.arange(max(0, l - window), min(n_l, l + window + 1))
+        mult = np.zeros(per_l, dtype=int)
+        for lp in near:
+            other = gamma_tilde(r_k, r_next, R, int(lp), c_eps)
+            mult += other.contains_abc(frame_coordinates(other.t0, pts)).astype(int)
+            pairs += 1
+        max_mult = max(max_mult, int(mult.max()))
+        far_candidates = np.concatenate(
+            [np.arange(0, max(0, l - window)), np.arange(min(n_l, l + window + 1), n_l)]
+        )
+        if far_candidates.size:
+            probe = rng.choice(far_candidates, size=min(8, far_candidates.size), replace=False)
+            for lp in probe:
+                other = gamma_tilde(r_k, r_next, R, int(lp), c_eps)
+                abc = frame_coordinates(other.t0, pts)
+                violations += int(np.count_nonzero(other.contains_abc(abc)))
+                far_pairs += 1
+    return OverlapReport(
+        threshold=threshold,
+        l_count=int(ls.size),
+        samples_used=used,
+        pairs_checked=pairs,
+        far_pairs_checked=far_pairs,
+        max_multiplicity=max_mult,
+        violations=violations,
+    )
 
 
 class TestFrame:
@@ -60,6 +104,15 @@ class TestFrame:
             pts = abc @ frame_matrix(t0).T
             back = frame_coordinates(t0, pts)
             np.testing.assert_allclose(back, abc, atol=1e-12)
+
+    def test_frame_coordinates_broadcast_over_t0_is_bitwise(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1, 1, (40, 3)) * [1e-2, 1e-4, 1e-6]
+        t0 = np.arange(0, 97) / 96.0
+        batched = frame_coordinates(t0[:, None], pts)
+        looped = np.stack([frame_coordinates(float(t), pts) for t in t0])
+        assert batched.shape == (97, 40, 3)
+        assert np.array_equal(batched.view(np.uint64), looped.view(np.uint64))
 
     def test_defects_vanish_on_curve(self):
         t = np.linspace(0, 1, 11)
@@ -309,6 +362,65 @@ class TestLadderChecks:
         # Below R^(1/3) the cubic defect 2A^3 overflows the 1/R tolerance.
         with pytest.raises(SpecValidationError):
             check_cap_frame_comparability(64.0, float(2**20), l=9)
+
+
+GEO1_R = float(2**20)
+GEO1_ORACLE_CASES = [
+    # The six (beta, c_eps) pairs of the benchmark's criterion-7 grid.
+    *[(*default_geo1_scales(GEO1_R, beta), c_eps, 1200, 3)
+      for beta in (0.5, 0.75, 1.0) for c_eps in (1.0, 4.0)],
+    # n_l <= 64 and every l' inside the window: no far candidates.
+    (1.0, 1.0, 1.0, 500, 0),
+    (2.0, 4.0, 1.0, 500, 1),
+    (2.0, 4.0, 4.0, 500, 2),
+    # n_l > 64, far probes drawn from both sides.
+    (200.0, 400.0, 1.0, 900, 4),
+    # samples < ls.size gives per_l = 1.
+    (256.0, 512.0, 4.0, 10, 5),
+]
+
+
+class TestGeo1Broadcast:
+    @pytest.mark.parametrize("r_k, r_next, c_eps, samples, seed", GEO1_ORACLE_CASES)
+    def test_matches_loop_reference(self, r_k, r_next, c_eps, samples, seed):
+        args = (r_k, r_next, GEO1_R, c_eps, samples, seed)
+        assert check_overlap_geo1(*args) == _geo1_loop_reference(*args)
+
+    def test_matches_loop_reference_with_far_hits(self, monkeypatch):
+        # A threshold far below the true overlap range puts overlapping boxes
+        # among the far probes, so the violation count is exercised too.
+        monkeypatch.setattr(geometry, "OVERLAP_FACTOR", 0.05)
+        args = (256.0, 512.0, GEO1_R, 4.0, 1200, 6)
+        rep = check_overlap_geo1(*args)
+        assert rep.violations > 0
+        assert rep == _geo1_loop_reference(*args)
+
+    def test_small_sample_case_uses_one_sample_per_l(self):
+        rep = check_overlap_geo1(256.0, 512.0, GEO1_R, 4.0, samples=10, seed=5)
+        assert rep.l_count > 10
+        assert rep.samples_used == rep.l_count
+        assert rep.far_pairs_checked > 0
+
+    def test_rejects_r_k_below_one(self):
+        with pytest.raises(SpecValidationError):
+            check_overlap_geo1(0.5, 1.0, GEO1_R)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: check_overlap_geo1(256.0, 512.0, GEO1_R, samples=n),
+        lambda n: check_cone_containment_geo2(2.0**8, 2.0**9, GEO1_R, samples=n),
+        lambda n: check_cone_containment_geo3(float(2**18), float(2**24), samples=n),
+        lambda n: check_rescale(4096.0, 3, DecouplingParams(GEO1_R, 0.75), samples=n),
+        lambda n: check_partition(DecouplingParams(1024.0, 0.5), samples=n),
+        lambda n: check_cap_frame_comparability(128.0, GEO1_R, l=9, samples=n),
+    ],
+    ids=["geo1", "geo2", "geo3", "rescale", "partition", "comparability"],
+)
+def test_checks_reject_zero_samples(check):
+    with pytest.raises(SpecValidationError):
+        check(0)
 
 
 class TestDefaultScales:

@@ -78,6 +78,22 @@ class TestIntervalKernel:
         short = interval_kernel(d[:777], 1.5, h0, 96)
         assert np.array_equal(long.view(np.uint64), short.view(np.uint64))
 
+    @pytest.mark.parametrize("h0", [0.0, 0.37])
+    def test_zeros_do_not_change_nonzero_values(self, h0):
+        # Arrays without a zero skip the d = 0 mask; arrays with zeros take
+        # it. Both paths give the same bits at every nonzero d.
+        rng = np.random.default_rng(13)
+        d = rng.integers(-4 * 96**3, 4 * 96**3, 5_000)
+        d[d == 0] = 1
+        mixed = d.copy()
+        mixed[::9] = 0
+        nz = mixed != 0
+        length = 96.0**-1.5
+        with_zeros = interval_kernel(mixed, 1.5, h0, 96)
+        without = interval_kernel(mixed[nz], 1.5, h0, 96)
+        assert np.array_equal(with_zeros[nz].view(np.uint64), without.view(np.uint64))
+        assert np.all(with_zeros[~nz] == length)
+
     def test_vectorized(self):
         d = np.array([-2, 0, 1, 9])
         vals = interval_kernel(d, 1.0, 0.1, 4)

@@ -1,5 +1,6 @@
 """Unit tests for coefficient families, sweeps, fits, and the dichotomy."""
 
+import itertools
 import math
 import time
 
@@ -22,7 +23,54 @@ from momentcurve import (
     verify_maincor,
     verify_mainexp_bound,
 )
-from momentcurve.sharpness import sweep_rows
+from momentcurve.expsums import TWO_PI
+from momentcurve.sharpness import BroadNarrowReport, sweep_rows
+
+
+def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed):
+    """broad_narrow_check with every separated triple's geometric mean
+    formed explicitly before the max."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (samples, 3))
+    k = np.arange(1, spec.n + 1, dtype=float)
+    phase = (
+        k[:, None] * x[None, :, 0]
+        + (k**2)[:, None] * x[None, :, 1]
+        + (k**3)[:, None] * x[None, :, 2]
+    )
+    waves = spec.coeffs[:, None] * np.exp(1j * TWO_PI * phase)
+    band_of = np.minimum((k / spec.n * n_bands).astype(int), n_bands - 1)
+    band_abs = np.empty((n_bands, samples))
+    total = waves.sum(axis=0)
+    for j in range(n_bands):
+        mask = band_of == j
+        band_abs[j] = np.abs(waves[mask].sum(axis=0)) if mask.any() else 0.0
+    m = band_abs.max(axis=0)
+    f_abs = np.abs(total)
+    significant = band_abs >= (m / n_bands)[None, :] * (1.0 - 1e-12)
+    broad = significant.sum(axis=0) >= 3.0 * e_sep - 1e-12
+    triples = [
+        t
+        for t in itertools.combinations(range(n_bands), 3)
+        if t[1] - t[0] >= e_sep and t[2] - t[1] >= e_sep
+    ]
+    if triples:
+        ti = np.array(triples)
+        gm = (band_abs[ti[:, 0]] * band_abs[ti[:, 1]] * band_abs[ti[:, 2]]) ** (1.0 / 3.0)
+        gm_best = gm.max(axis=0)
+    else:
+        gm_best = np.zeros(samples)
+    rhs = 4.0 * e_sep * m + n_bands**2 * gm_best
+    ratio = np.divide(f_abs, rhs, out=np.zeros_like(f_abs), where=rhs > 0)
+    return BroadNarrowReport(
+        max_ratio=float(ratio.max()),
+        n_bands=n_bands,
+        e_sep=float(e_sep),
+        samples_used=samples,
+        broad_count=int(np.count_nonzero(broad)),
+        narrow_count=int(np.count_nonzero(~broad)),
+        triple_count=len(triples),
+    )
 
 
 class TestCoefficientFamilies:
@@ -234,3 +282,23 @@ class TestBroadNarrow:
         a = broad_narrow_check(spec, 12, 2.0, samples=500, seed=9)
         b = broad_narrow_check(spec, 12, 2.0, samples=500, seed=9)
         assert a.max_ratio == b.max_ratio
+
+    # N = 8 with 16 bands leaves empty bands; E = 1.5 and 5 bands exercise
+    # the rounding of the separation up to an integer gap; E = 1.2 with 4
+    # bands admits no triple at all.
+    @pytest.mark.parametrize(
+        "n, n_bands, e_sep",
+        [(8, 16, 1.0), (8, 16, 2.0), (64, 16, 1.0), (64, 16, 2.0), (64, 5, 1.5),
+         (12, 4, 1.2)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_all_triples_reference(self, n, n_bands, e_sep, seed):
+        for family in ("random_sign", "random_phase", "constant"):
+            spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, seed))
+            args = (spec, n_bands, e_sep, 1500, seed)
+            assert broad_narrow_check(*args) == _broad_narrow_reference(*args)
+
+    def test_rejects_zero_samples(self):
+        spec = ExpSumSpec(n=16, coeffs=np.ones(16))
+        with pytest.raises(SpecValidationError):
+            broad_narrow_check(spec, n_bands=6, e_sep=1.0, samples=0)
