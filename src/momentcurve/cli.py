@@ -122,20 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_moment(args, argv: list[str]) -> int:
-    config = {
-        "command": "moment",
-        "N": args.N,
-        "sigma": args.sigma,
-        "s": args.s,
-        "p": args.p,
-        "coeffs": args.coeffs,
-        "seed": args.seed,
-        "method": args.method,
-        "h0": args.h0,
-        "oversample": args.oversample,
-        "budget_tuples": args.budget_tuples,
-        "budget_cells": args.budget_cells,
-    }
+    config = {k: v for k, v in vars(args).items() if k != "out"}
     if args.p is not None and args.method != "quad":
         raise SpecValidationError("--p only applies to --method quad")
     if args.s < 1:
@@ -245,25 +232,12 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     layout = OutputLayout(args.out)
     manifest = new_manifest(argv, cfg, list(cfg["seeds"]))
     manifest.budgets = {"tuples": cfg["budget_tuples"]}
-    slug = f"sweep-{kind}-" + args_digest({k: v for k, v in cfg.items()})
+    slug = f"sweep-{kind}-" + args_digest(cfg)
     csv_path = layout.table_path(slug)
     fit_path = layout.result_path(slug + "-fit")
     t0 = time.perf_counter()
 
-    sweep_cfg = SweepConfig(
-        x_values=cfg["x_values"],
-        family=cfg["family"],
-        seeds=cfg["seeds"],
-        sigma=cfg["sigma"],
-        s=cfg["s"],
-        p=cfg["p"],
-        beta=cfg["beta"],
-        h0=cfg["h0"],
-        h0_policy=cfg["h0_policy"],
-        tolerance=cfg["tolerance"],
-        oversample=cfg["oversample"],
-        budget_tuples=cfg["budget_tuples"],
-    )
+    sweep_cfg = SweepConfig(**{k: v for k, v in cfg.items() if k != "kind"})
     row_fn = mainexp_row if kind == "mainexp" else maincor_row
     rows = []
     try:
@@ -387,25 +361,7 @@ def _geometry_report(args):
 
 def _cmd_geometry(args, argv: list[str]) -> int:
     args.check = GEOMETRY_ALIASES.get(args.check, args.check)
-    config = {
-        "command": "geometry",
-        "check": args.check,
-        "R": args.R,
-        "beta": args.beta,
-        "c_eps": args.c_eps,
-        "samples": args.samples,
-        "seed": args.seed,
-        "case": args.case,
-        "r_k": args.r_k,
-        "r_next": args.r_next,
-        "r": args.r,
-        "r_prev": args.r_prev,
-        "l": args.l,
-        "N": args.N,
-        "coeffs": args.coeffs,
-        "bands": args.bands,
-        "e_sep": args.e_sep,
-    }
+    config = {k: v for k, v in vars(args).items() if k != "out"}
     t0 = time.perf_counter()
     payload, violations = _geometry_report(args)
     wall = time.perf_counter() - t0

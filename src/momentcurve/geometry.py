@@ -34,8 +34,6 @@ SQRT2 = math.sqrt(2.0)
 WIDTH_FACTOR = 10.0
 # Same role for the overlap offset threshold in check_overlap_geo1.
 OVERLAP_FACTOR = 10.0
-# Frame-box comparability dilation (outer) and contraction (inner) factor.
-COMPARABILITY_FACTOR = 20.0
 
 
 def curve_point(t):
@@ -83,6 +81,24 @@ def defect3(xi) -> np.ndarray:
     return xi[..., 2] - 3.0 * xi[..., 0] * xi[..., 1] + 2.0 * xi[..., 0] ** 3
 
 
+def _defects_within(xi, tol2: float, tol3: float, slack: float):
+    """True where |defect2| <= tol2 and |defect3| <= tol3, each times 1 + slack."""
+    ok2 = np.abs(defect2(xi)) <= tol2 * (1.0 + slack)
+    return ok2 & (np.abs(defect3(xi)) <= tol3 * (1.0 + slack))
+
+
+def _lift(x1, d2, d3) -> np.ndarray:
+    """Points with first coordinate x1 and defects (d2, d3)."""
+    x2 = x1**2 + d2
+    x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
+    return np.column_stack([x1, x2, x3])
+
+
+def _require_global_scale(R: float) -> None:
+    if not (2.0 <= R < math.inf):
+        raise SpecValidationError("R must be finite and >= 2")
+
+
 @dataclass(frozen=True)
 class DecouplingParams:
     """Scale pair (R, beta) defining the curved neighborhood and its caps.
@@ -96,8 +112,7 @@ class DecouplingParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.r_scale >= 2.0):
-            raise SpecValidationError("r_scale must be >= 2")
+        _require_global_scale(self.r_scale)
         if not (1.0 / 3.0 <= self.beta <= 1.0):
             raise SpecValidationError("beta must lie in [1/3, 1]")
 
@@ -127,9 +142,7 @@ def neighborhood_membership(params: DecouplingParams, xi, slack: float = 0.0):
     """True where xi1 in [0,1] and both defects are within tolerance."""
     xi = np.asarray(xi, dtype=float)
     ok1 = (xi[..., 0] >= -slack) & (xi[..., 0] <= 1.0 + slack)
-    ok2 = np.abs(defect2(xi)) <= params.defect2_tol * (1.0 + slack)
-    ok3 = np.abs(defect3(xi)) <= params.defect3_tol * (1.0 + slack)
-    return ok1 & ok2 & ok3
+    return ok1 & _defects_within(xi, params.defect2_tol, params.defect3_tol, slack)
 
 
 def cap_index_of(params: DecouplingParams, xi):
@@ -140,41 +153,14 @@ def cap_index_of(params: DecouplingParams, xi):
     the whole neighborhood.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        if not bool(neighborhood_membership(params, xi)):
-            return None
-        idx = int(xi[0] * params.r_scale**params.beta)
-        return min(idx, params.n_caps - 1)
     member = neighborhood_membership(params, xi)
     idx = np.minimum(
         (xi[..., 0] * params.r_scale**params.beta).astype(int), params.n_caps - 1
     )
-    return np.where(member, idx, -1)
-
-
-@dataclass(frozen=True)
-class SmallCap:
-    """One xi1-slice of the curved neighborhood."""
-
-    params: DecouplingParams
-    l: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.l < self.params.n_caps):
-            raise SpecValidationError("cap index out of range")
-
-    @property
-    def t0(self) -> float:
-        return self.l * self.params.cap_width
-
-    def contains(self, xi, slack: float = SLACK):
-        xi = np.asarray(xi, dtype=float)
-        w = self.params.cap_width
-        lo, hi = self.l * w, (self.l + 1) * w
-        in_slice = (xi[..., 0] >= lo - slack * w) & (xi[..., 0] < hi + slack * w)
-        if self.l == self.params.n_caps - 1:
-            in_slice = (xi[..., 0] >= lo - slack * w) & (xi[..., 0] <= 1.0 + slack)
-        return in_slice & neighborhood_membership(self.params, xi, slack)
+    idx = np.where(member, idx, -1)
+    if xi.ndim == 1:
+        return int(idx) if idx >= 0 else None
+    return idx
 
 
 @dataclass(frozen=True)
@@ -200,9 +186,7 @@ class CanonicalBlock:
         in_slice = (xi[..., 0] >= self.t0 - slack * w) & (
             xi[..., 0] < self.t0 + w * (1.0 + slack)
         )
-        ok2 = np.abs(defect2(xi)) <= self.s ** (-2.0) * (1.0 + slack)
-        ok3 = np.abs(defect3(xi)) <= self.s ** (-3.0) * (1.0 + slack)
-        return in_slice & ok2 & ok3
+        return in_slice & _defects_within(xi, self.s ** (-2.0), self.s ** (-3.0), slack)
 
 
 def sample_neighborhood(params: DecouplingParams, rng, count: int) -> np.ndarray:
@@ -210,9 +194,7 @@ def sample_neighborhood(params: DecouplingParams, rng, count: int) -> np.ndarray
     x1 = rng.uniform(0.0, 1.0, count)
     d2 = rng.uniform(-1.0, 1.0, count) * params.defect2_tol * DEFECT_MARGIN
     d3 = rng.uniform(-1.0, 1.0, count) * params.defect3_tol * DEFECT_MARGIN
-    x2 = x1**2 + d2
-    x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
-    return np.column_stack([x1, x2, x3])
+    return _lift(x1, d2, d3)
 
 
 def sample_block(block: CanonicalBlock, rng, count: int, dilation: float = 1.0) -> np.ndarray:
@@ -226,19 +208,16 @@ def sample_block(block: CanonicalBlock, rng, count: int, dilation: float = 1.0) 
     x1 = center + (rng.uniform(0.0, 1.0, count) - 0.5) * dilation / s
     d2 = rng.uniform(-1.0, 1.0, count) * dilation * s**-2.0 * DEFECT_MARGIN
     d3 = rng.uniform(-1.0, 1.0, count) * dilation * s**-3.0 * DEFECT_MARGIN
-    x2 = x1**2 + d2
-    x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
-    return np.column_stack([x1, x2, x3])
+    return _lift(x1, d2, d3)
 
 
 @dataclass(frozen=True)
 class ParamBox:
     """Set {A gamma'(t0) + B gamma''(t0) + C gamma'''(t0)} with box ranges.
 
-    two_sided_a selects the annular reading |A| in [a_lo, a_hi]; otherwise A
-    ranges over the signed interval [a_lo, a_hi]. B and C are symmetric,
-    |B| <= b_bound and |C| <= c_bound. The set is a span around the origin;
-    t0 only fixes the frame.
+    A is annular, |A| in [a_lo, a_hi]; B and C are symmetric, |B| <= b_bound
+    and |C| <= c_bound. The set is a span around the origin; t0 only fixes
+    the frame.
     """
 
     t0: float
@@ -246,34 +225,24 @@ class ParamBox:
     a_hi: float
     b_bound: float
     c_bound: float
-    two_sided_a: bool = True
 
     def __post_init__(self) -> None:
-        if self.a_hi < self.a_lo:
-            raise SpecValidationError("A range is empty")
-        if self.two_sided_a and self.a_lo < 0:
-            raise SpecValidationError("two-sided A range needs a_lo >= 0")
+        if not (0 <= self.a_lo <= self.a_hi):
+            raise SpecValidationError("A range must satisfy 0 <= a_lo <= a_hi")
         if self.b_bound < 0 or self.c_bound < 0:
             raise SpecValidationError("B/C bounds must be nonnegative")
 
     def sample(self, rng, count: int) -> np.ndarray:
         """(count, 3) array of (A, B, C) coefficients, uniform in the box."""
-        a = rng.uniform(self.a_lo, self.a_hi, count)
-        if self.two_sided_a:
-            a = a * rng.choice([-1.0, 1.0], count)
+        a = rng.uniform(self.a_lo, self.a_hi, count) * rng.choice([-1.0, 1.0], count)
         b = rng.uniform(-self.b_bound, self.b_bound, count)
         c = rng.uniform(-self.c_bound, self.c_bound, count)
         return np.column_stack([a, b, c])
 
     def contains_abc(self, abc, slack: float = SLACK):
         abc = np.asarray(abc, dtype=float)
-        a = abc[..., 0]
-        if self.two_sided_a:
-            mag = np.abs(a)
-            ok_a = (mag >= self.a_lo * (1.0 - slack)) & (mag <= self.a_hi * (1.0 + slack))
-        else:
-            span = max(abs(self.a_lo), abs(self.a_hi), 1e-300)
-            ok_a = (a >= self.a_lo - slack * span) & (a <= self.a_hi + slack * span)
+        mag = np.abs(abc[..., 0])
+        ok_a = (mag >= self.a_lo * (1.0 - slack)) & (mag <= self.a_hi * (1.0 + slack))
         ok_b = np.abs(abc[..., 1]) <= self.b_bound * (1.0 + slack)
         ok_c = np.abs(abc[..., 2]) <= self.c_bound * (1.0 + slack)
         return ok_a & ok_b & ok_c
@@ -282,21 +251,6 @@ class ParamBox:
         abc = np.asarray(abc, dtype=float)
         return abc @ frame_matrix(self.t0).T
 
-    def dilated(self, factor: float) -> "ParamBox":
-        """Concentric dilation about the box center (one-sided A only)."""
-        if self.two_sided_a:
-            raise SpecValidationError("dilation is defined for one-sided boxes")
-        mid = 0.5 * (self.a_lo + self.a_hi)
-        half = 0.5 * (self.a_hi - self.a_lo) * factor
-        return ParamBox(
-            t0=self.t0,
-            a_lo=mid - half,
-            a_hi=mid + half,
-            b_bound=self.b_bound * factor,
-            c_bound=self.c_bound * factor,
-            two_sided_a=False,
-        )
-
 
 def gamma_tilde(r_k: float, r_next: float, R: float, l: int, c_eps: float = 1.0) -> ParamBox:
     """High-frequency difference box at t0 = l / r_k.
@@ -304,10 +258,10 @@ def gamma_tilde(r_k: float, r_next: float, R: float, l: int, c_eps: float = 1.0)
     Coefficient ranges: |A| in [1/(2 r_next), c_eps / r_k], |B| <= c_eps / r_k^2,
     |C| <= c_eps / R.
     """
-    if not (1.0 <= r_k <= r_next):
-        raise SpecValidationError("need 1 <= r_k <= r_next")
-    if R <= 0 or c_eps <= 0:
-        raise SpecValidationError("R and c_eps must be positive")
+    if not (1.0 <= r_k <= r_next < math.inf):
+        raise SpecValidationError("need 1 <= r_k <= r_next < inf")
+    if not (R > 0 and 0 < c_eps < math.inf):
+        raise SpecValidationError("R and c_eps must be positive, c_eps finite")
     if not (0 <= l < r_k):
         raise SpecValidationError("l must lie in [0, r_k)")
     a_lo = 0.5 / r_next
@@ -320,7 +274,6 @@ def gamma_tilde(r_k: float, r_next: float, R: float, l: int, c_eps: float = 1.0)
         a_hi=a_hi,
         b_bound=c_eps / r_k**2,
         c_bound=c_eps / R,
-        two_sided_a=True,
     )
 
 
@@ -385,8 +338,8 @@ def rescale_map_L(r_prev: float, l: int) -> AffineMap3:
     linear part has diagonal (S, S^2, S^3), so for l = 0 the map is the pure
     diagonal scaling.
     """
-    if r_prev < 1.0:
-        raise SpecValidationError("r_prev must be >= 1")
+    if not (1.0 <= r_prev < math.inf):
+        raise SpecValidationError("r_prev must be finite and >= 1")
     s = float(np.cbrt(r_prev))
     if not (0 <= l < s + SLACK):
         raise SpecValidationError("l must lie in [0, r_prev^(1/3))")
@@ -409,6 +362,28 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 def _require_samples(samples: int) -> None:
     if samples < 1:
         raise SpecValidationError("samples must be >= 1")
+
+
+def _require_dyadic(r: float) -> None:
+    # frexp's mantissa is exactly 0.5 for positive powers of two and for
+    # nothing else: zero, negatives, inf and nan all fail.
+    if math.frexp(r)[0] != 0.5:
+        raise SpecValidationError("r must be a positive power of two")
+
+
+def _cone_deviation(y: np.ndarray, center: float, w_ang: float, w_rad: float):
+    """Angle and light-cone distance of the dilated cone images y.
+
+    Returns (zeta, ok, angular ratio, radial ratio): zeta is each point's
+    angle, ok marks points whose angle lies within w_ang / 2 of center and
+    whose distance to the cone {w3 = |(w1, w2)|} is at most w_rad, and the
+    ratios are the largest of those two deviations over their bounds.
+    """
+    zeta = np.arctan2(y[:, 1], y[:, 0])
+    dev = np.abs(_wrap_angle(zeta - center))
+    radial = np.abs(np.hypot(y[:, 0], y[:, 1]) - y[:, 2])
+    ok = (dev <= 0.5 * w_ang * (1.0 + SLACK)) & (radial <= w_rad * (1.0 + SLACK))
+    return zeta, ok, float(np.max(dev / (0.5 * w_ang))), float(np.max(radial / w_rad))
 
 
 def _spread_l_indices(n_slots: int, rng, cap: int = 64) -> np.ndarray:
@@ -451,8 +426,8 @@ def check_overlap_geo1(
     membership test for every l'; all l' of one l (and all far probes) are
     inverted in one broadcast back-substitution of shape (l' count, per_l).
     """
-    if not (1.0 <= r_k <= r_next):
-        raise SpecValidationError("need 1 <= r_k <= r_next")
+    if not (1.0 <= r_k <= r_next < math.inf and 0 < c_eps < math.inf):
+        raise SpecValidationError("need 1 <= r_k <= r_next < inf and 0 < c_eps < inf")
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     n_l = int(r_k)
@@ -567,15 +542,11 @@ def _cone_slab_check(
         y = r * t_map.apply(pts)
         used += per_l
 
-        zeta = np.arctan2(y[:, 1], y[:, 0])
-        dev = np.abs(_wrap_angle(zeta - cone_angle(t0)))
-        radial = np.abs(np.hypot(y[:, 0], y[:, 1]) - y[:, 2])
+        zeta, ok, ang, rad = _cone_deviation(y, cone_angle(t0), w_ang, w_rad)
         height_ok = (y[:, 2] >= 0.5 * (1.0 - SLACK)) & (y[:, 2] <= 1.0 + SLACK)
-        ang_ok = dev <= 0.5 * w_ang * (1.0 + SLACK)
-        rad_ok = radial <= w_rad * (1.0 + SLACK)
-        violations += int(np.count_nonzero(~(height_ok & ang_ok & rad_ok)))
-        max_ang = max(max_ang, float(np.max(dev / (0.5 * w_ang))))
-        max_rad = max(max_rad, float(np.max(radial / w_rad)))
+        violations += int(np.count_nonzero(~(height_ok & ok)))
+        max_ang = max(max_ang, ang)
+        max_rad = max(max_rad, rad)
         cells = np.unique(np.floor(zeta / w_ang).astype(int))
         touched.update(int(v) for v in cells)
         max_caps_per_l = max(max_caps_per_l, int(cells.size))
@@ -620,6 +591,7 @@ def check_cone_containment_geo2(
     every box's A range is used.
     """
     _require_samples(samples)
+    probe = gamma_tilde(r_k, r_next, R, 0, c_eps)
     rng = np.random.default_rng(seed)
     if r_k >= math.sqrt(R):
         case, beta1 = "1", None
@@ -630,12 +602,10 @@ def check_cone_containment_geo2(
                 f"case 2 requires beta1 in [1/2, 1]; got {beta1:.4f}"
             )
         case = "2"
-    probe = gamma_tilde(r_k, r_next, R, 0, c_eps)
     if r is None:
         margin = probe.b_bound / SQRT2 + probe.c_bound / SQRT2
         r = _default_dilation_r(probe.a_hi, margin)
-    if 2.0 ** round(math.log2(r)) != r:
-        raise SpecValidationError("r must be dyadic")
+    _require_dyadic(r)
     if not (1.0 / r_next - SLACK <= 1.0 / r <= 20.0 * c_eps / r_k + SLACK):
         raise SpecValidationError("1/r must lie in [1/r_next, 20 c_eps / r_k]")
 
@@ -689,17 +659,18 @@ def check_cone_containment_geo3(
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
-    s = round(r_k_scale ** (1.0 / 3.0))
-    if s**3 != round(r_k_scale) or s < 2:
+    s = round(r_k_scale ** (1.0 / 3.0)) if 8.0 <= r_k_scale < math.inf else 0
+    if s < 2 or s**3 != round(r_k_scale):
         raise SpecValidationError("r_k_scale must be a perfect cube >= 8")
-    if r_next_scale <= r_k_scale:
-        raise SpecValidationError("need r_next_scale > r_k_scale")
+    if not (r_k_scale < r_next_scale < math.inf):
+        raise SpecValidationError("need r_k_scale < r_next_scale < inf")
+    if not (0.0 < c_eps < math.inf):
+        raise SpecValidationError("c_eps must be positive and finite")
     r_lo = r_k_scale ** (1.0 / 3.0) / c_eps
     r_hi = r_next_scale ** (1.0 / 3.0)
     if r is None:
         r = 2.0 ** round(0.5 * (math.log2(r_lo) + math.log2(r_hi)))
-    if 2.0 ** round(math.log2(r)) != r:
-        raise SpecValidationError("r must be dyadic")
+    _require_dyadic(r)
     if not (r_lo * (1.0 - SLACK) <= r <= r_hi * (1.0 + SLACK)):
         raise SpecValidationError(
             "1/r must lie in [r_next_scale^(-1/3), c_eps * r_k_scale^(-1/3)]"
@@ -738,15 +709,10 @@ def check_cone_containment_geo3(
             if q.size == 0:
                 continue
             kept += q.shape[0]
-            y = r * q
-            zeta = np.arctan2(y[:, 1], y[:, 0])
-            dev = np.abs(_wrap_angle(zeta - center))
-            radial = np.abs(np.hypot(y[:, 0], y[:, 1]) - y[:, 2])
-            ang_ok = dev <= 0.5 * w_ang * (1.0 + SLACK)
-            rad_ok = radial <= w_rad * (1.0 + SLACK)
-            violations += int(np.count_nonzero(~(ang_ok & rad_ok)))
-            max_ang = max(max_ang, float(np.max(dev / (0.5 * w_ang))))
-            max_rad = max(max_rad, float(np.max(radial / w_rad)))
+            _, ok, ang, rad = _cone_deviation(r * q, center, w_ang, w_rad)
+            violations += int(np.count_nonzero(~ok))
+            max_ang = max(max_ang, ang)
+            max_rad = max(max_rad, rad)
         used += kept
 
     angles = np.array([cone_angle(l / s) for l in range(s)])
@@ -816,9 +782,7 @@ def check_rescale(
         x1 = t0 + rng.uniform(0.0, 1.0, samples) / s
         d2 = rng.uniform(-1.0, 1.0, samples) * min(params.defect2_tol, s**-2.0) * DEFECT_MARGIN
         d3 = rng.uniform(-1.0, 1.0, samples) * min(params.defect3_tol, s**-3.0) * DEFECT_MARGIN
-        x2 = x1**2 + d2
-        x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
-        xi = np.column_stack([x1, x2, x3])
+        xi = _lift(x1, d2, d3)
         if not bool(np.all(block.contains(xi, slack=SLACK))):
             raise SpecValidationError("internal sampling error: draws left the block")
         target_s_cap = params.r_scale**params.beta / s
@@ -827,9 +791,8 @@ def check_rescale(
             raise SpecValidationError("rescaled neighborhood is coarser than unit scale")
         mapped = lmap.apply(xi)
         ok1 = (mapped[:, 0] >= -SLACK) & (mapped[:, 0] <= 1.0 + SLACK)
-        ok2 = np.abs(defect2(mapped)) <= target_s_cap ** (-2.0) * (1.0 + SLACK)
-        ok3 = np.abs(defect3(mapped)) <= (1.0 / target_r) * (1.0 + SLACK)
-        member_violations = int(np.count_nonzero(~(ok1 & ok2 & ok3)))
+        ok = ok1 & _defects_within(mapped, target_s_cap ** (-2.0), 1.0 / target_r, SLACK)
+        member_violations = int(np.count_nonzero(~ok))
         member_samples = samples
 
     return RescaleReport(
@@ -878,71 +841,9 @@ def check_partition(params: DecouplingParams, samples: int = 100000, seed: int =
     return PartitionReport(samples_used=samples, violations=violations)
 
 
-@dataclass(frozen=True)
-class ComparabilityReport:
-    samples_used: int
-    outer_violations: int
-    inner_violations: int
-
-
-def check_cap_frame_comparability(
-    r_k: float,
-    R: float,
-    l: int,
-    samples: int = 10000,
-    seed: int = 0,
-    factor: float = COMPARABILITY_FACTOR,
-) -> ComparabilityReport:
-    """Sandwich the cap between contracted and dilated frame boxes.
-
-    The reference box at t0 = l/r_k has A in [0, 1/r_k], |B| <= 1/r_k^2,
-    |C| <= 1/R around the base point gamma(t0). Outer direction: every
-    sampled cap member, expressed in frame coordinates, lies in the
-    factor-dilated box. Inner direction: every sample of the (1/factor)-
-    contracted box satisfies the cap inequalities. Comparability is a ladder
-    property: the cubic defect of a frame-box point is 2A^3 + O(AB, C), about
-    1/(4 r_k^3), so the |C| <= 1/R reading needs r_k >= R^(1/3).
-    """
-    if r_k < 2.0 or R < r_k:
-        raise SpecValidationError("need 2 <= r_k <= R")
-    if r_k < R ** (1.0 / 3.0) * (1.0 - SLACK):
-        raise SpecValidationError("comparability needs r_k >= R^(1/3)")
-    _require_samples(samples)
-    rng = np.random.default_rng(seed)
-    t0 = l / r_k
-    base = curve_point(t0)
-    box = ParamBox(
-        t0=t0, a_lo=0.0, a_hi=1.0 / r_k, b_bound=r_k**-2.0, c_bound=1.0 / R,
-        two_sided_a=False,
-    )
-
-    n = samples
-    x1 = t0 + rng.uniform(0.0, 1.0, n) / r_k
-    d2 = rng.uniform(-1.0, 1.0, n) * r_k**-2.0
-    d3 = rng.uniform(-1.0, 1.0, n) / R
-    x2 = x1**2 + d2
-    x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
-    xi = np.column_stack([x1, x2, x3])
-    abc = frame_coordinates(t0, xi - base)
-    outer = box.dilated(factor)
-    outer_violations = int(np.count_nonzero(~outer.contains_abc(abc)))
-
-    inner = box.dilated(1.0 / factor)
-    pts = base + inner.to_points(inner.sample(rng, n))
-    w = 1.0 / r_k
-    ok1 = (pts[:, 0] >= t0 - SLACK * w) & (pts[:, 0] <= t0 + w * (1.0 + SLACK))
-    ok2 = np.abs(defect2(pts)) <= r_k**-2.0 * (1.0 + SLACK)
-    ok3 = np.abs(defect3(pts)) <= (1.0 / R) * (1.0 + SLACK)
-    inner_violations = int(np.count_nonzero(~(ok1 & ok2 & ok3)))
-    return ComparabilityReport(
-        samples_used=2 * n,
-        outer_violations=outer_violations,
-        inner_violations=inner_violations,
-    )
-
-
 def default_geo1_scales(R: float, beta: float) -> tuple[float, float]:
     """Dyadic ladder pair (r_k, 2 r_k) between R^(1/3) and R^beta."""
+    _require_global_scale(R)
     lo = math.log2(R) / 3.0
     hi = beta * math.log2(R)
     mid = 2.0 ** round(0.5 * (lo + hi))
@@ -957,6 +858,7 @@ def default_geo2_scales(R: float, beta: float, case: str) -> tuple[float, float]
     needs log(r_k)/log(R/r_k) in [1/2, 1], i.e. r_k between R^(1/3) and
     sqrt(R).
     """
+    _require_global_scale(R)
     lg = math.log2(R)
     if case == "1":
         if beta < 0.5:
@@ -973,5 +875,6 @@ def default_geo2_scales(R: float, beta: float, case: str) -> tuple[float, float]
 
 def default_geo3_scales(R: float) -> tuple[float, float]:
     """Adjacent rungs (8^j, 8^(j+1)) of the cube ladder near sqrt(R)."""
+    _require_global_scale(R)
     j = max(1, round(math.log(R, 8.0) / 2.0))
     return 8.0**j, 8.0 ** (j + 1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, SpecValidationError
 from .expsums import ExpSumSpec, phase_row
-from .moments import MomentResult, moment_exact
+from .moments import MomentResult
 
 DEFAULT_CELL_BUDGET = int(4e8)
 # Cells materialized at once while streaming x3 slabs.
@@ -32,6 +32,11 @@ ERR_FLOOR = 1e-13
 
 LOCAL_FULL_CUBE_LIMIT = 64.0
 LOCAL_TRANSLATES = 32
+
+
+def _require_oversample(oversample: float) -> None:
+    if not (1.0 <= oversample < math.inf):
+        raise SpecValidationError("oversample must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,7 @@ class QuadratureGrid:
     oversample: float
 
     def __post_init__(self) -> None:
-        if self.oversample < 1.0:
-            raise SpecValidationError("oversample must be >= 1")
+        _require_oversample(self.oversample)
         if any(int(m) < 1 for m in self.counts):
             raise SpecValidationError("grid counts must be >= 1")
         if any(s <= 0 for s in self.box_sides):
@@ -59,6 +63,7 @@ class QuadratureGrid:
     @classmethod
     def for_spec(cls, spec: ExpSumSpec, oversample: float = 4.0) -> "QuadratureGrid":
         """Nyquist-style counts m_i = ceil(oversample * N^i * side_i)."""
+        _require_oversample(oversample)
         sides = (1.0, 1.0, spec.h_length)
         counts = tuple(
             max(1, math.ceil(oversample * spec.n**i * side))
@@ -373,16 +378,3 @@ def periodicity_identity_check(
         lhs=lhs, rhs_scaled=rhs_scaled, residual=residual, moment_scale=float(n) ** 6
     )
 
-
-def quadrature_cross_check(spec: ExpSumSpec, s: int, oversample: float = 4.0) -> dict:
-    """Compare moment_quadrature against moment_exact at p = 2s."""
-    exact = moment_exact(spec, s)
-    quad = moment_quadrature(spec, 2.0 * s, oversample=oversample)
-    residual = abs(quad.value - exact.value)
-    return {
-        "exact": exact.value,
-        "quadrature": quad.value,
-        "residual": residual,
-        "err_estimate": quad.err_estimate,
-        "within_3_err": bool(residual <= 3.0 * quad.err_estimate),
-    }

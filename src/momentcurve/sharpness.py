@@ -377,7 +377,7 @@ def broad_narrow_check(
     bands alone bound |f| by 4E max_band (for E >= 1). The reported maximum of
     |f(x)| / RHS over samples must be <= 1.
     """
-    if e_sep < 1.0:
+    if not e_sep >= 1.0:
         raise SpecValidationError("E must be >= 1")
     if n_bands < 3 * e_sep:
         raise SpecValidationError("need at least 3E bands")

@@ -57,6 +57,9 @@ class TestMomentCommand:
         assert main(["moment", "--N", "5", "--s", "0", "--out", str(tmp_path)]) == 2
         assert main(["moment", "--N", "5", "--s", "2", "--p", "4.0",
                      "--out", str(tmp_path)]) == 2
+        for bad in ("nan", "inf"):
+            assert main(["moment", "--N", "4", "--s", "2", "--method", "quad",
+                         "--oversample", bad, "--out", str(tmp_path)]) == 2
 
     def test_budget_exit_3(self, tmp_path):
         rc = main(["moment", "--N", "50", "--s", "4", "--budget-tuples", "1000",
@@ -220,8 +223,28 @@ class TestGeometryCommand:
             ["partition", "--samples", "0"],
             ["broad-narrow", "--samples", "0"],
             ["geo1", "--r-k", "0.5", "--r-next", "1"],
+            # Out-of-range numbers are validation failures, not tracebacks.
+            ["geo2", "--r", "0"],
+            ["geo2", "--r", "-4"],
+            ["geo3", "--r", "0"],
+            ["geo1", "--R", "0"],
+            ["geo2", "--R", "0"],
+            ["geo3", "--R", "0"],
+            ["geo1", "--R", "nan"],
+            ["geo3", "--c-eps", "0"],
+            ["geo3", "--r-k", "512", "--r-next", "nan"],
+            ["broad-narrow", "--e-sep", "nan"],
+            ["geo1", "--c-eps", "nan"],
+            ["geo2", "--c-eps", "inf"],
+            ["geo1", "--r-k", "256", "--r-next", "inf"],
+            ["geo2", "--case", "2", "--r-k", "0", "--r-next", "512"],
+            ["rescale", "--r-prev", "inf"],
         ],
-        ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k"],
+        ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k",
+             "geo2-r_zero", "geo2-r_negative", "geo3-r_zero", "geo1-R_zero", "geo2-R_zero",
+             "geo3-R_zero", "geo1-R_nan", "geo3-c_eps_zero", "geo3-r_next_nan",
+             "broad-narrow-e_sep_nan", "geo1-c_eps_nan", "geo2-c_eps_inf",
+             "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf"],
     )
     def test_bad_argument_exit_2(self, tmp_path, argv):
         assert main(["geometry", *argv, "--out", str(tmp_path)]) == 2

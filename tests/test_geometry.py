@@ -8,10 +8,8 @@ import pytest
 from momentcurve import (
     CanonicalBlock,
     DecouplingParams,
-    SmallCap,
     SpecValidationError,
     cap_index_of,
-    check_cap_frame_comparability,
     check_cone_containment_geo2,
     check_cone_containment_geo3,
     check_overlap_geo1,
@@ -36,7 +34,14 @@ from momentcurve import (
     sample_neighborhood,
 )
 from momentcurve import geometry
-from momentcurve.geometry import OverlapReport, _spread_l_indices
+from momentcurve.geometry import (
+    CanonicalConeReport,
+    ConeReport,
+    OverlapReport,
+    PartitionReport,
+    RescaleReport,
+    _spread_l_indices,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -178,17 +183,6 @@ class TestCaps:
         pts = np.vstack([curve_point(0.3), [0.5, 0.9, 0.1]])
         idx = cap_index_of(params, pts)
         assert idx[0] == 1 and idx[1] == -1
-
-    def test_cap_contains_its_curve_arc(self):
-        params = DecouplingParams(256.0, 0.5)
-        cap = SmallCap(params, 7)
-        t = cap.t0 + params.cap_width * np.linspace(0.01, 0.99, 9)
-        assert cap.contains(curve_point(t)).all()
-
-    def test_cap_index_validation(self):
-        params = DecouplingParams(16.0, 0.5)
-        with pytest.raises(SpecValidationError):
-            SmallCap(params, 4)
 
 
 class TestConeMap:
@@ -352,17 +346,6 @@ class TestLadderChecks:
         assert rep.violations == 0
         assert rep.samples_used == 5000
 
-    def test_comparability_sandwich(self):
-        rep = check_cap_frame_comparability(128.0, float(2**20), l=9,
-                                            samples=2000, seed=6)
-        assert rep.outer_violations == 0
-        assert rep.inner_violations == 0
-
-    def test_comparability_needs_ladder_scale(self):
-        # Below R^(1/3) the cubic defect 2A^3 overflows the 1/R tolerance.
-        with pytest.raises(SpecValidationError):
-            check_cap_frame_comparability(64.0, float(2**20), l=9)
-
 
 GEO1_R = float(2**20)
 GEO1_ORACLE_CASES = [
@@ -414,13 +397,67 @@ class TestGeo1Broadcast:
         lambda n: check_cone_containment_geo3(float(2**18), float(2**24), samples=n),
         lambda n: check_rescale(4096.0, 3, DecouplingParams(GEO1_R, 0.75), samples=n),
         lambda n: check_partition(DecouplingParams(1024.0, 0.5), samples=n),
-        lambda n: check_cap_frame_comparability(128.0, GEO1_R, l=9, samples=n),
     ],
-    ids=["geo1", "geo2", "geo3", "rescale", "partition", "comparability"],
+    ids=["geo1", "geo2", "geo3", "rescale", "partition"],
 )
 def test_checks_reject_zero_samples(check):
     with pytest.raises(SpecValidationError):
         check(0)
+
+
+# Reports at 500 samples, seed 7, pinned field by field (floats by repr):
+# geo2 at its default case-1 (2^12, 2^13) and case-2 (2^8, 2^9) scales for
+# R = 2^20, beta = 0.75; geo3 at its default (8^3, 8^4) rungs; rescale and
+# partition at the CLI defaults.
+PINNED_REPORTS = [
+    (
+        lambda: check_cone_containment_geo2(4096.0, 8192.0, GEO1_R, 1.0, None, 500, 7),
+        ConeReport(
+            case="1", r=8192.0, beta1=None, angular_halfwidth=0.0390625,
+            radial_width=0.078125, cap_count=81, caps_touched=16, max_caps_per_l=2,
+            l_count=64, samples_used=448, skipped_l=0, violations=0,
+            max_angular_ratio=0.22556637314949057, max_radial_ratio=0.13729901384452886,
+        ),
+    ),
+    (
+        lambda: check_cone_containment_geo2(256.0, 512.0, GEO1_R, 1.0, None, 500, 7),
+        ConeReport(
+            case="2", r=512.0, beta1=0.6666666666666667,
+            angular_halfwidth=0.031003926796253876, radial_width=0.0048828125,
+            cap_count=102, caps_touched=20, max_caps_per_l=2, l_count=64,
+            samples_used=448, skipped_l=0, violations=0,
+            max_angular_ratio=0.45638374898550305, max_radial_ratio=0.1431931557804546,
+        ),
+    ),
+    (
+        lambda: check_cone_containment_geo3(512.0, 4096.0, None, 1.0, 500, 7),
+        CanonicalConeReport(
+            r=16.0, angular_halfwidth=1.2500000000000002, radial_width=0.6250000000000002,
+            block_count=8, l_count=8, samples_used=496, rejected=3866, violations=0,
+            max_angular_ratio=0.38412573861103666, max_radial_ratio=0.07636796291681269,
+            min_angle_gap_ratio=1.063251735856677,
+        ),
+    ),
+    (
+        lambda: check_rescale(4096.0, 3, DecouplingParams(GEO1_R, 0.75), 500, 7),
+        RescaleReport(
+            scale=16.0, max_curve_residual=1.7434404614435906e-14,
+            max_roundtrip_residual=1.7763568394002505e-15, member_samples=500,
+            member_violations=0,
+        ),
+    ),
+    (
+        lambda: check_partition(DecouplingParams(GEO1_R, 0.75), 500, 7),
+        PartitionReport(samples_used=500, violations=0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "run, expected", PINNED_REPORTS, ids=["geo2-case1", "geo2-case2", "geo3", "rescale", "partition"]
+)
+def test_report_is_pinned(run, expected):
+    assert run() == expected
 
 
 class TestDefaultScales:
