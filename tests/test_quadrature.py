@@ -105,6 +105,15 @@ class TestMomentQuadrature:
         assert res.value == pytest.approx(45.0, rel=1e-3)
         assert res.method == "quadrature"
 
+    def test_cross_check_consistency(self):
+        # Quadrature agrees with the exact p = 4 count within 3 err_estimate.
+        spec = ExpSumSpec(n=4, coeffs=random_sign_coeffs(4, 2), sigma=1.0, h0=0.2)
+        exact = moment_exact(spec, 2).value
+        res = moment_quadrature(spec, 4.0, oversample=4.0)
+        residual = abs(res.value - exact)
+        assert residual <= 3.0 * res.err_estimate
+        assert residual <= 1e-6 * max(1.0, exact)
+
     def test_custom_grid_must_cover_box(self):
         spec = spec_ones(3, sigma=1.0, h0=0.5)
         bad = QuadratureGrid(
@@ -133,17 +142,10 @@ class TestMomentQuadrature:
         assert m2**0.5 <= m4**0.25 + 1e-12
 
     def test_err_estimate_bounds_true_error(self):
-        # (spec, slack on the 3 err bound): a constant and a random-sign sum.
-        cases = [
-            (spec_ones(5, sigma=1.0, h0=0.1), 1e-12),
-            (ExpSumSpec(n=4, coeffs=random_sign_coeffs(4, 2), sigma=1.0, h0=0.2), 0.0),
-        ]
-        for spec, slack in cases:
-            exact = moment_exact(spec, 2).value
-            res = moment_quadrature(spec, 4.0, oversample=4.0)
-            residual = abs(res.value - exact)
-            assert residual <= 3.0 * res.err_estimate + slack * exact
-            assert residual <= 1e-6 * max(1.0, exact)
+        spec = spec_ones(5, sigma=1.0, h0=0.1)
+        exact = moment_exact(spec, 2).value
+        res = moment_quadrature(spec, 4.0, oversample=4.0)
+        assert abs(res.value - exact) <= 3.0 * res.err_estimate + 1e-12 * exact
 
 
 class TestLocalMoments:
