@@ -33,7 +33,6 @@ from .records import (
     args_digest,
     format_cell,
     new_manifest,
-    to_jsonable,
     write_csv,
     write_json,
 )
@@ -159,7 +158,7 @@ def _cmd_moment(args, argv: list[str]) -> int:
         "method": res.method,
         "err_estimate": res.err_estimate,
         "wall_time_s": wall,
-        "detail": to_jsonable(res.detail),
+        "detail": res.detail,
     }
     path = layout.result_path("moment-" + args_digest(config))
     write_json(path, record)
@@ -375,7 +374,7 @@ def _cmd_geometry(args, argv: list[str]) -> int:
         "config": config,
         "violations": violations,
         "wall_time_s": wall,
-        "payload": to_jsonable(payload),
+        "payload": payload,
     }
     path = layout.result_path(f"geometry-{args.check}-" + args_digest(config))
     write_json(path, record)

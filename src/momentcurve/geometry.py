@@ -115,6 +115,8 @@ class DecouplingParams:
         _require_global_scale(self.r_scale)
         if not (1.0 / 3.0 <= self.beta <= 1.0):
             raise SpecValidationError("beta must lie in [1/3, 1]")
+        if self.n_caps > np.iinfo(np.int64).max:
+            raise SpecValidationError("cap count ceil(R^beta) must fit in int64")
 
     @property
     def cap_width(self) -> float:
@@ -434,7 +436,8 @@ def check_overlap_geo1(
     ls = _spread_l_indices(n_l, rng)
     per_l = max(1, samples // ls.size)
     threshold = OVERLAP_FACTOR * c_eps * (r_next / r_k)
-    window = int(math.ceil(threshold)) + 2
+    # No l' is farther than n_l from l, so a wider window changes nothing.
+    window = min(n_l, math.ceil(min(threshold, n_l)) + 2)
 
     def hits(box: ParamBox, lps: np.ndarray, pts: np.ndarray) -> np.ndarray:
         return box.contains_abc(frame_coordinates(lps[:, None] / r_k, pts))
@@ -677,7 +680,12 @@ def check_cone_containment_geo3(
         )
 
     w_ang = WIDTH_FACTOR * c_eps * r * r_k_scale ** (-2.0 / 3.0)
-    w_rad = WIDTH_FACTOR * c_eps**2 * r**2 * r_k_scale ** (-4.0 / 3.0)
+    try:
+        w_rad = WIDTH_FACTOR * c_eps**2 * r**2 * r_k_scale ** (-4.0 / 3.0)
+    except OverflowError:
+        w_rad = math.inf
+    if not (math.isfinite(w_ang) and math.isfinite(w_rad)):
+        raise SpecValidationError("c_eps too large: the block widths overflow")
     ball = r_next_scale ** (-1.0 / 3.0)
     slab_lo, slab_hi = 0.5 / r, 1.0 / r
     t_map = cone_map_T()
@@ -844,6 +852,8 @@ def check_partition(params: DecouplingParams, samples: int = 100000, seed: int =
 def default_geo1_scales(R: float, beta: float) -> tuple[float, float]:
     """Dyadic ladder pair (r_k, 2 r_k) between R^(1/3) and R^beta."""
     _require_global_scale(R)
+    if not math.isfinite(beta):
+        raise SpecValidationError("beta must be finite")
     lo = math.log2(R) / 3.0
     hi = beta * math.log2(R)
     mid = 2.0 ** round(0.5 * (lo + hi))
@@ -859,6 +869,8 @@ def default_geo2_scales(R: float, beta: float, case: str) -> tuple[float, float]
     sqrt(R).
     """
     _require_global_scale(R)
+    if not math.isfinite(beta):
+        raise SpecValidationError("beta must be finite")
     lg = math.log2(R)
     if case == "1":
         if beta < 0.5:

@@ -4,7 +4,7 @@ Everything here integrates |sum a e(x . (xi, xi^2, xi^3))|^p by the midpoint
 rule on uniform grids whose axis counts scale with the frequency extent times
 an oversample factor. For full-period axes (sigma = 0 boxes) the midpoint
 rule is exact on the trigonometric content; for partial intervals it is an
-approximation whose error is estimated by halving the oversample factor.
+approximation whose error is estimated by halving every axis count.
 
 The continuous-frequency entry points take curve parameters xi in [0, 1] and
 derive the frequency triples (xi, xi^2, xi^3) themselves; this module is the
@@ -27,61 +27,46 @@ from .moments import MomentResult
 DEFAULT_CELL_BUDGET = int(4e8)
 # Cells materialized at once while streaming x3 slabs.
 _SLAB_CELLS = 1 << 22
-# Error estimates never drop below machine-noise scale; see moment_quadrature.
+# Error estimates never drop below machine-noise scale; see _refined.
 ERR_FLOOR = 1e-13
 
 LOCAL_FULL_CUBE_LIMIT = 64.0
 LOCAL_TRANSLATES = 32
 
 
-def _require_oversample(oversample: float) -> None:
+def require_oversample(oversample: float) -> None:
     if not (1.0 <= oversample < math.inf):
         raise SpecValidationError("oversample must be finite and >= 1")
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Midpoint grid over [0,1]^2 x H for a given sum specification."""
+def grid_counts(oversample: float, extents, sides, cell_budget: int, floor: int = 1):
+    """Midpoint counts m_i = max(floor, ceil(oversample * extent_i * side_i)).
 
-    counts: tuple[int, int, int]
-    box_corner: tuple[float, float, float]
-    box_sides: tuple[float, float, float]
-    oversample: float
+    extent_i is the largest frequency on axis i, so oversample is the number
+    of cells per period of the fastest wave. The oversample range and the
+    cell budget are checked on the unrounded counts, before math.ceil can
+    overflow.
+    """
+    require_oversample(oversample)
+    raw = [oversample * extent * side for extent, side in zip(extents, sides)]
+    cells = math.prod(raw)
+    if not cells <= cell_budget:
+        raise BudgetError("quadrature cells", cells, cell_budget)
+    return tuple(max(floor, math.ceil(x)) for x in raw)
 
-    def __post_init__(self) -> None:
-        _require_oversample(self.oversample)
-        if any(int(m) < 1 for m in self.counts):
-            raise SpecValidationError("grid counts must be >= 1")
-        if any(s <= 0 for s in self.box_sides):
-            raise SpecValidationError("box sides must be positive")
 
-    @property
-    def cell_count(self) -> int:
-        m1, m2, m3 = self.counts
-        return int(m1) * int(m2) * int(m3)
+def _refined(run, counts) -> tuple[float, float]:
+    """run(counts) and its step-halving error estimate.
 
-    @classmethod
-    def for_spec(cls, spec: ExpSumSpec, oversample: float = 4.0) -> "QuadratureGrid":
-        """Nyquist-style counts m_i = ceil(oversample * N^i * side_i)."""
-        _require_oversample(oversample)
-        sides = (1.0, 1.0, spec.h_length)
-        counts = tuple(
-            max(1, math.ceil(oversample * spec.n**i * side))
-            for i, side in zip((1, 2, 3), sides)
-        )
-        return cls(
-            counts=counts,
-            box_corner=(0.0, 0.0, spec.h0),
-            box_sides=sides,
-            oversample=oversample,
-        )
-
-    def satisfies_nyquist(self, spec: ExpSumSpec) -> bool:
-        sides = (1.0, 1.0, spec.h_length)
-        return all(
-            m >= self.oversample * spec.n**i * side - 1e-9
-            for m, i, side in zip(self.counts, (1, 2, 3), sides)
-        )
+    The estimate is the difference against run at the halved counts, floored
+    at ERR_FLOOR * max(1, |value|): when every box axis is a full period of
+    the integrand (sigma = 0) both runs are exact and the raw difference is
+    pure roundoff, so the floor keeps the estimate meaningful as a bound
+    rather than a coincidence of machine noise.
+    """
+    value = run(counts)
+    coarse = run(tuple(max(1, m // 2) for m in counts))
+    return value, max(abs(value - coarse), ERR_FLOOR * max(1.0, abs(value)))
 
 
 def box_power_integral(
@@ -132,52 +117,30 @@ def moment_quadrature(
     spec: ExpSumSpec,
     p: float,
     oversample: float = 4.0,
-    grid: QuadratureGrid | None = None,
     cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> MomentResult:
     """Midpoint approximation to the p-th moment of |S| over [0,1]^2 x H.
 
-    err_estimate is the Richardson-style difference against a run at half the
-    oversample factor, floored at ERR_FLOOR * max(1, |value|): when every box
-    axis is a full period of the integrand (sigma = 0) both runs are exact and
-    the raw difference is pure roundoff, so the floor keeps the estimate
-    meaningful as a bound rather than a coincidence of machine noise.
+    Axis counts are grid_counts over extents N^i; err_estimate is the
+    step-halving difference of _refined.
     """
     t0 = time.perf_counter()
-    if grid is None:
-        grid = QuadratureGrid.for_spec(spec, oversample)
-    else:
-        expected_corner = (0.0, 0.0, spec.h0)
-        expected_sides = (1.0, 1.0, spec.h_length)
-        if not (
-            np.allclose(grid.box_corner, expected_corner, atol=1e-12)
-            and np.allclose(grid.box_sides, expected_sides, atol=1e-12)
-        ):
-            raise SpecValidationError("grid box must be [0,1]^2 x H for this spec")
-        if not grid.satisfies_nyquist(spec):
-            raise SpecValidationError("grid counts below the oversampled Nyquist rule")
+    sides = (1.0, 1.0, spec.h_length)
+    counts = grid_counts(oversample, [spec.n**i for i in (1, 2, 3)], sides, cell_budget)
     xi = np.arange(1, spec.n + 1, dtype=float)
 
-    def run(g: QuadratureGrid) -> float:
+    def run(cnts) -> float:
         return box_power_integral(
-            xi, spec.coeffs, p, g.box_corner, g.box_sides, g.counts, cell_budget
+            xi, spec.coeffs, p, (0.0, 0.0, spec.h0), sides, cnts, cell_budget
         )
 
-    value = run(grid)
-    half = QuadratureGrid(
-        counts=tuple(max(1, m // 2) for m in grid.counts),
-        box_corner=grid.box_corner,
-        box_sides=grid.box_sides,
-        oversample=max(1.0, grid.oversample / 2),
-    )
-    coarse = run(half)
-    err = max(abs(value - coarse), ERR_FLOOR * max(1.0, abs(value)))
+    value, err = _refined(run, counts)
     return MomentResult(
         value=value,
         method="quadrature",
         err_estimate=err,
         wall_time=time.perf_counter() - t0,
-        detail={"counts": list(grid.counts), "oversample": grid.oversample},
+        detail={"counts": list(counts), "oversample": oversample},
     )
 
 
@@ -233,21 +196,17 @@ def local_moment_quadrature(
     cube_corner=(0.0, 0.0, 0.0),
     oversample: float = 4.0,
     seed: int = 0,
-    n_translates: int = LOCAL_TRANSLATES,
-    force_sampled: bool = False,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> MomentResult:
     """Average of |sum a e(x.(xi,xi^2,xi^3))|^p over an r-cube.
 
     Frequencies must be pairwise separated by at least R^(-beta) and the cube
     side must be at least R^max(2 beta, 1). Three evaluation routes:
 
-    * p = 2: exact closed-form pair sum (method "exact"), unless
-      force_sampled is set.
+    * p = 2: exact closed-form pair sum (method "exact").
     * side <= 64: full-cube midpoint rule.
-    * side > 64: average of midpoint integrals over unit cells at
-      uniformly random translates inside the cube; this is an estimator and
-      err_estimate reports the standard error of the translate mean.
+    * side > 64: average of midpoint integrals over LOCAL_TRANSLATES unit
+      cells at uniformly random translates inside the cube; this is an
+      estimator and err_estimate reports the standard error of the mean.
     """
     t0 = time.perf_counter()
     xi = np.asarray(xi, dtype=float)
@@ -268,7 +227,7 @@ def local_moment_quadrature(
         )
     corner = np.asarray(cube_corner, dtype=float)
 
-    if p == 2.0 and not force_sampled:
+    if p == 2.0:
         value = _cube_average_exact_p2(xi, coeffs, corner, cube_side)
         return MomentResult(
             value=value,
@@ -278,22 +237,16 @@ def local_moment_quadrature(
             detail={"route": "pair-sum"},
         )
 
-    span = [float(np.max(xi**i)) if xi.size else 1.0 for i in (1, 2, 3)]
     if cube_side <= LOCAL_FULL_CUBE_LIMIT:
-        counts = tuple(max(1, math.ceil(oversample * s * cube_side)) for s in span)
+        sides = (cube_side,) * 3
+        span = [float(np.max(xi**i)) for i in (1, 2, 3)]
+        counts = grid_counts(oversample, span, sides, DEFAULT_CELL_BUDGET)
         volume = cube_side**3
 
         def full(cnts) -> float:
-            return (
-                box_power_integral(
-                    xi, coeffs, p, corner, (cube_side,) * 3, cnts, cell_budget
-                )
-                / volume
-            )
+            return box_power_integral(xi, coeffs, p, corner, sides, cnts) / volume
 
-        value = full(counts)
-        coarse = full(tuple(max(1, m // 2) for m in counts))
-        err = max(abs(value - coarse), ERR_FLOOR * max(1.0, abs(value)))
+        value, err = _refined(full, counts)
         return MomentResult(
             value=value,
             method="quadrature",
@@ -302,18 +255,15 @@ def local_moment_quadrature(
             detail={"route": "full-cube", "counts": list(counts)},
         )
 
+    unit = (1.0, 1.0, 1.0)
+    counts = grid_counts(oversample, (1.0 + p / 2.0,) * 3, unit, DEFAULT_CELL_BUDGET, floor=8)
     rng = np.random.default_rng(seed)
-    offsets = corner + rng.uniform(0.0, cube_side - 1.0, size=(n_translates, 3))
-    m_axis = max(8, math.ceil(oversample * (1.0 + p / 2.0)))
-    counts = (m_axis, m_axis, m_axis)
+    offsets = corner + rng.uniform(0.0, cube_side - 1.0, size=(LOCAL_TRANSLATES, 3))
     values = np.array(
-        [
-            box_power_integral(xi, coeffs, p, off, (1.0, 1.0, 1.0), counts, cell_budget)
-            for off in offsets
-        ]
+        [box_power_integral(xi, coeffs, p, off, unit, counts) for off in offsets]
     )
     value = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_translates))
+    stderr = float(np.std(values, ddof=1) / math.sqrt(LOCAL_TRANSLATES))
     return MomentResult(
         value=value,
         method="quadrature",
@@ -321,8 +271,8 @@ def local_moment_quadrature(
         wall_time=time.perf_counter() - t0,
         detail={
             "route": "translates",
-            "n_translates": n_translates,
-            "counts_per_cell": m_axis,
+            "n_translates": LOCAL_TRANSLATES,
+            "counts_per_cell": counts[0],
         },
     )
 
@@ -332,23 +282,17 @@ class PeriodicityReport:
     lhs: float
     rhs_scaled: float
     residual: float
-    moment_scale: float  # N^6 * moment implied by the left side
 
 
-def periodicity_identity_check(
-    spec: ExpSumSpec,
-    s: int,
-    oversample: float = 4.0,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> PeriodicityReport:
+def periodicity_identity_check(spec: ExpSumSpec, s: int) -> PeriodicityReport:
     """Check the box-doubling identity for the unit-spectrum rescaled sum.
 
     With g(y) = sum a_k e(y . (k/N, k^2/N^2, k^3/N^3)), the integral of
     |g|^2s over [0,N] x [0,N^2] x (N^3 H) equals N^-3 times its integral over
     [0,N^3]^2 x (N^3 H): in the first two axes the box spans full periods of
     every frequency difference, so enlarging them to [0, N^3] only rescales
-    the measure. Both sides are computed by the midpoint rule with the same
-    per-axis density rule; N is capped at 4 because the right side costs
+    the measure. Both sides are computed by the midpoint rule at oversample
+    4 with unit extents; N is capped at 4 because the right side costs
     O(N^6) grid cells. Returns the relative discrepancy.
     """
     if spec.n > 4:
@@ -358,23 +302,14 @@ def periodicity_identity_check(
     n = spec.n
     xi = np.arange(1, n + 1, dtype=float) / n
     p = 2.0 * s
-    z_corner = n**3 * spec.h0
+    corner = (0.0, 0.0, n**3 * spec.h0)
     z_side = float(n) ** (3.0 - spec.sigma)
 
-    def counts_for(sides) -> tuple[int, ...]:
-        return tuple(max(1, math.ceil(oversample * side)) for side in sides)
+    def integral(sides) -> float:
+        counts = grid_counts(4.0, (1, 1, 1), sides, DEFAULT_CELL_BUDGET)
+        return box_power_integral(xi, spec.coeffs, p, corner, sides, counts)
 
-    lhs_sides = (float(n), float(n) ** 2, z_side)
-    rhs_sides = (float(n) ** 3, float(n) ** 3, z_side)
-    lhs = box_power_integral(
-        xi, spec.coeffs, p, (0.0, 0.0, z_corner), lhs_sides, counts_for(lhs_sides), cell_budget
-    )
-    rhs = box_power_integral(
-        xi, spec.coeffs, p, (0.0, 0.0, z_corner), rhs_sides, counts_for(rhs_sides), cell_budget
-    )
-    rhs_scaled = rhs / n**3
+    lhs = integral((float(n), float(n) ** 2, z_side))
+    rhs_scaled = integral((float(n) ** 3, float(n) ** 3, z_side)) / n**3
     residual = abs(lhs - rhs_scaled) / max(abs(lhs), 1e-300)
-    return PeriodicityReport(
-        lhs=lhs, rhs_scaled=rhs_scaled, residual=residual, moment_scale=float(n) ** 6
-    )
-
+    return PeriodicityReport(lhs=lhs, rhs_scaled=rhs_scaled, residual=residual)

@@ -22,7 +22,9 @@ from .moments import DEFAULT_TUPLE_BUDGET, moment_exact
 from .quadrature import (
     DEFAULT_CELL_BUDGET,
     box_power_integral,
+    grid_counts,
     local_moment_quadrature,
+    require_oversample,
     standard_frequency_set,
 )
 
@@ -103,6 +105,7 @@ class SweepConfig:
             raise SpecValidationError("h0_policy must be 'fixed' or 'random'")
         if self.tolerance <= 0:
             raise SpecValidationError("tolerance must be positive")
+        require_oversample(self.oversample)
 
     def h0_for(self, x: int, seed: int) -> float:
         if self.h0_policy == "fixed":
@@ -300,20 +303,14 @@ class InterferenceReport:
     counts: tuple[int, int, int]
 
 
-def interference_lower_bound(
-    spec: ExpSumSpec,
-    s: int,
-    box_fraction: float = INTERFERENCE_BOX_FRACTION,
-    oversample: float = 4.0,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> InterferenceReport:
+def interference_lower_bound(spec: ExpSumSpec, s: int) -> InterferenceReport:
     """Integral of |S|^2s over the constructive box [0, c/N]x[0, c/N^2]x[0, c/N^3].
 
-    Requires the all-ones coefficient family and h0 = 0 (the box must sit
-    inside H). Near the origin every phase is within 2 pi * 3c of zero, so the
-    integrand stays comparable to N^2s and the integral to N^(2s-6); the
-    returned ratio value / N^(2s-6) is checked against the frozen floor
-    INTERFERENCE_KAPPA.
+    c is INTERFERENCE_BOX_FRACTION. Requires the all-ones coefficient family
+    and h0 = 0 (the box must sit inside H). Near the origin every phase is
+    within 2 pi * 3c of zero, so the integrand stays comparable to N^2s and
+    the integral to N^(2s-6); the returned ratio value / N^(2s-6) is checked
+    against the frozen floor INTERFERENCE_KAPPA.
     """
     if s < 1:
         raise SpecValidationError("s must be >= 1")
@@ -321,18 +318,12 @@ def interference_lower_bound(
         raise SpecValidationError("interference box requires h0 = 0")
     if not np.all(spec.coeffs == 1.0):
         raise SpecValidationError("interference bound is for the all-ones family")
-    if not (0 < box_fraction <= 0.5):
-        raise SpecValidationError("box_fraction must lie in (0, 1/2]")
     n = spec.n
-    sides = tuple(box_fraction / float(n) ** i for i in (1, 2, 3))
-    counts = tuple(
-        max(8, math.ceil(oversample * float(n) ** i * side))
-        for i, side in zip((1, 2, 3), sides)
-    )
+    sides = tuple(INTERFERENCE_BOX_FRACTION / float(n) ** i for i in (1, 2, 3))
+    extents = [float(n) ** i for i in (1, 2, 3)]
+    counts = grid_counts(4.0, extents, sides, DEFAULT_CELL_BUDGET, floor=8)
     xi = np.arange(1, n + 1, dtype=float)
-    value = box_power_integral(
-        xi, spec.coeffs, 2.0 * s, (0.0, 0.0, 0.0), sides, counts, cell_budget
-    )
+    value = box_power_integral(xi, spec.coeffs, 2.0 * s, (0.0, 0.0, 0.0), sides, counts)
     ratio = value / float(n) ** (2 * s - 6)
     if ratio < INTERFERENCE_KAPPA:
         raise SpecValidationError(
@@ -343,7 +334,7 @@ def interference_lower_bound(
         value=value,
         ratio=ratio,
         kappa_floor=INTERFERENCE_KAPPA,
-        box_fraction=box_fraction,
+        box_fraction=INTERFERENCE_BOX_FRACTION,
         counts=counts,
     )
 

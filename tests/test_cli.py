@@ -65,6 +65,9 @@ class TestMomentCommand:
         rc = main(["moment", "--N", "50", "--s", "4", "--budget-tuples", "1000",
                    "--out", str(tmp_path)])
         assert rc == 3
+        # A huge oversample asks for an infinite grid: over budget, not an overflow.
+        assert main(["moment", "--N", "4", "--s", "2", "--method", "quad",
+                     "--oversample", "1e308", "--out", str(tmp_path)]) == 3
 
     def test_manifest_records_output_digest(self, tmp_path):
         main(["moment", "--N", "5", "--s", "2", "--out", str(tmp_path)])
@@ -150,6 +153,22 @@ s = 2
         cfg = write_config(tmp_path / "bad.ini", text)
         assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        ("oversample", "code"), [("0.5", 2), ("nan", 2), ("inf", 2), ("1e308", 3)]
+    )
+    def test_maincor_oversample_out_of_range(self, tmp_path, oversample, code):
+        # Below 1 the grid is under-Nyquist; nan and inf are no grid at all.
+        cfg = write_config(tmp_path / "over.ini", f"""
+[sweep]
+kind = maincor
+x_values = 16 32 64
+family = random_sign
+p = 4
+beta = 0.5
+oversample = {oversample}
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == code
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_exit_3_flushes_failed_manifest(self, tmp_path, workers):
         cfg = write_config(tmp_path / "tiny.ini", """
@@ -174,6 +193,14 @@ class TestGeometryCommand:
         report = read_only_json(tmp_path / "results", "geometry-geo1-*.json")
         assert report["violations"] == 0
         assert report["payload"]["report"]["far_pairs_checked"] > 0
+
+    def test_geo1_huge_r_next_exit_0(self, tmp_path):
+        # The near window covers every index, so there are no far probes.
+        rc = main(["geometry", "geo1", "--r-k", "256", "--r-next", "1e308",
+                   "--samples", "500", "--out", str(tmp_path)])
+        assert rc == 0
+        report = read_only_json(tmp_path / "results", "geometry-geo1-*.json")
+        assert report["payload"]["report"]["far_pairs_checked"] == 0
 
     def test_alias_maps_to_geo1(self, tmp_path):
         rc = main(["geometry", "overlap", "--samples", "500", "--out", str(tmp_path)])
@@ -239,12 +266,17 @@ class TestGeometryCommand:
             ["geo1", "--r-k", "256", "--r-next", "inf"],
             ["geo2", "--case", "2", "--r-k", "0", "--r-next", "512"],
             ["rescale", "--r-prev", "inf"],
+            ["geo1", "--beta", "nan"],
+            ["geo2", "--beta", "inf"],
+            ["partition", "--R", "1e308"],
+            ["geo3", "--c-eps", "1e308"],
         ],
         ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k",
              "geo2-r_zero", "geo2-r_negative", "geo3-r_zero", "geo1-R_zero", "geo2-R_zero",
              "geo3-R_zero", "geo1-R_nan", "geo3-c_eps_zero", "geo3-r_next_nan",
              "broad-narrow-e_sep_nan", "geo1-c_eps_nan", "geo2-c_eps_inf",
-             "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf"],
+             "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf", "geo1-beta_nan",
+             "geo2-beta_inf", "partition-R_huge", "geo3-c_eps_huge"],
     )
     def test_bad_argument_exit_2(self, tmp_path, argv):
         assert main(["geometry", *argv, "--out", str(tmp_path)]) == 2

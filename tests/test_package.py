@@ -1,6 +1,7 @@
 """Checks on the package's public surface."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import momentcurve
@@ -13,6 +14,21 @@ ENTRY_POINTS = {
     "interference_lower_bound",
     "periodicity_identity_check",
     "verify_maincor",
+}
+# Defaulted parameters that no package module or demo sets -> why each stays.
+UNSET_DEFAULTS = {
+    "verify_mainexp_bound.workers": "thread count for library callers; the CLI "
+    "runs sweeps through sweep_rows with --workers",
+    "verify_maincor.workers": "thread count for library callers; the CLI runs "
+    "sweeps through sweep_rows with --workers",
+    "vinogradov_count.budget_tuples": "the tuple budget every exact-engine entry "
+    "point takes",
+    "neighborhood_membership.slack": "face tolerance, as CanonicalBlock.contains "
+    "takes and check_rescale sets",
+    "ParamBox.contains_abc.slack": "face tolerance, as CanonicalBlock.contains "
+    "takes and check_rescale sets",
+    "local_moment_quadrature.cube_corner": "the local moment is defined on every "
+    "translate of the cube; tests move it",
 }
 
 
@@ -32,6 +48,33 @@ def _references(path):
                 yield sub.attr, owner
 
 
+def _call_sites(paths):
+    """Called name -> [(positional count, has *args, keyword names)]; a
+    **kwargs splat shows up as the keyword name None."""
+    sites = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            sites.setdefault(name, []).append((len(node.args), star, keywords))
+    return sites
+
+
+def _public_callables():
+    """(label, function) for every function and public method in __all__."""
+    for name in momentcurve.__all__:
+        obj = getattr(momentcurve, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", member
+
+
 def test_all_names_resolve():
     # A name left in __all__ after its definition is deleted breaks only
     # `from momentcurve import *`, which nothing else in the suite runs.
@@ -46,3 +89,22 @@ def test_every_public_name_is_used_outside_tests():
     used = {ident for path in files for ident, owner in _references(path) if ident != owner}
     unused = sorted(set(momentcurve.__all__) - used - ENTRY_POINTS)
     assert unused == []
+
+
+def test_every_default_is_set_outside_tests():
+    # A parameter only tests set is a knob nothing uses: it becomes a constant.
+    files = sorted((ROOT / "src" / "momentcurve").glob("*.py"))
+    sites = _call_sites(files + sorted((ROOT / "demos").glob("*.py")))
+    unset = []
+    for label, func in _public_callables():
+        params = [p for p in inspect.signature(func).parameters.values() if p.name != "self"]
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+            if not any(
+                p.name in kws or None in kws or (positional and (n_pos > i or star))
+                for n_pos, star, kws in sites.get(func.__name__, [])
+            ):
+                unset.append(f"{label}.{p.name}")
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)

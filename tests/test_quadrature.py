@@ -8,46 +8,44 @@ import pytest
 from momentcurve import (
     BudgetError,
     ExpSumSpec,
-    QuadratureGrid,
     SpecValidationError,
     box_power_integral,
     eval_sum,
+    interference_lower_bound,
     local_moment_quadrature,
     moment_exact,
     moment_quadrature,
     periodicity_identity_check,
+    random_phase_coeffs,
     random_sign_coeffs,
     separation_floor,
     standard_frequency_set,
 )
+from momentcurve.quadrature import DEFAULT_CELL_BUDGET, grid_counts
 
 
 def spec_ones(n, sigma=0.0, h0=0.0):
     return ExpSumSpec(n=n, coeffs=np.ones(n), sigma=sigma, h0=h0)
 
 
-class TestGridRule:
-    def test_for_spec_counts(self):
-        spec = spec_ones(5, sigma=1.0)
-        grid = QuadratureGrid.for_spec(spec, oversample=4.0)
-        # m_i = ceil(4 * N^i * side_i) with sides (1, 1, 1/5).
-        assert grid.counts == (20, 100, 100)
-        assert grid.box_corner == (0.0, 0.0, 0.0)
-        assert grid.satisfies_nyquist(spec)
+class TestGridCounts:
+    def test_rule_and_floor(self):
+        # m_i = max(floor, ceil(4 * N^i * side_i)) with N = 5, sides (1, 1, 1/5).
+        assert grid_counts(4.0, (5, 25, 125), (1.0, 1.0, 0.2), 10**6) == (20, 100, 100)
+        assert grid_counts(4.0, (0.5, 1.0, 2.0), (1.0, 1.0, 1.0), 10**6, floor=8) == (8, 8, 8)
 
-    def test_undersampled_grid_flagged(self):
-        spec = spec_ones(5)
-        grid = QuadratureGrid(
-            counts=(4, 4, 4), box_corner=(0.0, 0.0, 0.0),
-            box_sides=(1.0, 1.0, 1.0), oversample=4.0,
-        )
-        assert not grid.satisfies_nyquist(spec)
+    @pytest.mark.parametrize("oversample", [0.5, math.nan, math.inf])
+    def test_rejects_oversample_out_of_range(self, oversample):
+        with pytest.raises(SpecValidationError):
+            grid_counts(oversample, (1, 1, 1), (1.0, 1.0, 1.0), 10**6)
 
-    def test_validation(self):
-        with pytest.raises(SpecValidationError):
-            QuadratureGrid((0, 1, 1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 4.0)
-        with pytest.raises(SpecValidationError):
-            QuadratureGrid((1, 1, 1), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.5)
+    def test_budget_checked_before_rounding(self):
+        # 1e308 * 4 overflows to inf, which must be a budget failure, not an
+        # OverflowError from math.ceil.
+        with pytest.raises(BudgetError):
+            grid_counts(1e308, (4, 16, 64), (1.0, 1.0, 1.0), DEFAULT_CELL_BUDGET)
+        with pytest.raises(BudgetError):
+            grid_counts(4.0, (100, 100, 100), (1.0, 1.0, 1.0), 10**6)
 
 
 class TestBoxPowerIntegral:
@@ -114,25 +112,6 @@ class TestMomentQuadrature:
         assert residual <= 3.0 * res.err_estimate
         assert residual <= 1e-6 * max(1.0, exact)
 
-    def test_custom_grid_must_cover_box(self):
-        spec = spec_ones(3, sigma=1.0, h0=0.5)
-        bad = QuadratureGrid(
-            counts=(12, 36, 4), box_corner=(0.0, 0.0, 0.0),
-            box_sides=(1.0, 1.0, spec.h_length), oversample=4.0,
-        )
-        # Corner disagrees with spec's h0.
-        with pytest.raises(SpecValidationError):
-            moment_quadrature(spec, 2.0, grid=bad)
-
-    def test_custom_grid_must_be_nyquist(self):
-        spec = spec_ones(6)
-        sparse = QuadratureGrid(
-            counts=(4, 4, 4), box_corner=(0.0, 0.0, 0.0),
-            box_sides=(1.0, 1.0, 1.0), oversample=4.0,
-        )
-        with pytest.raises(SpecValidationError):
-            moment_quadrature(spec, 2.0, grid=sparse)
-
     def test_holder_monotonicity(self):
         # Normalized p-norms increase with p on the window.
         spec = ExpSumSpec(n=6, coeffs=random_sign_coeffs(6, 4), sigma=1.0)
@@ -163,15 +142,16 @@ class TestLocalMoments:
         assert res.value == pytest.approx(float(xi.size), abs=1e-9)
 
     def test_p2_sampled_route_close_to_exact(self):
+        # The midpoint rule on the same cube agrees with the p = 2 closed form.
         xi = standard_frequency_set(64.0, 0.5)
         coeffs = random_sign_coeffs(xi.size, 3).astype(complex)
         exact = local_moment_quadrature(xi, coeffs, 2.0, 64.0, 0.5, 64.0)
-        sampled = local_moment_quadrature(
-            xi, coeffs, 2.0, 64.0, 0.5, 64.0, force_sampled=True, seed=5
-        )
-        assert sampled.method == "quadrature"
-        assert sampled.detail["route"] == "full-cube"
-        assert sampled.value == pytest.approx(exact.value, rel=0.05)
+        sides = (64.0, 64.0, 64.0)
+        span = [float(np.max(xi**i)) for i in (1, 2, 3)]
+        counts = grid_counts(4.0, span, sides, DEFAULT_CELL_BUDGET)
+        sampled = box_power_integral(xi, coeffs, 2.0, (0.0, 0.0, 0.0), sides, counts)
+        assert exact.method == "exact"
+        assert sampled / 64.0**3 == pytest.approx(exact.value, rel=0.05)
 
     def test_full_grid_and_translate_routes_agree(self):
         # side 64 runs the full grid; a slightly larger cube switches to the
@@ -238,3 +218,51 @@ class TestPeriodicityIdentity:
     def test_rejects_large_n(self):
         with pytest.raises(SpecValidationError):
             periodicity_identity_check(spec_ones(5), 1)
+
+
+def test_values_are_pinned():
+    # Every quadrature route against literals computed before the midpoint
+    # rule was stated once; a refactor must not move a single bit.
+    spec = ExpSumSpec(n=5, coeffs=random_phase_coeffs(5, 3), sigma=1.0, h0=0.3)
+    spec0 = ExpSumSpec(n=4, coeffs=random_phase_coeffs(4, 3))
+    got = [
+        (r.value, r.err_estimate, r.detail)
+        for r in (
+            moment_quadrature(spec, 4.0),
+            moment_quadrature(spec, 3.0),
+            moment_quadrature(spec0, 4.0),
+            moment_quadrature(spec0, 3.0),
+        )
+    ]
+    grid = {"counts": [20, 100, 100], "oversample": 4.0}
+    grid0 = {"counts": [16, 64, 256], "oversample": 4.0}
+    assert got == [
+        (8.999999999999991, 8.999999999999991e-13, grid),
+        (2.857026203624629, 7.993623802882155e-07, grid),
+        (28.0000000000002, 2.80000000000002e-12, grid0),
+        (10.120680982579481, 4.546774418301425e-06, grid0),
+    ]
+
+    local = []
+    for r_scale, p in ((16.0, 4.0), (256.0, 4.0), (16.0, 2.0)):
+        xi = standard_frequency_set(r_scale, 0.5)
+        res = local_moment_quadrature(
+            xi, random_phase_coeffs(xi.size, 3), p, r_scale, 0.5, r_scale, seed=3
+        )
+        local.append((res.method, res.value, res.err_estimate, res.detail))
+    assert local == [
+        ("quadrature", 27.99999999999994, 0.05591219639585887,
+         {"route": "full-cube", "counts": [48, 36, 27]}),
+        ("quadrature", 472.0587523896382, 95.93353793352753,
+         {"route": "translates", "n_translates": 32, "counts_per_cell": 12}),
+        ("exact", 4.0, 4e-13, {"route": "pair-sum"}),
+    ]
+
+    rep = periodicity_identity_check(ExpSumSpec(n=3, coeffs=np.ones(3), sigma=1.0), 1)
+    assert (rep.lhs, rep.rhs_scaled, rep.residual) == (
+        728.9999999999984, 728.9999999999966, 2.4951843670039237e-15
+    )
+    rep = interference_lower_bound(ExpSumSpec(n=16, coeffs=np.ones(16), sigma=1.0), 4)
+    assert (rep.value, rep.ratio, rep.box_fraction, rep.counts) == (
+        0.029304044382540674, 0.00011446892336929951, 0.05, (8, 8, 8)
+    )

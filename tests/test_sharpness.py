@@ -135,6 +135,11 @@ class TestSweepConfig:
         with pytest.raises(SpecValidationError):
             SweepConfig(x_values=(8, 16, 32), tolerance=0.0)
 
+    @pytest.mark.parametrize("oversample", [0.5, math.nan, math.inf])
+    def test_rejects_oversample_out_of_range(self, oversample):
+        with pytest.raises(SpecValidationError):
+            SweepConfig(x_values=(8, 16, 32), oversample=oversample)
+
     def test_h0_policies(self):
         fixed = SweepConfig(x_values=(8, 16, 32), h0=0.25)
         assert fixed.h0_for(8, 1) == 0.25
