@@ -11,9 +11,9 @@ import argparse
 import numpy as np
 
 from momentcurve import (
+    coeffs_for,
     exponent_fit,
     local_moment_quadrature,
-    random_sign_coeffs,
     standard_frequency_set,
 )
 
@@ -35,7 +35,7 @@ def main() -> None:
         xi = standard_frequency_set(r_scale, args.beta)
         vals = []
         for seed in range(1, args.n_seeds + 1):
-            coeffs = random_sign_coeffs(xi.size, seed)
+            coeffs = coeffs_for("random_sign", xi.size, seed)
             rec = local_moment_quadrature(
                 xi, coeffs, args.p, r_scale, args.beta,
                 cube_side=r_scale**side_exp, seed=seed,
@@ -51,7 +51,7 @@ def main() -> None:
     print(f"envelope target {args.beta * args.p / 2:.6f} (beta p / 2)")
 
     xi = standard_frequency_set(args.r_values[0], args.beta)
-    coeffs = random_sign_coeffs(xi.size, 1)
+    coeffs = coeffs_for("random_sign", xi.size, 1)
     rec = local_moment_quadrature(
         xi, coeffs, 2.0, args.r_values[0], args.beta,
         cube_side=args.r_values[0] ** side_exp,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 import time
 
@@ -39,10 +40,9 @@ from .records import (
 from .sharpness import (
     COEFF_FAMILIES,
     SweepConfig,
-    assemble_maincor_report,
-    assemble_mainexp_report,
     broad_narrow_check,
     coeffs_for,
+    envelope_report,
     maincor_row,
     mainexp_row,
     sweep_rows,
@@ -62,7 +62,18 @@ GEOMETRY_ALIASES = {
     "cone-smallcap": "geo2",
     "cone-canonical": "geo3",
 }
-SWEEP_KINDS = ("mainexp", "maincor")
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# Every [sweep] key is a SweepConfig field, read from its INI text by this cast.
+SWEEP_KEYS = {
+    "kind": str, "x_values": _ints, "family": str, "seeds": _ints, "sigma": float,
+    "s": int, "p": float, "beta": float, "h0": float, "h0_policy": str,
+    "tolerance": float, "oversample": float, "budget_tuples": int,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +137,9 @@ def _cmd_moment(args, argv: list[str]) -> int:
         raise SpecValidationError("--p only applies to --method quad")
     if args.s < 1:
         raise SpecValidationError("s must be a positive integer")
+    for flag, budget in (("tuples", args.budget_tuples), ("cells", args.budget_cells)):
+        if budget is not None and budget < 1:
+            raise SpecValidationError(f"--budget-{flag} must be >= 1")
     spec = ExpSumSpec(
         n=args.N,
         coeffs=coeffs_for(args.coeffs, args.N, args.seed),
@@ -134,16 +148,16 @@ def _cmd_moment(args, argv: list[str]) -> int:
     )
     t0 = time.perf_counter()
     if args.method == "exact":
-        budget = args.budget_tuples if args.budget_tuples else DEFAULT_TUPLE_BUDGET
+        budget = DEFAULT_TUPLE_BUDGET if args.budget_tuples is None else args.budget_tuples
         res = moment_exact(spec, args.s, budget_tuples=budget)
     elif args.method == "brute":
         kwargs = {}
-        if args.budget_tuples:
+        if args.budget_tuples is not None:
             kwargs["budget_pairs"] = args.budget_tuples
         res = moment_brute(spec, args.s, **kwargs)
     else:
         p = args.p if args.p is not None else 2.0 * args.s
-        cells = args.budget_cells if args.budget_cells else DEFAULT_CELL_BUDGET
+        cells = DEFAULT_CELL_BUDGET if args.budget_cells is None else args.budget_cells
         res = moment_quadrature(spec, p, oversample=args.oversample, cell_budget=cells)
     wall = time.perf_counter() - t0
 
@@ -173,12 +187,7 @@ def _cmd_moment(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _parse_values(raw: str, cast):
-    parts = raw.replace(",", " ").split()
-    return tuple(cast(tok) for tok in parts)
-
-
-def _load_sweep_config(path: str) -> dict:
+def _load_sweep_config(path: str) -> SweepConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -189,79 +198,52 @@ def _load_sweep_config(path: str) -> dict:
     if "sweep" not in parser:
         raise SpecValidationError("config needs a [sweep] section")
     section = parser["sweep"]
-    kind = section.get("kind", "mainexp").strip()
-    if kind not in SWEEP_KINDS:
-        raise SpecValidationError(f"kind must be one of {SWEEP_KINDS}")
-    raw_x = section.get("x_values", "").strip()
-    if not raw_x:
+    unknown = sorted(set(section) - set(SWEEP_KEYS))
+    if unknown:
+        raise SpecValidationError(f"unknown [sweep] key(s): {', '.join(unknown)}")
+    if "x_values" not in section:
         raise SpecValidationError("config needs x_values")
     try:
-        return _parse_sweep_section(section, kind, raw_x)
-    except ValueError as exc:
+        values = {key: SWEEP_KEYS[key](raw) for key, raw in section.items()}
+    except (ValueError, configparser.Error) as exc:
         raise SpecValidationError(f"bad value in [sweep]: {exc}") from None
-
-
-def _parse_sweep_section(section, kind: str, raw_x: str) -> dict:
-    if "seeds" in section:
-        seeds = _parse_values(section["seeds"], int)
-    elif "n_seeds" in section:
-        seeds = tuple(range(1, section.getint("n_seeds") + 1))
-    else:
-        seeds = (1,)
-    return {
-        "kind": kind,
-        "x_values": _parse_values(raw_x, int),
-        "family": section.get("family", "constant").strip(),
-        "seeds": seeds,
-        "sigma": section.getfloat("sigma", 0.0),
-        "s": section.getint("s", 0) or None,
-        "p": section.getfloat("p", 0.0) or None,
-        "beta": section.getfloat("beta", 0.0) or None,
-        "h0": section.getfloat("h0", 0.0),
-        "h0_policy": section.get("h0_policy", "fixed").strip(),
-        "tolerance": section.getfloat("tolerance", 0.3),
-        "oversample": section.getfloat("oversample", 4.0),
-        "budget_tuples": section.getint("budget_tuples", 0) or None,
-    }
+    return SweepConfig(**values)
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:
     cfg = _load_sweep_config(args.config)
-    kind = cfg["kind"]
+    config = dataclasses.asdict(cfg)
     layout = OutputLayout(args.out)
-    manifest = new_manifest(argv, cfg, list(cfg["seeds"]))
-    manifest.budgets = {"tuples": cfg["budget_tuples"]}
-    slug = f"sweep-{kind}-" + args_digest(cfg)
+    manifest = new_manifest(argv, config, list(cfg.seeds))
+    manifest.budgets = {"tuples": cfg.budget_tuples}
+    slug = f"sweep-{cfg.kind}-" + args_digest(config)
     csv_path = layout.table_path(slug)
     fit_path = layout.result_path(slug + "-fit")
     t0 = time.perf_counter()
 
-    sweep_cfg = SweepConfig(**{k: v for k, v in cfg.items() if k != "kind"})
-    row_fn = mainexp_row if kind == "mainexp" else maincor_row
+    # Row functions are looked up in this module, where tracers rebind them.
+    row_fn = mainexp_row if cfg.kind == "mainexp" else maincor_row
     rows = []
     try:
-        for row in sweep_rows(row_fn, sweep_cfg, args.workers):
+        for row in sweep_rows(row_fn, cfg, args.workers):
             rows.append(row)
     except BudgetError as exc:
         # Flush whatever completed so the run is diagnosable post hoc.
-        _write_sweep_csv(csv_path, "N" if kind == "mainexp" else "R", rows)
+        _write_sweep_csv(csv_path, cfg.x_label, rows)
         manifest.add_output(csv_path)
         manifest.status = "failed"
         manifest.wall_time_s = time.perf_counter() - t0
         layout.flush_manifest(manifest)
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if kind == "mainexp":
-        report = assemble_mainexp_report(sweep_cfg, rows)
-    else:
-        report = assemble_maincor_report(sweep_cfg, rows)
+    report = envelope_report(cfg, rows)
     fit = report.fit
     _write_sweep_csv(csv_path, report.x_label, rows)
     verdict = "PASS" if report.passed else "FAIL"
     summary = {
         "command": "sweep",
         "manifest": manifest.run_id,
-        "config": cfg,
+        "config": config,
         "x_label": report.x_label,
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -271,7 +253,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
         "tolerance": report.tolerance,
         "c_factor": report.c_factor,
         "verdict": verdict,
-        "detail": {**report.detail, "kind": kind},
+        "detail": {**report.detail, "kind": cfg.kind},
         "table": csv_path,
     }
     write_json(fit_path, summary)
@@ -280,7 +262,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     manifest.wall_time_s = time.perf_counter() - t0
     layout.flush_manifest(manifest)
     print(
-        f"sweep kind={kind} slope={format_cell(fit.slope)} "
+        f"sweep kind={cfg.kind} slope={format_cell(fit.slope)} "
         f"target={format_cell(report.target)} "
         f"verdict={verdict} table={csv_path}"
     )

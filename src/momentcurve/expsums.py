@@ -51,7 +51,9 @@ class ExpSumSpec:
     n : number of frequencies N >= 1.
     coeffs : complex coefficients a_1..a_N, each of modulus <= 1 (+1e-12).
     sigma : x3-interval shrinking exponent in [0, 2]; H has length N^(-sigma).
-    h0 : left endpoint of H.
+    h0 : left endpoint of H, stored reduced by math.fmod(h0, 1.0): every
+        moment is 1-periodic in h0, fmod is exact, and h0 in [0, 1) is kept
+        as given.
     """
 
     n: int
@@ -77,6 +79,7 @@ class ExpSumSpec:
         if not math.isfinite(self.h0):
             raise SpecValidationError("h0 must be finite")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "h0", math.fmod(self.h0, 1.0))
 
     @property
     def h_length(self) -> float:

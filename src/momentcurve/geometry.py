@@ -389,6 +389,8 @@ def _cone_deviation(y: np.ndarray, center: float, w_ang: float, w_rad: float):
 
 
 def _spread_l_indices(n_slots: int, rng, cap: int = 64) -> np.ndarray:
+    if n_slots > np.iinfo(np.int64).max:
+        raise SpecValidationError(f"{float(n_slots):.3g} ladder indices do not fit in int64")
     if n_slots <= cap:
         return np.arange(n_slots)
     picked = rng.choice(n_slots, size=cap - 2, replace=False)

@@ -261,8 +261,6 @@ def build_group_table(
     """
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
-    if budget_tuples is None:
-        budget_tuples = DEFAULT_TUPLE_BUDGET
     n = spec.n
     if s * n**3 >= 2**63:
         raise SpecValidationError("power sums would overflow 64-bit integers")

@@ -29,6 +29,7 @@ from .quadrature import (
 )
 
 COEFF_FAMILIES = ("constant", "random_sign", "random_phase")
+SWEEP_KINDS = ("mainexp", "maincor")
 
 # Frozen regression floor for the small-box interference ratio
 # value / N^(2s-6); measured once over s in 1..6, sigma=1, N in {16, 32, 64}
@@ -37,49 +38,37 @@ INTERFERENCE_KAPPA = 2.5e-5
 INTERFERENCE_BOX_FRACTION = 0.05
 
 
-def constant_coeffs(n: int) -> np.ndarray:
-    """All-ones coefficient vector."""
-    if n < 1:
-        raise SpecValidationError("n must be >= 1")
-    return np.ones(n, dtype=float)
-
-
-def random_sign_coeffs(n: int, seed: int) -> np.ndarray:
-    """Seeded +-1 coefficients; identical across runs and platforms."""
-    if n < 1:
-        raise SpecValidationError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-
-
-def random_phase_coeffs(n: int, seed: int) -> np.ndarray:
-    """Seeded unimodular coefficients e(theta) with uniform theta."""
-    if n < 1:
-        raise SpecValidationError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return np.exp(1j * TWO_PI * rng.uniform(0.0, 1.0, n))
-
-
 def coeffs_for(family: str, n: int, seed: int) -> np.ndarray:
+    """Coefficients a_1..a_n of one family, identical across runs and platforms.
+
+    "constant" is all ones; "random_sign" draws seeded +-1; "random_phase"
+    draws seeded unimodular e(theta) with uniform theta.
+    """
+    if family not in COEFF_FAMILIES:
+        raise SpecValidationError(f"unknown coefficient family {family!r}")
+    if n < 1:
+        raise SpecValidationError("n must be >= 1")
     if family == "constant":
-        return constant_coeffs(n)
+        return np.ones(n, dtype=float)
+    rng = np.random.default_rng(seed)
     if family == "random_sign":
-        return random_sign_coeffs(n, seed)
-    if family == "random_phase":
-        return random_phase_coeffs(n, seed)
-    raise SpecValidationError(f"unknown coefficient family {family!r}")
+        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    return np.exp(1j * TWO_PI * rng.uniform(0.0, 1.0, n))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep description shared by the envelope verifiers.
+    """One envelope sweep: its kind, its grid and every parameter of its rows.
 
-    x_values are the N (or R) grid, strictly increasing, at least three of
-    them so the exponent fit is determined. h0_policy is either "fixed" (use
-    h0 as given) or "random" (a per-(seed, x) uniform draw).
+    kind "mainexp" sweeps the exact 2s-th moment over N and needs s >= 1;
+    "maincor" sweeps local moments over R and needs p > 0 and beta in
+    [1/3, 1]. x_values are the N (or R) grid, strictly increasing, at least
+    three of them so the exponent fit is determined. h0_policy is either
+    "fixed" (use h0 as given) or "random" (a per-(seed, x) uniform draw).
     """
 
     x_values: tuple[int, ...]
+    kind: str = "mainexp"
     family: str = "constant"
     seeds: tuple[int, ...] = (1,)
     sigma: float = 0.0
@@ -106,6 +95,22 @@ class SweepConfig:
         if self.tolerance <= 0:
             raise SpecValidationError("tolerance must be positive")
         require_oversample(self.oversample)
+        if self.budget_tuples < 1:
+            raise SpecValidationError("budget_tuples must be >= 1")
+        if self.kind == "mainexp":
+            if self.s is None or self.s < 1:
+                raise SpecValidationError("mainexp sweep needs integer s >= 1")
+        elif self.kind == "maincor":
+            if self.p is None or self.p <= 0:
+                raise SpecValidationError("maincor sweep needs p > 0")
+            if self.beta is None or not (1.0 / 3.0 <= self.beta <= 1.0):
+                raise SpecValidationError("maincor sweep needs beta in [1/3, 1]")
+        else:
+            raise SpecValidationError(f"kind must be one of {SWEEP_KINDS}")
+
+    @property
+    def x_label(self) -> str:
+        return "N" if self.kind == "mainexp" else "R"
 
     def h0_for(self, x: int, seed: int) -> float:
         if self.h0_policy == "fixed":
@@ -159,7 +164,7 @@ class EnvelopeReport:
     tolerance: float
     passed: bool
     c_factor: float
-    x_label: str = "N"
+    x_label: str
     detail: dict = field(default_factory=dict, compare=False)
 
 
@@ -182,8 +187,6 @@ def sweep_rows(row_fn, cfg: SweepConfig, workers: int = 1):
 
 def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     """One sweep point: median 2s-th moment over seeds at this N."""
-    if cfg.s is None or cfg.s < 1:
-        raise SpecValidationError("mainexp sweep needs integer s >= 1")
     s = int(cfg.s)
     vals = []
     errs = []
@@ -208,37 +211,12 @@ def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     )
 
 
-def assemble_mainexp_report(cfg: SweepConfig, rows) -> EnvelopeReport:
-    rows = tuple(rows)
-    s = int(cfg.s)
-    fit = exponent_fit((r.x, r.value) for r in rows)
-    target = max(s - cfg.sigma, 2.0 * s - 6.0)
-    c_factor = max(r.value / r.envelope for r in rows)
-    passed = abs(fit.slope - target) <= cfg.tolerance
-    return EnvelopeReport(
-        rows=rows, fit=fit, target=target, tolerance=cfg.tolerance,
-        passed=passed, c_factor=c_factor, x_label="N",
-        detail={"s": s, "sigma": cfg.sigma, "family": cfg.family},
-    )
-
-
-def verify_mainexp_bound(cfg: SweepConfig, workers: int = 1) -> EnvelopeReport:
-    """Sweep the 2s-th moment over N and fit against N^(s-sigma) + N^(2s-6).
-
-    Random families are aggregated by the median over seeds. passed means the
-    fitted exponent is within tolerance of target = max(s - sigma, 2s - 6);
-    c_factor is the largest observed value/envelope ratio (the empirical
-    constant in front of the envelope).
-    """
-    return assemble_mainexp_report(cfg, sweep_rows(mainexp_row, cfg, workers))
-
-
 def maincor_row(cfg: SweepConfig, r_scale: int) -> SweepRow:
-    """One sweep point: median local cube-averaged moment over seeds at this R."""
-    if cfg.p is None or cfg.p <= 0:
-        raise SpecValidationError("maincor sweep needs p > 0")
-    if cfg.beta is None or not (1.0 / 3.0 <= cfg.beta <= 1.0):
-        raise SpecValidationError("maincor sweep needs beta in [1/3, 1]")
+    """One sweep point: median local cube-averaged moment over seeds at this R.
+
+    The frequency set is the standard separated family {j R^(-beta)} and the
+    cube side is the smallest admissible R^max(2 beta, 1).
+    """
     p, beta = float(cfg.p), float(cfg.beta)
     xi = standard_frequency_set(float(r_scale), beta)
     side = float(r_scale) ** max(2.0 * beta, 1.0)
@@ -270,28 +248,41 @@ def maincor_row(cfg: SweepConfig, r_scale: int) -> SweepRow:
     )
 
 
-def assemble_maincor_report(cfg: SweepConfig, rows) -> EnvelopeReport:
+def envelope_report(cfg: SweepConfig, rows) -> EnvelopeReport:
+    """Fit the rows' growth exponent against cfg's envelope.
+
+    mainexp: passed means the fitted exponent is within tolerance of
+    target = max(s - sigma, 2s - 6). maincor: the bound is one-sided, passed
+    means slope <= target + tolerance with target = beta p / 2. c_factor is
+    the largest observed value/envelope ratio (the empirical constant in
+    front of the envelope).
+    """
     rows = tuple(rows)
-    p, beta = float(cfg.p), float(cfg.beta)
     fit = exponent_fit((r.x, r.value) for r in rows)
-    target = beta * p / 2.0
-    c_factor = max(r.value / r.envelope for r in rows)
-    passed = fit.slope <= target + cfg.tolerance
+    if cfg.kind == "mainexp":
+        s = int(cfg.s)
+        target = max(s - cfg.sigma, 2.0 * s - 6.0)
+        passed = abs(fit.slope - target) <= cfg.tolerance
+        detail = {"s": s, "sigma": cfg.sigma, "family": cfg.family}
+    else:
+        p, beta = float(cfg.p), float(cfg.beta)
+        target = beta * p / 2.0
+        passed = fit.slope <= target + cfg.tolerance
+        detail = {"p": p, "beta": beta, "family": cfg.family}
     return EnvelopeReport(
         rows=rows, fit=fit, target=target, tolerance=cfg.tolerance,
-        passed=passed, c_factor=c_factor, x_label="R",
-        detail={"p": p, "beta": beta, "family": cfg.family},
+        passed=passed, c_factor=max(r.value / r.envelope for r in rows),
+        x_label=cfg.x_label, detail=detail,
     )
 
 
-def verify_maincor(cfg: SweepConfig, workers: int = 1) -> EnvelopeReport:
-    """Sweep local cube-averaged moments over R against R^(beta p / 2).
+def verify_envelope(cfg: SweepConfig) -> EnvelopeReport:
+    """Sweep cfg's rows in x order and fit them (see envelope_report).
 
-    The frequency set is the standard separated family {j R^(-beta)} and the
-    cube side is the smallest admissible R^max(2 beta, 1). The bound is
-    one-sided: passed means fitted slope <= target + tolerance.
+    Random families are aggregated by the median over seeds.
     """
-    return assemble_maincor_report(cfg, sweep_rows(maincor_row, cfg, workers))
+    row_fn = mainexp_row if cfg.kind == "mainexp" else maincor_row
+    return envelope_report(cfg, sweep_rows(row_fn, cfg))
 
 
 @dataclass(frozen=True)

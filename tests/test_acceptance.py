@@ -31,9 +31,7 @@ from momentcurve import (
     moment_exact,
     moment_quadrature,
     periodicity_identity_check,
-    random_sign_coeffs,
-    verify_maincor,
-    verify_mainexp_bound,
+    verify_envelope,
     vinogradov_count,
 )
 
@@ -141,7 +139,7 @@ def test_criterion_4_envelope_exponents(report):
     # (c) random signs, sigma=2, s=2, median of 20 seeds: within 0.3 of 0.
     # < 30 min total.
     t0 = time.perf_counter()
-    rep_a = verify_mainexp_bound(
+    rep_a = verify_envelope(
         SweepConfig(x_values=(32, 48, 64, 96), sigma=1.0, s=4, tolerance=0.3)
     )
     ok_a = abs(rep_a.fit.slope - 3.0) <= 0.3
@@ -153,7 +151,7 @@ def test_criterion_4_envelope_exponents(report):
     slope_b = exponent_fit(pts).slope
     ok_b = 3.0 <= slope_b <= 3.5
 
-    rep_c = verify_mainexp_bound(
+    rep_c = verify_envelope(
         SweepConfig(
             x_values=(64, 128, 256), family="random_sign",
             seeds=tuple(range(1, 21)), sigma=2.0, s=2, tolerance=0.3,
@@ -194,16 +192,16 @@ def test_criterion_6_local_moment_trend(report):
     # beta=1/2, p=4, random signs, R in {256,1024,4096}: slope <= 1.3;
     # p=2 control recovers beta to 1e-6. < 15 min.
     t0 = time.perf_counter()
-    rep4 = verify_maincor(
+    rep4 = verify_envelope(
         SweepConfig(
-            x_values=(256, 1024, 4096), family="random_sign",
+            x_values=(256, 1024, 4096), kind="maincor", family="random_sign",
             seeds=tuple(range(1, 21)), p=4.0, beta=0.5, tolerance=0.3,
         )
     )
     ok_p4 = rep4.fit.slope <= 0.5 * 4.0 / 2.0 + 0.3
-    rep2 = verify_maincor(
+    rep2 = verify_envelope(
         SweepConfig(
-            x_values=(256, 1024, 4096), family="random_sign",
+            x_values=(256, 1024, 4096), kind="maincor", family="random_sign",
             seeds=tuple(range(1, 21)), p=2.0, beta=0.5, tolerance=1e-6,
         )
     )
@@ -270,7 +268,7 @@ def test_criterion_8_broad_narrow(report):
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        spec = ExpSumSpec(n=64, coeffs=random_sign_coeffs(64, seed))
+        spec = ExpSumSpec(n=64, coeffs=coeffs_for("random_sign", 64, seed))
         rep = broad_narrow_check(spec, n_bands=16, e_sep=2.0,
                                  samples=10**4, seed=seed)
         worst = max(worst, rep.max_ratio)

@@ -1,13 +1,15 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from momentcurve.cli import main
-from momentcurve.records import sha256_file
+from momentcurve import SweepConfig, verify_envelope
+from momentcurve.cli import SWEEP_KEYS, main
+from momentcurve.records import format_cell, sha256_file
 
 
 def write_config(path, body):
@@ -60,6 +62,26 @@ class TestMomentCommand:
         for bad in ("nan", "inf"):
             assert main(["moment", "--N", "4", "--s", "2", "--method", "quad",
                          "--oversample", bad, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--budget-tuples", "0"], ["--method", "brute", "--budget-tuples", "0"],
+         ["--method", "quad", "--budget-cells", "0"]],
+        ids=["exact-tuples", "brute-tuples", "quad-cells"],
+    )
+    def test_zero_budget_exit_2(self, tmp_path, argv):
+        # A written zero is a budget nothing fits, not "use the default".
+        assert main(["moment", "--N", "4", "--s", "2", *argv, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
+    def test_quad_huge_h0_matches_exact(self, tmp_path):
+        for method in ("exact", "quad"):
+            out = tmp_path / method
+            rc = main(["moment", "--N", "4", "--s", "2", "--method", method,
+                       "--h0", "1e308", "--out", str(out)])
+            assert rc == 0
+            record = read_only_json(out / "results", "moment-*.json")
+            assert record["value"] == pytest.approx(28.0, rel=1e-3)
 
     def test_budget_exit_3(self, tmp_path):
         rc = main(["moment", "--N", "50", "--s", "4", "--budget-tuples", "1000",
@@ -169,6 +191,66 @@ oversample = {oversample}
 """)
         assert main(["sweep", cfg, "--out", str(tmp_path)]) == code
 
+    @pytest.mark.parametrize("line", ["sigam = 2.0", "n_seeds = 3"], ids=["sigam", "n_seeds"])
+    def test_unknown_key_exit_2(self, tmp_path, line, capsys):
+        cfg = write_config(tmp_path / "typo.ini", f"""
+[sweep]
+kind = mainexp
+x_values = 8 16 32
+s = 2
+{line}
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "line", ["budget_tuples = 0", "budget_tuples = -5"], ids=["zero", "negative"]
+    )
+    def test_nonpositive_budget_exit_2(self, tmp_path, line):
+        # N=64, s=4 fits the default budget: only the check of the written value stops it.
+        cfg = write_config(tmp_path / "zero.ini", f"""
+[sweep]
+kind = mainexp
+x_values = 4 8 64
+s = 4
+{line}
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
+    def test_every_key_is_a_config_field(self):
+        assert set(SWEEP_KEYS) == {f.name for f in dataclasses.fields(SweepConfig)}
+
+    @pytest.mark.parametrize(
+        ("text", "cfg"),
+        [
+            ("kind = mainexp\nx_values = 8, 16, 32\nfamily = random_phase\n"
+             "seeds = 2 3\nsigma = 1.5\ns = 2\nh0_policy = random\n",
+             SweepConfig(x_values=(8, 16, 32), family="random_phase", seeds=(2, 3),
+                         sigma=1.5, s=2, h0_policy="random")),
+            ("kind = maincor\nx_values = 16 32 64\nfamily = random_sign\n"
+             "seeds = 4\np = 4\nbeta = 0.5\n",
+             SweepConfig(x_values=(16, 32, 64), kind="maincor", family="random_sign",
+                         seeds=(4,), p=4.0, beta=0.5)),
+        ],
+        ids=["mainexp", "maincor"],
+    )
+    def test_library_rows_match_cli_table(self, tmp_path, text, cfg):
+        path = write_config(tmp_path / "same.ini", "[sweep]\n" + text)
+        assert main(["sweep", path, "--out", str(tmp_path)]) == 0
+        (table,) = sorted((tmp_path / "tables").glob("*.csv"))
+        report = verify_envelope(cfg)
+        expected = [
+            ",".join(format_cell(c) for c in (r.x, r.value, r.envelope, r.seed_count,
+                                              r.method, r.err_estimate))
+            for r in report.rows
+        ]
+        assert table.read_text().splitlines()[1:] == expected
+        summary = read_only_json(tmp_path / "results", "sweep-*-fit.json")
+        assert summary["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert summary["target"] == report.target
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_exit_3_flushes_failed_manifest(self, tmp_path, workers):
         cfg = write_config(tmp_path / "tiny.ini", """
@@ -270,13 +352,17 @@ class TestGeometryCommand:
             ["geo2", "--beta", "inf"],
             ["partition", "--R", "1e308"],
             ["geo3", "--c-eps", "1e308"],
+            # The default ladder scale at this R has more indices than int64 holds.
+            ["geo1", "--R", "1e300"],
+            ["geo2", "--R", "1e300"],
         ],
         ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k",
              "geo2-r_zero", "geo2-r_negative", "geo3-r_zero", "geo1-R_zero", "geo2-R_zero",
              "geo3-R_zero", "geo1-R_nan", "geo3-c_eps_zero", "geo3-r_next_nan",
              "broad-narrow-e_sep_nan", "geo1-c_eps_nan", "geo2-c_eps_inf",
              "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf", "geo1-beta_nan",
-             "geo2-beta_inf", "partition-R_huge", "geo3-c_eps_huge"],
+             "geo2-beta_inf", "partition-R_huge", "geo3-c_eps_huge", "geo1-R_1e300",
+             "geo2-R_1e300"],
     )
     def test_bad_argument_exit_2(self, tmp_path, argv):
         assert main(["geometry", *argv, "--out", str(tmp_path)]) == 2

@@ -54,6 +54,14 @@ class TestSpecValidation:
             with pytest.raises(SpecValidationError):
                 spec_ones(3, sigma=sigma)
 
+    def test_h0_reduced_mod_one(self):
+        # fmod is exact: h0 in [0, 1) is kept bit for bit.
+        for h0 in (0.0, 0.25, 0.37, 1.0 - 2.0**-53):
+            assert spec_ones(2, h0=h0).h0 == h0
+        assert spec_ones(2, h0=3.25).h0 == 0.25
+        assert spec_ones(2, h0=-2.75).h0 == -0.75
+        assert spec_ones(2, h0=1e308).h0 == 0.0
+
     def test_rejects_nonfinite(self):
         with pytest.raises(SpecValidationError):
             ExpSumSpec(n=2, coeffs=np.array([1.0, np.nan]))

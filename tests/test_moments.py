@@ -15,11 +15,10 @@ from momentcurve import (
     ExpSumSpec,
     SpecValidationError,
     build_group_table,
+    coeffs_for,
     interval_kernel,
     moment_brute,
     moment_exact,
-    random_phase_coeffs,
-    random_sign_coeffs,
     vinogradov_count,
 )
 from momentcurve import moments
@@ -166,7 +165,7 @@ class TestJoin:
         # Sweep rows built at once share the join pool; their batches must
         # neither mix nor reorder. More builders than cores, frequent switches.
         monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
-        spec = ExpSumSpec(n=24, coeffs=random_phase_coeffs(24, 3))
+        spec = ExpSumSpec(n=24, coeffs=coeffs_for("random_phase", 24, 3))
         serial = build_group_table(spec, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -266,7 +265,7 @@ class TestPairAssembly:
             assert abs(Fraction(res.value) - exact) <= Fraction(res.err_estimate)
 
     def test_kernel_sees_only_the_strict_upper_triangle(self, monkeypatch):
-        spec = ExpSumSpec(n=14, coeffs=random_phase_coeffs(14, 2), sigma=1.1, h0=0.2)
+        spec = ExpSumSpec(n=14, coeffs=coeffs_for("random_phase", 14, 2), sigma=1.1, h0=0.2)
         table = build_group_table(spec, 4)
         sizes = np.array([sl.stop - sl.start for sl in group_slices(table)])
         kernel = moments.interval_kernel
@@ -288,7 +287,7 @@ class TestPairAssembly:
         # Rows of a sweep assemble at once on the shared pool; their blocks
         # must neither mix nor change the sums.
         monkeypatch.setattr(moments, "_PAIR_CHUNK", 2_000)
-        spec = ExpSumSpec(n=20, coeffs=random_phase_coeffs(20, 5), sigma=1.2, h0=0.3)
+        spec = ExpSumSpec(n=20, coeffs=coeffs_for("random_phase", 20, 5), sigma=1.2, h0=0.3)
         serial = moment_exact(spec, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -302,7 +301,7 @@ class TestPairAssembly:
             assert (res.value, res.err_estimate) == (serial.value, serial.err_estimate)
 
     def test_block_error_propagates_and_pool_stays_usable(self, monkeypatch):
-        spec = ExpSumSpec(n=12, coeffs=random_phase_coeffs(12, 4), sigma=1.0, h0=0.4)
+        spec = ExpSumSpec(n=12, coeffs=coeffs_for("random_phase", 12, 4), sigma=1.0, h0=0.4)
         want = moment_exact(spec, 4).value
         monkeypatch.setattr(moments, "_PAIR_CHUNK", 1)
         kernel = moments.interval_kernel
@@ -368,7 +367,7 @@ class TestMomentExact:
         # to N^(-2) (2N^2 - N) for unimodular coefficients.
         for seed in (1, 5, 9):
             n = 20
-            spec = ExpSumSpec(n=n, coeffs=random_sign_coeffs(n, seed), sigma=2.0)
+            spec = ExpSumSpec(n=n, coeffs=coeffs_for("random_sign", n, seed), sigma=2.0)
             want = (2.0 * n * n - n) / n**2
             assert moment_exact(spec, 2).value == pytest.approx(want, rel=1e-12)
 
@@ -461,7 +460,7 @@ class TestBruteAgreement:
         sigma=st.sampled_from([0.0, 0.5, 1.0]),
     )
     def test_exact_matches_brute_hypothesis(self, n, seed, sigma):
-        spec = ExpSumSpec(n=n, coeffs=random_sign_coeffs(n, seed), sigma=sigma, h0=0.1)
+        spec = ExpSumSpec(n=n, coeffs=coeffs_for("random_sign", n, seed), sigma=sigma, h0=0.1)
         assert moment_exact(spec, 2).value == pytest.approx(
             moment_brute(spec, 2).value, rel=1e-10
         )

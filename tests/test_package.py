@@ -8,19 +8,14 @@ import momentcurve
 
 ROOT = Path(__file__).resolve().parents[1]
 # Public names the package itself need not call: the test oracle, and the
-# entry points of criteria 5, 9 and 6.
+# entry points of criteria 5 and 9.
 ENTRY_POINTS = {
     "eval_sum",
     "interference_lower_bound",
     "periodicity_identity_check",
-    "verify_maincor",
 }
 # Defaulted parameters that no package module or demo sets -> why each stays.
 UNSET_DEFAULTS = {
-    "verify_mainexp_bound.workers": "thread count for library callers; the CLI "
-    "runs sweeps through sweep_rows with --workers",
-    "verify_maincor.workers": "thread count for library callers; the CLI runs "
-    "sweeps through sweep_rows with --workers",
     "vinogradov_count.budget_tuples": "the tuple budget every exact-engine entry "
     "point takes",
     "neighborhood_membership.slack": "face tolerance, as CanonicalBlock.contains "

@@ -10,14 +10,13 @@ from momentcurve import (
     ExpSumSpec,
     SpecValidationError,
     box_power_integral,
+    coeffs_for,
     eval_sum,
     interference_lower_bound,
     local_moment_quadrature,
     moment_exact,
     moment_quadrature,
     periodicity_identity_check,
-    random_phase_coeffs,
-    random_sign_coeffs,
     separation_floor,
     standard_frequency_set,
 )
@@ -105,7 +104,7 @@ class TestMomentQuadrature:
 
     def test_cross_check_consistency(self):
         # Quadrature agrees with the exact p = 4 count within 3 err_estimate.
-        spec = ExpSumSpec(n=4, coeffs=random_sign_coeffs(4, 2), sigma=1.0, h0=0.2)
+        spec = ExpSumSpec(n=4, coeffs=coeffs_for("random_sign", 4, 2), sigma=1.0, h0=0.2)
         exact = moment_exact(spec, 2).value
         res = moment_quadrature(spec, 4.0, oversample=4.0)
         residual = abs(res.value - exact)
@@ -114,7 +113,7 @@ class TestMomentQuadrature:
 
     def test_holder_monotonicity(self):
         # Normalized p-norms increase with p on the window.
-        spec = ExpSumSpec(n=6, coeffs=random_sign_coeffs(6, 4), sigma=1.0)
+        spec = ExpSumSpec(n=6, coeffs=coeffs_for("random_sign", 6, 4), sigma=1.0)
         vol = spec.h_length
         m2 = moment_quadrature(spec, 2.0).value / vol
         m4 = moment_quadrature(spec, 4.0).value / vol
@@ -125,6 +124,22 @@ class TestMomentQuadrature:
         exact = moment_exact(spec, 2).value
         res = moment_quadrature(spec, 4.0, oversample=4.0)
         assert abs(res.value - exact) <= 3.0 * res.err_estimate + 1e-12 * exact
+
+    def test_routes_agree_at_huge_h0(self):
+        # The spec reduces h0 = 1e308 mod 1; unreduced, the quadrature phases
+        # overflow and the value is nan.
+        coeffs = coeffs_for("random_sign", 4, 2)
+        spec = ExpSumSpec(n=4, coeffs=coeffs, sigma=1.0, h0=1e308)
+        exact = moment_exact(spec, 2).value
+        res = moment_quadrature(spec, 4.0)
+        assert abs(res.value - exact) <= 3.0 * res.err_estimate
+        assert abs(res.value - exact) <= 1e-6 * exact
+
+    def test_moments_are_one_periodic_in_h0(self):
+        coeffs = coeffs_for("random_phase", 5, 3)
+        a, b = (ExpSumSpec(n=5, coeffs=coeffs, sigma=1.0, h0=h0) for h0 in (3.25, 0.25))
+        assert moment_exact(a, 2).value == moment_exact(b, 2).value
+        assert moment_quadrature(a, 4.0).value == moment_quadrature(b, 4.0).value
 
 
 class TestLocalMoments:
@@ -144,7 +159,7 @@ class TestLocalMoments:
     def test_p2_sampled_route_close_to_exact(self):
         # The midpoint rule on the same cube agrees with the p = 2 closed form.
         xi = standard_frequency_set(64.0, 0.5)
-        coeffs = random_sign_coeffs(xi.size, 3).astype(complex)
+        coeffs = coeffs_for("random_sign", xi.size, 3).astype(complex)
         exact = local_moment_quadrature(xi, coeffs, 2.0, 64.0, 0.5, 64.0)
         sides = (64.0, 64.0, 64.0)
         span = [float(np.max(xi**i)) for i in (1, 2, 3)]
@@ -223,8 +238,8 @@ class TestPeriodicityIdentity:
 def test_values_are_pinned():
     # Every quadrature route against literals computed before the midpoint
     # rule was stated once; a refactor must not move a single bit.
-    spec = ExpSumSpec(n=5, coeffs=random_phase_coeffs(5, 3), sigma=1.0, h0=0.3)
-    spec0 = ExpSumSpec(n=4, coeffs=random_phase_coeffs(4, 3))
+    spec = ExpSumSpec(n=5, coeffs=coeffs_for("random_phase", 5, 3), sigma=1.0, h0=0.3)
+    spec0 = ExpSumSpec(n=4, coeffs=coeffs_for("random_phase", 4, 3))
     got = [
         (r.value, r.err_estimate, r.detail)
         for r in (
@@ -247,7 +262,7 @@ def test_values_are_pinned():
     for r_scale, p in ((16.0, 4.0), (256.0, 4.0), (16.0, 2.0)):
         xi = standard_frequency_set(r_scale, 0.5)
         res = local_moment_quadrature(
-            xi, random_phase_coeffs(xi.size, 3), p, r_scale, 0.5, r_scale, seed=3
+            xi, coeffs_for("random_phase", xi.size, 3), p, r_scale, 0.5, r_scale, seed=3
         )
         local.append((res.method, res.value, res.err_estimate, res.detail))
     assert local == [

@@ -14,14 +14,10 @@ from momentcurve import (
     SweepConfig,
     broad_narrow_check,
     coeffs_for,
-    constant_coeffs,
     exponent_fit,
     interference_lower_bound,
     moment_exact,
-    random_phase_coeffs,
-    random_sign_coeffs,
-    verify_maincor,
-    verify_mainexp_bound,
+    verify_envelope,
 )
 from momentcurve.expsums import TWO_PI
 from momentcurve.sharpness import BroadNarrowReport, sweep_rows
@@ -75,19 +71,21 @@ def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed):
 
 class TestCoefficientFamilies:
     def test_constant(self):
-        np.testing.assert_array_equal(constant_coeffs(4), np.ones(4))
+        np.testing.assert_array_equal(coeffs_for("constant", 4, 0), np.ones(4))
 
     def test_random_sign_values_and_reproducibility(self):
-        a = random_sign_coeffs(100, 7)
-        b = random_sign_coeffs(100, 7)
+        a = coeffs_for("random_sign", 100, 7)
+        b = coeffs_for("random_sign", 100, 7)
         np.testing.assert_array_equal(a, b)
         assert set(np.unique(a)) == {-1.0, 1.0}
 
     def test_random_sign_seeds_differ(self):
-        assert not np.array_equal(random_sign_coeffs(64, 1), random_sign_coeffs(64, 2))
+        assert not np.array_equal(
+            coeffs_for("random_sign", 64, 1), coeffs_for("random_sign", 64, 2)
+        )
 
     def test_random_phase_unimodular(self):
-        a = random_phase_coeffs(50, 3)
+        a = coeffs_for("random_phase", 50, 3)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
 
     def test_dispatch(self):
@@ -96,8 +94,18 @@ class TestCoefficientFamilies:
             coeffs_for("bogus", 3, 0)
 
     def test_rejects_empty(self):
-        with pytest.raises(SpecValidationError):
-            constant_coeffs(0)
+        for family in ("constant", "random_sign", "random_phase"):
+            with pytest.raises(SpecValidationError):
+                coeffs_for(family, 0, 1)
+
+    def test_pinned_draws(self):
+        # The seeded families are one default_rng(seed) draw each.
+        rng = np.random.default_rng(5)
+        sign = rng.integers(0, 2, size=9).astype(float) * 2.0 - 1.0
+        np.testing.assert_array_equal(coeffs_for("random_sign", 9, 5), sign)
+        rng = np.random.default_rng(5)
+        phase = np.exp(1j * TWO_PI * rng.uniform(0.0, 1.0, 9))
+        np.testing.assert_array_equal(coeffs_for("random_phase", 9, 5), phase)
 
 
 class TestExponentFit:
@@ -124,26 +132,52 @@ class TestExponentFit:
 
 class TestSweepConfig:
     def test_validation(self):
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(8, 16))
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(16, 8, 32))
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(8, 16, 32), family="nope")
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(8, 16, 32), h0_policy="sometimes")
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(8, 16, 32), tolerance=0.0)
+        # s=2 makes each config valid but for the field under test.
+        with pytest.raises(SpecValidationError, match="x values"):
+            SweepConfig(x_values=(8, 16), s=2)
+        with pytest.raises(SpecValidationError, match="x values"):
+            SweepConfig(x_values=(16, 8, 32), s=2)
+        with pytest.raises(SpecValidationError, match="family"):
+            SweepConfig(x_values=(8, 16, 32), s=2, family="nope")
+        with pytest.raises(SpecValidationError, match="h0_policy"):
+            SweepConfig(x_values=(8, 16, 32), s=2, h0_policy="sometimes")
+        with pytest.raises(SpecValidationError, match="tolerance"):
+            SweepConfig(x_values=(8, 16, 32), s=2, tolerance=0.0)
+        with pytest.raises(SpecValidationError, match="kind"):
+            SweepConfig(x_values=(8, 16, 32), s=2, kind="mainexpp")
 
     @pytest.mark.parametrize("oversample", [0.5, math.nan, math.inf])
     def test_rejects_oversample_out_of_range(self, oversample):
-        with pytest.raises(SpecValidationError):
-            SweepConfig(x_values=(8, 16, 32), oversample=oversample)
+        with pytest.raises(SpecValidationError, match="oversample"):
+            SweepConfig(x_values=(8, 16, 32), s=2, oversample=oversample)
+
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"kind": "mainexp"}, "s >= 1"),
+            ({"kind": "mainexp", "s": 0}, "s >= 1"),
+            ({"kind": "maincor", "beta": 0.5}, "p > 0"),
+            ({"kind": "maincor", "p": 2.0}, "beta"),
+            ({"kind": "maincor", "p": 2.0, "beta": 0.1}, "beta"),
+            ({"kind": "mainexp", "s": 2, "budget_tuples": 0}, "budget_tuples"),
+        ],
+        ids=["mainexp-no_s", "mainexp-s_zero", "maincor-no_p", "maincor-no_beta",
+             "maincor-beta_0.1", "budget_zero"],
+    )
+    def test_rejects_by_kind(self, fields, message):
+        # Each kind's own fields are checked when the config is made, before any row.
+        with pytest.raises(SpecValidationError, match=message):
+            SweepConfig(x_values=(64, 128, 256), **fields)
+
+    def test_x_label(self):
+        assert SweepConfig(x_values=(8, 16, 32), s=2).x_label == "N"
+        maincor = SweepConfig(x_values=(8, 16, 32), kind="maincor", p=2.0, beta=0.5)
+        assert maincor.x_label == "R"
 
     def test_h0_policies(self):
-        fixed = SweepConfig(x_values=(8, 16, 32), h0=0.25)
+        fixed = SweepConfig(x_values=(8, 16, 32), s=2, h0=0.25)
         assert fixed.h0_for(8, 1) == 0.25
-        rand = SweepConfig(x_values=(8, 16, 32), h0_policy="random")
+        rand = SweepConfig(x_values=(8, 16, 32), s=2, h0_policy="random")
         a = rand.h0_for(8, 1)
         assert a == rand.h0_for(8, 1)  # deterministic per (seed, x)
         assert a != rand.h0_for(16, 1)
@@ -158,7 +192,7 @@ class TestEnvelopeSweeps:
                 x_values=(16, 32, 64, 128), family="random_sign",
                 seeds=(1, 2, 3), sigma=sigma, s=1, tolerance=1e-6,
             )
-            rep = verify_mainexp_bound(cfg)
+            rep = verify_envelope(cfg)
             assert rep.fit.slope == pytest.approx(1.0 - sigma, abs=1e-6)
             assert rep.passed
             assert rep.target == 1.0 - sigma
@@ -166,42 +200,44 @@ class TestEnvelopeSweeps:
     def test_s1_rows_are_exact_powers(self):
         cfg = SweepConfig(x_values=(8, 16, 32), family="random_sign",
                           seeds=(5,), sigma=1.0, s=1)
-        rep = verify_mainexp_bound(cfg)
+        rep = verify_envelope(cfg)
         for row in rep.rows:
             assert row.value == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_s2_sigma0_slope_near_two(self):
         # Moment is 2N^2 - N exactly; log-log slope just under 2.
         cfg = SweepConfig(x_values=(16, 32, 64), s=2, tolerance=0.3)
-        rep = verify_mainexp_bound(cfg)
+        rep = verify_envelope(cfg)
         assert rep.fit.slope == pytest.approx(2.0, abs=0.02)
         assert rep.passed
         for row in rep.rows:
             assert row.value == 2 * row.x**2 - row.x
 
     def test_mainexp_requires_s(self):
-        cfg = SweepConfig(x_values=(8, 16, 32))
-        with pytest.raises(SpecValidationError):
-            verify_mainexp_bound(cfg)
+        with pytest.raises(SpecValidationError, match="s >= 1"):
+            verify_envelope(SweepConfig(x_values=(8, 16, 32)))
 
     def test_maincor_p2_recovers_beta(self):
-        cfg = SweepConfig(x_values=(256, 1024, 4096), family="random_sign",
-                          seeds=(1, 2), p=2.0, beta=0.5, tolerance=1e-6)
-        rep = verify_maincor(cfg)
+        cfg = SweepConfig(x_values=(256, 1024, 4096), kind="maincor",
+                          family="random_sign", seeds=(1, 2), p=2.0, beta=0.5,
+                          tolerance=1e-6)
+        rep = verify_envelope(cfg)
         assert rep.fit.slope == pytest.approx(0.5, abs=1e-6)
         assert rep.x_label == "R"
 
     def test_maincor_requires_p_and_beta(self):
-        with pytest.raises(SpecValidationError):
-            verify_maincor(SweepConfig(x_values=(64, 128, 256), beta=0.5))
-        with pytest.raises(SpecValidationError):
-            verify_maincor(SweepConfig(x_values=(64, 128, 256), p=2.0, beta=0.1))
+        with pytest.raises(SpecValidationError, match="p > 0"):
+            verify_envelope(SweepConfig(x_values=(64, 128, 256), kind="maincor", beta=0.5))
+        with pytest.raises(SpecValidationError, match="beta"):
+            verify_envelope(
+                SweepConfig(x_values=(64, 128, 256), kind="maincor", p=2.0, beta=0.1)
+            )
 
     def test_rows_deterministic(self):
         cfg = SweepConfig(x_values=(8, 16, 32), family="random_sign",
                           seeds=(1, 2, 3), sigma=1.0, s=2)
-        a = verify_mainexp_bound(cfg)
-        b = verify_mainexp_bound(cfg)
+        a = verify_envelope(cfg)
+        b = verify_envelope(cfg)
         assert [r.value for r in a.rows] == [r.value for r in b.rows]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -215,7 +251,7 @@ class TestEnvelopeSweeps:
 
         done = []
         with pytest.raises(BudgetError):
-            for row in sweep_rows(row_fn, SweepConfig(x_values=(1, 2, 3, 4)), workers):
+            for row in sweep_rows(row_fn, SweepConfig(x_values=(1, 2, 3, 4), s=2), workers):
                 done.append(row)
         assert done == [1, 2]
 
@@ -224,7 +260,7 @@ class TestInterference:
     def test_requires_all_ones_and_zero_h0(self):
         with pytest.raises(SpecValidationError):
             interference_lower_bound(
-                ExpSumSpec(n=8, coeffs=random_sign_coeffs(8, 1)), 4
+                ExpSumSpec(n=8, coeffs=coeffs_for("random_sign", 8, 1)), 4
             )
         with pytest.raises(SpecValidationError):
             interference_lower_bound(
@@ -255,7 +291,7 @@ class TestInterference:
 class TestBroadNarrow:
     def test_ratio_bounded_by_one_random_specs(self):
         for seed in range(5):
-            spec = ExpSumSpec(n=64, coeffs=random_sign_coeffs(64, seed))
+            spec = ExpSumSpec(n=64, coeffs=coeffs_for("random_sign", 64, seed))
             rep = broad_narrow_check(spec, n_bands=16, e_sep=2.0,
                                      samples=2000, seed=seed)
             assert rep.max_ratio <= 1.0
@@ -283,7 +319,7 @@ class TestBroadNarrow:
             broad_narrow_check(spec, n_bands=9, e_sep=0.5)
 
     def test_deterministic(self):
-        spec = ExpSumSpec(n=32, coeffs=random_sign_coeffs(32, 4))
+        spec = ExpSumSpec(n=32, coeffs=coeffs_for("random_sign", 32, 4))
         a = broad_narrow_check(spec, 12, 2.0, samples=500, seed=9)
         b = broad_narrow_check(spec, 12, 2.0, samples=500, seed=9)
         assert a.max_ratio == b.max_ratio
