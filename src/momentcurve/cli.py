@@ -74,6 +74,12 @@ SWEEP_KEYS = {
     "s": int, "p": float, "beta": float, "h0": float, "h0_policy": str,
     "tolerance": float, "oversample": float, "budget_tuples": int,
 }
+# Keys that only one sweep kind reads, with that kind. Written for the other
+# kind they would be ignored yet still enter the digest, so they are rejected.
+SWEEP_KIND_ONLY = {
+    "s": "mainexp", "sigma": "mainexp", "h0": "mainexp", "h0_policy": "mainexp",
+    "budget_tuples": "mainexp", "p": "maincor", "beta": "maincor", "oversample": "maincor",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +213,16 @@ def _load_sweep_config(path: str) -> SweepConfig:
         values = {key: SWEEP_KEYS[key](raw) for key, raw in section.items()}
     except (ValueError, configparser.Error) as exc:
         raise SpecValidationError(f"bad value in [sweep]: {exc}") from None
-    return SweepConfig(**values)
+    cfg = SweepConfig(**values)
+    for key in values:
+        owner = SWEEP_KIND_ONLY.get(key, cfg.kind)
+        if owner != cfg.kind:
+            raise SpecValidationError(
+                f"[sweep] key {key} applies only to kind {owner}, not {cfg.kind}"
+            )
+    if "h0" in values and cfg.h0_policy == "random":
+        raise SpecValidationError("[sweep] key h0 is unused under h0_policy = random")
+    return cfg
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:

@@ -6,6 +6,13 @@ an oversample factor. For full-period axes (sigma = 0 boxes) the midpoint
 rule is exact on the trigonometric content; for partial intervals it is an
 approximation whose error is estimated by halving every axis count.
 
+box_power_integral is the one grid evaluator. It forms the (x1, x2) plane
+factors once as a contiguous matrix and walks the grid in cache-sized tiles
+of _TILE_ROWS plane rows by _TILE_COLS x3 columns: one small GEMM per tile,
+then |.|^p (for even integer p as (re^2 + im^2)^(p/2) by repeated
+multiplication), then np.sum. math.fsum adds the tile sums, so memory per
+call is the plane matrix plus one tile whatever the cell count.
+
 The continuous-frequency entry points take curve parameters xi in [0, 1] and
 derive the frequency triples (xi, xi^2, xi^3) themselves; this module is the
 home for scaled and fractional frequencies, while expsums handles the integer
@@ -25,8 +32,11 @@ from .expsums import ExpSumSpec, phase_row
 from .moments import MomentResult
 
 DEFAULT_CELL_BUDGET = int(4e8)
-# Cells materialized at once while streaming x3 slabs.
-_SLAB_CELLS = 1 << 22
+# One grid tile: _TILE_ROWS (x1, x2) plane rows by _TILE_COLS x3 columns, 64k
+# cells or 1 MiB of complex values, small enough for the power step to run
+# in cache.
+_TILE_ROWS = 512
+_TILE_COLS = 128
 # Error estimates never drop below machine-noise scale; see _refined.
 ERR_FLOOR = 1e-13
 
@@ -69,6 +79,31 @@ def _refined(run, counts) -> tuple[float, float]:
     return value, max(abs(value - coarse), ERR_FLOOR * max(1.0, abs(value)))
 
 
+def _abs_power(values: np.ndarray, p: float, work: np.ndarray) -> np.ndarray:
+    """|values|^p elementwise, written into the float buffers work[0] and work[1].
+
+    work has shape (2,) + values.shape; the result is work[1]. For even
+    integer p below 2^53 it is (re^2 + im^2)^(p/2), the integer power taken
+    by square-and-multiply in a fixed order: no hypot and no pow, which
+    dominate np.abs(values) ** p. Any other p takes np.abs(values) ** p;
+    above 2^53 every float is even, and the chain would grow to ~1000 steps.
+    """
+    base, out = work
+    if p % 2 or p >= 2.0**53:
+        return np.power(np.abs(values, out=out), p, out=out)
+    np.square(values.real, out=base)
+    base += np.square(values.imag, out=out)
+    out.fill(1.0)
+    k = int(p) // 2
+    while k:
+        if k & 1:
+            out *= base
+        k >>= 1
+        if k:
+            np.square(base, out=base)
+    return out
+
+
 def box_power_integral(
     xi: np.ndarray,
     coeffs: np.ndarray,
@@ -80,11 +115,25 @@ def box_power_integral(
 ) -> float:
     """Midpoint integral of |sum a e(x . (xi, xi^2, xi^3))|^p over a box.
 
-    Streams the grid in x3 slabs so only O(m1 * m2 * slab) cells are alive at
-    once. The nominal cell count is still bounded by cell_budget.
+    p must be finite and positive, the corner finite and the sides finite
+    and positive. The (x1, x2) plane factors form one contiguous
+    (m1 * m2, n) matrix. The grid is cut into tiles of _TILE_ROWS plane rows
+    by _TILE_COLS x3 columns; each tile is one small GEMM against the x3
+    phases, its power step (_abs_power) runs in cache, and np.sum reduces
+    it. math.fsum adds the tile sums with one rounding. Only one tile of
+    cells is alive at once; the nominal cell count is still bounded by
+    cell_budget.
     """
-    if p <= 0:
-        raise SpecValidationError("power p must be positive")
+    if not 0.0 < p < math.inf:
+        raise SpecValidationError("power p must be finite and positive")
+    corner = [float(c) for c in box_corner]
+    sides = [float(c) for c in box_sides]
+    if len(corner) != 3 or len(sides) != 3:
+        raise SpecValidationError("box corner and sides need three coordinates")
+    if not all(map(math.isfinite, corner)):
+        raise SpecValidationError("box corner must be finite")
+    if not all(0.0 < side < math.inf for side in sides):
+        raise SpecValidationError("box sides must be finite and positive")
     xi = np.asarray(xi, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)
     if xi.ndim != 1 or coeffs.shape != xi.shape:
@@ -97,20 +146,31 @@ def box_power_integral(
         raise BudgetError("quadrature cells", cells, cell_budget)
 
     freqs = np.column_stack([xi, xi**2, xi**3])
-    steps = [side / m for side, m in zip(box_sides, (m1, m2, m3))]
-    starts = [corner + st / 2 for corner, st in zip(box_corner, steps)]
+    steps = [side / m for side, m in zip(sides, (m1, m2, m3))]
+    starts = [c + st / 2 for c, st in zip(corner, steps)]
     u = coeffs[:, None] * phase_row(freqs[:, 0], starts[0], steps[0], m1)
     v = phase_row(freqs[:, 1], starts[1], steps[1], m2)
     w = phase_row(freqs[:, 2], starts[2], steps[2], m3)
-    planes = (u[:, :, None] * v[:, None, :]).reshape(xi.size, m1 * m2)
+    planes = np.empty((m1, m2, xi.size), dtype=complex)
+    np.multiply(u.T[:, None, :], v.T[None, :, :], out=planes)
+    planes = planes.reshape(m1 * m2, xi.size)
 
-    slab = max(1, _SLAB_CELLS // max(1, m1 * m2))
-    acc = 0.0
-    for lo in range(0, m3, slab):
-        values = planes.T @ w[:, lo : lo + slab]
-        acc += float(np.sum(np.abs(values) ** p))
-    vol = box_sides[0] * box_sides[1] * box_sides[2]
-    return acc * (vol / cells)
+    # Every tile reuses the same buffers, so the loop allocates nothing per
+    # tile and never touches fresh pages.
+    tile_cells = min(_TILE_ROWS, m1 * m2) * min(_TILE_COLS, m3)
+    tile_buf = np.empty(tile_cells, dtype=complex)
+    work = np.empty((2, tile_cells))
+    sums = []
+    for lo in range(0, m1 * m2, _TILE_ROWS):
+        rows = planes[lo : lo + _TILE_ROWS]
+        for col in range(0, m3, _TILE_COLS):
+            cols = w[:, col : col + _TILE_COLS]
+            shape = (rows.shape[0], cols.shape[1])
+            size = shape[0] * shape[1]
+            tile = np.matmul(rows, cols, out=tile_buf[:size].reshape(shape))
+            power = _abs_power(tile, p, work[:, :size].reshape((2,) + shape))
+            sums.append(float(np.sum(power)))
+    return math.fsum(sums) * (sides[0] * sides[1] * sides[2] / cells)
 
 
 def moment_quadrature(

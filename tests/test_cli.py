@@ -74,6 +74,13 @@ class TestMomentCommand:
         assert main(["moment", "--N", "4", "--s", "2", *argv, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "0", "-2"])
+    def test_quad_power_out_of_range_exit_2(self, tmp_path, p):
+        # nan and inf used to print value=nan / value=inf and exit 0.
+        assert main(["moment", "--N", "4", "--s", "2", "--method", "quad", f"--p={p}",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
     def test_quad_huge_h0_matches_exact(self, tmp_path):
         for method in ("exact", "quad"):
             out = tmp_path / method
@@ -202,6 +209,48 @@ s = 2
 """)
         assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
         assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        ("kind", "line"),
+        [
+            ("maincor", "s = 9"),
+            ("maincor", "sigma = 1.5"),
+            ("maincor", "h0 = 0.3"),
+            ("maincor", "h0_policy = random"),
+            ("maincor", "budget_tuples = 1000"),
+            ("mainexp", "p = 4"),
+            ("mainexp", "beta = 0.5"),
+            ("mainexp", "oversample = 8"),
+        ],
+        ids=lambda v: v.split()[0],
+    )
+    def test_key_of_other_kind_exit_2(self, tmp_path, kind, line, capsys):
+        # Such a key used to be ignored while still changing the digest.
+        own = "p = 4\nbeta = 0.5" if kind == "maincor" else "s = 2"
+        cfg = write_config(tmp_path / "other.ini", f"""
+[sweep]
+kind = {kind}
+x_values = 16 32 64
+{own}
+{line}
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert line.split()[0] in err and kind in err
+        assert not (tmp_path / "results").exists()
+
+    def test_h0_under_random_policy_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "h0.ini", """
+[sweep]
+kind = mainexp
+x_values = 8 16 32
+s = 2
+h0_policy = random
+h0 = 0.3
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+        assert "h0" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Unit tests for the quadrature oracle and local cube moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from momentcurve import (
     separation_floor,
     standard_frequency_set,
 )
+from momentcurve import quadrature
+from momentcurve.expsums import phase_row
 from momentcurve.quadrature import DEFAULT_CELL_BUDGET, grid_counts
 
 
@@ -88,6 +91,80 @@ class TestBoxPowerIntegral:
         with pytest.raises(SpecValidationError):
             box_power_integral(np.array([1.0]), np.ones(1), 0.0, (0, 0, 0),
                                (1, 1, 1), (2, 2, 2))
+
+    @pytest.mark.parametrize(
+        ("p", "corner", "sides"),
+        [
+            (math.nan, (0, 0, 0), (1, 1, 1)),
+            (math.inf, (0, 0, 0), (1, 1, 1)),
+            (-2.0, (0, 0, 0), (1, 1, 1)),
+            (4.0, (0, math.nan, 0), (1, 1, 1)),
+            (4.0, (math.inf, 0, 0), (1, 1, 1)),
+            (4.0, (0, 0, 0), (1, 1, -1)),
+            (4.0, (0, 0, 0), (1, 0, 1)),
+            (4.0, (0, 0, 0), (math.inf, 1, 1)),
+            (4.0, (0, 0, 0), (1, 1, math.nan)),
+            (4.0, (0, 0), (1, 1, 1)),
+            (4.0, (0, 0, 0), (1, 1, 1, 1)),
+        ],
+        ids=["p_nan", "p_inf", "p_negative", "corner_nan", "corner_inf",
+             "side_negative", "side_zero", "side_inf", "side_nan",
+             "corner_2d", "sides_4d"],
+    )
+    def test_rejects_nonfinite_or_degenerate_box(self, p, corner, sides):
+        # A negative side used to integrate |S|^4 to -6.0; nan p gave nan.
+        with pytest.raises(SpecValidationError):
+            box_power_integral(np.array([1.0, 2.0]), np.ones(2), p, corner, sides, (2, 2, 2))
+
+    @staticmethod
+    def _dense_reference(xi, coeffs, p, corner, sides, counts):
+        # One GEMM over the whole grid and one np.sum: no tiles, no fsum.
+        steps = [side / m for side, m in zip(sides, counts)]
+        starts = [c + st / 2 for c, st in zip(corner, steps)]
+        u = coeffs[:, None] * phase_row(xi, starts[0], steps[0], counts[0])
+        v = phase_row(xi**2, starts[1], steps[1], counts[1])
+        w = phase_row(xi**3, starts[2], steps[2], counts[2])
+        planes = (u[:, :, None] * v[:, None, :]).reshape(xi.size, -1)
+        return float(np.sum(np.abs(planes.T @ w) ** p)) * np.prod(sides) / np.prod(counts)
+
+    @pytest.mark.parametrize("p", [2.0, 3.5, 6.0])
+    @pytest.mark.parametrize("tile", [(1, 1), (7, 3), None, "whole"])
+    def test_tiles_match_dense_reference(self, monkeypatch, p, tile):
+        rng = np.random.default_rng(17)
+        n = 5
+        xi = np.arange(1, n + 1, dtype=float)
+        coeffs = np.exp(2j * math.pi * rng.uniform(0, 1, n)) * rng.uniform(0.2, 1, n)
+        corner, sides, counts = (0.1, 0.0, 0.37), (0.5, 0.25, 1.5), (6, 7, 9)
+        if tile == "whole":
+            tile = (counts[0] * counts[1], counts[2])
+        if tile is not None:
+            monkeypatch.setattr(quadrature, "_TILE_ROWS", tile[0])
+            monkeypatch.setattr(quadrature, "_TILE_COLS", tile[1])
+        want = self._dense_reference(xi, coeffs, p, corner, sides, counts)
+        got = box_power_integral(xi, coeffs, p, corner, sides, counts)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 12.0])
+    def test_even_power_step_matches_abs_power(self, p):
+        rng = np.random.default_rng(5)
+        tile = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        tile[0, 0] = 0.0
+        got = quadrature._abs_power(tile, p, np.empty((2,) + tile.shape))
+        np.testing.assert_allclose(got, np.abs(tile) ** p, rtol=1e-13, atol=0.0)
+
+    def test_memory_is_bounded_by_one_tile(self):
+        # 16.8M cells: the old x3 slabs held 4M complex cells (64 MiB) at once.
+        n = 4
+        xi = np.arange(1, n + 1, dtype=float)
+        counts = (64, 256, 1024)
+        plane_bytes = counts[0] * counts[1] * n * 16
+        tracemalloc.start()
+        try:
+            box_power_integral(xi, np.ones(n), 4.0, (0, 0, 0), (1, 1, 1), counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < plane_bytes + 4 * 2**20
 
 
 class TestMomentQuadrature:
@@ -236,8 +313,9 @@ class TestPeriodicityIdentity:
 
 
 def test_values_are_pinned():
-    # Every quadrature route against literals computed before the midpoint
-    # rule was stated once; a refactor must not move a single bit.
+    # Every quadrature route against pinned literals; a refactor must not move
+    # a single bit. The tiled evaluator's fsum of tile sums moved the p = 3
+    # moment and the full-cube local moment, and their err, in the last bits.
     spec = ExpSumSpec(n=5, coeffs=coeffs_for("random_phase", 5, 3), sigma=1.0, h0=0.3)
     spec0 = ExpSumSpec(n=4, coeffs=coeffs_for("random_phase", 4, 3))
     got = [
@@ -253,7 +331,7 @@ def test_values_are_pinned():
     grid0 = {"counts": [16, 64, 256], "oversample": 4.0}
     assert got == [
         (8.999999999999991, 8.999999999999991e-13, grid),
-        (2.857026203624629, 7.993623802882155e-07, grid),
+        (2.8570262036246294, 7.993623807323047e-07, grid),
         (28.0000000000002, 2.80000000000002e-12, grid0),
         (10.120680982579481, 4.546774418301425e-06, grid0),
     ]
@@ -266,7 +344,7 @@ def test_values_are_pinned():
         )
         local.append((res.method, res.value, res.err_estimate, res.detail))
     assert local == [
-        ("quadrature", 27.99999999999994, 0.05591219639585887,
+        ("quadrature", 27.999999999999932, 0.055912196395851765,
          {"route": "full-cube", "counts": [48, 36, 27]}),
         ("quadrature", 472.0587523896382, 95.93353793352753,
          {"route": "translates", "n_translates": 32, "counts_per_cell": 12}),
