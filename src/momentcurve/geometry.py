@@ -28,6 +28,16 @@ SLACK = 1e-9
 # defect from the assembled point costs absolute rounding ~1e-16, which can
 # exceed the multiplicative SLACK when the tolerance itself is ~1e-12.
 DEFECT_MARGIN = 1.0 - 1e-3
+# Rebuilding a drawn point (_lift) and recomputing its defects errs by at
+# most 2u in the quadratic and 5u in the cubic defect, u = 2^-53, since fl(z)
+# errs by at most u |z|. The quadratic defect rounds x2 at magnitude
+# <= 1 + tol2 and its difference at <= 2 tol2. The cubic one rounds at
+# magnitudes <= 1, 1, 2 and tol3; the products 3 x1 x2 and 2 x1^3 are the
+# same bits on both sides. A tolerance is resolved when the reserve
+# (1 - DEFECT_MARGIN) of it that draws keep covers that error; below it,
+# exact members fail the membership test.
+DEFECT2_ROUNDING = 2.0 * 2.0**-53
+DEFECT3_ROUNDING = 5.0 * 2.0**-53
 SQRT2 = math.sqrt(2.0)
 # Explicit stand-in for the absorbed absolute constants in the containment
 # statements: cap widths are WIDTH_FACTOR * c_eps * (scaling law).
@@ -105,7 +115,9 @@ class DecouplingParams:
 
     The neighborhood constrains |xi2 - xi1^2| <= R^(-2 beta) and the cubic
     defect |xi3 - 3 xi1 xi2 + 2 xi1^3| <= R^(-1); caps slice it into
-    ceil(R^beta) slabs of xi1-width R^(-beta).
+    ceil(R^beta) slabs of xi1-width R^(-beta). Both tolerances must be
+    resolved in float64 (see DEFECT2_ROUNDING): R^beta <= sqrt(1e-3 / 2u),
+    about 2.12e6, and R <= 1e-3 / 5u, about 1.80e12.
     """
 
     r_scale: float
@@ -117,6 +129,18 @@ class DecouplingParams:
             raise SpecValidationError("beta must lie in [1/3, 1]")
         if self.n_caps > np.iinfo(np.int64).max:
             raise SpecValidationError("cap count ceil(R^beta) must fit in int64")
+        reserve = 1.0 - DEFECT_MARGIN
+        if reserve * self.defect2_tol < DEFECT2_ROUNDING:
+            raise SpecValidationError(
+                f"R^beta = {self.r_scale**self.beta:.6g} is above "
+                f"{math.sqrt(reserve / DEFECT2_ROUNDING):.6g}: the quadratic defect "
+                "tolerance R^(-2 beta) is below float64 resolution"
+            )
+        if reserve * self.defect3_tol < DEFECT3_ROUNDING:
+            raise SpecValidationError(
+                f"R = {self.r_scale:.6g} is above {reserve / DEFECT3_ROUNDING:.6g}: "
+                "the cubic defect tolerance R^-1 is below float64 resolution"
+            )
 
     @property
     def cap_width(self) -> float:

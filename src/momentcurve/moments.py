@@ -13,7 +13,11 @@ the pairs that land on each output p1 are known in advance (a convolution of
 the two p1 histograms). The join cuts the output p1 range into batches of
 about _JOIN_CHUNK pairs, dedupes each batch on a shared thread pool, and
 writes the batches in p1 order into one output buffer. The result is sorted
-without any merge of partial results.
+without any merge of partial results. When both halves are the same table
+(every even level, so both joins of an s = 4 table) the join forms each
+unordered pair once: entry i meets only entries j >= i, a product with j > i
+gets the exact weight 2, and batches are sized by the triangle counts per
+output p1.
 
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
@@ -131,15 +135,26 @@ def interval_kernel(d, sigma: float, h0: float, n: int):
     has_zero = bool(zero.any())
     if has_zero:
         df = df[~zero]
-    x = df * length
-    y = x - np.round(x)
-    # np.multiply pins the operand order. The * operator may evaluate a * b
-    # in place as b * a on large temporaries, and complex products are not
-    # bitwise commutative, so values would depend on the array's length.
-    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df))
+    # The float d, two float buffers and one complex one are reused through
+    # out=, so a call holds about 40 bytes per entry. Every ufunc takes its
+    # operands in the order of the formula e(y/2) sin(pi y) / (pi d):
+    # np.multiply pins it, because the * operator may evaluate a * b in place
+    # as b * a on large temporaries and complex products are not bitwise
+    # commutative.
+    y = np.multiply(df, length)
+    tmp = np.round(y)
+    np.subtract(y, tmp, out=y)  # y = d L - round(d L)
+    val = np.multiply(1j * math.pi, y)
+    np.exp(val, out=val)
+    np.sin(np.multiply(math.pi, y, out=tmp), out=tmp)
+    np.divide(tmp, np.multiply(math.pi, df, out=y), out=tmp)
+    np.multiply(val, tmp, out=val)
     if h0 != 0.0:
-        w = df * h0
-        np.multiply(val, np.exp(2j * math.pi * (w - np.round(w))), out=val)
+        w = np.multiply(df, h0, out=y)
+        np.subtract(w, np.round(w, out=tmp), out=w)
+        del df, tmp
+        phase = np.multiply(2j * math.pi, w)
+        np.multiply(val, np.exp(phase, out=phase), out=val)
     if has_zero:
         out = np.full(d_arr.shape, length, dtype=complex)
         out[~zero] = val
@@ -213,6 +228,19 @@ def _in_order(fn, arg_tuples):
             future.cancel()
 
 
+def _pair_counts(hist_a: np.ndarray, hist_b: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Pairs a join forms per output p1 offset, from the two p1 histograms.
+
+    Ordered pairs (i, j) number conv(hist_a, hist_b). A self-join forms only
+    i <= j: (conv(h, h) + diag) // 2 with diag[2a] = h[a], the pairs (i, i).
+    """
+    counts = np.convolve(hist_a, hist_b)
+    if symmetric:
+        counts[::2] += hist_a
+        counts //= 2
+    return counts
+
+
 def _join(ka, ca, kb, cb, unit: int):
     """All pairwise key sums / coefficient products, deduplicated and sorted.
 
@@ -220,23 +248,39 @@ def _join(ka, ca, kb, cb, unit: int):
     entry i meets one contiguous slice of the right side. Pairs are formed in
     (i, j) order, so every group sums its products in that order whatever the
     batch size.
+
+    A self-join (the same table on both sides) forms each unordered pair
+    once: entry i meets only the entries j >= i, and the product of j > i
+    gets weight 2, which is exact. Batches are sized by the triangle counts
+    of _pair_counts, and pairs stay in (i, j) order.
     """
+    symmetric = ka is kb and ca is cb
     p1a, hist_a = _p1_offsets(ka, unit)
-    _, hist_b = _p1_offsets(kb, unit)
+    hist_b = hist_a if symmetric else _p1_offsets(kb, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
-    per_p1 = np.convolve(hist_a, hist_b)
+    per_p1 = _pair_counts(hist_a, hist_b, symmetric)
     batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
+    left = np.arange(ka.shape[1])
 
     def batch(q_lo, q_hi):
         # Output p1 offsets q_lo <= q < q_hi; entry i meets right p1 offset q - p1a[i].
         jlo = starts_b[np.clip(q_lo - p1a, 0, hist_b.size)]
-        lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
-        j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
+        jhi = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)]
+        if symmetric:
+            jlo = np.clip(jlo, left, jhi)
+        lens = jhi - jlo
+        first = np.cumsum(lens) - lens
+        j = np.arange(int(lens.sum())) - np.repeat(first - jlo, lens)
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
-        return _dedupe(keys, np.repeat(ca, lens) * cb[j])
+        prod = np.repeat(ca, lens) * cb[j]
+        if symmetric:
+            prod *= 2
+            on_diag = left[(jlo == left) & (lens > 0)]
+            prod[first[on_diag]] = ca[on_diag] * cb[on_diag]
+        return _dedupe(keys, prod)
 
-    n_pairs = ka.shape[1] * kb.shape[1]
+    n_pairs = int(per_p1.sum())
     # Sized for the worst case (no duplicates); pages past the filled part are
     # never touched, so they never become resident.
     out_k = np.empty((ka.shape[0], n_pairs), dtype=np.int64)
@@ -352,6 +396,9 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     sizes = np.diff(np.append(starts, table.n_entries))
     mass = length * np.sum(np.add.reduceat(mod, starts) ** 2)
     partials = [length * _segment_sums(np.square(mod, out=mod))]
+    # Only starts and sizes reach the pair blocks; freeing the per-entry
+    # arrays first keeps them out of the blocks' peak memory.
+    del mod, fresh
 
     def block(g, rows):
         iu, ju = np.triu_indices(g, 1)

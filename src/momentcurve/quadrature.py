@@ -145,6 +145,14 @@ def box_power_integral(
     if cells > cell_budget:
         raise BudgetError("quadrature cells", cells, cell_budget)
 
+    # |S| <= A = sum |a_k|, so the grid sums to at most cells * A^p. Only
+    # when that could overflow float64 are the coefficients divided by A and
+    # the result multiplied back by A^p in logs; below it nothing changes.
+    bound = float(np.sum(np.abs(coeffs)))
+    scaled = bound > 0.0 and p * math.log2(bound) + math.log2(cells) >= 1023.0
+    if scaled:
+        coeffs = coeffs / bound
+
     freqs = np.column_stack([xi, xi**2, xi**3])
     steps = [side / m for side, m in zip(sides, (m1, m2, m3))]
     starts = [c + st / 2 for c, st in zip(corner, steps)]
@@ -170,7 +178,19 @@ def box_power_integral(
             tile = np.matmul(rows, cols, out=tile_buf[:size].reshape(shape))
             power = _abs_power(tile, p, work[:, :size].reshape((2,) + shape))
             sums.append(float(np.sum(power)))
-    return math.fsum(sums) * (sides[0] * sides[1] * sides[2] / cells)
+    value = math.fsum(sums) * (sides[0] * sides[1] * sides[2] / cells)
+    if scaled:
+        try:
+            value = math.exp(math.log(value) + p * math.log(bound))
+        except (OverflowError, ValueError):
+            # Past float64, or every scaled cell underflowed to 0 and the
+            # true value, positive, is unknown.
+            value = math.inf
+    if not math.isfinite(value):
+        raise SpecValidationError(
+            f"the integral of |S|^p at p = {p:g} is out of float64 range; lower p"
+        )
+    return value
 
 
 def moment_quadrature(

@@ -81,6 +81,20 @@ class TestMomentCommand:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results").exists()
 
+    def test_quad_power_past_float64_exit_2(self, tmp_path):
+        # |S|^2000 integrates to about 4^2000; it used to print value=inf
+        # err=nan and exit 0.
+        assert main(["moment", "--N", "4", "--s", "2", "--method", "quad", "--p", "2000",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
+    def test_quad_large_power_keeps_its_value(self, tmp_path):
+        # 4^500 times the grid stays inside float64, so the unscaled path runs.
+        assert main(["moment", "--N", "4", "--s", "2", "--method", "quad", "--p", "500",
+                     "--out", str(tmp_path)]) == 0
+        record = read_only_json(tmp_path / "results", "moment-*.json")
+        assert record["value"] == 9.52604776706304e+296
+
     def test_quad_huge_h0_matches_exact(self, tmp_path):
         for method in ("exact", "quad"):
             out = tmp_path / method
@@ -400,6 +414,10 @@ class TestGeometryCommand:
             ["geo1", "--beta", "nan"],
             ["geo2", "--beta", "inf"],
             ["partition", "--R", "1e308"],
+            # R^(-2 beta) = 1e-18 is below float64 resolution; this used to
+            # report about 100 false violations and exit 1.
+            ["partition", "--R", "1e9", "--beta", "1.0"],
+            ["rescale", "--R", "1e9", "--beta", "1.0"],
             ["geo3", "--c-eps", "1e308"],
             # The default ladder scale at this R has more indices than int64 holds.
             ["geo1", "--R", "1e300"],
@@ -410,7 +428,8 @@ class TestGeometryCommand:
              "geo3-R_zero", "geo1-R_nan", "geo3-c_eps_zero", "geo3-r_next_nan",
              "broad-narrow-e_sep_nan", "geo1-c_eps_nan", "geo2-c_eps_inf",
              "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf", "geo1-beta_nan",
-             "geo2-beta_inf", "partition-R_huge", "geo3-c_eps_huge", "geo1-R_1e300",
+             "geo2-beta_inf", "partition-R_huge", "partition-R_unresolved",
+             "rescale-R_unresolved", "geo3-c_eps_huge", "geo1-R_1e300",
              "geo2-R_1e300"],
     )
     def test_bad_argument_exit_2(self, tmp_path, argv):

@@ -156,6 +156,26 @@ class TestNeighborhood:
         with pytest.raises(SpecValidationError):
             DecouplingParams(16.0, 0.25)
 
+    @pytest.mark.parametrize(
+        "r_scale, beta",
+        [(2.0**21, 1.0), (2.12e6, 1.0), (2.0**40, 1 / 3), (1.8e12, 1 / 3)],
+        ids=["quadratic-dyadic", "quadratic", "cubic-dyadic", "cubic"],
+    )
+    def test_largest_resolved_scales_partition_cleanly(self, r_scale, beta):
+        # The largest accepted dyadic and non-dyadic R of each limit. Past
+        # float64 resolution exact draws failed membership: R = 7e7 at
+        # beta = 1 gave 1,308 false violations in 20,000 samples.
+        params = DecouplingParams(r_scale, beta)
+        assert check_partition(params, 20_000, 3).violations == 0
+
+    @pytest.mark.parametrize(
+        "r_scale, beta",
+        [(2.0**22, 1.0), (2.13e6, 1.0), (5e7, 1.0), (2.0**41, 1 / 3), (1.81e12, 1 / 3)],
+    )
+    def test_unresolved_tolerances_are_rejected(self, r_scale, beta):
+        with pytest.raises(SpecValidationError, match="float64 resolution"):
+            DecouplingParams(r_scale, beta)
+
     def test_sampled_members_are_members(self):
         params = DecouplingParams(4096.0, 1.0)
         rng = np.random.default_rng(2)

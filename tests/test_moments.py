@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -99,6 +100,56 @@ class TestIntervalKernel:
         assert vals.shape == (4,)
         for i, di in enumerate(d):
             assert vals[i] == pytest.approx(complex(interval_kernel(int(di), 1.0, 0.1, 4)))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("h0", [0.0, 0.37])
+    def test_bit_identical_to_the_plain_formula(self, h0, zeros):
+        # The kernel reuses its buffers through out=; the values must keep
+        # the bits of the formula written with fresh temporaries.
+        rng = np.random.default_rng(14)
+        d = rng.integers(-4 * 96**3, 4 * 96**3, 500_000)
+        d[d == 0] = 1
+        if zeros:
+            d[::11] = 0
+        want = plain_kernel(d, 1.5, h0, 96)
+        got = interval_kernel(d, 1.5, h0, 96)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("h0", [0.0, 0.37])
+    def test_temporaries_stay_small(self, h0):
+        # About 41 bytes per entry: the float d, two float buffers, one
+        # complex one and the zero mask. Fresh temporaries took 65 (h0 = 0)
+        # and 81 bytes per entry (h0 != 0).
+        d = np.random.default_rng(15).integers(1, 4 * 96**3, 500_000)
+        tracemalloc.start()
+        try:
+            interval_kernel(d, 1.5, h0, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * d.size
+
+
+def plain_kernel(d, sigma, h0, n):
+    """interval_kernel for sigma > 0 as the formula reads, every step a fresh array."""
+    d_arr = np.atleast_1d(np.asarray(d))
+    length = float(n) ** (-sigma)
+    df = d_arr.astype(float)
+    zero = d_arr == 0
+    has_zero = bool(zero.any())
+    if has_zero:
+        df = df[~zero]
+    x = df * length
+    y = x - np.round(x)
+    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df))
+    if h0 != 0.0:
+        w = df * h0
+        np.multiply(val, np.exp(2j * math.pi * (w - np.round(w))), out=val)
+    if has_zero:
+        out = np.full(d_arr.shape, length, dtype=complex)
+        out[~zero] = val
+        val = out
+    return val
 
 
 class TestGroupTable:
@@ -199,6 +250,89 @@ class TestJoin:
         again = build_group_table(spec, 4)
         assert np.array_equal(again.coeffs, want.coeffs)
         assert np.array_equal(again.p3, want.p3)
+
+    @pytest.mark.parametrize("packing", ["packed", "three rows"])
+    @pytest.mark.parametrize("n, s", [(24, 4), (13, 6), (40, 2), (30, 3)])
+    def test_matches_the_ordered_join(self, monkeypatch, n, s, packing):
+        # Integer products add exactly in any order, so those tables keep
+        # every bit; complex groups add fewer, doubled terms in another order.
+        if packing == "three rows":
+            monkeypatch.setattr(moments, "_packing_multipliers", lambda n, s: None)
+        for family in ("constant", "random_sign", "random_phase"):
+            spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 7))
+            got = build_group_table(spec, s)
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_join", ordered_join)
+                want = build_group_table(spec, s)
+            for name in ("p1", "p2", "p3"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.coeffs.dtype == want.coeffs.dtype
+            if family == "random_phase":
+                np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=0.0)
+            else:
+                assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+
+    def test_triangle_counts_match_a_brute_count(self):
+        rng = np.random.default_rng(21)
+        for size in (1, 2, 5, 40):
+            p1 = np.sort(rng.integers(0, size, 3 * size))
+            p1 -= p1[0]
+            hist = np.bincount(p1)
+            iu, ju = np.triu_indices(p1.size)
+            brute = np.bincount(p1[iu] + p1[ju], minlength=2 * hist.size - 1)
+            tri = moments._pair_counts(hist, hist, True)
+            assert np.array_equal(tri, brute)
+            other = np.bincount(np.sort(rng.integers(0, size, 7)))
+            ii, jj = np.indices((p1.size, 7)).reshape(2, -1)
+            ordered = np.bincount(
+                p1[ii] + np.repeat(np.arange(other.size), other)[jj],
+                minlength=hist.size + other.size - 1,
+            )
+            assert np.array_equal(moments._pair_counts(hist, other, False), ordered)
+
+    def test_self_joins_form_each_unordered_pair_once(self, monkeypatch):
+        # s = 4 joins the s = 2 table with itself, and the s = 2 table the
+        # singletons with themselves: n(n+1)/2 pairs each, not n^2.
+        joins, formed = [], []
+        join, dedupe = moments._join, moments._dedupe
+
+        def spy_join(ka, ca, kb, cb, unit):
+            formed.clear()
+            out = join(ka, ca, kb, cb, unit)
+            joins.append((ka.shape[1], kb.shape[1], sum(formed)))
+            return out
+
+        def spy_dedupe(keys, coeffs):
+            formed.append(keys.shape[1])
+            return dedupe(keys, coeffs)
+
+        monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
+        monkeypatch.setattr(moments, "_join", spy_join)
+        monkeypatch.setattr(moments, "_dedupe", spy_dedupe)
+        build_group_table(ExpSumSpec(n=24, coeffs=coeffs_for("random_phase", 24, 2)), 4)
+        assert [(a, b) for a, b, _ in joins] == [(24, 24), (300, 300)]
+        for entries, _, pairs in joins:
+            assert pairs == entries * (entries + 1) // 2
+
+
+def ordered_join(ka, ca, kb, cb, unit):
+    """The join that forms every ordered pair (i, j), self-joins included."""
+    p1a, hist_a = moments._p1_offsets(ka, unit)
+    _, hist_b = moments._p1_offsets(kb, unit)
+    starts_b = np.concatenate([[0], np.cumsum(hist_b)])
+    per_p1 = np.convolve(hist_a, hist_b)
+    batch_of = (np.cumsum(per_p1) - per_p1) // moments._JOIN_CHUNK
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
+
+    def batch(q_lo, q_hi):
+        jlo = starts_b[np.clip(q_lo - p1a, 0, hist_b.size)]
+        lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
+        j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
+        keys = np.repeat(ka, lens, axis=1) + kb[:, j]
+        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j])
+
+    parts = list(moments._in_order(batch, zip(cuts[:-1], cuts[1:])))
+    return np.concatenate([k for k, _ in parts], axis=1), np.concatenate([c for _, c in parts])
 
 
 def group_slices(table):
@@ -470,6 +604,14 @@ class TestVinogradovCount:
     def test_closed_form_small(self):
         for n in (1, 2, 3, 5, 10, 50, 1100):
             assert vinogradov_count(n, 2) == 2 * n * n - n
+
+    @pytest.mark.parametrize("n, s", [(20, 4), (10, 6)])
+    def test_matches_the_ordered_join(self, monkeypatch, n, s):
+        # Both points end in a self-join; counts are integers, so the
+        # triangle join must give exactly the count of the ordered one.
+        got = vinogradov_count(n, s)
+        monkeypatch.setattr(moments, "_join", ordered_join)
+        assert got == vinogradov_count(n, s)
 
     def test_matches_sigma0_moment(self):
         # The count equals the sigma=0 moment with constant coefficients.

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,31 @@ class TestBoxPowerIntegral:
         finally:
             tracemalloc.stop()
         assert peak < plane_bytes + 4 * 2**20
+
+    @pytest.mark.parametrize("p", [512.0, 515.0, 509.5])
+    def test_huge_powers_are_scaled_not_overflowed(self, p):
+        # |S|^p is homogeneous of degree p in the coefficients. At A = 4 the
+        # grid sum cells * 4^p passes float64 and the scaled path runs; at
+        # A = 1 it does not, and 4^p is added back in logs.
+        xi = np.arange(1, 5, dtype=float)
+        coeffs = coeffs_for("random_phase", 4, 9)
+        counts = (16, 64, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = box_power_integral(xi, coeffs, p, (0, 0, 0), (1, 1, 1), counts)
+            unit = box_power_integral(xi, coeffs / 4.0, p, (0, 0, 0), (1, 1, 1), counts)
+        assert math.isfinite(big)
+        assert math.log(big) == pytest.approx(math.log(unit) + p * math.log(4.0), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [2000.0, 1e300])
+    def test_value_past_float64_is_a_validation_error(self, p):
+        # Past the range the value is inf (or, when every scaled cell
+        # underflows, unknown): an error, never a number.
+        xi = np.arange(1, 5, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecValidationError, match="out of float64 range"):
+                box_power_integral(xi, np.ones(4), p, (0, 0, 0), (1, 1, 1), (16, 64, 256))
 
 
 class TestMomentQuadrature:
