@@ -272,13 +272,18 @@ def _join(ka, ca, kb, cb, unit: int):
         lens = jhi - jlo
         first = np.cumsum(lens) - lens
         j = np.arange(int(lens.sum())) - np.repeat(first - jlo, lens)
-        keys = np.repeat(ka, lens, axis=1) + kb[:, j]
+        # Keys and products reach _dedupe as temporaries. It then holds the
+        # only reference, so each is freed once it is gathered in sorted order.
+        return _dedupe(np.repeat(ka, lens, axis=1) + kb[:, j], products(jlo, lens, first, j))
+
+    def products(jlo, lens, first, j):
         prod = np.repeat(ca, lens) * cb[j]
         if symmetric:
+            # Weight 2 for j > i; the pair (i, i) opens its run of pairs.
             prod *= 2
             on_diag = left[(jlo == left) & (lens > 0)]
             prod[first[on_diag]] = ca[on_diag] * cb[on_diag]
-        return _dedupe(keys, prod)
+        return prod
 
     n_pairs = int(per_p1.sum())
     # Sized for the worst case (no duplicates); pages past the filled part are
