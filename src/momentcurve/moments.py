@@ -252,7 +252,7 @@ def _join(ka, ca, kb, cb, unit: int):
     A self-join (the same table on both sides) forms each unordered pair
     once: entry i meets only the entries j >= i, and the product of j > i
     gets weight 2, which is exact. Batches are sized by the triangle counts
-    of _pair_counts, and pairs stay in (i, j) order.
+    of _pair_counts.
     """
     symmetric = ka is kb and ca is cb
     p1a, hist_a = _p1_offsets(ka, unit)
