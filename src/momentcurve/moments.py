@@ -19,13 +19,23 @@ unordered pair once: entry i meets only entries j >= i, a product with j > i
 gets the exact weight 2, and batches are sized by the triangle counts per
 output p1.
 
+A table keeps the join's output as it comes: the coefficients and one
+packed int64 key row p1 A + p2 B + p3, with B = s n^3 + 1 and
+A = (s n^2 + 1) B, or the three rows (p1, p2, p3) where that could pass
+2^63. p1, p2 and p3 are decoded on access. Pair assembly finds its (p1, p2)
+groups as runs of equal key // B and decodes p3 only for the entries of the
+block at hand, so the table is never unpacked whole.
+
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
 real part of its strict upper triangle, and only that triangle reaches the
 kernel. Blocks of same-size groups, about _PAIR_CHUNK pairs each, run on the
 same pool and are taken in block order; math.fsum adds their partial sums with
 one rounding, so the value does not depend on the number of cores or on other
-callers, and err_estimate is a stated bound on the rounding.
+callers, and err_estimate is a stated bound on the rounding. A block calls
+the kernel on _PAIR_PIECE pairs at a time and sigma = 0 squares |c| in
+_ENERGY_CHUNK slices; both are whole 4096-term segments, so the sums are
+those of one pass while the arrays in flight stay a few MB.
 """
 
 from __future__ import annotations
@@ -58,6 +68,12 @@ _PAIR_CHUNK = 500_000
 # through at most 32 roundings; math.fsum adds the segment sums exactly, which
 # keeps the bound in _pair_assemble a constant multiple of u = 2^-53.
 _SUM_SEG = 4096
+# Pairs per kernel call within a block. Whole segments, so a block's segment
+# sums are those of one pass; a call's arrays stay a few MB.
+_PAIR_PIECE = 16 * _SUM_SEG
+# Coefficients per |c|^2 pass of the diagonal energy: whole segments, so a
+# pass holds 8 MB of |c| at most instead of a copy of the table.
+_ENERGY_CHUNK = 256 * _SUM_SEG
 # err_estimate = _ROUNDOFF_K * u * M, derived in _pair_assemble.
 _ROUNDOFF_K = 40
 
@@ -91,22 +107,64 @@ class MomentResult:
 class TupleGroupTable:
     """Grouped power sums of s-tuples drawn from 1..n.
 
-    Rows are sorted lexicographically by (p1, p2, p3) and hold the accumulated
-    coefficient product mass of every s-tuple with those power sums. Rows with
-    equal (p1, p2) are contiguous, which is what the pairing stage relies on.
+    Entries are sorted lexicographically by (p1, p2, p3) and hold the
+    accumulated coefficient product mass of every s-tuple with those power
+    sums. Entries with equal (p1, p2) are contiguous, which is what the
+    pairing stage relies on.
+
+    keys is the join's output as it comes: one int64 row p1 A + p2 B + p3
+    when multipliers = (A, B) packs the power sums, else the three rows
+    (p1, p2, p3) and multipliers = None. p1, p2 and p3 decode on each access;
+    group_starts and power_sum read the key without a full unpack.
     """
 
     n: int
     s: int
-    p1: np.ndarray = field(repr=False)
-    p2: np.ndarray = field(repr=False)
-    p3: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
+    multipliers: tuple[int, int] | None = None
     n_tuples: int = 0
 
     @property
     def n_entries(self) -> int:
-        return int(self.p1.size)
+        return int(self.keys.shape[1])
+
+    def power_sum(self, e: int, index=...) -> np.ndarray:
+        """p_e (e = 1, 2, 3) of the entries selected by index."""
+        if self.multipliers is None:
+            return self.keys[e - 1][index]
+        a, b = self.multipliers
+        key = self.keys[0][index]
+        if e == 1:
+            return key // a
+        if e == 2:
+            return key // b % (a // b)
+        return key % b
+
+    def group_starts(self) -> np.ndarray:
+        """Index of the first entry of each run of equal (p1, p2)."""
+        fresh = np.empty(self.n_entries, dtype=bool)
+        fresh[0] = True
+        if self.multipliers is None:
+            k1, k2 = self.keys[0], self.keys[1]
+            fresh[1:] = (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])
+        else:
+            group = self.keys[0] // self.multipliers[1]  # p1 (A // B) + p2
+            fresh[1:] = group[1:] != group[:-1]
+            del group
+        return np.flatnonzero(fresh)
+
+    @property
+    def p1(self) -> np.ndarray:
+        return self.power_sum(1)
+
+    @property
+    def p2(self) -> np.ndarray:
+        return self.power_sum(2)
+
+    @property
+    def p3(self) -> np.ndarray:
+        return self.power_sum(3)
 
 
 def interval_kernel(d, sigma: float, h0: float, n: int):
@@ -342,15 +400,8 @@ def build_group_table(
 
     keys, acc = build(s)
     cache.clear()
-    if packing is not None:
-        rest, p3 = np.divmod(keys[0], b_mul)
-        del keys
-        p1, p2 = np.divmod(rest, s * n**2 + 1)
-    else:
-        p1, p2, p3 = keys
-
     return TupleGroupTable(
-        n=n, s=s, p1=p1, p2=p2, p3=p3, coeffs=acc, n_tuples=n_tuples
+        n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples
     )
 
 
@@ -358,6 +409,19 @@ def _segment_sums(t: np.ndarray) -> np.ndarray:
     """np.sum of each run of _SUM_SEG consecutive terms of the 1-D array t."""
     full = t.size - t.size % _SUM_SEG
     return np.append(t[:full].reshape(-1, _SUM_SEG).sum(axis=1), t[full:].sum())
+
+
+def _energy_sums(c: np.ndarray) -> np.ndarray:
+    """_segment_sums(|c|^2), formed _ENERGY_CHUNK coefficients at a time.
+
+    Chunk edges are segment edges, so the sums are those of one pass, each
+    chunk adding only a zero for its empty tail.
+    """
+    sums = []
+    for lo in range(0, c.size, _ENERGY_CHUNK):
+        mod = np.abs(c[lo : lo + _ENERGY_CHUNK])
+        sums.append(_segment_sums(np.square(mod, out=mod)))
+    return np.concatenate(sums)
 
 
 def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[float, float]:
@@ -388,30 +452,33 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     (d h0 and d L reduced mod 1 in float64) is not included; that is ROADMAP
     item 3.
     """
-    mod = np.abs(table.coeffs)
     if sigma == 0.0:
-        value = math.fsum(_segment_sums(np.square(mod, out=mod)))  # = M up to rounding
+        value = math.fsum(_energy_sums(table.coeffs))  # = M up to rounding
         return value, _ROUNDOFF_K * 2.0**-53 * value
 
     length = interval_kernel(0, sigma, h0, table.n).real
-    fresh = np.empty(table.n_entries, dtype=bool)
-    fresh[0] = True
-    fresh[1:] = (table.p1[1:] != table.p1[:-1]) | (table.p2[1:] != table.p2[:-1])
-    starts = np.flatnonzero(fresh)
+    starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
-    mass = length * np.sum(np.add.reduceat(mod, starts) ** 2)
-    partials = [length * _segment_sums(np.square(mod, out=mod))]
-    # Only starts and sizes reach the pair blocks; freeing the per-entry
-    # arrays first keeps them out of the blocks' peak memory.
-    del mod, fresh
+    mass = length * np.sum(np.add.reduceat(np.abs(table.coeffs), starts) ** 2)
+    partials = [length * _energy_sums(table.coeffs)]
 
     def block(g, rows):
         iu, ju = np.triu_indices(g, 1)
-        sel = rows[:, None] + np.arange(g)
-        p3, c = table.p3[sel], table.coeffs[sel]
-        w = interval_kernel((p3[:, iu] - p3[:, ju]).ravel(), sigma, h0, table.n)
-        terms = np.multiply(c[:, iu], np.conj(c[:, ju])).ravel()
-        return _segment_sums(np.multiply(terms, w).real)
+        sel = (rows[:, None] + np.arange(g)).ravel()
+        p3, c = table.power_sum(3, sel), table.coeffs[sel]
+        n_pairs = rows.size * iu.size
+        sums = []
+        for lo in range(0, n_pairs, _PAIR_PIECE):
+            # Pair k of the block is upper-triangle pair k % P of the block's
+            # group k // P, P = iu.size; first is that group's offset in sel.
+            first, q = np.divmod(np.arange(lo, min(lo + _PAIR_PIECE, n_pairs)), iu.size)
+            first *= g
+            i, j = first + iu[q], first + ju[q]
+            del first, q
+            w = interval_kernel(p3[i] - p3[j], sigma, h0, table.n)
+            terms = np.multiply(c[i], np.conj(c[j]))
+            sums.append(_segment_sums(np.multiply(terms, w).real))
+        return np.concatenate(sums)
 
     def blocks():
         for g in np.unique(sizes[sizes > 1]).tolist():
@@ -446,7 +513,11 @@ def moment_exact(
         method="exact",
         err_estimate=err,
         wall_time=wall,
-        detail={"table_entries": table.n_entries, "n_tuples": table.n_tuples},
+        detail={
+            "table_entries": table.n_entries,
+            "table_bytes": table.keys.nbytes + table.coeffs.nbytes,
+            "n_tuples": table.n_tuples,
+        },
     )
 
 

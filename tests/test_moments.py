@@ -1,6 +1,8 @@
 """Unit tests for the exact moment engine and its brute-force oracle."""
 
+import json
 import math
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -169,6 +171,25 @@ class TestGroupTable:
     def test_rejects_bad_s(self):
         with pytest.raises(SpecValidationError):
             build_group_table(spec_ones(3), 0)
+
+    def test_keeps_the_packed_key_and_decodes_on_access(self, monkeypatch):
+        spec = ExpSumSpec(n=30, coeffs=coeffs_for("random_phase", 30, 4))
+        table = build_group_table(spec, 3)
+        assert table.multipliers == _packing_multipliers(30, 3)
+        assert table.keys.shape == (1, table.n_entries)
+        assert table.p3 is not table.p3  # decoded afresh, never cached
+        monkeypatch.setattr(moments, "_packing_multipliers", lambda n, s: None)
+        rows = build_group_table(spec, 3)
+        assert rows.multipliers is None and rows.keys.shape == (3, table.n_entries)
+        for name in ("p1", "p2", "p3", "coeffs"):
+            a, b = getattr(table, name), getattr(rows, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(table.group_starts(), rows.group_starts())
+        first = np.concatenate([[True], (np.diff(table.p1) != 0) | (np.diff(table.p2) != 0)])
+        assert np.array_equal(table.group_starts(), np.flatnonzero(first))
+        sel = np.array([[0, 5], [7, table.n_entries - 1]])
+        for e in (1, 2, 3):
+            assert np.array_equal(table.power_sum(e, sel), rows.power_sum(e, sel))
 
 
 def naive_table(coeffs, s):
@@ -462,6 +483,47 @@ class TestPairAssembly:
         with pytest.raises(RuntimeError):
             moments._POOL.submit(nested).result(timeout=60)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "size", [256 * 4096 - 1, 256 * 4096, 256 * 4096 + 4097]
+    )
+    def test_chunked_energy_matches_one_pass(self, size, kind):
+        # sigma = 0 sums |c|^2 in chunks of whole segments; each full chunk
+        # adds only a zero for its empty tail.
+        assert moments._ENERGY_CHUNK == 256 * moments._SUM_SEG == 256 * 4096
+        c = phased_coeffs(np.random.default_rng(size), size, kind)
+        got = moments._energy_sums(c)
+        want = moments._segment_sums(np.square(np.abs(c)))
+        assert np.array_equal(got[got != 0.0], want[want != 0.0])
+        assert math.fsum(got).hex() == math.fsum(want).hex()
+
+    @pytest.mark.parametrize("h0", [0.0, 0.3])
+    def test_pieces_do_not_change_the_segment_sums(self, monkeypatch, h0):
+        # Kernel calls cover whole segments of a block, so any piece size
+        # that is a multiple of _SUM_SEG gives the block's one-pass segment
+        # sums. Blocks run on the pool, so the sums are compared as sets.
+        assert moments._PAIR_PIECE % moments._SUM_SEG == 0
+        spec = ExpSumSpec(n=24, coeffs=coeffs_for("random_phase", 24, 6), sigma=1.1, h0=h0)
+        segment_sums = moments._segment_sums
+        seen = []
+
+        def spy(t):
+            out = segment_sums(t)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(moments, "_segment_sums", spy)
+        monkeypatch.setattr(moments, "_SUM_SEG", 64)
+        results = []
+        for piece in (64, 3 * 64, 10**9):
+            monkeypatch.setattr(moments, "_PAIR_PIECE", piece)
+            seen.clear()
+            res = moment_exact(spec, 4)
+            sums = np.concatenate(seen)
+            sums = np.sort(sums[sums != 0.0])
+            results.append((sums.tobytes(), res.value.hex(), float(res.err_estimate).hex()))
+        assert results[0] == results[1] == results[2]
+
     def test_segment_sums_are_pairwise(self):
         # The err_estimate bound counts at most 32 roundings per term of a
         # segment. Added one by one, 1 + (_SUM_SEG - 1) halves of an ulp
@@ -551,6 +613,52 @@ class TestMomentExact:
         assert res.method == "exact"
         assert res.detail["n_tuples"] == 16
         assert res.wall_time >= 0.0
+
+    def test_result_record_states_table_memory(self):
+        spec = ExpSumSpec(n=9, coeffs=coeffs_for("random_phase", 9, 1), sigma=0.5)
+        table = build_group_table(spec, 3)
+        res = moment_exact(spec, 3)
+        assert res.detail["table_entries"] == table.n_entries
+        assert res.detail["table_bytes"] == table.keys.nbytes + table.coeffs.nbytes
+        assert res.detail["table_bytes"] == table.n_entries * (8 + 16)
+
+    @pytest.mark.parametrize(
+        "n, family, value, err",
+        [
+            (48, "constant", 2544271.732973381, 6.269476937603713e-08),
+            (48, "random_phase", 2490266.4008500464, 6.190983933620802e-08),
+            (96, "constant", 21005191.87964415, 9.97853319972819e-07),
+            (96, "random_phase", 20564393.960460633, 9.88499698512169e-07),
+        ],
+    )
+    def test_s4_values_are_pinned(self, n, family, value, err):
+        # Figures of the engine that unpacked (p1, p2, p3) before pairing.
+        spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 7), sigma=1.0, h0=0.3)
+        res = moment_exact(spec, 4)
+        assert (res.value, res.err_estimate) == (value, err)
+
+    def test_sigma0_memory_stays_near_the_table(self, child_env):
+        # Peak RSS, not tracemalloc: the join's worst-case output buffers are
+        # allocated but only their filled part is ever resident. Unpacking
+        # the key into p1, p2, p3 and copying |c| for the whole table rose
+        # about 240 MB on a 2-core Linux VM against an 84 MB table.
+        code = (
+            "import json, resource\n"
+            "from momentcurve import ExpSumSpec, coeffs_for, moment_exact\n"
+            "spec = ExpSumSpec(n=320, coeffs=coeffs_for('random_sign', 320, 1))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "res = moment_exact(spec, 3)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(json.dumps({'rise': after - before, 'table': res.detail['table_bytes']}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+        assert got["rise"] * unit <= 2 * got["table"]
 
 
 class TestBruteAgreement:
