@@ -56,12 +56,6 @@ EXIT_BUDGET = 3
 RESCALE_RESIDUAL_TOL = 1e-9
 
 GEOMETRY_CHECKS = ("geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow")
-# Descriptive aliases for the ladder checks, resolved before dispatch.
-GEOMETRY_ALIASES = {
-    "overlap": "geo1",
-    "cone-smallcap": "geo2",
-    "cone-canonical": "geo3",
-}
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -110,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", default=".", metavar="DIR")
 
     g = sub.add_parser("geometry", help="sampled geometry / dichotomy checks")
-    g.add_argument("check", choices=GEOMETRY_CHECKS + tuple(GEOMETRY_ALIASES))
+    g.add_argument("check", choices=GEOMETRY_CHECKS)
     g.add_argument("--R", type=float, default=float(2**20), help="global scale")
     g.add_argument("--beta", type=float, default=0.75)
     g.add_argument("--c-eps", dest="c_eps", type=float, default=1.0)
@@ -226,6 +220,8 @@ def _load_sweep_config(path: str) -> SweepConfig:
 
 
 def _cmd_sweep(args, argv: list[str]) -> int:
+    if args.workers < 1:
+        raise SpecValidationError("--workers must be >= 1")
     cfg = _load_sweep_config(args.config)
     config = dataclasses.asdict(cfg)
     layout = OutputLayout(args.out)
@@ -253,19 +249,19 @@ def _cmd_sweep(args, argv: list[str]) -> int:
         return EXIT_BUDGET
     report = envelope_report(cfg, rows)
     fit = report.fit
-    _write_sweep_csv(csv_path, report.x_label, rows)
+    _write_sweep_csv(csv_path, cfg.x_label, rows)
     verdict = "PASS" if report.passed else "FAIL"
     summary = {
         "command": "sweep",
         "manifest": manifest.run_id,
         "config": config,
-        "x_label": report.x_label,
+        "x_label": cfg.x_label,
         "slope": fit.slope,
         "intercept": fit.intercept,
         "max_residual": fit.max_residual,
         "n_points": fit.n_points,
         "target": report.target,
-        "tolerance": report.tolerance,
+        "tolerance": cfg.tolerance,
         "c_factor": report.c_factor,
         "verdict": verdict,
         "detail": {**report.detail, "kind": cfg.kind},
@@ -356,7 +352,6 @@ def _geometry_report(args):
 
 
 def _cmd_geometry(args, argv: list[str]) -> int:
-    args.check = GEOMETRY_ALIASES.get(args.check, args.check)
     config = {k: v for k, v in vars(args).items() if k != "out"}
     t0 = time.perf_counter()
     payload, violations = _geometry_report(args)
@@ -391,6 +386,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = ["momentcurve"] + argv
     try:
+        # moment and geometry seed numpy generators, which take no negative seed.
+        if getattr(args, "seed", 0) < 0:
+            raise SpecValidationError("--seed must be >= 0")
         if args.command == "moment":
             return _cmd_moment(args, command)
         if args.command == "sweep":

@@ -26,23 +26,6 @@ COEFF_MODULUS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A point in R^3, the argument of the exponential sum."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self) -> None:
-        for v in (self.x1, self.x2, self.x3):
-            if not math.isfinite(v):
-                raise SpecValidationError("Point3 coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3], dtype=float)
-
-
-@dataclass(frozen=True)
 class ExpSumSpec:
     """Full description of one cubic exponential sum.
 
@@ -86,39 +69,21 @@ class ExpSumSpec:
         """Length of the x3 interval H, exactly N^(-sigma)."""
         return float(self.n) ** (-self.sigma)
 
-    @property
-    def h_interval(self) -> tuple[float, float]:
-        return (self.h0, self.h0 + self.h_length)
 
-    def frequencies(self) -> np.ndarray:
-        """Integer frequency triples, shape (N, 3): rows (k, k^2, k^3)."""
-        k = np.arange(1, self.n + 1, dtype=float)
-        return np.column_stack([k, k**2, k**3])
+def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
+    """Evaluate S(x) at one point (a length-3 sequence) or at an (m, 3) batch.
 
-
-def _as_points(x) -> np.ndarray:
-    """Coerce a Point3, a length-3 sequence, or an (m, 3) array to (m, 3)."""
-    if isinstance(x, Point3):
-        pts = x.as_array()[None, :]
-    else:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+    Returns a scalar for a single point, else an array of shape (m,).
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise SpecValidationError(f"expected points of shape (m, 3), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise SpecValidationError("points must be finite")
-    return pts
-
-
-def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
-    """Evaluate S(x) at one point or at an (m, 3) batch of points.
-
-    Returns a scalar for a single point, else an array of shape (m,).
-    """
-    pts = _as_points(x)
     k = np.arange(1, spec.n + 1, dtype=float)
     phase = np.outer(k, pts[:, 0]) + np.outer(k**2, pts[:, 1]) + np.outer(k**3, pts[:, 2])
     values = spec.coeffs @ np.exp(2j * math.pi * phase)
-    if (isinstance(x, Point3) or np.asarray(x).ndim == 1) and values.shape == (1,):
+    if np.asarray(x).ndim == 1 and values.shape == (1,):
         return complex(values[0])
     return values
 

@@ -10,8 +10,8 @@ relevant maps, and counts violations against explicit-constant bounds (the
 asymptotic constants are represented by the free multiplier c_eps and the
 fixed width factor WIDTH_FACTOR).
 
-All membership tests apply multiplicative slack 1 + SLACK on each bound so
-that exact boundary points survive roundoff.
+Membership tests apply multiplicative slack 1 + SLACK on each bound so that
+exact boundary points survive roundoff; neighborhood_membership takes none.
 """
 
 from __future__ import annotations
@@ -158,17 +158,12 @@ class DecouplingParams:
     def defect3_tol(self) -> float:
         return 1.0 / self.r_scale
 
-    @property
-    def cube_exponent(self) -> float:
-        """Exponent of the smallest admissible averaging cube, max(2 beta, 1)."""
-        return max(2.0 * self.beta, 1.0)
 
-
-def neighborhood_membership(params: DecouplingParams, xi, slack: float = 0.0):
-    """True where xi1 in [0,1] and both defects are within tolerance."""
+def neighborhood_membership(params: DecouplingParams, xi):
+    """True where xi1 in [0,1] and both defects are within tolerance, no slack."""
     xi = np.asarray(xi, dtype=float)
-    ok1 = (xi[..., 0] >= -slack) & (xi[..., 0] <= 1.0 + slack)
-    return ok1 & _defects_within(xi, params.defect2_tol, params.defect3_tol, slack)
+    ok1 = (xi[..., 0] >= 0.0) & (xi[..., 0] <= 1.0)
+    return ok1 & _defects_within(xi, params.defect2_tol, params.defect3_tol, 0.0)
 
 
 def cap_index_of(params: DecouplingParams, xi):
@@ -206,13 +201,13 @@ class CanonicalBlock:
     def t0(self) -> float:
         return self.l / self.s
 
-    def contains(self, xi, slack: float = SLACK):
+    def contains(self, xi):
         xi = np.asarray(xi, dtype=float)
         w = 1.0 / self.s
-        in_slice = (xi[..., 0] >= self.t0 - slack * w) & (
-            xi[..., 0] < self.t0 + w * (1.0 + slack)
+        in_slice = (xi[..., 0] >= self.t0 - SLACK * w) & (
+            xi[..., 0] < self.t0 + w * (1.0 + SLACK)
         )
-        return in_slice & _defects_within(xi, self.s ** (-2.0), self.s ** (-3.0), slack)
+        return in_slice & _defects_within(xi, self.s ** (-2.0), self.s ** (-3.0), SLACK)
 
 
 def sample_neighborhood(params: DecouplingParams, rng, count: int) -> np.ndarray:
@@ -265,12 +260,12 @@ class ParamBox:
         c = rng.uniform(-self.c_bound, self.c_bound, count)
         return np.column_stack([a, b, c])
 
-    def contains_abc(self, abc, slack: float = SLACK):
+    def contains_abc(self, abc):
         abc = np.asarray(abc, dtype=float)
         mag = np.abs(abc[..., 0])
-        ok_a = (mag >= self.a_lo * (1.0 - slack)) & (mag <= self.a_hi * (1.0 + slack))
-        ok_b = np.abs(abc[..., 1]) <= self.b_bound * (1.0 + slack)
-        ok_c = np.abs(abc[..., 2]) <= self.c_bound * (1.0 + slack)
+        ok_a = (mag >= self.a_lo * (1.0 - SLACK)) & (mag <= self.a_hi * (1.0 + SLACK))
+        ok_b = np.abs(abc[..., 1]) <= self.b_bound * (1.0 + SLACK)
+        ok_c = np.abs(abc[..., 2]) <= self.c_bound * (1.0 + SLACK)
         return ok_a & ok_b & ok_c
 
     def to_points(self, abc) -> np.ndarray:
@@ -817,7 +812,7 @@ def check_rescale(
         d2 = rng.uniform(-1.0, 1.0, samples) * min(params.defect2_tol, s**-2.0) * DEFECT_MARGIN
         d3 = rng.uniform(-1.0, 1.0, samples) * min(params.defect3_tol, s**-3.0) * DEFECT_MARGIN
         xi = _lift(x1, d2, d3)
-        if not bool(np.all(block.contains(xi, slack=SLACK))):
+        if not bool(np.all(block.contains(xi))):
             raise SpecValidationError("internal sampling error: draws left the block")
         target_s_cap = params.r_scale**params.beta / s
         target_r = params.r_scale / r_prev

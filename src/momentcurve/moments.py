@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -95,7 +94,6 @@ class MomentResult:
     value: float
     method: str  # "exact" | "brute" | "quadrature"
     err_estimate: float
-    wall_time: float
     detail: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -114,8 +112,8 @@ class TupleGroupTable:
 
     keys is the join's output as it comes: one int64 row p1 A + p2 B + p3
     when multipliers = (A, B) packs the power sums, else the three rows
-    (p1, p2, p3) and multipliers = None. p1, p2 and p3 decode on each access;
-    group_starts and power_sum read the key without a full unpack.
+    (p1, p2, p3) and multipliers = None. p1, p2 and power_sum(3) decode on
+    each access; group_starts and power_sum read the key without a full unpack.
     """
 
     n: int
@@ -161,10 +159,6 @@ class TupleGroupTable:
     @property
     def p2(self) -> np.ndarray:
         return self.power_sum(2)
-
-    @property
-    def p3(self) -> np.ndarray:
-        return self.power_sum(3)
 
 
 def interval_kernel(d, sigma: float, h0: float, n: int):
@@ -504,15 +498,12 @@ def moment_exact(
     err_estimate bounds the rounding of the assembly (see _pair_assemble);
     it leaves out the kernel's float phase reduction.
     """
-    t0 = time.perf_counter()
     table = build_group_table(spec, s, budget_tuples)
     value, err = _pair_assemble(table, spec.sigma, spec.h0)
-    wall = time.perf_counter() - t0
     return MomentResult(
         value=value,
         method="exact",
         err_estimate=err,
-        wall_time=wall,
         detail={
             "table_entries": table.n_entries,
             "table_bytes": table.keys.nbytes + table.coeffs.nbytes,
@@ -527,7 +518,6 @@ def moment_brute(
     budget_pairs: int = DEFAULT_BRUTE_BUDGET,
 ) -> MomentResult:
     """Oracle moment: direct sum over all pairs of s-tuples, no grouping."""
-    t0 = time.perf_counter()
     n = spec.n
     n_pairs = n ** (2 * s)
     if n_pairs > budget_pairs:
@@ -552,12 +542,10 @@ def moment_brute(
         w = interval_kernel(delta.ravel(), spec.sigma, spec.h0, n).reshape(delta.shape)
         w = np.where(match, w, 0.0)
         total += np.sum(coeff[lo:hi, None] * np.conj(coeff)[None, :] * w)
-    wall = time.perf_counter() - t0
     return MomentResult(
         value=float(total.real),
         method="brute",
         err_estimate=abs(float(total.imag)),
-        wall_time=wall,
     )
 
 

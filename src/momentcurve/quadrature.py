@@ -22,7 +22,6 @@ spectrum k = 1..N.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +203,6 @@ def moment_quadrature(
     Axis counts are grid_counts over extents N^i; err_estimate is the
     step-halving difference of _refined.
     """
-    t0 = time.perf_counter()
     sides = (1.0, 1.0, spec.h_length)
     counts = grid_counts(oversample, [spec.n**i for i in (1, 2, 3)], sides, cell_budget)
     xi = np.arange(1, spec.n + 1, dtype=float)
@@ -219,7 +217,6 @@ def moment_quadrature(
         value=value,
         method="quadrature",
         err_estimate=err,
-        wall_time=time.perf_counter() - t0,
         detail={"counts": list(counts), "oversample": oversample},
     )
 
@@ -288,7 +285,6 @@ def local_moment_quadrature(
       cells at uniformly random translates inside the cube; this is an
       estimator and err_estimate reports the standard error of the mean.
     """
-    t0 = time.perf_counter()
     xi = np.asarray(xi, dtype=float)
     coeffs = np.asarray(coeffs, dtype=complex)
     if xi.ndim != 1 or coeffs.shape != xi.shape or xi.size == 0:
@@ -313,8 +309,7 @@ def local_moment_quadrature(
             value=value,
             method="exact",
             err_estimate=ERR_FLOOR * max(1.0, abs(value)),
-            wall_time=time.perf_counter() - t0,
-            detail={"route": "pair-sum"},
+                detail={"route": "pair-sum"},
         )
 
     if cube_side <= LOCAL_FULL_CUBE_LIMIT:
@@ -331,8 +326,7 @@ def local_moment_quadrature(
             value=value,
             method="quadrature",
             err_estimate=err,
-            wall_time=time.perf_counter() - t0,
-            detail={"route": "full-cube", "counts": list(counts)},
+                detail={"route": "full-cube", "counts": list(counts)},
         )
 
     unit = (1.0, 1.0, 1.0)
@@ -348,7 +342,6 @@ def local_moment_quadrature(
         value=value,
         method="quadrature",
         err_estimate=stderr,
-        wall_time=time.perf_counter() - t0,
         detail={
             "route": "translates",
             "n_translates": LOCAL_TRANSLATES,

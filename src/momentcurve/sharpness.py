@@ -62,9 +62,10 @@ class SweepConfig:
 
     kind "mainexp" sweeps the exact 2s-th moment over N and needs s >= 1;
     "maincor" sweeps local moments over R and needs p > 0 and beta in
-    [1/3, 1]. x_values are the N (or R) grid, strictly increasing, at least
-    three of them so the exponent fit is determined. h0_policy is either
-    "fixed" (use h0 as given) or "random" (a per-(seed, x) uniform draw).
+    [1/3, 1]. x_values are the N (or R) grid, strictly increasing, >= 1, at
+    least three of them so the exponent fit is determined. p and tolerance
+    are finite and > 0, seeds >= 0. h0_policy is either "fixed" (use h0 as
+    given) or "random" (a per-(seed, x) uniform draw).
     """
 
     x_values: tuple[int, ...]
@@ -83,17 +84,17 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         xs = tuple(int(x) for x in self.x_values)
-        if len(xs) < 3 or len(set(xs)) != len(xs) or list(xs) != sorted(xs):
-            raise SpecValidationError("need >= 3 strictly increasing x values")
+        if len(xs) < 3 or list(xs) != sorted(set(xs)) or xs[0] < 1:
+            raise SpecValidationError("need >= 3 strictly increasing x values >= 1")
         object.__setattr__(self, "x_values", xs)
         if self.family not in COEFF_FAMILIES:
             raise SpecValidationError(f"family must be one of {COEFF_FAMILIES}")
-        if not self.seeds:
-            raise SpecValidationError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise SpecValidationError("need at least one seed, all >= 0")
         if self.h0_policy not in ("fixed", "random"):
             raise SpecValidationError("h0_policy must be 'fixed' or 'random'")
-        if self.tolerance <= 0:
-            raise SpecValidationError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise SpecValidationError("tolerance must be finite and > 0")
         require_oversample(self.oversample)
         if self.budget_tuples < 1:
             raise SpecValidationError("budget_tuples must be >= 1")
@@ -101,8 +102,8 @@ class SweepConfig:
             if self.s is None or self.s < 1:
                 raise SpecValidationError("mainexp sweep needs integer s >= 1")
         elif self.kind == "maincor":
-            if self.p is None or self.p <= 0:
-                raise SpecValidationError("maincor sweep needs p > 0")
+            if self.p is None or not (0.0 < self.p < math.inf):
+                raise SpecValidationError("maincor sweep needs finite p > 0")
             if self.beta is None or not (1.0 / 3.0 <= self.beta <= 1.0):
                 raise SpecValidationError("maincor sweep needs beta in [1/3, 1]")
         else:
@@ -161,10 +162,8 @@ class EnvelopeReport:
     rows: tuple[SweepRow, ...]
     fit: ExponentFit
     target: float
-    tolerance: float
     passed: bool
     c_factor: float
-    x_label: str
     detail: dict = field(default_factory=dict, compare=False)
 
 
@@ -270,9 +269,8 @@ def envelope_report(cfg: SweepConfig, rows) -> EnvelopeReport:
         passed = fit.slope <= target + cfg.tolerance
         detail = {"p": p, "beta": beta, "family": cfg.family}
     return EnvelopeReport(
-        rows=rows, fit=fit, target=target, tolerance=cfg.tolerance,
-        passed=passed, c_factor=max(r.value / r.envelope for r in rows),
-        x_label=cfg.x_label, detail=detail,
+        rows=rows, fit=fit, target=target, passed=passed,
+        c_factor=max(r.value / r.envelope for r in rows), detail=detail,
     )
 
 

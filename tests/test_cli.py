@@ -74,6 +74,13 @@ class TestMomentCommand:
         assert main(["moment", "--N", "4", "--s", "2", *argv, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("family", ["random_phase", "constant"])
+    def test_negative_seed_exit_2(self, tmp_path, family):
+        # random_phase used to raise ValueError and exit 1; constant ignored the seed.
+        assert main(["moment", "--N", "5", "--s", "2", "--coeffs", family, "--seed", "-7",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("p", ["nan", "inf", "0", "-2"])
     def test_quad_power_out_of_range_exit_2(self, tmp_path, p):
         # nan and inf used to print value=nan / value=inf and exit 0.
@@ -282,6 +289,31 @@ s = 4
         assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "kind = mainexp\ns = 2\nx_values = 8 16 32\ntolerance = inf",
+            "kind = mainexp\ns = 2\nx_values = 8 16 32\ntolerance = nan",
+            "kind = mainexp\ns = 2\nx_values = 8 16 32\nfamily = random_sign\nseeds = -1",
+            "kind = maincor\np = nan\nbeta = 0.5\nx_values = 16 32 64",
+            "kind = maincor\np = 4\nbeta = 0.5\nx_values = 0, 1, 2",
+        ],
+        ids=["tolerance_inf", "tolerance_nan", "seed_negative", "p_nan", "x_zero"],
+    )
+    def test_bad_value_exit_2_before_any_row(self, tmp_path, body):
+        # Each used to run rows: tolerance = inf passed any slope, nan failed
+        # every one, p = nan stopped inside the first row, and a negative seed
+        # or R = 0 raised (exit 1).
+        cfg = write_config(tmp_path / "bad.ini", "[sweep]\n" + body + "\n")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_exit_2(self, tmp_path, workers):
+        cfg = write_config(tmp_path / "ok.ini", "[sweep]\nx_values = 4 8 16\ns = 2\n")
+        assert main(["sweep", cfg, "--workers", workers, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
     def test_every_key_is_a_config_field(self):
         assert set(SWEEP_KEYS) == {f.name for f in dataclasses.fields(SweepConfig)}
 
@@ -346,11 +378,6 @@ class TestGeometryCommand:
         assert rc == 0
         report = read_only_json(tmp_path / "results", "geometry-geo1-*.json")
         assert report["payload"]["report"]["far_pairs_checked"] == 0
-
-    def test_alias_maps_to_geo1(self, tmp_path):
-        rc = main(["geometry", "overlap", "--samples", "500", "--out", str(tmp_path)])
-        assert rc == 0
-        assert list((tmp_path / "results").glob("geometry-geo1-*.json"))
 
     def test_geo2_both_cases(self, tmp_path):
         rc = main(["geometry", "geo2", "--samples", "800", "--out", str(tmp_path)])
@@ -422,6 +449,8 @@ class TestGeometryCommand:
             # The default ladder scale at this R has more indices than int64 holds.
             ["geo1", "--R", "1e300"],
             ["geo2", "--R", "1e300"],
+            # numpy generators take no negative seed; this used to exit 1.
+            ["geo1", "--seed", "-2", "--samples", "100"],
         ],
         ids=["geo1", "geo2", "geo3", "rescale", "partition", "broad-narrow", "geo1-r_k",
              "geo2-r_zero", "geo2-r_negative", "geo3-r_zero", "geo1-R_zero", "geo2-R_zero",
@@ -430,7 +459,7 @@ class TestGeometryCommand:
              "geo1-r_next_inf", "geo2-r_k_zero", "rescale-r_prev_inf", "geo1-beta_nan",
              "geo2-beta_inf", "partition-R_huge", "partition-R_unresolved",
              "rescale-R_unresolved", "geo3-c_eps_huge", "geo1-R_1e300",
-             "geo2-R_1e300"],
+             "geo2-R_1e300", "geo1-seed_negative"],
     )
     def test_bad_argument_exit_2(self, tmp_path, argv):
         assert main(["geometry", *argv, "--out", str(tmp_path)]) == 2

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from momentcurve import (
     ExpSumSpec,
-    Point3,
     SpecValidationError,
     eval_sum,
     phase_row,
@@ -24,18 +23,10 @@ class TestSpecValidation:
     def test_basic_fields(self):
         spec = spec_ones(5, sigma=1.0, h0=0.25)
         assert spec.h_length == pytest.approx(0.2)
-        assert spec.h_interval == pytest.approx((0.25, 0.45))
 
     def test_h_length_is_exact_power(self):
         spec = spec_ones(7, sigma=2.0)
         assert spec.h_length == 7.0**-2.0
-
-    def test_frequencies_are_moment_curve_points(self):
-        freqs = spec_ones(4).frequencies()
-        assert freqs.shape == (4, 3)
-        np.testing.assert_array_equal(freqs[:, 0], [1, 2, 3, 4])
-        np.testing.assert_array_equal(freqs[:, 1], freqs[:, 0] ** 2)
-        np.testing.assert_array_equal(freqs[:, 2], freqs[:, 0] ** 3)
 
     def test_rejects_bad_n(self):
         with pytest.raises(SpecValidationError):
@@ -68,7 +59,7 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError):
             spec_ones(2, h0=math.inf)
         with pytest.raises(SpecValidationError):
-            Point3(0.0, math.nan, 0.0)
+            eval_sum(spec_ones(2), (0.0, math.nan, 0.0))
 
 
 class TestEvalSum:
@@ -102,11 +93,13 @@ class TestEvalSum:
         x = np.array([0.21, 0.43, 0.65])
         assert eval_sum(spec, x + 1.0) == pytest.approx(eval_sum(spec, x))
 
-    def test_point3_and_array_agree(self):
+    def test_sequence_and_array_agree(self):
+        # One point, as a tuple, a list or a 1-d array, gives the same scalar.
         spec = spec_ones(3)
-        assert eval_sum(spec, Point3(0.1, 0.2, 0.3)) == pytest.approx(
-            eval_sum(spec, (0.1, 0.2, 0.3))
-        )
+        value = eval_sum(spec, (0.1, 0.2, 0.3))
+        assert isinstance(value, complex)
+        assert eval_sum(spec, [0.1, 0.2, 0.3]) == value
+        assert eval_sum(spec, np.array([0.1, 0.2, 0.3])) == value
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(3)

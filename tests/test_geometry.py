@@ -148,7 +148,6 @@ class TestNeighborhood:
         assert params.n_caps == 2**15
         assert params.defect2_tol == pytest.approx(2.0**-30)
         assert params.defect3_tol == pytest.approx(2.0**-20)
-        assert params.cube_exponent == 1.5
 
     def test_param_validation(self):
         with pytest.raises(SpecValidationError):

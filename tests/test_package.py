@@ -18,17 +18,14 @@ ENTRY_POINTS = {
 UNSET_DEFAULTS = {
     "vinogradov_count.budget_tuples": "the tuple budget every exact-engine entry "
     "point takes",
-    "neighborhood_membership.slack": "face tolerance, as CanonicalBlock.contains "
-    "takes and check_rescale sets",
-    "ParamBox.contains_abc.slack": "face tolerance, as CanonicalBlock.contains "
-    "takes and check_rescale sets",
     "local_moment_quadrature.cube_corner": "the local moment is defined on every "
     "translate of the cube; tests move it",
 }
 
 
 def _references(path):
-    """(referenced identifier, top-level name whose definition holds it) pairs.
+    """(referenced identifier, top-level name whose definition holds it, is it
+    an attribute) triples.
 
     Identifiers are loaded names and attribute names; module-level code has
     owner None.
@@ -38,9 +35,15 @@ def _references(path):
         owner = getattr(node, "name", None)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                yield sub.id, owner
+                yield sub.id, owner, False
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr, owner
+                yield sub.attr, owner, True
+
+
+def _package_and_demo_files():
+    """The package's modules other than __init__.py, and the demos."""
+    files = [p for p in (ROOT / "src" / "momentcurve").glob("*.py") if p.name != "__init__.py"]
+    return files + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _call_sites(paths):
@@ -58,16 +61,27 @@ def _call_sites(paths):
     return sites
 
 
+def _public_members():
+    """(label, name, member) for every public method and property of a class
+    in __all__."""
+    for name in momentcurve.__all__:
+        obj = getattr(momentcurve, name)
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (
+                    inspect.isfunction(member) or isinstance(member, property)
+                ):
+                    yield f"{name}.{attr}", attr, member
+
+
 def _public_callables():
     """(label, function) for every function and public method in __all__."""
     for name in momentcurve.__all__:
-        obj = getattr(momentcurve, name)
-        if inspect.isfunction(obj):
-            yield name, obj
-        elif inspect.isclass(obj):
-            for attr, member in vars(obj).items():
-                if inspect.isfunction(member) and not attr.startswith("_"):
-                    yield f"{name}.{attr}", member
+        if inspect.isfunction(getattr(momentcurve, name)):
+            yield name, getattr(momentcurve, name)
+    for label, _, member in _public_members():
+        if inspect.isfunction(member):
+            yield label, member
 
 
 def test_all_names_resolve():
@@ -79,10 +93,21 @@ def test_all_names_resolve():
 
 def test_every_public_name_is_used_outside_tests():
     # A public name that only tests reach is either wired in or deleted.
-    files = [p for p in (ROOT / "src" / "momentcurve").glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py"))
-    used = {ident for path in files for ident, owner in _references(path) if ident != owner}
+    files = _package_and_demo_files()
+    used = {ident for path in files for ident, owner, _ in _references(path) if ident != owner}
     unused = sorted(set(momentcurve.__all__) - used - ENTRY_POINTS)
+    assert unused == []
+
+
+def test_every_public_member_is_used_outside_tests():
+    # The same rule for the methods and properties of public classes: a
+    # member is used where the package, a demo or a benchmark script reads it
+    # as an attribute. Dataclass fields are not covered: they reach records
+    # through dataclasses.asdict.
+    files = _package_and_demo_files()
+    files += [p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "test_perfbench.py"]
+    used = {ident for path in files for ident, _, attr in _references(path) if attr}
+    unused = sorted(label for label, attr, _ in _public_members() if attr not in used)
     assert unused == []
 
 

@@ -137,6 +137,8 @@ class TestSweepConfig:
             SweepConfig(x_values=(8, 16), s=2)
         with pytest.raises(SpecValidationError, match="x values"):
             SweepConfig(x_values=(16, 8, 32), s=2)
+        with pytest.raises(SpecValidationError, match="x values"):
+            SweepConfig(x_values=(0, 1, 2), kind="maincor", p=4.0, beta=0.5)
         with pytest.raises(SpecValidationError, match="family"):
             SweepConfig(x_values=(8, 16, 32), s=2, family="nope")
         with pytest.raises(SpecValidationError, match="h0_policy"):
@@ -160,9 +162,17 @@ class TestSweepConfig:
             ({"kind": "maincor", "p": 2.0}, "beta"),
             ({"kind": "maincor", "p": 2.0, "beta": 0.1}, "beta"),
             ({"kind": "mainexp", "s": 2, "budget_tuples": 0}, "budget_tuples"),
+            # numpy generators take no negative seed; rows used to raise ValueError.
+            ({"kind": "mainexp", "s": 2, "seeds": (1, -1)}, "seed"),
+            # inf used to pass any slope and nan to fail every one.
+            ({"kind": "mainexp", "s": 2, "tolerance": math.inf}, "tolerance"),
+            ({"kind": "mainexp", "s": 2, "tolerance": math.nan}, "tolerance"),
+            ({"kind": "maincor", "p": math.nan, "beta": 0.5}, "p > 0"),
+            ({"kind": "maincor", "p": math.inf, "beta": 0.5}, "p > 0"),
         ],
         ids=["mainexp-no_s", "mainexp-s_zero", "maincor-no_p", "maincor-no_beta",
-             "maincor-beta_0.1", "budget_zero"],
+             "maincor-beta_0.1", "budget_zero", "seed_negative", "tolerance_inf",
+             "tolerance_nan", "maincor-p_nan", "maincor-p_inf"],
     )
     def test_rejects_by_kind(self, fields, message):
         # Each kind's own fields are checked when the config is made, before any row.
@@ -223,7 +233,6 @@ class TestEnvelopeSweeps:
                           tolerance=1e-6)
         rep = verify_envelope(cfg)
         assert rep.fit.slope == pytest.approx(0.5, abs=1e-6)
-        assert rep.x_label == "R"
 
     def test_maincor_requires_p_and_beta(self):
         with pytest.raises(SpecValidationError, match="p > 0"):
