@@ -36,6 +36,20 @@ callers, and err_estimate is a stated bound on the rounding. A block calls
 the kernel on _PAIR_PIECE pairs at a time and sigma = 0 squares |c| in
 _ENERGY_CHUNK slices; both are whole 4096-term segments, so the sums are
 those of one pass while the arrays in flight stay a few MB.
+
+Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
+p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
+p3' = s(n+1)^3 - 3(n+1)^2 p1 + 3(n+1) p2 - p3. So the (p1, p2) group at p1
+maps onto the group at s(n+1) - p1, and every in-group d = p3_i - p3_j
+changes sign. When the coefficients are real and palindromic
+(a_k = a_{n+1-k}, constant coefficients among them), the products carry
+over unchanged and K(-d) = conj(K(d)) leaves the real part of each group's
+sum unchanged, for every sigma and h0. moment_exact and vinogradov_count
+then build a mirrored table: the last join forms only the output p1 with
+2 p1 <= s(n+1), and pair assembly weighs each group with 2 p1 < s(n+1) by
+2 and the middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1,
+in the value and in the bound M alike. Complex or non-palindromic
+coefficients build the whole table.
 """
 
 from __future__ import annotations
@@ -114,6 +128,10 @@ class TupleGroupTable:
     when multipliers = (A, B) packs the power sums, else the three rows
     (p1, p2, p3) and multipliers = None. p1, p2 and power_sum(3) decode on
     each access; group_starts and power_sum read the key without a full unpack.
+
+    A mirrored table holds only the entries with 2 p1 <= s(n+1); each entry
+    with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
+    n_tuples stays n^s.
     """
 
     n: int
@@ -122,6 +140,7 @@ class TupleGroupTable:
     coeffs: np.ndarray = field(repr=False)
     multipliers: tuple[int, int] | None = None
     n_tuples: int = 0
+    mirrored: bool = False
 
     @property
     def n_entries(self) -> int:
@@ -293,7 +312,7 @@ def _pair_counts(hist_a: np.ndarray, hist_b: np.ndarray, symmetric: bool) -> np.
     return counts
 
 
-def _join(ka, ca, kb, cb, unit: int):
+def _join(ka, ca, kb, cb, unit: int, half: bool = False):
     """All pairwise key sums / coefficient products, deduplicated and sorted.
 
     Both sides are sorted by p1, so for a run of output p1 values each left
@@ -305,12 +324,17 @@ def _join(ka, ca, kb, cb, unit: int):
     once: entry i meets only the entries j >= i, and the product of j > i
     gets weight 2, which is exact. Batches are sized by the triangle counts
     of _pair_counts.
+
+    half forms only the lower half of the output p1 range, offsets q with
+    2q <= q_max: the last join of a mirrored table.
     """
     symmetric = ka is kb and ca is cb
     p1a, hist_a = _p1_offsets(ka, unit)
     hist_b = hist_a if symmetric else _p1_offsets(kb, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     per_p1 = _pair_counts(hist_a, hist_b, symmetric)
+    if half:
+        per_p1 = per_p1[: (per_p1.size + 1) // 2]
     batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
     left = np.arange(ka.shape[1])
@@ -350,8 +374,16 @@ def _join(ka, ca, kb, cb, unit: int):
     return out_k[:, :used], out_c[:used]
 
 
+def _mirror_symmetric(coeffs: np.ndarray) -> bool:
+    """True for real coefficients with a_k = a_{n+1-k} (module docstring)."""
+    return not np.any(coeffs.imag) and np.array_equal(coeffs, coeffs[::-1])
+
+
 def build_group_table(
-    spec: ExpSumSpec, s: int, budget_tuples: int = DEFAULT_TUPLE_BUDGET
+    spec: ExpSumSpec,
+    s: int,
+    budget_tuples: int = DEFAULT_TUPLE_BUDGET,
+    mirrored: bool = False,
 ) -> TupleGroupTable:
     """Group all s-tuples from spec's frequencies by power sums.
 
@@ -359,6 +391,10 @@ def build_group_table(
     meet-in-the-middle join touches far fewer rows than N^s in practice but
     the budget is checked against the nominal count, as is the exact-integer
     overflow bound s * N^3 < 2^63.
+
+    mirrored builds only the entries with 2 p1 <= s(N+1): the lower join
+    levels stay whole and the last one stops at the middle p1. It needs
+    real palindromic coefficients.
     """
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
@@ -368,6 +404,8 @@ def build_group_table(
     n_tuples = n**s
     if n_tuples > budget_tuples:
         raise BudgetError("tuple enumeration", n_tuples, budget_tuples)
+    if mirrored and not _mirror_symmetric(spec.coeffs):
+        raise SpecValidationError("a mirrored table needs real palindromic coefficients")
 
     coeffs = spec.coeffs
     if not np.any(coeffs.imag):
@@ -392,15 +430,24 @@ def build_group_table(
             cache[m] = _join(*left, *right, a_mul)
         return cache[m]
 
-    keys, acc = build(s)
+    if s == 1:
+        keys, acc = single, base_c
+        if mirrored:
+            keys, acc = keys[:, : (n + 1) // 2], acc[: (n + 1) // 2]
+    else:
+        keys, acc = _join(*build(s // 2), *build(s - s // 2), a_mul, half=mirrored)
     cache.clear()
     return TupleGroupTable(
-        n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples
+        n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples,
+        mirrored=mirrored,
     )
 
 
 def _segment_sums(t: np.ndarray) -> np.ndarray:
-    """np.sum of each run of _SUM_SEG consecutive terms of the 1-D array t."""
+    """np.sum of each run of _SUM_SEG consecutive terms of the 1-D array t.
+
+    The last entry sums the partial tail, so an empty t gives [0.0].
+    """
     full = t.size - t.size % _SUM_SEG
     return np.append(t[:full].reshape(-1, _SUM_SEG).sum(axis=1), t[full:].sum())
 
@@ -409,13 +456,26 @@ def _energy_sums(c: np.ndarray) -> np.ndarray:
     """_segment_sums(|c|^2), formed _ENERGY_CHUNK coefficients at a time.
 
     Chunk edges are segment edges, so the sums are those of one pass, each
-    chunk adding only a zero for its empty tail.
+    chunk adding only a zero for its empty tail. An empty c is one empty
+    chunk and gives [0.0], as _segment_sums does.
     """
     sums = []
-    for lo in range(0, c.size, _ENERGY_CHUNK):
+    for lo in range(0, max(c.size, 1), _ENERGY_CHUNK):
         mod = np.abs(c[lo : lo + _ENERGY_CHUNK])
         sums.append(_segment_sums(np.square(mod, out=mod)))
     return np.concatenate(sums)
+
+
+def _doubled_entries(table: TupleGroupTable) -> int:
+    """Entries at the head of the table that stand for their mirror too.
+
+    Those with 2 p1 < s(n+1) in a mirrored table, found by bisecting the
+    sorted key at the least p1 with 2 p1 >= s(n+1); 0 otherwise.
+    """
+    if not table.mirrored:
+        return 0
+    unit = 1 if table.multipliers is None else table.multipliers[0]
+    return int(np.searchsorted(table.keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
 
 
 def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[float, float]:
@@ -444,22 +504,29 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     That is at most (5 + 32 + 1) u M + u M = 39u M; k = 40 leaves u M for the
     second-order terms. The error of the kernel's own float phase reduction
     (d h0 and d L reduced mod 1 in float64) is not included; that is ROADMAP
-    item 3.
+    item 5.
+
+    In a mirrored table the groups with 2 p1 < s(n+1) count twice, in the
+    sums and in M; doubling is exact, so the bound holds as derived.
     """
+    c = table.coeffs
+    m = _doubled_entries(table)
     if sigma == 0.0:
-        value = math.fsum(_energy_sums(table.coeffs))  # = M up to rounding
-        return value, _ROUNDOFF_K * 2.0**-53 * value
+        value = math.fsum(np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])))
+        return value, _ROUNDOFF_K * 2.0**-53 * value  # value = M up to rounding
 
     length = interval_kernel(0, sigma, h0, table.n).real
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
-    mass = length * np.sum(np.add.reduceat(np.abs(table.coeffs), starts) ** 2)
-    partials = [length * _energy_sums(table.coeffs)]
+    split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
+    group_mass = np.add.reduceat(np.abs(c), starts) ** 2
+    mass = length * (2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:]))
+    partials = [2.0 * length * _energy_sums(c[:m]), length * _energy_sums(c[m:])]
 
-    def block(g, rows):
+    def block(weight, g, rows):
         iu, ju = np.triu_indices(g, 1)
         sel = (rows[:, None] + np.arange(g)).ravel()
-        p3, c = table.power_sum(3, sel), table.coeffs[sel]
+        p3, cs = table.power_sum(3, sel), c[sel]
         n_pairs = rows.size * iu.size
         sums = []
         for lo in range(0, n_pairs, _PAIR_PIECE):
@@ -470,18 +537,21 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
             i, j = first + iu[q], first + ju[q]
             del first, q
             w = interval_kernel(p3[i] - p3[j], sigma, h0, table.n)
-            terms = np.multiply(c[i], np.conj(c[j]))
+            terms = np.multiply(cs[i], np.conj(cs[j]))
             sums.append(_segment_sums(np.multiply(terms, w).real))
-        return np.concatenate(sums)
+        return weight * np.concatenate(sums)
 
     def blocks():
-        for g in np.unique(sizes[sizes > 1]).tolist():
-            g_starts = starts[sizes == g]
-            per = max(1, _PAIR_CHUNK // (g * (g - 1) // 2))
-            for lo in range(0, g_starts.size, per):
-                yield g, g_starts[lo : lo + per]
+        # Twice the real part of each upper triangle, twice more below the middle.
+        for weight, part in ((4.0, slice(0, split)), (2.0, slice(split, None))):
+            p_starts, p_sizes = starts[part], sizes[part]
+            for g in np.unique(p_sizes[p_sizes > 1]).tolist():
+                g_starts = p_starts[p_sizes == g]
+                per = max(1, _PAIR_CHUNK // (g * (g - 1) // 2))
+                for lo in range(0, g_starts.size, per):
+                    yield weight, g, g_starts[lo : lo + per]
 
-    partials += [2.0 * part for part in _in_order(block, blocks())]
+    partials += list(_in_order(block, blocks()))
     return math.fsum(np.concatenate(partials)), _ROUNDOFF_K * 2.0**-53 * mass
 
 
@@ -498,7 +568,9 @@ def moment_exact(
     err_estimate bounds the rounding of the assembly (see _pair_assemble);
     it leaves out the kernel's float phase reduction.
     """
-    table = build_group_table(spec, s, budget_tuples)
+    table = build_group_table(
+        spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
+    )
     value, err = _pair_assemble(table, spec.sigma, spec.h0)
     return MomentResult(
         value=value,
@@ -508,6 +580,7 @@ def moment_exact(
             "table_entries": table.n_entries,
             "table_bytes": table.keys.nbytes + table.coeffs.nbytes,
             "n_tuples": table.n_tuples,
+            "mirrored": table.mirrored,
         },
     )
 
@@ -555,12 +628,17 @@ def vinogradov_count(
     """Exact count of 2s-tuples in [1,n]^2s matching all three power sums.
 
     Counted as sum over (p1, p2, p3) classes of (tuple count)^2 in integer
-    arithmetic. Class counts are accumulated as float64 but stay far below
-    2^53 under the tuple budget, so the result is exact.
+    arithmetic, over the mirrored table with weight 2 below the middle p1.
+    Class counts are accumulated as float64 but stay far below 2^53 under
+    the tuple budget, so the result is exact.
     """
     if n < 1 or s < 1:
         raise SpecValidationError("need n >= 1 and s >= 1")
     spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=0.0)
-    table = build_group_table(spec, s, budget_tuples)
+    table = build_group_table(
+        spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
+    )
     counts = np.rint(np.real(table.coeffs)).astype(np.int64)
-    return int(np.sum(counts * counts))
+    squares = counts * counts
+    m = _doubled_entries(table)
+    return int(2 * np.sum(squares[:m]) + np.sum(squares[m:]))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from momentcurve import SweepConfig, verify_envelope
+from momentcurve import ExpSumSpec, SweepConfig, build_group_table, coeffs_for, verify_envelope
 from momentcurve.cli import SWEEP_KEYS, main
 from momentcurve.records import format_cell, sha256_file
 
@@ -118,6 +118,27 @@ class TestMomentCommand:
         # A huge oversample asks for an infinite grid: over budget, not an overflow.
         assert main(["moment", "--N", "4", "--s", "2", "--method", "quad",
                      "--oversample", "1e308", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("family, mirrored", [("constant", True), ("random_sign", False)])
+    def test_record_states_the_table_built(self, tmp_path, family, mirrored):
+        # Constant coefficients are palindromic: the record describes the
+        # half table. random_sign draws are not, and build the whole one.
+        rc = main(["moment", "--N", "11", "--s", "3", "--sigma", "1.0", "--coeffs", family,
+                   "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        detail = read_only_json(tmp_path / "results", "moment-*.json")["detail"]
+        spec = ExpSumSpec(n=11, coeffs=coeffs_for(family, 11, 3))
+        table = build_group_table(spec, 3, mirrored=mirrored)
+        full = build_group_table(spec, 3)
+        assert detail["mirrored"] is mirrored
+        assert detail["table_entries"] == table.n_entries
+        assert detail["table_bytes"] == table.keys.nbytes + table.coeffs.nbytes
+        assert detail["n_tuples"] == 11**3
+        if mirrored:
+            # The full table holds each group below the middle twice.
+            assert table.n_entries < full.n_entries < 2 * table.n_entries
+        else:
+            assert table.n_entries == full.n_entries
 
     def test_manifest_records_output_digest(self, tmp_path):
         main(["moment", "--N", "5", "--s", "2", "--out", str(tmp_path)])

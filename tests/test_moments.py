@@ -322,9 +322,9 @@ class TestJoin:
         joins, formed = [], []
         join, dedupe = moments._join, moments._dedupe
 
-        def spy_join(ka, ca, kb, cb, unit):
+        def spy_join(ka, ca, kb, cb, unit, half=False):
             formed.clear()
-            out = join(ka, ca, kb, cb, unit)
+            out = join(ka, ca, kb, cb, unit, half)
             joins.append((ka.shape[1], kb.shape[1], sum(formed)))
             return out
 
@@ -341,12 +341,15 @@ class TestJoin:
             assert pairs == entries * (entries + 1) // 2
 
 
-def ordered_join(ka, ca, kb, cb, unit):
-    """The join that forms every ordered pair (i, j), self-joins included."""
+def ordered_join(ka, ca, kb, cb, unit, half=False):
+    """The join that forms every ordered pair (i, j), self-joins included;
+    half stops at the middle output p1, as in _join."""
     p1a, hist_a = moments._p1_offsets(ka, unit)
     _, hist_b = moments._p1_offsets(kb, unit)
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     per_p1 = np.convolve(hist_a, hist_b)
+    if half:
+        per_p1 = per_p1[: (per_p1.size + 1) // 2]
     batch_of = (np.cumsum(per_p1) - per_p1) // moments._JOIN_CHUNK
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
 
@@ -619,6 +622,14 @@ class TestMomentExact:
         res = moment_exact(spec_ones(4), 2)
         assert res.method == "exact"
         assert res.detail["n_tuples"] == 16
+        assert res.detail["mirrored"] is True
+
+    def test_n384_s3_constant_is_pinned(self):
+        # The sigma = 0 count is an exact integer; the mirrored table keeps it.
+        res = moment_exact(spec_ones(384), 3)
+        assert res.value == 338413056.0
+        assert res.detail["mirrored"] is True
+        assert res.detail["n_tuples"] == 384**3
 
     def test_result_record_states_table_memory(self):
         spec = ExpSumSpec(n=9, coeffs=coeffs_for("random_phase", 9, 1), sigma=0.5)
@@ -665,6 +676,138 @@ class TestMomentExact:
         got = json.loads(proc.stdout)
         unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
         assert got["rise"] * unit <= 2 * got["table"]
+
+
+def palindromic_signs(n, seed):
+    """+-1 coefficients with a_k = a_{n+1-k}, not all equal for n >= 3."""
+    half = np.random.default_rng(seed).choice([-1.0, 1.0], (n + 1) // 2)
+    half[0] = -half[-1]
+    return np.concatenate([half, half[: n // 2][::-1]])
+
+
+def fsum_full_square(table, sigma, h0):
+    """The full g x g square of every group of an unhalved table, each real
+    term added by math.fsum: only the terms' own products round."""
+    terms = []
+    for sl in group_slices(table):
+        p3 = table.power_sum(3, sl)
+        d = p3[:, None] - p3[None, :]
+        w = interval_kernel(d.ravel(), sigma, h0, table.n)
+        c = table.coeffs[sl].astype(complex)
+        terms.append((np.repeat(c, c.size) * np.conj(np.tile(c, c.size)) * w).real)
+    return math.fsum(np.concatenate(terms))
+
+
+class TestMirror:
+    # Real palindromic coefficients build only the groups with
+    # 2 p1 <= s(N+1) and weigh those below the middle by 2. s(N+1) is odd
+    # only for odd s and even N; then there is no middle group.
+
+    @pytest.mark.parametrize("h0", [0.0, 0.3])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("family", ["constant", "palindromic"])
+    @pytest.mark.parametrize("s, ns", [(2, (6, 7)), (3, (6, 7)), (4, (4, 5))])
+    def test_matches_brute(self, s, ns, family, sigma, h0):
+        for n in ns:
+            coeffs = np.ones(n) if family == "constant" else palindromic_signs(n, n + s)
+            spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
+            res = moment_exact(spec, s)
+            want = moment_brute(spec, s).value
+            assert res.detail["mirrored"] is True
+            if sigma == 0.0:
+                assert res.value == want == int(want)
+            else:
+                assert abs(res.value - want) <= res.err_estimate, (n, res.value, want)
+
+    @pytest.mark.parametrize(
+        "n, s, sigma, h0",
+        [(20, 3, 1.0, 0.3), (21, 3, 1.0, 0.0), (12, 4, 1.5, 0.3), (24, 4, 1.0, 0.3),
+         (30, 2, 2.0, 0.3), (16, 3, 0.0, 0.0)],
+    )
+    @pytest.mark.parametrize("family", ["constant", "palindromic"])
+    def test_matches_the_unhalved_table(self, n, s, sigma, h0, family):
+        coeffs = np.ones(n) if family == "constant" else palindromic_signs(n, n)
+        spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
+        full = build_group_table(spec, s)
+        half = build_group_table(spec, s, mirrored=True)
+        assert half.mirrored and not full.mirrored and half.n_tuples == full.n_tuples == n**s
+        # The half table is the full table's head, bit for bit ...
+        twice_p1 = 2 * full.p1
+        middle = s * (n + 1)
+        head = twice_p1 <= middle
+        assert half.n_entries == int(head.sum()) < full.n_entries
+        assert np.array_equal(half.keys, full.keys[:, head])
+        assert np.array_equal(half.coeffs.view(np.uint64), full.coeffs[head].view(np.uint64))
+        # ... and the tail is the mirror image of the part below the middle.
+        p1, p2, p3 = (full.power_sum(e, ~head) for e in (1, 2, 3))
+        m = n + 1
+        image = np.stack([
+            s * m - p1, s * m**2 - 2 * m * p1 + p2, s * m**3 - 3 * m**2 * p1 + 3 * m * p2 - p3
+        ])
+        order = np.lexsort(image[::-1])
+        below = twice_p1 < middle
+        assert np.array_equal(image[:, order], np.stack([full.p1, full.p2, full.power_sum(3)])[:, below])
+        assert np.array_equal(full.coeffs[~head][order], full.coeffs[below])
+        res = moment_exact(spec, s)
+        assert res.detail["table_entries"] == half.n_entries
+        assert abs(res.value - fsum_full_square(full, sigma, h0)) <= res.err_estimate
+
+    @pytest.mark.parametrize("packing", ["packed", "three rows"])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "n, s, middle", [(6, 3, False), (7, 3, True), (1, 3, True), (1, 2, True)]
+    )
+    def test_with_and_without_a_middle_group(self, monkeypatch, n, s, middle, sigma, packing):
+        if packing == "three rows":
+            monkeypatch.setattr(moments, "_packing_multipliers", lambda n, s: None)
+        spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=sigma, h0=0.3)
+        table = build_group_table(spec, s, mirrored=True)
+        assert (table.multipliers is None) == (packing == "three rows")
+        doubled = moments._doubled_entries(table)
+        assert (doubled < table.n_entries) == middle
+        assert np.all(2 * table.p1[:doubled] < s * (n + 1))
+        assert np.all(2 * table.p1[doubled:] == s * (n + 1))
+        res = moment_exact(spec, s)
+        assert res.detail["mirrored"] is True
+        if n == 1:
+            assert table.n_entries == 1 and doubled == 0
+            assert res.value == 1.0
+        else:
+            assert abs(res.value - moment_brute(spec, s).value) <= res.err_estimate
+
+    def test_empty_sums_are_zero(self):
+        # A table without a middle group sums an empty tail.
+        for empty in (np.empty(0), np.empty(0, dtype=complex)):
+            assert moments._segment_sums(np.abs(empty)).tolist() == [0.0]
+            assert moments._energy_sums(empty).tolist() == [0.0]
+
+    def test_s1_keeps_the_lower_frequencies(self):
+        for n in (5, 6):
+            table = build_group_table(spec_ones(n), 1, mirrored=True)
+            assert table.p1.tolist() == list(range(1, (n + 1) // 2 + 1))
+            assert moment_exact(spec_ones(n, sigma=0.7, h0=0.2), 1).value == pytest.approx(
+                n**-0.7 * n, rel=1e-15
+            )
+
+    @pytest.mark.parametrize("kind", ["complex palindromic", "real not palindromic"])
+    def test_other_coefficients_take_the_full_path(self, kind):
+        n, s = 6, 3
+        if kind == "real not palindromic":
+            coeffs = palindromic_signs(n, 2)
+            coeffs[0] = -coeffs[-1]
+        else:
+            half = np.exp(2j * math.pi * np.random.default_rng(9).uniform(0, 1, n // 2))
+            coeffs = np.concatenate([half, half[::-1]])
+            assert np.array_equal(coeffs, coeffs[::-1]) and np.any(coeffs.imag != 0.0)
+        assert not moments._mirror_symmetric(ExpSumSpec(n=n, coeffs=coeffs).coeffs)
+        for sigma in (0.0, 1.0):
+            spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=0.3)
+            res = moment_exact(spec, s)
+            assert res.detail["mirrored"] is False
+            assert res.detail["table_entries"] == build_group_table(spec, s).n_entries
+            assert res.value == pytest.approx(moment_brute(spec, s).value, rel=1e-12)
+            with pytest.raises(SpecValidationError):
+                build_group_table(spec, s, mirrored=True)
 
 
 class TestBruteAgreement:
@@ -726,6 +869,13 @@ class TestVinogradovCount:
         got = vinogradov_count(n, s)
         monkeypatch.setattr(moments, "_join", ordered_join)
         assert got == vinogradov_count(n, s)
+
+    @pytest.mark.parametrize("n, s", [(6, 3), (7, 3), (9, 4), (12, 5), (1, 3)])
+    def test_half_table_matches_the_full_count(self, n, s):
+        # Weight 2 below the middle p1 and 1 at it, in int64.
+        full = build_group_table(spec_ones(n), s)
+        counts = np.rint(full.coeffs).astype(np.int64)
+        assert vinogradov_count(n, s) == int(np.sum(counts * counts))
 
     def test_matches_sigma0_moment(self):
         # The count equals the sigma=0 moment with constant coefficients.
