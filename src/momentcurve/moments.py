@@ -28,14 +28,20 @@ block at hand, so the table is never unpacked whole.
 
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
-real part of its strict upper triangle, and only that triangle reaches the
-kernel. Blocks of same-size groups, about _PAIR_CHUNK pairs each, run on the
-same pool and are taken in block order; math.fsum adds their partial sums with
-one rounding, so the value does not depend on the number of cores or on other
-callers, and err_estimate is a stated bound on the rounding. A block calls
-the kernel on _PAIR_PIECE pairs at a time and sigma = 0 squares |c| in
-_ENERGY_CHUNK slices; both are whole 4096-term segments, so the sums are
-those of one pass while the arrays in flight stay a few MB.
+real part of its strict upper triangle, and only that triangle is formed. The
+kernel is factored per entry, with no transcendental function per pair: for
+u_i = c_i e(p3_i h0) and v_i = u_i e(p3_i L), a pair contributes
+Im(v_i conj(v_j) - u_i conj(u_j)) / (2 pi d). The phases p3 h0 and p3 L are
+reduced mod 1 exactly, h0 and L split into pieces short enough that every
+p3 times a piece is an exact float. Blocks of same-size groups, about
+_PAIR_CHUNK pairs each, run on the same pool and are taken in block order;
+math.fsum adds their partial sums with one rounding, so the value does not
+depend on the number of cores or on other callers, and err_estimate is a
+stated bound on the error, the phase reduction and exp included. A block
+forms its pairs _PAIR_PIECE at a time, u and v only for the groups the piece
+touches, and sigma = 0 squares |c| in _ENERGY_CHUNK slices; both are whole
+4096-term segments, so the sums are those of one pass while the arrays in
+flight stay a few MB.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -87,11 +93,12 @@ _PAIR_PIECE = 16 * _SUM_SEG
 # Coefficients per |c|^2 pass of the diagonal energy: whole segments, so a
 # pass holds 8 MB of |c| at most instead of a copy of the table.
 _ENERGY_CHUNK = 256 * _SUM_SEG
-# err_estimate = _ROUNDOFF_K * u * M, derived in _pair_assemble.
+# err_estimate = u (_ROUNDOFF_K M + _PHASE_K M_d), derived in _pair_assemble.
 _ROUNDOFF_K = 40
+_PHASE_K = 32
 
 # Join batches and pair-assembly blocks of every caller (sweep rows too) run
-# on this one pool. Sorting and the kernel's ufuncs release the GIL, so tasks
+# on this one pool. Sorting and the blocks' ufuncs release the GIL, so tasks
 # on different threads overlap. Only callers submit, through _in_order.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -188,7 +195,12 @@ def interval_kernel(d, sigma: float, h0: float, n: int):
     sigma > 0 and d != 0 the closed form e(d*h0) (e(d*len) - 1) / (2 pi i d)
     is evaluated as e(d*h0) e(y/2)... sin(pi y) / (pi d) with y the fractional
     part of d*len, which avoids the catastrophic cancellation of the naive
-    expression at large |d|.
+    expression at large |d|. d*len and d*h0 are reduced mod 1 in float64,
+    which errs by about |d| 2^-53 turns.
+
+    moment_exact takes only the scalar K(0) = len from here; its pairs use
+    the kernel factored per entry, with an exact reduction (_pair_assemble).
+    The array form serves moment_brute and the tests.
     """
     d_arr = np.atleast_1d(np.asarray(d))
     if not np.issubdtype(d_arr.dtype, np.integer):
@@ -200,8 +212,8 @@ def interval_kernel(d, sigma: float, h0: float, n: int):
 
     length = float(n) ** (-sigma)
     df = d_arr.astype(float)
-    # Pair assembly never passes d = 0, so the mask and its gathers are only
-    # paid for when some d is 0; then K(0) = length.
+    # The mask and its gathers are only paid for when some d is 0; then
+    # K(0) = length.
     zero = d_arr == 0
     has_zero = bool(zero.any())
     if has_zero:
@@ -478,6 +490,122 @@ def _doubled_entries(table: TupleGroupTable) -> int:
     return int(np.searchsorted(table.keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
 
 
+def _split(x: float, bits: int) -> list[float]:
+    """Floats of at most `bits` significant bits each that add up to x exactly.
+
+    Veltkamp/Dekker splitting: each piece is the remainder rounded to `bits`
+    bits at the remainder's own exponent. The new remainder is a multiple of
+    ulp(x) and 2^bits times smaller, so it is exact and at most
+    ceil(53 / bits) pieces come out.
+    """
+    pieces = []
+    while x != 0.0:
+        e = math.frexp(x)[1] - bits
+        piece = math.ldexp(round(math.ldexp(x, -e)), e)
+        pieces.append(piece)
+        x -= piece
+    return pieces
+
+
+def _phase(p3: np.ndarray, pieces: list[float]) -> np.ndarray:
+    """p3 x - round(p3 x) for the integers p3 (as floats) and x = sum(pieces).
+
+    With pieces of at most 53 - b bits for p3 < 2^b, every p3 * piece is an
+    exact float and so is its reduction mod 1. Adding two reduced values
+    rounds once, by at most u/2 (u = 2^-53) as |sum| <= 1, and the sum is
+    reduced again exactly: the result errs by (len(pieces) - 1) u/2 at most.
+    """
+    out = np.zeros(p3.shape)
+    t, r = np.empty(p3.shape), np.empty(p3.shape)
+    for piece in pieces:
+        np.multiply(p3, piece, out=t)
+        np.subtract(t, np.round(t, out=r), out=t)
+        out += t
+        np.subtract(out, np.round(out, out=r), out=out)
+    return out
+
+
+def _entry_factors(p3: np.ndarray, c: np.ndarray, h_pieces, l_pieces):
+    """v = u e(p3 L) and u = c e(p3 h0) of each entry: (vr, vi, ur, ui).
+
+    h_pieces and l_pieces split h0 and L (_split). An empty h_pieces means
+    h0 is an integer, so u = c. When u is then also real, Im(u_i conj(u_j))
+    is exactly 0 and only (vr, vi) is returned.
+    """
+    if h_pieces:
+        cos, sin = _turn(_phase(p3, h_pieces))
+        if np.iscomplexobj(c):
+            ur = c.real * cos
+            ur -= c.imag * sin
+            ui = c.real * sin
+            ui += c.imag * cos
+        else:
+            ur, ui = np.multiply(c, cos, out=cos), np.multiply(c, sin, out=sin)
+    elif np.iscomplexobj(c):
+        ur, ui = c.real, c.imag
+    else:
+        ur, ui = c, None
+    cos, sin = _turn(_phase(p3, l_pieces))
+    if ui is None:
+        return np.multiply(ur, cos, out=cos), np.multiply(ur, sin, out=sin)
+    vr = ur * cos
+    vr -= ui * sin
+    vi = np.multiply(ur, sin, out=sin)
+    vi += np.multiply(ui, cos, out=cos)
+    return vr, vi, ur, ui
+
+
+def _turn(theta: np.ndarray):
+    """cos and sin of 2 pi theta; theta's buffer holds the cosine."""
+    np.multiply(theta, 2.0 * math.pi, out=theta)
+    sin = np.sin(theta)
+    return np.cos(theta, out=theta), sin
+
+
+def _pair_terms(a, b, p3, vr, vi, *u) -> np.ndarray:
+    """Im(v_i conj(v_j) - u_i conj(u_j)) / (p3_i - p3_j) for pairs i = a[q], j = b[q].
+
+    The entry arrays hold entry i of group r at [i, r], so each pair of the
+    pattern is formed for every group at once: the result is (pairs, groups).
+    That is 2 pi Re(c_i conj(c_j) K(p3_i - p3_j)). Without u = (ur, ui) the
+    u term is left out, as _entry_factors does only where it is exactly 0.
+    """
+    x = vi[a]
+    x *= vr[b]
+    t = vr[a]
+    t *= vi[b]
+    x -= t
+    if u:
+        ur, ui = u
+        y = np.multiply(ui[a], ur[b], out=t)
+        t = ur[a]
+        t *= ui[b]
+        y -= t
+        x -= y
+    d = np.take(p3, a, axis=0, out=t)
+    d -= p3[b]
+    x /= d
+    return x
+
+
+def _triangle_rects(p: int, lo: int, hi: int):
+    """Cut pairs lo..hi-1 of consecutive groups of p pairs into rectangles.
+
+    Pair k is pair k % p of group k // p. Yields (q_lo, q_hi, r_lo, r_hi):
+    pairs q_lo..q_hi-1 of groups r_lo..r_hi-1, in the order of k.
+    """
+    r_first, r_last = -(-lo // p), hi // p  # whole groups r_first..r_last-1
+    if r_first > r_last:  # inside one group
+        yield lo % p, hi - r_last * p, r_last, r_last + 1
+        return
+    if lo % p:
+        yield lo % p, p, r_first - 1, r_first
+    if r_last > r_first:
+        yield 0, p, r_first, r_last
+    if hi % p:
+        yield 0, hi % p, r_last, r_last + 1
+
+
 def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[float, float]:
     """Sum c_i conj(c_j) K(p3_i - p3_j) over all same-(p1, p2) pairs, and a bound.
 
@@ -485,29 +613,55 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     sum is L sum |c_i|^2 + 2 Re sum_{i<j} c_i conj(c_j) K(p3_i - p3_j) with
     L = K(0) = n^-sigma, the one kernel value taken on the calling thread.
     At sigma = 0 the kernel is exactly 0 off the diagonal and only the first
-    term is formed.
+    term is formed. H is [h0, h0 + L] for the float h0 and the float L.
 
-    The second value bounds |computed - exact sum| for the given coefficients
-    and float kernel values by k u M, with u = 2^-53, k = _ROUNDOFF_K = 40 and
-    M = L sum_G (sum_{i in G} |c_i|)^2 (M = L sum |c_i|^2 at sigma = 0), which
-    bounds the sum of |term| over both triangles and the diagonal. To first
-    order in u, with |K| <= L:
-      - a pair term is two complex products and a real part; each product
-        component errs by at most 2u |a||b|, so a term errs by at most
-        (1 + sqrt 2) 2u |c_i||c_j| L < 5u |c_i||c_j| L;
-      - a diagonal term |c_i|^2 is a hypot within one ulp, then a square:
-        at most 5u |c_i|^2;
+    The kernel is factored per entry: with u_i = c_i e(p3_i h0) and
+    v_i = u_i e(p3_i L), c_i conj(c_j) K(d) = (v_i conj(v_j) - u_i conj(u_j))
+    / (2 pi i d), whose real part is Im(v_i conj(v_j) - u_i conj(u_j)) /
+    (2 pi d). So a block forms u and v once per entry and a pair costs four
+    products, three subtractions and a division by d (_pair_terms); each
+    block's segment sums are scaled by weight / (2 pi) at the end. The
+    phases p3 h0 and p3 L are reduced mod 1 exactly (_phase), with h0 and L
+    split into pieces of 53 - b bits, b the bit length of s n^3 >= p3.
+
+    The second value bounds |computed - exact sum| for the table's float
+    coefficients, h0 and L by u (k M + k' M_d), with u = 2^-53,
+    k = _ROUNDOFF_K = 40, k' = _PHASE_K = 32,
+    M = L sum_G (sum_{i in G} |c_i|)^2 (M = L sum |c_i|^2 at sigma = 0) and
+    M_d = sum_G sum_{i in G} |c_i|^2 (H_r + H_{g-1-r}) / delta_G, where entry
+    i is the r-th of its group's g, H_m = 1 + 1/2 + ... + 1/m and delta_G is
+    the least gap between the group's sorted p3. Since |p3_i - p3_j| >=
+    |r_i - r_j| delta_G and 2|c_i||c_j| <= |c_i|^2 + |c_j|^2, M_d bounds
+    sum_G sum_{i != j} |c_i||c_j| / |d_ij|. To first order in u, taking
+    np.cos and np.sin to be within 4 ulp:
+      - a phase errs by at most 3u turns (at most 7 pieces, as b <= 45);
+        2 pi times it rounds by at most 1.35 pi u (math.pi included) and
+        cos and sin add 4u each, so each e(.) errs by at most
+        6 pi u + 1.35 pi u + 4 sqrt(2) u < 29u;
+      - a complex product errs by at most sqrt(5) u |a||b|, so
+        |u_i - exact| <= 32u |c_i| and |v_i - exact| <= 64u |c_i|;
+      - Im(v_i conj(v_j)) then errs by at most 2 64u |c_i||c_j| from its
+        inputs and 2u |c_i||c_j| from its two products and subtraction, the
+        u term by 2 32u + 2u, their difference rounds by 2u and the division
+        by d (exact, as |d| < 2^45) by 2u / |d|: a pair term errs by at most
+        200u |c_i||c_j| / |d|, which is 31.9u |c_i||c_j| / |d| after the
+        factor 1 / (2 pi). Both triangles and the mirror weights give
+        31.9u M_d;
+      - a pair term is at most L |c_i||c_j| after the factor, as
+        |e(dL) - 1| <= 2 pi |d| L; a diagonal term |c_i|^2 is a hypot within
+        one ulp, then a square: at most 5u |c_i|^2;
       - a segment sum adds at most _SUM_SEG terms pairwise, at most 32
         roundings per term: 32u times the sum of its |terms|;
-      - L times a diagonal segment sum adds u; doubling a pair sum is exact;
+      - L times a diagonal segment sum adds u, the factor weight / (2 pi)
+        and its product with a pair segment sum add 2u; doubling is exact;
       - math.fsum rounds the sum of all segment sums once: u M.
-    That is at most (5 + 32 + 1) u M + u M = 39u M; k = 40 leaves u M for the
-    second-order terms. The error of the kernel's own float phase reduction
-    (d h0 and d L reduced mod 1 in float64) is not included; that is ROADMAP
-    item 5.
+    A diagonal term errs by at most (5 + 32 + 1)u and a pair term by
+    (32 + 2)u relative to its share of M, so with fsum the M part is at
+    most 39u M. k = 40 and k' = 32 leave u M and 0.1u M_d for the
+    second-order terms.
 
     In a mirrored table the groups with 2 p1 < s(n+1) count twice, in the
-    sums and in M; doubling is exact, so the bound holds as derived.
+    sums, in M and in M_d; doubling is exact, so the bound holds as derived.
     """
     c = table.coeffs
     m = _doubled_entries(table)
@@ -522,24 +676,45 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     group_mass = np.add.reduceat(np.abs(c), starts) ** 2
     mass = length * (2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:]))
     partials = [2.0 * length * _energy_sums(c[:m]), length * _energy_sums(c[m:])]
+    # p3 <= s n^3 < 2^(53 - bits); without pairs no piece is used.
+    bits = 53 - (table.s * table.n**3).bit_length()
+    if bits < 8 and np.any(sizes > 1):
+        raise SpecValidationError("the exact route needs s N^3 < 2^45 when sigma > 0")
+    h_pieces = _split(h0 - round(h0), max(bits, 8))
+    l_pieces = _split(length, max(bits, 8))
 
     def block(weight, g, rows):
         iu, ju = np.triu_indices(g, 1)
-        sel = (rows[:, None] + np.arange(g)).ravel()
-        p3, cs = table.power_sum(3, sel), c[sel]
-        n_pairs = rows.size * iu.size
-        sums = []
+        p = iu.size
+        n_pairs = rows.size * p
+        harmonic = np.append(0.0, np.cumsum(1.0 / np.arange(1, g)))  # H_0 .. H_{g-1}
+        rank = harmonic + harmonic[::-1]
+        sums, spread = [], 0.0
         for lo in range(0, n_pairs, _PAIR_PIECE):
             # Pair k of the block is upper-triangle pair k % P of the block's
-            # group k // P, P = iu.size; first is that group's offset in sel.
-            first, q = np.divmod(np.arange(lo, min(lo + _PAIR_PIECE, n_pairs)), iu.size)
-            first *= g
-            i, j = first + iu[q], first + ju[q]
-            del first, q
-            w = interval_kernel(p3[i] - p3[j], sigma, h0, table.n)
-            terms = np.multiply(cs[i], np.conj(cs[j]))
-            sums.append(_segment_sums(np.multiply(terms, w).real))
-        return weight * np.concatenate(sums)
+            # group k // P, P = iu.size. A piece forms u and v for the groups
+            # r0 <= r < r1 it touches, entry a of group r at [a, r - r0], and
+            # bounds the groups whose first pair it holds.
+            hi = min(lo + _PAIR_PIECE, n_pairs)
+            r0, r1 = lo // p, -(-hi // p)
+            sel = (rows[r0:r1] + np.arange(g)[:, None]).ravel()
+            p3 = table.power_sum(3, sel).astype(float).reshape(g, -1)
+            cs = c[sel].reshape(g, -1)
+            factors = _entry_factors(p3, cs, h_pieces, l_pieces)
+            terms = np.empty(hi - lo)
+            at = 0
+            for q_lo, q_hi, g_lo, g_hi in _triangle_rects(p, lo - r0 * p, hi - r0 * p):
+                x = _pair_terms(iu[q_lo:q_hi], ju[q_lo:q_hi], p3[:, g_lo:g_hi],
+                                *(f[:, g_lo:g_hi] for f in factors))
+                terms[at : at + x.size].reshape(x.shape[::-1])[...] = x.T
+                at += x.size
+            del factors
+            sums.append(_segment_sums(terms))
+            own = slice(-(-lo // p) - r0, None)
+            gaps = np.diff(p3[:, own], axis=0).min(axis=0)
+            energy = np.square(np.abs(cs[:, own]))
+            spread += float(np.sum(rank @ energy / gaps))
+        return weight / (2.0 * math.pi) * np.concatenate(sums), weight / 2.0 * spread
 
     def blocks():
         # Twice the real part of each upper triangle, twice more below the middle.
@@ -551,8 +726,12 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
                 for lo in range(0, g_starts.size, per):
                     yield weight, g, g_starts[lo : lo + per]
 
-    partials += list(_in_order(block, blocks()))
-    return math.fsum(np.concatenate(partials)), _ROUNDOFF_K * 2.0**-53 * mass
+    spread = 0.0
+    for sums, part in _in_order(block, blocks()):
+        partials.append(sums)
+        spread += part
+    err = 2.0**-53 * (_ROUNDOFF_K * mass + _PHASE_K * spread)
+    return math.fsum(np.concatenate(partials)), err
 
 
 def moment_exact(
@@ -563,10 +742,11 @@ def moment_exact(
     """Exact 2s-th moment of |S| over [0,1]^2 x H via tuple grouping.
 
     The x1, x2 integrals enforce the (p1, p2) matching; the x3 integral over H
-    contributes interval_kernel(d - d') per inner pair. At sigma = 0 the
-    kernel is a Kronecker delta and the pair sum collapses to sum |c|^2.
-    err_estimate bounds the rounding of the assembly (see _pair_assemble);
-    it leaves out the kernel's float phase reduction.
+    contributes the kernel K(d - d') per inner pair, factored per entry. At
+    sigma = 0 the kernel is a Kronecker delta and the pair sum collapses to
+    sum |c|^2. err_estimate bounds the error of the assembly for the table's
+    coefficients, its per-entry phase reduction and exp included (see
+    _pair_assemble).
     """
     table = build_group_table(
         spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)

@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,47 +408,71 @@ class TestPairAssembly:
     @pytest.mark.parametrize("sigma", [0.0, 1.3])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_err_estimate_bounds_exact_rational_sum(self, monkeypatch, sigma, kind):
-        # The same float coefficients and kernel values, summed without
-        # rounding: the assembly's only error is its own arithmetic.
+        # The same float coefficients and per-entry u, v as the assembly,
+        # summed without rounding: left out is only the assembly's own
+        # arithmetic, which err_estimate bounds too.
         n, s = 8, 3
         rng = np.random.default_rng(31)
         spec = ExpSumSpec(n=n, coeffs=phased_coeffs(rng, n, kind), sigma=sigma, h0=0.61)
         table = build_group_table(spec, s)
-        exact = Fraction(0)
-        for sl in group_slices(table):
-            p3 = table.power_sum(3, sl)
-            d = p3[:, None] - p3[None, :]
-            w = interval_kernel(d.ravel(), sigma, spec.h0, n)
-            c = table.coeffs[sl].astype(complex)
-            ci, cj = np.repeat(c, c.size), np.tile(c, c.size)
-            for a, b, k in zip(ci.tolist(), cj.tolist(), w.tolist()):
-                re = Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
-                im = Fraction(a.imag) * Fraction(b.real) - Fraction(a.real) * Fraction(b.imag)
-                exact += re * Fraction(k.real) - im * Fraction(k.imag)
+        exact = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in table.coeffs.tolist())
+        if sigma > 0.0:
+            length = float(n) ** -sigma
+            bits = 53 - (s * n**3).bit_length()
+            pieces = [moments._split(x, bits) for x in (spec.h0 - round(spec.h0), length)]
+            p3 = table.power_sum(3).astype(float)
+            vr, vi, ur, ui = moments._entry_factors(p3, table.coeffs, *pieces)
+            off = Fraction(0)
+            for sl in group_slices(table):
+                rows = [[Fraction(x) for x in f[sl].tolist()] for f in (p3, ur, ui, vr, vi)]
+                for i, j in zip(*np.triu_indices(sl.stop - sl.start, 1)):
+                    q3, a, b, c, d = rows
+                    im = (d[i] * c[j] - c[i] * d[j]) - (b[i] * a[j] - a[i] * b[j])
+                    off += im / (q3[i] - q3[j])
+            # Re(c_i conj(c_j) K(d)) = Im(v_i conj(v_j) - u_i conj(u_j)) / (2 pi d),
+            # with 1 / pi as a 200-bit fraction and its error kept as a margin.
+            with mpmath.workprec(200):
+                man, exp = (1 / mpmath.pi).man_exp
+            inv_pi = man * Fraction(2) ** exp
+            margin = abs(off) * Fraction(1, 2**190)
+            exact = Fraction(length) * exact + off * inv_pi
+        else:
+            margin = Fraction(0)
         for seg in (5, moments._SUM_SEG):
             monkeypatch.setattr(moments, "_SUM_SEG", seg)
             res = moment_exact(spec, s)
             assert 0.0 < res.err_estimate < 1e-12 * res.value
-            assert abs(Fraction(res.value) - exact) <= Fraction(res.err_estimate)
+            assert abs(Fraction(res.value) - exact) <= Fraction(res.err_estimate) - margin
 
     def test_kernel_sees_only_the_strict_upper_triangle(self, monkeypatch):
+        # interval_kernel gives only the scalar K(0); the kernel factored per
+        # entry is formed for the strict upper triangle of each group.
         spec = ExpSumSpec(n=14, coeffs=coeffs_for("random_phase", 14, 2), sigma=1.1, h0=0.2)
         table = build_group_table(spec, 4)
         sizes = np.array([sl.stop - sl.start for sl in group_slices(table)])
-        kernel = moments.interval_kernel
-        diagonal, pairs = [], []
+        kernel, pair_terms = moments.interval_kernel, moments._pair_terms
+        calls, pairs = [], []
 
         def counting(d, *args):
-            # One scalar K(0) gives the diagonal's L; pair blocks pass arrays.
-            (diagonal if np.ndim(d) == 0 else pairs).append(d)
+            calls.append((d, threading.current_thread()))
             return kernel(d, *args)
 
+        def spy(a, b, *args):
+            assert np.all(a < b)
+            out = pair_terms(a, b, *args)
+            pairs.append(out.size)
+            return out
+
         monkeypatch.setattr(moments, "_PAIR_CHUNK", 1000)
+        monkeypatch.setattr(moments, "_SUM_SEG", 16)
+        monkeypatch.setattr(moments, "_PAIR_PIECE", 48)  # pieces that cut groups
         monkeypatch.setattr(moments, "interval_kernel", counting)
+        monkeypatch.setattr(moments, "_pair_terms", spy)
         moment_exact(spec, 4)
-        assert diagonal == [0]
-        assert all(np.all(d != 0) for d in pairs)
-        assert sum(d.size for d in pairs) == int(np.sum(sizes * (sizes - 1) // 2)) > 0
+        # One scalar K(0) for the diagonal's L, on the calling thread ...
+        assert calls == [(0, threading.current_thread())]
+        # ... and every upper-triangle pair formed once by the blocks.
+        assert sum(pairs) == int(np.sum(sizes * (sizes - 1) // 2)) > 0
 
     def test_concurrent_moments_match_serial(self, monkeypatch):
         # Rows of a sweep assemble at once on the shared pool; their blocks
@@ -469,19 +495,19 @@ class TestPairAssembly:
         spec = ExpSumSpec(n=12, coeffs=coeffs_for("random_phase", 12, 4), sigma=1.0, h0=0.4)
         want = moment_exact(spec, 4).value
         monkeypatch.setattr(moments, "_PAIR_CHUNK", 1)
-        kernel = moments.interval_kernel
+        pair_terms = moments._pair_terms
         calls = []
 
         def failing(*args):
             calls.append(None)
             if len(calls) == 5:
                 raise MemoryError("block")
-            return kernel(*args)
+            return pair_terms(*args)
 
-        monkeypatch.setattr(moments, "interval_kernel", failing)
+        monkeypatch.setattr(moments, "_pair_terms", failing)
         with pytest.raises(MemoryError):
             moment_exact(spec, 4)
-        monkeypatch.setattr(moments, "interval_kernel", kernel)
+        monkeypatch.setattr(moments, "_pair_terms", pair_terms)
         assert moment_exact(spec, 4).value == pytest.approx(want, rel=1e-13)
         monkeypatch.undo()
         assert moment_exact(spec, 4).value == want
@@ -544,6 +570,154 @@ class TestPairAssembly:
         sums = moments._segment_sums(t.real)
         assert sums.shape == (3,)
         assert np.all(sums[:2] > 1.0)
+
+
+def mpmath_moment(table, sigma, h0):
+    """The moment of a whole table's float coefficients at 50 digits.
+
+    Every same-(p1, p2) pair (i, j), the diagonal included, adds
+    c_i conj(c_j) times the integral of e(d x) over [h0, h0 + L], with
+    d = p3_i - p3_j and L the float n^-sigma, evaluated as
+    (e(d (h0 + L)) - e(d h0)) / (2 pi i d). Groups come from np.unique, not
+    from the engine, and no float kernel is used.
+    """
+    with mpmath.workdps(50):
+        lo = mpmath.mpf(h0)
+        length = mpmath.mpf(float(table.n) ** -sigma)
+        hi = lo + length  # exact at 50 digits
+        kernel = {0: length}
+        total = mpmath.mpf(0)
+        for sl in group_slices(table):
+            p3 = table.power_sum(3, sl).tolist()
+            c = [mpmath.mpc(z) for z in table.coeffs[sl].astype(complex).tolist()]
+            for ci, pi in zip(c, p3):
+                for cj, pj in zip(c, p3):
+                    d = pi - pj
+                    if d not in kernel:
+                        kernel[d] = (mpmath.expjpi(2 * d * hi) - mpmath.expjpi(2 * d * lo)) / (
+                            2j * mpmath.pi * d
+                        )
+                    total += (ci * mpmath.conj(cj) * kernel[d]).real
+        return total
+
+
+def oracle_coeffs(rng, n, family):
+    if family == "complex":
+        return phased_coeffs(rng, n, family)
+    if family == "real":
+        return rng.uniform(-1.0, 1.0, n)
+    head = rng.uniform(-1.0, 1.0, (n + 1) // 2)  # real palindromic
+    return np.concatenate([head, head[: n // 2][::-1]])
+
+
+class TestFactoredKernel:
+    # Pair assembly forms u = c e(p3 h0) and v = u e(p3 L) per entry, with
+    # p3 h0 and p3 L reduced mod 1 exactly by splitting h0 and L.
+
+    @pytest.mark.parametrize("s, n", [(3, 584), (4, 118)])
+    def test_split_pieces_multiply_exactly(self, s, n):
+        # The largest N the default budget allows for s = 3 and s = 4.
+        assert n**s <= moments.DEFAULT_TUPLE_BUDGET < (n + 1) ** s
+        top = s * n**3
+        bits = 53 - top.bit_length()
+        rng = np.random.default_rng(top)
+        for x in [0.61 - 1.0, 0.37, 1e-300, -0.5, float(n) ** -2.0, *rng.uniform(-0.5, 1, 20)]:
+            pieces = moments._split(x, bits)
+            assert sum(Fraction(p) for p in pieces) == Fraction(x)
+            assert len(pieces) <= -(-53 // bits)
+            for p in pieces:
+                assert float(top) * p == Fraction(top) * Fraction(p)  # exact product
+                assert Fraction(p).numerator.bit_length() <= bits
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sn=st.sampled_from([(3, 584), (4, 118)]),
+        x=st.one_of(
+            st.floats(min_value=-0.5, max_value=0.5),
+            st.integers(min_value=6, max_value=584).flatmap(
+                lambda n: st.floats(0.5, 2.0).map(lambda sigma: float(n) ** -sigma)
+            ),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_phase_matches_mpmath(self, sn, x, seed):
+        s, n = sn
+        top = s * n**3
+        p3 = np.random.default_rng(seed).integers(0, top + 1, 64)
+        p3[:2] = (top, top - 1)
+        got = moments._phase(p3.astype(float), moments._split(x, 53 - top.bit_length()))
+        assert np.all(np.abs(got) <= 0.5)
+        with mpmath.workdps(60):
+            for k, g in zip(p3.tolist(), got.tolist()):
+                want = k * mpmath.mpf(x)
+                miss = want - g - mpmath.nint(want - g)  # distance mod 1
+                assert abs(miss) <= 4 * 2.0**-53, (k, x, g)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=14),
+        s=st.sampled_from([3, 4]),
+        sigma=st.floats(min_value=0.5, max_value=2.0),
+        h0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        family=st.sampled_from(["real", "complex", "palindromic"]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_moment_within_err_estimate_of_mpmath(self, n, s, sigma, h0, family, seed):
+        coeffs = oracle_coeffs(np.random.default_rng(seed), n, family)
+        spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
+        res = moment_exact(spec, s)
+        assert res.detail["mirrored"] is (family == "palindromic")
+        # The whole table: a mirrored one's head is its first half bit for bit.
+        want = mpmath_moment(build_group_table(spec, s), sigma, h0)
+        assert abs(mpmath.mpf(res.value) - want) <= res.err_estimate
+
+    def test_err_estimate_covers_the_cancellation_at_small_d(self):
+        # One group of two entries, d = 3, with L = 1000^-2:
+        # v_i conj(v_j) - u_i conj(u_j) is 2 pi d L of the size of its terms,
+        # so the rounding of u and v, divided by d, outweighs the 40u M part
+        # of the bound; the M_d part covers it.
+        n, sigma = 1000, 2.0
+        rng = np.random.default_rng(11)
+        over = 0
+        for _ in range(20):
+            top = int(rng.integers(10**8, 3 * n**3 - 3))
+            c = phased_coeffs(rng, 2, "complex")
+            keys = np.array([[5, 5], [9, 9], [top, top + 3]], dtype=np.int64)
+            table = moments.TupleGroupTable(n=n, s=3, keys=keys, coeffs=c)
+            h0 = float(rng.uniform(0, 1))
+            value, err = moments._pair_assemble(table, sigma, h0)
+            miss = abs(mpmath.mpf(value) - mpmath_moment(table, sigma, h0))
+            assert miss <= err
+            mass = float(n) ** -sigma * float(np.sum(np.abs(c))) ** 2
+            over += bool(miss > moments._ROUNDOFF_K * 2.0**-53 * mass)
+        assert over > 0
+
+    def test_u_term_is_left_out_only_where_it_is_zero(self):
+        rng = np.random.default_rng(5)
+        p3 = rng.integers(0, 3 * 20**3, 40).astype(float)
+        pieces = moments._split(20.0**-1.5, 53 - (3 * 20**3).bit_length())
+        real, cplx = rng.uniform(-1, 1, 40), phased_coeffs(rng, 40, "complex")
+        assert len(moments._entry_factors(p3, real, [], pieces)) == 2
+        for c, h in ((cplx, []), (real, moments._split(0.3, 38))):
+            assert len(moments._entry_factors(p3, c, h, pieces)) == 4
+        # With u = c real, Im(u_i conj(u_j)) is exactly 0: leaving it out keeps the bits.
+        vr, vi = moments._entry_factors(p3, real, [], pieces)
+        a, b = np.triu_indices(40, 1)
+        group = [f.reshape(40, 1) for f in (p3, vr, vi, real, np.zeros(40))]  # one group of 40
+        assert np.array_equal(moments._pair_terms(a, b, *group), moments._pair_terms(a, b, *group[:3]))
+
+    def test_p3_past_2_to_the_45_is_refused_only_with_pairs(self):
+        # One group of two entries whose p3 need 46 bits.
+        n = 2**16
+        table = moments.TupleGroupTable(
+            n=n, s=1, keys=np.array([[1, 1], [1, 1], [1, 2**45]], dtype=np.int64),
+            coeffs=np.ones(2),
+        )
+        with pytest.raises(SpecValidationError):
+            moments._pair_assemble(table, 1.0, 0.3)
+        # s = 1 has no pairs, so large N still works.
+        big = ExpSumSpec(n=40_000, coeffs=np.ones(40_000), sigma=1.0, h0=0.3)
+        assert moment_exact(big, 1).value == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMomentExact:
@@ -642,14 +816,17 @@ class TestMomentExact:
     @pytest.mark.parametrize(
         "n, family, value, err",
         [
-            (48, "constant", 2544271.732973381, 6.269476937603713e-08),
-            (48, "random_phase", 2490266.4008500464, 6.190983933620802e-08),
-            (96, "constant", 21005191.87964415, 9.97853319972819e-07),
-            (96, "random_phase", 20564393.960460633, 9.88499698512169e-07),
+            (48, "constant", 2544271.7329733837, 7.199896398736625e-08),
+            (48, "random_phase", 2490266.4008500464, 7.114676739694564e-08),
+            (96, "constant", 21005191.87964426, 1.132095745055002e-06),
+            (96, "random_phase", 20564393.960460633, 1.1218153745341903e-06),
         ],
+        ids=["48-constant", "48-random_phase", "96-constant", "96-random_phase"],
     )
     def test_s4_values_are_pinned(self, n, family, value, err):
-        # Figures of the engine that unpacked (p1, p2, p3) before pairing.
+        # Figures of the kernel factored per entry. A long-double oracle puts
+        # every value within 1.2e-9 (6e-17 relative) of the exact moment of
+        # the table's coefficients.
         spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 7), sigma=1.0, h0=0.3)
         res = moment_exact(spec, 4)
         assert (res.value, res.err_estimate) == (value, err)
