@@ -88,6 +88,20 @@ def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
     return values
 
 
+def _unit_mean(x) -> np.ndarray:
+    """Mean of e(x t) over t in [0, 1], elementwise for float x.
+
+    That is (e(x) - 1) / (2 pi i x), and e(x) = e(y) for y = x - round(x), so
+    it equals e(y/2) sin(pi y) / (pi x): no cancellation at large |x|, and
+    exactly 0 at every nonzero integer x. It is 1 at x = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = x - np.round(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.exp(1j * math.pi * y) * (np.sin(math.pi * y) / (math.pi * x))
+    return np.where(x == 0.0, 1.0, mean)
+
+
 def phase_row(nu: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
     """Phase factors e(nu * (start + step*j)) for j = 0..count-1, per frequency.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, SpecValidationError
-from .expsums import ExpSumSpec, phase_row
+from .expsums import ExpSumSpec, _unit_mean, phase_row
 from .moments import MomentResult
 
 DEFAULT_CELL_BUDGET = int(4e8)
@@ -240,8 +240,9 @@ def _cube_average_exact_p2(
     """Closed-form cube average of |g|^2: pair sum with per-axis averages.
 
     The average of e(delta . x) over the cube factorizes into three interval
-    averages e(d c) e^(i pi y) sin(pi y)/(pi d side) with y the reduced d*side,
-    so the whole p=2 moment costs O(|Xi|^2) and is exact up to roundoff.
+    averages, e(d c) times the mean of e(d side t) over t in [0, 1]
+    (expsums._unit_mean) for axis difference d and corner c, so the whole
+    p=2 moment costs O(|Xi|^2) and is exact up to roundoff.
     """
     freqs = np.column_stack([xi, xi**2, xi**3])
     total = float(np.sum(np.abs(coeffs) ** 2))
@@ -251,13 +252,7 @@ def _cube_average_exact_p2(
         factor = np.ones(iu.size, dtype=complex)
         for axis in range(3):
             d = freqs[iu, axis] - freqs[ju, axis]
-            x = d * side
-            y = x - np.round(x)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                avg = np.exp(1j * math.pi * y) * np.sin(math.pi * y) / (math.pi * x)
-            avg = np.where(np.abs(x) < 1e-300, 1.0 + 0j, avg)
-            avg = avg * np.exp(2j * math.pi * (d * corner[axis] % 1.0))
-            factor *= avg
+            factor *= _unit_mean(d * side) * np.exp(2j * math.pi * (d * corner[axis] % 1.0))
         pair = coeffs[iu] * np.conj(coeffs[ju]) * factor
         total += 2.0 * float(np.sum(pair.real))
     return total

@@ -105,55 +105,47 @@ class TestIntervalKernel:
         for i, di in enumerate(d):
             assert vals[i] == pytest.approx(complex(interval_kernel(int(di), 1.0, 0.1, 4)))
 
-    @pytest.mark.parametrize("zeros", [False, True])
-    @pytest.mark.parametrize("h0", [0.0, 0.37])
-    def test_bit_identical_to_the_plain_formula(self, h0, zeros):
-        # The kernel reuses its buffers through out=; the values must keep
-        # the bits of the formula written with fresh temporaries.
-        rng = np.random.default_rng(14)
-        d = rng.integers(-4 * 96**3, 4 * 96**3, 500_000)
-        d[d == 0] = 1
-        if zeros:
-            d[::11] = 0
-        want = plain_kernel(d, 1.5, h0, 96)
-        got = interval_kernel(d, 1.5, h0, 96)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    def test_within_the_stated_bound_of_mpmath(self):
+        # The docstring's bound, |K - exact| <= 40 u L (1 + |d| (|h0| + L)),
+        # for the float h0 and L, against the closed form at 50 digits.
+        # c = 40 covers the first-order 34 and 2 pi on the |d| terms; over
+        # 15,000 draws like these the worst ratio to u L (1 + |d| (|h0| + L))
+        # was 5.6.
+        rng = np.random.default_rng(21)
+        u = 2.0**-53
+        for _ in range(400):
+            n = int(rng.integers(2, 1001))
+            s = int(rng.integers(3, 5))
+            sigma = float(rng.uniform(0.0, 2.0))
+            h0 = float(rng.uniform(-1.0, 1.0))
+            top = s * n**3
+            if rng.random() < 0.2:
+                top = 9
+            d = int(rng.integers(-top, top + 1))
+            length = float(n) ** -sigma
+            got = complex(interval_kernel(d, sigma, h0, n))
+            with mpmath.workdps(50):
+                if d == 0:
+                    want = mpmath.mpf(length)
+                else:
+                    md, mh, ml = mpmath.mpf(d), mpmath.mpf(h0), mpmath.mpf(length)
+                    want = mpmath.expjpi(2 * md * mh) * (mpmath.expjpi(2 * md * ml) - 1) / (
+                        2j * mpmath.pi * md
+                    )
+                err = float(abs(mpmath.mpc(got) - want))
+            assert err <= 40 * u * length * (1 + abs(d) * (abs(h0) + length)), (n, s, sigma, h0, d)
 
-    @pytest.mark.parametrize("h0", [0.0, 0.37])
-    def test_temporaries_stay_small(self, h0):
-        # About 41 bytes per entry: the float d, two float buffers, one
-        # complex one and the zero mask. Fresh temporaries took 65 (h0 = 0)
-        # and 81 bytes per entry (h0 != 0).
-        d = np.random.default_rng(15).integers(1, 4 * 96**3, 500_000)
-        tracemalloc.start()
-        try:
-            interval_kernel(d, 1.5, h0, 96)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * d.size
-
-
-def plain_kernel(d, sigma, h0, n):
-    """interval_kernel for sigma > 0 as the formula reads, every step a fresh array."""
-    d_arr = np.atleast_1d(np.asarray(d))
-    length = float(n) ** (-sigma)
-    df = d_arr.astype(float)
-    zero = d_arr == 0
-    has_zero = bool(zero.any())
-    if has_zero:
-        df = df[~zero]
-    x = df * length
-    y = x - np.round(x)
-    val = np.multiply(np.exp(1j * math.pi * y), np.sin(math.pi * y) / (math.pi * df))
-    if h0 != 0.0:
-        w = df * h0
-        np.multiply(val, np.exp(2j * math.pi * (w - np.round(w))), out=val)
-    if has_zero:
-        out = np.full(d_arr.shape, length, dtype=complex)
-        out[~zero] = val
-        val = out
-    return val
+    def test_exact_values(self):
+        # sigma = 0 gives exactly 0 and 1 for any h0; d = 0 gives exactly L.
+        d = np.random.default_rng(22).integers(-4 * 96**3, 4 * 96**3, 1000)
+        d[::7] = 0
+        for h0 in (0.0, 0.37, -0.81):
+            k = interval_kernel(d, 0.0, h0, 96)
+            assert np.all(k[d != 0] == 0.0) and np.all(k[d == 0] == 1.0)
+            for sigma in (0.3, 1.0, 1.5, 2.0):
+                k = interval_kernel(d, sigma, h0, 96)
+                assert np.all(k[d == 0] == 96.0**-sigma)
+                assert interval_kernel(0, sigma, h0, 96) == 96.0**-sigma
 
 
 class TestGroupTable:
@@ -1020,6 +1012,45 @@ class TestBruteAgreement:
     def test_brute_budget(self):
         with pytest.raises(BudgetError):
             moment_brute(spec_ones(30), 4, budget_pairs=10**6)
+
+    def test_brute_forms_only_matched_pairs(self):
+        # Kernel values and coefficient products are formed for the pairs
+        # with equal (p1, p2) only; forming them for all 4096^2 pairs and
+        # masking traced about 1 GiB here.
+        spec = ExpSumSpec(n=8, coeffs=coeffs_for("random_phase", 8, 1), sigma=1.0, h0=0.3)
+        tracemalloc.start()
+        try:
+            moment_brute(spec, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+    def test_brute_chunks_do_not_grow_with_the_budget(self):
+        spec = ExpSumSpec(n=9, coeffs=coeffs_for("random_phase", 9, 2), sigma=1.0, h0=0.3)
+        peaks = []
+        for budget in (10**8, 10**12):
+            tracemalloc.start()
+            try:
+                moment_brute(spec, 4, budget_pairs=budget)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 1.1 * min(peaks)
+
+    def test_brute_within_err_estimate_of_exact_at_n10_s4(self):
+        spec = ExpSumSpec(n=10, coeffs=coeffs_for("random_phase", 10, 3), sigma=1.0, h0=0.3)
+        exact = moment_exact(spec, 4)
+        assert abs(moment_brute(spec, 4).value - exact.value) <= exact.err_estimate
+
+    def test_brute_counts_matched_pairs(self):
+        # At s = 2, (p1, p2) fixes the multiset {k1, k2}: 2 n^2 - n pairs.
+        for n in (1, 5, 12):
+            assert moment_brute(spec_ones(n), 2).detail == {"matched_pairs": 2 * n * n - n}
+        # At s = 4, each (p1, p2) group's tuple count squared, from the table.
+        table = build_group_table(spec_ones(7), 4)
+        counts = np.add.reduceat(np.rint(table.coeffs.real).astype(np.int64), table.group_starts())
+        assert moment_brute(spec_ones(7), 4).detail["matched_pairs"] == int(np.sum(counts**2))
 
     @settings(max_examples=15, deadline=None)
     @given(
