@@ -5,19 +5,26 @@ frequencies. Integrating x1 and x2 over full periods forces the tuple power
 sums p1 = sum k_i and p2 = sum k_i^2 to agree between the two sides, so the
 computation groups s-tuples by (p1, p2), accumulates coefficient products per
 cube power sum p3 = sum k_i^3, and pairs the groups against the x3-interval
-kernel. Group tables are built meet-in-the-middle (tables for s come from
-joining tables for s//2 and s - s//2), never by enumerating 2s-tuples.
+kernel. Group tables are built meet-in-the-middle, never by enumerating
+2s-tuples.
 
-A join never compares keys of different p1: both halves are sorted by p1, so
-the pairs that land on each output p1 are known in advance (a convolution of
-the two p1 histograms). The join cuts the output p1 range into batches of
-about _JOIN_CHUNK pairs, dedupes each batch on a shared thread pool, and
-writes the batches in p1 order into one output buffer. The result is sorted
-without any merge of partial results. When both halves are the same table
-(every even level, so both joins of an s = 4 table) the join forms each
-unordered pair once: entry i meets only entries j >= i, a product with j > i
-gets the exact weight 2, and batches are sized by the triangle counts per
-output p1.
+Up to s = 6 the join forms each multiset of s frequencies once. Sorted,
+k_1 <= ... <= k_s splits once into its s//2 least and s - s//2 greatest
+members, and halves of up to three members are multiset tables, one
+multiset per (p1, p2, p3) by Newton's identities. So the join pairs a left
+multiset only with the right ones whose least member is at least its
+greatest, and weighs the pair by the multinomial s!/prod m_i! times the
+product of the coefficients. Larger s joins the tables for s//2 and
+s - s//2 members, every ordered pair. A join never compares keys of
+different p1: both halves are sorted by p1, so the pairs that land on each
+output p1 are known in advance (the count of s-multisets with that sum, or
+the convolution of the two p1 histograms). The join cuts the output p1
+range into batches of about _JOIN_CHUNK pairs, sorts each batch on a shared
+thread pool, and writes the batches in p1 order into one output buffer. The
+result is sorted without any merge of partial results. Up to three members
+the keys of different multisets differ, so a batch is one sort; from four
+on, multisets with equal power sums (Prouhet-Tarry-Escott coincidences such
+as {1, 5, 8, 12} and {2, 3, 10, 11}) are added up.
 
 A table keeps the join's output as it comes: the coefficients and one
 packed int64 key row p1 A + p2 B + p3, with B = s n^3 + 1 and
@@ -77,8 +84,9 @@ DEFAULT_BRUTE_BUDGET = int(1e8)
 
 # Pairs per join batch. A batch is a run of consecutive output p1 values
 # holding about this many pairs; one p1 value with more pairs is a batch of
-# its own.
-_JOIN_CHUNK = 500_000
+# its own. A multiset join keeps nearly every pair it forms, so this many
+# pairs is about this many entries in flight per batch.
+_JOIN_CHUNK = 125_000
 # Pairs per pair-assembly block. A block is a run of groups of one size
 # holding about this many upper-triangle pairs; one group with more pairs is
 # a block of its own.
@@ -142,7 +150,8 @@ class TupleGroupTable:
 
     A mirrored table holds only the entries with 2 p1 <= s(n+1); each entry
     with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
-    n_tuples stays n^s.
+    n_tuples stays n^s. join_pairs counts the pairs the last join formed and
+    sorted (0 for s = 1, which has no join).
     """
 
     n: int
@@ -152,6 +161,7 @@ class TupleGroupTable:
     multipliers: tuple[int, int] | None = None
     n_tuples: int = 0
     mirrored: bool = False
+    join_pairs: int = 0
 
     @property
     def n_entries(self) -> int:
@@ -233,18 +243,31 @@ def _packing_multipliers(n: int, s: int) -> tuple[int, int] | None:
     return None
 
 
-def _dedupe(keys: np.ndarray, coeffs: np.ndarray):
+def _dedupe(keys: np.ndarray, coeffs: np.ndarray, few_equal: bool):
     """Sum coefficients of equal key columns; columns come out sorted.
 
-    keys has shape (rows, entries). The sort is stable, so each group's
-    summands are added in input order.
+    keys has shape (rows, entries). Equal keys keep their input order, so
+    each group's summands are added in that order. Without equal keys, as
+    always for multisets of up to three members, nothing is added.
+
+    few_equal says equal keys are rare, as in a multiset join: one packed
+    row then takes numpy's unstable sort, several times faster than a
+    stable one, and the runs of equal keys are put back in input order.
     """
-    order = np.lexsort(keys[::-1])
+    fast = few_equal and keys.shape[0] == 1
+    order = np.argsort(keys[0]) if fast else np.lexsort(keys[::-1])
     keys = keys[:, order]
-    coeffs = coeffs[order]
     fresh = np.empty(keys.shape[1], dtype=bool)
     fresh[0] = True
     fresh[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    if fresh.all():
+        return keys, coeffs[order]
+    if fast:
+        in_run = ~fresh
+        in_run[:-1] |= in_run[1:]  # a run's first column too
+        run = np.flatnonzero(in_run)
+        order[run] = order[run][np.lexsort((order[run], keys[0, run]))]
+    coeffs = coeffs[order]
     gid = np.cumsum(fresh) - 1
     if np.iscomplexobj(coeffs):
         acc = np.bincount(gid, weights=coeffs.real).astype(complex)
@@ -288,79 +311,173 @@ def _in_order(fn, arg_tuples):
             future.cancel()
 
 
-def _pair_counts(hist_a: np.ndarray, hist_b: np.ndarray, symmetric: bool) -> np.ndarray:
-    """Pairs a join forms per output p1 offset, from the two p1 histograms.
+def _multiset_counts(n: int, s: int) -> np.ndarray:
+    """Multisets of s members of 1..n per sum p1 = s, s + 1, ..., s n.
 
-    Ordered pairs (i, j) number conv(hist_a, hist_b). A self-join forms only
-    i <= j: (conv(h, h) + diag) // 2 with diag[2a] = h[a], the pairs (i, i).
+    They are the coefficients of the complete homogeneous polynomial
+    h_s(x, x^2, ..., x^n), built by Newton's identities
+    m h_m = sum_{e=1..m} p_e h_{m-e} with p_e = x^e + x^(2e) + ... + x^(ne).
     """
-    counts = np.convolve(hist_a, hist_b)
-    if symmetric:
-        counts[::2] += hist_a
-        counts //= 2
-    return counts
+    h = [np.ones(1, dtype=np.int64)]
+    for m in range(1, s + 1):
+        acc = np.zeros(m * n + 1, dtype=np.int64)
+        for e in range(1, m + 1):
+            p = np.zeros(e * n + 1, dtype=np.int64)
+            p[e::e] = 1
+            acc += np.convolve(p, h[m - e])
+        h.append(acc // m)
+    return h[s][s:]
 
 
-def _join(ka, ca, kb, cb, unit: int, half: bool = False):
-    """All pairwise key sums / coefficient products, deduplicated and sorted.
+def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """first[k] + t for every t < lens[k], k ascending, then t."""
+    ends = np.cumsum(lens)
+    pos = np.arange(int(ends[-1]) if ends.size else 0)
+    pos -= np.repeat(ends - lens - first, lens)
+    return pos
 
-    Both sides are sorted by p1, so for a run of output p1 values each left
-    entry i meets one contiguous slice of the right side. Pairs are formed in
-    (i, j) order, so every group sums its products in that order whatever the
-    batch size.
 
-    A self-join (the same table on both sides) forms each unordered pair
-    once: entry i meets only the entries j >= i, and the product of j > i
-    gets weight 2, which is exact. Batches are sized by the triangle counts
-    of _pair_counts.
+@dataclass(frozen=True)
+class _Multisets:
+    """Every multiset of `size` members of 1..n, one per column, sorted by key.
+
+    Each entry keeps its least and greatest member with their
+    multiplicities, and coeffs = size!/prod(m!) times the product of its
+    members' coefficients, m running over its multiplicities: the table
+    coefficient of its key, as up to three members (p1, p2, p3) fix the
+    multiset by Newton's identities.
+    """
+
+    n: int
+    size: int
+    keys: np.ndarray
+    coeffs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_mult: np.ndarray
+    hi_mult: np.ndarray
+
+    @classmethod
+    def build(cls, single: np.ndarray, base_c: np.ndarray, size: int):
+        n = base_c.size
+        members = np.arange(1, n + 1)[None, :]
+        for _ in range(size - 1):  # append each member >= the last one
+            last = members[-1]
+            lens = n + 1 - last
+            owner = np.repeat(np.arange(last.size), lens)
+            members = np.vstack([members[:, owner], _runs(last, lens)])
+        keys = sum(single[:, row - 1] for row in members)
+        order = np.lexsort(keys[::-1])
+        members = members[:, order]
+        raw = base_c[members[0] - 1]
+        ties = np.ones(members.shape[1])  # prod(m!), one factor per member
+        for t in range(1, size):
+            raw = raw * base_c[members[t] - 1]
+            ties *= 1 + np.sum(members[:t] == members[t], axis=0)
+        lo, hi = members[0], members[-1]
+        return cls(
+            n=n, size=size, keys=keys[:, order],
+            coeffs=math.factorial(size) / ties * raw, lo=lo, hi=hi,
+            lo_mult=np.sum(members == lo, axis=0), hi_mult=np.sum(members == hi, axis=0),
+        )
+
+
+# C(a + b, a): a left greatest member of multiplicity a that equals a right
+# least member of multiplicity b gives the multiset's multinomial
+# left weight * right weight / C(a + b, a).
+_TIE = np.array([[math.comb(a + b, a) for b in range(4)] for a in range(4)], dtype=float)
+
+
+def _join(left, right, unit: int, half: bool = False):
+    """Join two sides into the sorted table of their key sums.
+
+    Returns keys, coefficients and the number of pairs formed. Both sides are
+    sorted by p1, so for a run of output p1 values each left entry i meets
+    one contiguous slice of the right side per right p1 (a cell). Pairs are
+    formed in (i, j) order, so every group sums its products in that order
+    whatever the batch size.
+
+    Two _Multisets sides, the s//2 least and the s - s//2 greatest members
+    of an s-multiset (s <= 6), form each s-multiset once: i meets only the
+    right entries whose least member is at least i's greatest. A pair's
+    coefficient, C(s, s//2) times the product of the two sides' coeffs and
+    divided by _TIE where those two members are equal, is s!/prod(m!) times
+    the product of the multiset's coefficients. In one p1 slice of a side of
+    at most two members the least member falls by 1 from each entry to the
+    next, so the allowed entries are a prefix of the slice; a right side of
+    three members is masked. Batches are sized by the count of s-multisets
+    per output p1 (_multiset_counts).
+
+    Two tables (s >= 7) form every ordered pair (i, j), their coefficients
+    multiplied; batches are sized by the convolution of the p1 histograms.
 
     half forms only the lower half of the output p1 range, offsets q with
     2q <= q_max: the last join of a mirrored table.
     """
-    symmetric = ka is kb and ca is cb
-    p1a, hist_a = _p1_offsets(ka, unit)
-    hist_b = hist_a if symmetric else _p1_offsets(kb, unit)[1]
+    p1a, hist_a = _p1_offsets(left.keys, unit)
+    hist_b = _p1_offsets(right.keys, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
-    per_p1 = _pair_counts(hist_a, hist_b, symmetric)
+    multiset = isinstance(left, _Multisets)
+    prefix = multiset and right.size <= 2
+    if multiset:
+        per_p1 = _multiset_counts(left.n, left.size + right.size)
+        left_c = math.comb(left.size + right.size, left.size) * left.coeffs
+    else:
+        per_p1, left_c = np.convolve(hist_a, hist_b), left.coeffs
+    # Pairs formed before the mask of a three-member right side.
+    formed = np.convolve(hist_a, hist_b) if multiset and not prefix else per_p1
     if half:
         per_p1 = per_p1[: (per_p1.size + 1) // 2]
-    batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
-    left = np.arange(ka.shape[1])
+        formed = formed[: per_p1.size]
+    batch_of = (np.cumsum(formed) - formed) // _JOIN_CHUNK
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [formed.size]])
 
     def batch(q_lo, q_hi):
-        # Output p1 offsets q_lo <= q < q_hi; entry i meets right p1 offset q - p1a[i].
-        jlo = starts_b[np.clip(q_lo - p1a, 0, hist_b.size)]
-        jhi = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)]
-        if symmetric:
-            jlo = np.clip(jlo, left, jhi)
-        lens = jhi - jlo
-        first = np.cumsum(lens) - lens
-        j = np.arange(int(lens.sum())) - np.repeat(first - jlo, lens)
-        # Keys and products reach _dedupe as temporaries. It then holds the
-        # only reference, so each is freed once it is gathered in sorted order.
-        return _dedupe(np.repeat(ka, lens, axis=1) + kb[:, j], products(jlo, lens, first, j))
+        # Cells (i, r), left entry i and right p1 offset r, with
+        # q_lo <= p1a[i] + r < q_hi; then the pairs (i, j) of each cell.
+        r_lo = np.clip(q_lo - p1a, 0, hist_b.size)
+        n_r = np.clip(q_hi - p1a, 0, hist_b.size) - r_lo
+        cell_i = np.repeat(np.arange(p1a.size), n_r)
+        r = _runs(r_lo, n_r)
+        lens = hist_b[r]
+        if prefix:
+            # room right entries of slice r have a least member >= i's
+            # greatest; the last of them equals it when the slice holds them all.
+            room = right.lo[starts_b[r]] - left.hi[cell_i] + 1
+            tie_cell = np.flatnonzero((room >= 1) & (room <= lens))
+            lens = np.clip(room, 0, lens)
+            tie = np.cumsum(lens)[tie_cell] - 1
+        j = _runs(starts_b[r], lens)
+        if multiset and not prefix:
+            hi, lo = np.repeat(left.hi[cell_i], lens), right.lo[j]
+            keep = lo >= hi
+            lens = np.diff(np.concatenate([[0], np.cumsum(keep)])[np.cumsum(lens)], prepend=0)
+            j, tie = j[keep], np.flatnonzero(lo[keep] == hi[keep])
+            del hi, lo, keep
+            tie_cell = np.searchsorted(np.cumsum(lens), tie, side="right")
+        if multiset:
+            tie_w = _TIE[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
+        keys = np.repeat(left.keys[:, cell_i], lens, axis=1)
+        keys += right.keys[:, j]
+        # Not in place: numpy's in-place complex product of one element
+        # rounds differently, which would tie the bits to the batch cuts.
+        coeffs = np.repeat(left_c[cell_i], lens) * right.coeffs[j]
+        if multiset:
+            coeffs[tie] /= tie_w
+        return (*_dedupe(keys, coeffs, multiset), j.size)
 
-    def products(jlo, lens, first, j):
-        prod = np.repeat(ca, lens) * cb[j]
-        if symmetric:
-            # Weight 2 for j > i; the pair (i, i) opens its run of pairs.
-            prod *= 2
-            on_diag = left[(jlo == left) & (lens > 0)]
-            prod[first[on_diag]] = ca[on_diag] * cb[on_diag]
-        return prod
-
+    # Sized for no duplicates; past the filled part no page is touched, so
+    # none becomes resident.
     n_pairs = int(per_p1.sum())
-    # Sized for the worst case (no duplicates); pages past the filled part are
-    # never touched, so they never become resident.
-    out_k = np.empty((ka.shape[0], n_pairs), dtype=np.int64)
-    out_c = np.empty(n_pairs, dtype=np.result_type(ca, cb))
-    used = 0
-    for keys, acc in _in_order(batch, zip(cuts[:-1], cuts[1:])):
+    out_k = np.empty((left.keys.shape[0], n_pairs), dtype=np.int64)
+    out_c = np.empty(n_pairs, dtype=np.result_type(left.coeffs, right.coeffs))
+    used = pairs = 0
+    for keys, acc, n_formed in _in_order(batch, zip(cuts[:-1], cuts[1:])):
         out_k[:, used : used + acc.size] = keys
         out_c[used : used + acc.size] = acc
         used += acc.size
-    return out_k[:, :used], out_c[:used]
+        pairs += n_formed
+    return out_k[:, :used], out_c[:used], pairs
 
 
 def _mirror_symmetric(coeffs: np.ndarray) -> bool:
@@ -380,6 +497,10 @@ def build_group_table(
     meet-in-the-middle join touches far fewer rows than N^s in practice but
     the budget is checked against the nominal count, as is the exact-integer
     overflow bound s * N^3 < 2^63.
+
+    Tables of up to six members join the multisets of the s//2 least and the
+    s - s//2 greatest members; larger ones join the tables of s//2 and
+    s - s//2 members, built the same way (_join).
 
     mirrored builds only the entries with 2 p1 <= s(N+1): the lower join
     levels stay whole and the last one stops at the middle p1. It needs
@@ -410,22 +531,25 @@ def build_group_table(
     else:
         a_mul = 1
         single = np.stack([k, k**2, k**3])
-    cache: dict[int, tuple] = {1: (single, base_c)}
 
-    def build(m: int):
-        if m not in cache:
+    def build(m: int, half: bool = False) -> TupleGroupTable:
+        if m <= 6:
+            left = _Multisets.build(single, base_c, m // 2)
+            right = left if m % 2 == 0 else _Multisets.build(single, base_c, m - m // 2)
+        else:
             left = build(m // 2)
-            right = build(m - m // 2)
-            cache[m] = _join(*left, *right, a_mul)
-        return cache[m]
+            right = left if m % 2 == 0 else build(m - m // 2)
+        keys, acc, pairs = _join(left, right, a_mul, half)
+        return TupleGroupTable(
+            n=n, s=m, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n**m,
+            mirrored=half, join_pairs=pairs,
+        )
 
-    if s == 1:
-        keys, acc = single, base_c
-        if mirrored:
-            keys, acc = keys[:, : (n + 1) // 2], acc[: (n + 1) // 2]
-    else:
-        keys, acc = _join(*build(s // 2), *build(s - s // 2), a_mul, half=mirrored)
-    cache.clear()
+    if s > 1:
+        return build(s, mirrored)
+    keys, acc = single, base_c
+    if mirrored:
+        keys, acc = keys[:, : (n + 1) // 2], acc[: (n + 1) // 2]
     return TupleGroupTable(
         n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples,
         mirrored=mirrored,
@@ -738,6 +862,8 @@ def moment_exact(
             "table_bytes": table.keys.nbytes + table.coeffs.nbytes,
             "n_tuples": table.n_tuples,
             "mirrored": table.mirrored,
+            "join_pairs": table.join_pairs,
+            "merged_entries": table.join_pairs - table.n_entries if table.join_pairs else 0,
         },
     )
 
@@ -751,8 +877,27 @@ def moment_brute(
 
     Every one of the N^(2s) pairs is tested for equal (p1, p2), _BRUTE_CHUNK
     at a time; the kernel and the coefficient products are formed only for
-    the pairs that match. err_estimate is |Im| of the sum, which is 0 in
-    exact arithmetic: a symmetry residual, not a bound.
+    the pairs that match. |Im| of the sum, 0 in exact arithmetic, is
+    detail["abs_imag"].
+
+    err_estimate bounds |value - exact| for the float coefficients, h0 and
+    L = N^-sigma, to first order in u = 2^-53, by
+    u ((2 sqrt(5) s + r + 1) L W + 40 L (W' + (|h0| + L) D)) with
+    W = sum |c_i||c_j| over the matched pairs, W' the same over those with
+    d = p3_i - p3_j != 0, and D = sum |c_i||c_j||d|:
+      - a tuple's product rounds s - 1 complex products (the first, by 1,
+        is exact), each within sqrt(5) u of its value; a pair's
+        C_i conj(C_j) W then rounds once more and its product with the
+        kernel once: 2 sqrt(5) s u |c_i||c_j| |K|, with |K| <= L;
+      - interval_kernel states |W - K| <= 40 u L (1 + |d| (|h0| + L)); K(0)
+        = L is exact, and at sigma = 0 every value is exact, so that part
+        is 0 there;
+      - np.sum adds a chunk's m terms pairwise: at most 32 + log2(m)
+        roundings per term; the chunk sums are then added one by one into
+        the total, at most one rounding per chunk: r counts both, and a
+        rounding of a complex sum moves it by at most u times its modulus,
+        at most sum |term| <= L W (1 + O(u)). The final 1 covers the
+        second-order terms and the rounding of W, W' and D.
     """
     n = spec.n
     n_pairs = n ** (2 * s)
@@ -768,22 +913,37 @@ def moment_brute(
     coeff = np.ones(n**s, dtype=complex)
     for g in flat:
         coeff = coeff * spec.coeffs[g - 1]
+    mod = np.abs(coeff)
 
     total = 0.0 + 0.0j
     matched = 0
+    mass = off_mass = spread = 0.0  # W, W' and D
+    rounds = 0
     rows = max(1, _BRUTE_CHUNK // p1.size)
     for lo in range(0, p1.size, rows):
         hi = min(p1.size, lo + rows)
         i, j = np.nonzero((p1[lo:hi, None] == p1) & (p2[lo:hi, None] == p2))
         i += lo
-        w = interval_kernel(p3[i] - p3[j], spec.sigma, spec.h0, n)
+        d = p3[i] - p3[j]
+        w = interval_kernel(d, spec.sigma, spec.h0, n)
         total += np.sum(coeff[i] * np.conj(coeff[j]) * w)
         matched += i.size
+        pair_mod = mod[i] * mod[j]
+        mass += float(np.sum(pair_mod))
+        off_mass += float(np.sum(pair_mod[d != 0]))
+        spread += float(np.sum(pair_mod * np.abs(d)))
+        # A term of this chunk: its np.sum roundings, then one for each
+        # chunk sum added into the total from here on.
+        rounds = max(rounds, 32 + i.size.bit_length()) + 1
+    length = float(n) ** -spec.sigma
+    err = (2.0 * math.sqrt(5.0) * s + rounds + 1) * length * mass
+    if spec.sigma != 0.0:
+        err += 40.0 * length * (off_mass + (abs(spec.h0) + length) * spread)
     return MomentResult(
         value=float(total.real),
         method="brute",
-        err_estimate=abs(float(total.imag)),
-        detail={"matched_pairs": matched},
+        err_estimate=2.0**-53 * err,
+        detail={"matched_pairs": matched, "abs_imag": abs(float(total.imag))},
     )
 
 

@@ -55,7 +55,7 @@ class TestMomentCommand:
             record = read_only_json(out / "results", "moment-*.json")
             assert record["value"] == pytest.approx(28.0, rel=1e-3)
             if method == "brute":
-                assert record["detail"] == {"matched_pairs": 28}
+                assert record["detail"] == {"matched_pairs": 28, "abs_imag": 0.0}
 
     def test_validation_exit_2(self, tmp_path):
         assert main(["moment", "--N", "5", "--s", "0", "--out", str(tmp_path)]) == 2
@@ -113,7 +113,7 @@ class TestMomentCommand:
             record = read_only_json(out / "results", "moment-*.json")
             assert record["value"] == pytest.approx(28.0, rel=1e-3)
             if method == "brute":
-                assert record["detail"] == {"matched_pairs": 28}
+                assert record["detail"] == {"matched_pairs": 28, "abs_imag": 0.0}
 
     def test_budget_exit_3(self, tmp_path):
         rc = main(["moment", "--N", "50", "--s", "4", "--budget-tuples", "1000",

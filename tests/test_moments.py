@@ -1,5 +1,6 @@
 """Unit tests for the exact moment engine and its brute-force oracle."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -257,11 +258,11 @@ class TestJoin:
         dedupe = moments._dedupe
         calls = []
 
-        def failing(keys, coeffs):
+        def failing(*args):
             calls.append(None)
             if len(calls) == 5:
                 raise MemoryError("batch")
-            return dedupe(keys, coeffs)
+            return dedupe(*args)
 
         monkeypatch.setattr(moments, "_dedupe", failing)
         with pytest.raises(MemoryError):
@@ -275,7 +276,8 @@ class TestJoin:
     @pytest.mark.parametrize("n, s", [(24, 4), (13, 6), (40, 2), (30, 3)])
     def test_matches_the_ordered_join(self, monkeypatch, n, s, packing):
         # Integer products add exactly in any order, so those tables keep
-        # every bit; complex groups add fewer, doubled terms in another order.
+        # every bit; a complex multiset takes its multinomial times one
+        # product instead of a sum of equal products.
         if packing == "three rows":
             monkeypatch.setattr(moments, "_packing_multipliers", lambda n, s: None)
         for family in ("constant", "random_sign", "random_phase"):
@@ -292,54 +294,71 @@ class TestJoin:
             else:
                 assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
 
-    def test_triangle_counts_match_a_brute_count(self):
-        rng = np.random.default_rng(21)
-        for size in (1, 2, 5, 40):
-            p1 = np.sort(rng.integers(0, size, 3 * size))
-            p1 -= p1[0]
-            hist = np.bincount(p1)
-            iu, ju = np.triu_indices(p1.size)
-            brute = np.bincount(p1[iu] + p1[ju], minlength=2 * hist.size - 1)
-            tri = moments._pair_counts(hist, hist, True)
-            assert np.array_equal(tri, brute)
-            other = np.bincount(np.sort(rng.integers(0, size, 7)))
-            ii, jj = np.indices((p1.size, 7)).reshape(2, -1)
-            ordered = np.bincount(
-                p1[ii] + np.repeat(np.arange(other.size), other)[jj],
-                minlength=hist.size + other.size - 1,
-            )
-            assert np.array_equal(moments._pair_counts(hist, other, False), ordered)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_dedupe_adds_equal_keys_in_input_order_either_sort(self, rows):
+        # The unstable sort taken when equal keys are rare must add each
+        # group in input order, as the stable one does: the same bits.
+        rng = np.random.default_rng(rows)
+        keys = rng.integers(0, 50, (rows, 3000))
+        coeffs = phased_coeffs(rng, 3000, "complex")
+        slow = moments._dedupe(keys, coeffs, False)
+        fast = moments._dedupe(keys, coeffs, True)
+        assert slow[1].size < 3000
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1].view(np.uint64), slow[1].view(np.uint64))
+        for k, c in zip(slow[0].T, slow[1]):
+            same = np.flatnonzero(np.all(keys == k[:, None], axis=0))
+            total = np.sum(coeffs[same[:1]])
+            for t in same[1:]:
+                total = total + coeffs[t]
+            assert c == total
 
-    def test_self_joins_form_each_unordered_pair_once(self, monkeypatch):
-        # s = 4 joins the s = 2 table with itself, and the s = 2 table the
-        # singletons with themselves: n(n+1)/2 pairs each, not n^2.
-        joins, formed = [], []
-        join, dedupe = moments._join, moments._dedupe
+    def test_multiset_counts_match_a_brute_count(self):
+        for n, s in ((1, 1), (1, 4), (2, 3), (5, 2), (7, 3), (6, 4), (4, 6)):
+            sums = [sum(c) for c in itertools.combinations_with_replacement(range(1, n + 1), s)]
+            brute = np.bincount(np.array(sums) - s, minlength=s * (n - 1) + 1)
+            assert np.array_equal(moments._multiset_counts(n, s), brute), (n, s)
 
-        def spy_join(ka, ca, kb, cb, unit, half=False):
-            formed.clear()
-            out = join(ka, ca, kb, cb, unit, half)
-            joins.append((ka.shape[1], kb.shape[1], sum(formed)))
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+    def test_joins_form_each_multiset_once(self, monkeypatch, s):
+        # Up to s = 6 the last join forms each s-multiset of 1..n once,
+        # C(n+s-1, s) pairs, and at s <= 3 no two share a key. s = 7 joins
+        # the s = 3 and s = 4 tables, every ordered pair.
+        joins = []
+        join = moments._join
+
+        def spy_join(left, right, unit, half=False):
+            out = join(left, right, unit, half)
+            joins.append((left.keys.shape[1], right.keys.shape[1], out[2]))
             return out
-
-        def spy_dedupe(keys, coeffs):
-            formed.append(keys.shape[1])
-            return dedupe(keys, coeffs)
 
         monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
         monkeypatch.setattr(moments, "_join", spy_join)
-        monkeypatch.setattr(moments, "_dedupe", spy_dedupe)
-        build_group_table(ExpSumSpec(n=24, coeffs=coeffs_for("random_phase", 24, 2)), 4)
-        assert [(a, b) for a, b, _ in joins] == [(24, 24), (300, 300)]
-        for entries, _, pairs in joins:
-            assert pairs == entries * (entries + 1) // 2
+        n = {2: 24, 3: 24, 4: 16, 5: 9, 6: 7, 7: 5}[s]
+        spec = ExpSumSpec(n=n, coeffs=coeffs_for("random_phase", n, 2))
+        table = build_group_table(spec, s)
+        res = moment_exact(spec, s)
+        detail = res.detail
+        assert detail["join_pairs"] == table.join_pairs == joins[-1][2]
+        assert detail["join_pairs"] - detail["table_entries"] == detail["merged_entries"]
+        if s <= 6:
+            assert table.join_pairs == math.comb(n + s - 1, s)
+        else:
+            assert table.join_pairs == joins[-1][0] * joins[-1][1]
+        if s <= 3:
+            assert detail["merged_entries"] == 0
+        if s == 4:  # {1, 5, 8, 12} and {2, 3, 10, 11} share their power sums
+            assert detail["merged_entries"] > 0
 
 
-def ordered_join(ka, ca, kb, cb, unit, half=False):
-    """The join that forms every ordered pair (i, j), self-joins included;
-    half stops at the middle output p1, as in _join."""
-    p1a, hist_a = moments._p1_offsets(ka, unit)
-    _, hist_b = moments._p1_offsets(kb, unit)
+def ordered_join(left, right, unit, half=False):
+    """The join that forms every ordered pair (i, j) of two group tables; a
+    _Multisets side is one too, its coeffs being its keys' table
+    coefficients. half stops at the middle output p1, as in _join. Returns
+    keys, coefficients and the pair count."""
+    p1a, hist_a = moments._p1_offsets(left.keys, unit)
+    _, hist_b = moments._p1_offsets(right.keys, unit)
+    ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     per_p1 = np.convolve(hist_a, hist_b)
     if half:
@@ -352,10 +371,11 @@ def ordered_join(ka, ca, kb, cb, unit, half=False):
         lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
         j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
-        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j])
+        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j], False)
 
     parts = list(moments._in_order(batch, zip(cuts[:-1], cuts[1:])))
-    return np.concatenate([k for k, _ in parts], axis=1), np.concatenate([c for _, c in parts])
+    keys = np.concatenate([k for k, _ in parts], axis=1)
+    return keys, np.concatenate([c for _, c in parts]), int(per_p1.sum())
 
 
 def group_slices(table):
@@ -979,6 +999,36 @@ class TestMirror:
                 build_group_table(spec, s, mirrored=True)
 
 
+def mpmath_brute(spec, s):
+    """The moment of spec's float coefficients at 50 digits, from every
+    same-(p1, p2) pair of s-tuples, the kernel in closed form."""
+    n = spec.n
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(z) for z in spec.coeffs.tolist()]
+        lo = mpmath.mpf(spec.h0)
+        length = mpmath.mpf(float(n) ** -spec.sigma)
+        groups = {}
+        for t in itertools.product(range(1, n + 1), repeat=s):
+            c = mpmath.mpf(1)
+            for k in t:
+                c *= a[k - 1]
+            key = (sum(t), sum(k * k for k in t))
+            groups.setdefault(key, []).append((sum(k**3 for k in t), c))
+        total = mpmath.mpf(0)
+        for members in groups.values():
+            for pi, ci in members:
+                for pj, cj in members:
+                    d = pi - pj
+                    if d == 0:
+                        kernel = length
+                    else:
+                        kernel = (mpmath.expjpi(2 * d * (lo + length)) - mpmath.expjpi(2 * d * lo)) / (
+                            2j * mpmath.pi * d
+                        )
+                    total += (ci * mpmath.conj(cj) * kernel).real
+        return total
+
+
 class TestBruteAgreement:
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     @pytest.mark.parametrize("s", [2, 3])
@@ -1046,11 +1096,31 @@ class TestBruteAgreement:
     def test_brute_counts_matched_pairs(self):
         # At s = 2, (p1, p2) fixes the multiset {k1, k2}: 2 n^2 - n pairs.
         for n in (1, 5, 12):
-            assert moment_brute(spec_ones(n), 2).detail == {"matched_pairs": 2 * n * n - n}
+            detail = moment_brute(spec_ones(n), 2).detail
+            assert detail == {"matched_pairs": 2 * n * n - n, "abs_imag": 0.0}
         # At s = 4, each (p1, p2) group's tuple count squared, from the table.
         table = build_group_table(spec_ones(7), 4)
         counts = np.add.reduceat(np.rint(table.coeffs.real).astype(np.int64), table.group_starts())
         assert moment_brute(spec_ones(7), 4).detail["matched_pairs"] == int(np.sum(counts**2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        s=st.sampled_from([1, 2, 3]),
+        sigma=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+        h0=st.floats(min_value=-1.0, max_value=1.0),
+        family=st.sampled_from(["real", "complex", "palindromic"]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_brute_err_estimate_bounds_mpmath(self, n, s, sigma, h0, family, seed):
+        # err_estimate bounds the brute sum against the exact moment of the
+        # float coefficients, every tuple's product taken at 50 digits.
+        coeffs = oracle_coeffs(np.random.default_rng(seed), n, family)
+        spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
+        res = moment_brute(spec, s)
+        want = mpmath_brute(spec, s)
+        assert abs(mpmath.mpf(res.value) - want) <= res.err_estimate
+        assert res.err_estimate <= 1e-11 * max(abs(res.value), 1.0)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1072,8 +1142,8 @@ class TestVinogradovCount:
 
     @pytest.mark.parametrize("n, s", [(20, 4), (10, 6)])
     def test_matches_the_ordered_join(self, monkeypatch, n, s):
-        # Both points end in a self-join; counts are integers, so the
-        # triangle join must give exactly the count of the ordered one.
+        # Counts are integers, so the multiset join must give exactly the
+        # count of the ordered one.
         got = vinogradov_count(n, s)
         monkeypatch.setattr(moments, "_join", ordered_join)
         assert got == vinogradov_count(n, s)
@@ -1114,3 +1184,79 @@ class TestVinogradovCount:
             vinogradov_count(0, 2)
         with pytest.raises(SpecValidationError):
             vinogradov_count(4, 0)
+
+
+def newton_moment(coeffs, s, sigma=0.0):
+    """The 2s-th moment in closed form, exact for the float coefficients.
+
+    With w_k = |a_k|^2, P_j = sum_k w_k^j and L = N^-sigma (the float):
+    s = 1 gives L P1 at every sigma; s = 2 gives L (2 P1^2 - P2) at every
+    sigma and h0, as each (p1, p2) group at s = 2 is one multiset {i, j},
+    one table entry of coefficient 2 a_i a_j (a_i^2 when i = j); s = 3 gives
+    6 P1^3 - 9 P1 P2 + 4 P3 at sigma = 0, where up to s = 3 (p1, p2, p3) fix
+    the multiset (Newton's identities), so only a tuple's own permutations
+    meet it. A Fraction.
+    """
+    w = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in np.asarray(coeffs, complex).tolist()]
+    p1, p2, p3 = (sum(x**j for x in w) for j in (1, 2, 3))
+    if s == 3:
+        assert sigma == 0.0
+        return 6 * p1**3 - 9 * p1 * p2 + 4 * p3
+    length = Fraction(float(len(w)) ** -sigma)
+    return length * (p1 if s == 1 else 2 * p1**2 - p2)
+
+
+def diagonal_count(n, s):
+    """D_s = s!^2 [t^s] prod_k sum_m t^m / m!^2 for unit weights: the pairs
+    of s-tuples from 1..n that are permutations of each other."""
+    series = [Fraction(1, math.factorial(m) ** 2) for m in range(s + 1)]
+    poly = [Fraction(1)] + [Fraction(0)] * s
+    for _ in range(n):
+        poly = [sum(poly[i] * series[m - i] for i in range(m + 1)) for m in range(s + 1)]
+    return int(math.factorial(s) ** 2 * poly[s])
+
+
+class TestClosedForms:
+    # Oracles independent of the engine's tables: Newton's identities for
+    # s <= 3 and the diagonal count D_s. N reaches 200 at s = 3 and 2000 at
+    # s = 2, where one table has about 1.3M and 2M entries; at the default
+    # budget's own limits (584 and 14142) one table takes 0.27-2.4 GB, so
+    # the benchmark's N = 384 is pinned on its own below.
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sn=st.sampled_from([1, 2, 3]).flatmap(
+            lambda s: st.tuples(st.just(s), st.integers(1, {1: 20_000, 2: 2000, 3: 200}[s]))
+        ),
+        sigma=st.floats(min_value=0.0, max_value=2.0),
+        h0=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        family=st.sampled_from(["constant", "random_sign", "random_phase", "moduli"]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_exact_matches_newton(self, sn, sigma, h0, family, seed):
+        s, n = sn
+        if s == 3:
+            sigma = 0.0
+        if family == "moduli":  # |a| in [0.5, 1], any phase
+            coeffs = phased_coeffs(np.random.default_rng(seed), n, "complex")
+            coeffs = 0.5 * coeffs / np.abs(coeffs) + 0.5 * coeffs
+        else:
+            coeffs = coeffs_for(family, n, seed)
+        res = moment_exact(ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0), s)
+        assert abs(Fraction(res.value) - newton_moment(coeffs, s, sigma)) <= Fraction(res.err_estimate)
+        if family == "constant":
+            assert vinogradov_count(n, s) == newton_moment(coeffs, s)
+
+    def test_j3_at_384_is_pinned(self):
+        n = 384
+        assert vinogradov_count(n, 3) == 6 * n**3 - 9 * n**2 + 4 * n == 338_413_056
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 32])
+    def test_diagonal_count(self, n):
+        # Up to s = 3 every solution is a permutation pair; from s = 4 on the
+        # Prouhet-Tarry-Escott coincidences such as {1, 5, 8, 12} and
+        # {2, 3, 10, 11} add more.
+        for s in (1, 2, 3):
+            assert vinogradov_count(n, s) == diagonal_count(n, s)
+        excess = vinogradov_count(n, 4) - diagonal_count(n, 4)
+        assert excess == {1: 0, 2: 0, 7: 0, 16: 16_992, 32: 375_264}[n]
