@@ -81,26 +81,32 @@ def _refined(run, counts) -> tuple[float, float]:
 def _abs_power(values: np.ndarray, p: float, work: np.ndarray) -> np.ndarray:
     """|values|^p elementwise, written into the float buffers work[0] and work[1].
 
-    work has shape (2,) + values.shape; the result is work[1]. For even
-    integer p below 2^53 it is (re^2 + im^2)^(p/2), the integer power taken
-    by square-and-multiply in a fixed order: no hypot and no pow, which
-    dominate np.abs(values) ** p. Any other p takes np.abs(values) ** p;
-    above 2^53 every float is even, and the chain would grow to ~1000 steps.
+    work has shape (2,) + values.shape; the result is one of its two rows.
+    For even integer p below 2^53 it is (re^2 + im^2)^(p/2), the integer
+    power taken by square-and-multiply in a fixed order: no hypot and no pow,
+    which dominate np.abs(values) ** p. The chain starts at the lowest set
+    bit of p/2, where the running product is the squared base itself, so it
+    multiplies by no 1. Any other p takes np.abs(values) ** p; above 2^53
+    every float is even, and the chain would grow to ~1000 steps.
     """
-    base, out = work
+    acc, base = work
     if p % 2 or p >= 2.0**53:
-        return np.power(np.abs(values, out=out), p, out=out)
-    np.square(values.real, out=base)
-    base += np.square(values.imag, out=out)
-    out.fill(1.0)
-    k = int(p) // 2
-    while k:
-        if k & 1:
-            out *= base
+        return np.power(np.abs(values, out=base), p, out=base)
+    np.square(values.real, out=acc)
+    acc += np.square(values.imag, out=base)
+    k = int(p) // 2  # >= 1, as p > 0
+    while not k & 1:
+        np.square(acc, out=acc)
         k >>= 1
-        if k:
-            np.square(base, out=base)
-    return out
+    square = acc
+    k >>= 1
+    while k:
+        np.square(square, out=base)
+        square = base
+        if k & 1:
+            acc *= base
+        k >>= 1
+    return acc
 
 
 def box_power_integral(
@@ -192,6 +198,18 @@ def box_power_integral(
     return value
 
 
+def _point_symmetric(spec: ExpSumSpec) -> bool:
+    """True for real coefficients and a window H with 2 h0 + |H| an integer.
+
+    Then x -> -x mod 1 takes [0,1]^2 x H onto itself and S(-x) = conj S(x)
+    (moment_quadrature). The window test is exact: h0 = a/b and |H| = c/d
+    as integer ratios, so 2 h0 + |H| = (2ad + cb) / bd.
+    """
+    a, b = spec.h0.as_integer_ratio()
+    c, d = spec.h_length.as_integer_ratio()
+    return not np.any(spec.coeffs.imag) and (2 * a * d + c * b) % (b * d) == 0
+
+
 def moment_quadrature(
     spec: ExpSumSpec,
     p: float,
@@ -202,22 +220,43 @@ def moment_quadrature(
 
     Axis counts are grid_counts over extents N^i; err_estimate is the
     step-halving difference of _refined.
+
+    Mirror: when the coefficients are real and 2 h0 + |H| is an integer
+    (_point_symmetric), the frequencies are integers, so S(-x) = conj S(x)
+    and |S|^p is even mod 1. The map x -> -x mod 1 then takes the midpoint
+    grid of counts (m1, m2, m3) onto itself: cell (j1, j2, j3) goes to
+    (m1-1-j1, m2-1-j2, m3-1-j3), and for even m1 it pairs the cells with
+    x1 > 1/2 one to one with those below. Every grid, the fine one and the
+    coarse one of _refined, whose m1 is even is therefore evaluated as twice
+    the half box [0, 1/2] x [0, 1] x H at counts (m1/2, m2, m3): the same
+    midpoints and weights, half the cells. Odd m1, complex coefficients or
+    any other window keep the full box. detail gains "mirror": true when the
+    reported value took the half box.
     """
     sides = (1.0, 1.0, spec.h_length)
     counts = grid_counts(oversample, [spec.n**i for i in (1, 2, 3)], sides, cell_budget)
     xi = np.arange(1, spec.n + 1, dtype=float)
+    corner = (0.0, 0.0, spec.h0)
+    mirror = _point_symmetric(spec)
 
     def run(cnts) -> float:
-        return box_power_integral(
-            xi, spec.coeffs, p, (0.0, 0.0, spec.h0), sides, cnts, cell_budget
-        )
+        m1, m2, m3 = cnts
+        if mirror and m1 % 2 == 0:
+            half = (0.5, 1.0, sides[2])
+            return 2.0 * box_power_integral(
+                xi, spec.coeffs, p, corner, half, (m1 // 2, m2, m3), cell_budget
+            )
+        return box_power_integral(xi, spec.coeffs, p, corner, sides, cnts, cell_budget)
 
     value, err = _refined(run, counts)
+    detail = {"counts": list(counts), "oversample": oversample}
+    if mirror and counts[0] % 2 == 0:
+        detail["mirror"] = True
     return MomentResult(
         value=value,
         method="quadrature",
         err_estimate=err,
-        detail={"counts": list(counts), "oversample": oversample},
+        detail=detail,
     )
 
 
@@ -304,7 +343,7 @@ def local_moment_quadrature(
             value=value,
             method="exact",
             err_estimate=ERR_FLOOR * max(1.0, abs(value)),
-                detail={"route": "pair-sum"},
+            detail={"route": "pair-sum"},
         )
 
     if cube_side <= LOCAL_FULL_CUBE_LIMIT:
@@ -321,7 +360,7 @@ def local_moment_quadrature(
             value=value,
             method="quadrature",
             err_estimate=err,
-                detail={"route": "full-cube", "counts": list(counts)},
+            detail={"route": "full-cube", "counts": list(counts)},
         )
 
     unit = (1.0, 1.0, 1.0)

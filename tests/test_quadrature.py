@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentcurve import (
     BudgetError,
@@ -153,6 +155,26 @@ class TestBoxPowerIntegral:
         got = quadrature._abs_power(tile, p, np.empty((2,) + tile.shape))
         np.testing.assert_allclose(got, np.abs(tile) ** p, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 12.0, 14.0, 16.0, 500.0])
+    def test_even_power_chain_keeps_every_bit(self, p):
+        # The chain that starts from 1 and multiplies in every set bit of p/2:
+        # starting from the lowest set bit must not move a single bit.
+        rng = np.random.default_rng(8)
+        tile = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        tile[0, 0] = 0.0
+        with np.errstate(over="ignore"):
+            base = tile.real**2 + tile.imag**2
+            want = np.ones_like(base)
+            k = int(p) // 2
+            while k:
+                if k & 1:
+                    want *= base
+                k >>= 1
+                if k:
+                    base = base * base
+            got = quadrature._abs_power(tile, p, np.empty((2,) + tile.shape))
+        np.testing.assert_array_equal(got, want)
+
     def test_memory_is_bounded_by_one_tile(self):
         # 16.8M cells: the old x3 slabs held 4M complex cells (64 MiB) at once.
         n = 4
@@ -243,6 +265,78 @@ class TestMomentQuadrature:
         a, b = (ExpSumSpec(n=5, coeffs=coeffs, sigma=1.0, h0=h0) for h0 in (3.25, 0.25))
         assert moment_exact(a, 2).value == moment_exact(b, 2).value
         assert moment_quadrature(a, 4.0).value == moment_quadrature(b, 4.0).value
+
+
+class TestMirror:
+    """Real coefficients on a window with 2 h0 + |H| integral take the half box."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        s=st.integers(min_value=1, max_value=3),
+        h0=st.sampled_from([0.0, 0.5]),
+        family=st.sampled_from(["constant", "random_sign", "uniform"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_mirror_matches_the_full_box(self, n, s, h0, family, seed):
+        if family == "uniform":
+            coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        else:
+            coeffs = coeffs_for(family, n, seed)
+        res = moment_quadrature(ExpSumSpec(n=n, coeffs=coeffs, h0=h0), 2.0 * s)
+        assert res.detail["mirror"] is True
+        xi = np.arange(1, n + 1, dtype=float)
+        full = box_power_integral(
+            xi, coeffs, 2.0 * s, (0.0, 0.0, h0), (1.0, 1.0, 1.0), res.detail["counts"]
+        )
+        assert res.value == pytest.approx(full, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "family, n, sigma, h0, oversample, halves",
+        [
+            ("constant", 3, 0.0, 0.0, 4.0, (True, True)),
+            ("random_sign", 3, 0.0, 0.5, 4.0, (True, True)),
+            ("random_sign", 3, 0.0, -0.5, 4.0, (True, True)),
+            ("random_sign", 2, 1.0, 0.25, 4.0, (True, True)),
+            ("random_phase", 3, 0.0, 0.0, 4.0, (False, False)),
+            ("constant", 3, 0.0, 0.25, 4.0, (False, False)),
+            # 2 h0 + 1 rounds to 1.0 in float64; the exact test is not fooled.
+            ("constant", 3, 0.0, 2.0**-60, 4.0, (False, False)),
+            ("random_sign", 2, 1.0, 0.0, 4.0, (False, False)),
+            # m1 = ceil(4.25 * 2) = 9 is odd; the coarse m1 = 4 is even.
+            ("constant", 2, 0.0, 0.0, 4.25, (False, True)),
+        ],
+    )
+    def test_half_box_exactly_when_the_rule_holds(
+        self, monkeypatch, family, n, sigma, h0, oversample, halves
+    ):
+        calls = []
+        real = quadrature.box_power_integral
+
+        def spy(xi, coeffs, p, corner, sides, counts, *args):
+            calls.append((tuple(sides), tuple(counts)))
+            return real(xi, coeffs, p, corner, sides, counts, *args)
+
+        monkeypatch.setattr(quadrature, "box_power_integral", spy)
+        spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 2), sigma=sigma, h0=h0)
+        res = moment_quadrature(spec, 4.0, oversample=oversample)
+        fine = tuple(res.detail["counts"])
+        want = []
+        for counts, half in zip((fine, tuple(max(1, m // 2) for m in fine)), halves):
+            if half:
+                want.append(((0.5, 1.0, spec.h_length), (counts[0] // 2,) + counts[1:]))
+            else:
+                want.append(((1.0, 1.0, spec.h_length), counts))
+        assert calls == want
+        assert res.detail.get("mirror", False) is halves[0]
+        if not halves[0]:
+            assert res.detail == {"counts": list(fine), "oversample": oversample}
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_constant_sixth_moment_is_j3(self, n):
+        res = moment_quadrature(spec_ones(n), 6.0)
+        assert res.detail["mirror"] is True
+        assert abs(res.value - (6 * n**3 - 9 * n**2 + 4 * n)) <= 3.0 * res.err_estimate
 
 
 class TestLocalMoments:
