@@ -45,7 +45,6 @@ from .sharpness import (
     envelope_report,
     maincor_row,
     mainexp_row,
-    sweep_rows,
 )
 
 EXIT_OK = 0
@@ -100,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="run a configured envelope sweep")
     w.add_argument("config", help="INI config with a [sweep] section")
-    w.add_argument("--workers", type=int, default=1)
+    w.add_argument("--workers", type=int, default=1,
+                   help="accepted (>= 1) and ignored: rows run in order, each "
+                        "moment on the shared pool")
     w.add_argument("--out", default=".", metavar="DIR")
 
     g = sub.add_parser("geometry", help="sampled geometry / dichotomy checks")
@@ -236,8 +237,8 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     row_fn = mainexp_row if cfg.kind == "mainexp" else maincor_row
     rows = []
     try:
-        for row in sweep_rows(row_fn, cfg, args.workers):
-            rows.append(row)
+        for x in cfg.x_values:
+            rows.append(row_fn(cfg, x))
     except BudgetError as exc:
         # Flush whatever completed so the run is diagnosable post hoc.
         _write_sweep_csv(csv_path, cfg.x_label, rows)

@@ -109,9 +109,9 @@ _BRUTE_CHUNK = 1 << 20
 _ROUNDOFF_K = 40
 _PHASE_K = 32
 
-# Join batches and pair-assembly blocks of every caller (sweep rows too) run
-# on this one pool. Sorting and the blocks' ufuncs release the GIL, so tasks
-# on different threads overlap. Only callers submit, through _in_order.
+# Join batches and pair-assembly tasks of every caller run on this one pool.
+# Sorting and the blocks' ufuncs release the GIL, so tasks on different
+# threads overlap. Only callers submit, through _in_order.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
@@ -288,8 +288,8 @@ def _p1_offsets(keys: np.ndarray, unit: int):
     return off, np.bincount(off)
 
 
-def _in_order(fn, arg_tuples):
-    """Yield fn(*args) for each args on the shared pool, in input order.
+def _in_order(calls):
+    """Yield fn(*args) for each (fn, *args) of calls on the shared pool, in order.
 
     At most one more call than the pool has workers is in flight, so
     finished results never pile up behind a slow one. Calls not yet started
@@ -300,7 +300,7 @@ def _in_order(fn, arg_tuples):
         raise RuntimeError("a pool worker must not submit to the shared pool")
     pending = deque()
     try:
-        for args in arg_tuples:
+        for fn, *args in calls:
             pending.append(_POOL.submit(fn, *args))
             if len(pending) > _WORKERS:
                 yield pending.popleft().result()
@@ -472,7 +472,8 @@ def _join(left, right, unit: int, half: bool = False):
     out_k = np.empty((left.keys.shape[0], n_pairs), dtype=np.int64)
     out_c = np.empty(n_pairs, dtype=np.result_type(left.coeffs, right.coeffs))
     used = pairs = 0
-    for keys, acc, n_formed in _in_order(batch, zip(cuts[:-1], cuts[1:])):
+    batches = ((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    for keys, acc, n_formed in _in_order(batches):
         out_k[:, used : used + acc.size] = keys
         out_c[used : used + acc.size] = acc
         used += acc.size
@@ -715,6 +716,8 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     L = K(0) = n^-sigma, the one kernel value taken on the calling thread.
     At sigma = 0 the kernel is exactly 0 off the diagonal and only the first
     term is formed. H is [h0, h0 + L] for the float h0 and the float L.
+    Otherwise the diagonal and the bound's M run as one pool task beside the
+    pair blocks.
 
     The kernel is factored per entry: with u_i = c_i e(p3_i h0) and
     v_i = u_i e(p3_i L), c_i conj(c_j) K(d) = (v_i conj(v_j) - u_i conj(u_j))
@@ -774,9 +777,6 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
     split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
-    group_mass = np.add.reduceat(np.abs(c), starts) ** 2
-    mass = length * (2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:]))
-    partials = [2.0 * length * _energy_sums(c[:m]), length * _energy_sums(c[m:])]
     # p3 <= s n^3 < 2^(53 - bits); without pairs no piece is used.
     bits = 53 - (table.s * table.n**3).bit_length()
     if bits < 8 and np.any(sizes > 1):
@@ -817,18 +817,34 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
             spread += float(np.sum(rank @ energy / gaps))
         return weight / (2.0 * math.pi) * np.concatenate(sums), weight / 2.0 * spread
 
-    def blocks():
+    def diagonal():
+        group_mass = np.add.reduceat(np.abs(c), starts) ** 2
+        mass = length * (2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:]))
+        return [2.0 * length * _energy_sums(c[:m]), length * _energy_sums(c[m:])], mass
+
+    def tasks():
+        yield (diagonal,)
         # Twice the real part of each upper triangle, twice more below the middle.
         for weight, part in ((4.0, slice(0, split)), (2.0, slice(split, None))):
             p_starts, p_sizes = starts[part], sizes[part]
-            for g in np.unique(p_sizes[p_sizes > 1]).tolist():
-                g_starts = p_starts[p_sizes == g]
+            # Groups by size, then in table order: size * count + index is a
+            # distinct key, so the fast unstable sort gives the stable order.
+            order = np.argsort(p_sizes * p_sizes.size + np.arange(p_sizes.size))
+            ranked = p_sizes[order]
+            # Each run of one size starts where the size changes; counting
+            # from 1 skips the run of single entries, which have no pairs.
+            heads = np.flatnonzero(np.diff(ranked, prepend=1))
+            for a, b in zip(heads, np.append(heads[1:], ranked.size)):
+                g = int(ranked[a])
+                g_starts = p_starts[order[a:b]]
                 per = max(1, _PAIR_CHUNK // (g * (g - 1) // 2))
                 for lo in range(0, g_starts.size, per):
-                    yield weight, g, g_starts[lo : lo + per]
+                    yield block, weight, g, g_starts[lo : lo + per]
 
+    results = _in_order(tasks())
+    partials, mass = next(results)
     spread = 0.0
-    for sums, part in _in_order(block, blocks()):
+    for sums, part in results:
         partials.append(sums)
         spread += part
     err = 2.0**-53 * (_ROUNDOFF_K * mass + _PHASE_K * spread)

@@ -11,7 +11,6 @@ two non-asymptotic checks and are tested literally.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,23 +166,6 @@ class EnvelopeReport:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def sweep_rows(row_fn, cfg: SweepConfig, workers: int = 1):
-    """Yield row_fn(cfg, x) for each x in cfg.x_values, in that order.
-
-    With workers > 1 the rows are computed on a thread pool but still yielded
-    in x_values order, so a caller that stops at an exception (a BudgetError
-    at a large x) keeps every row finished before it.
-    """
-    def row(x):
-        return row_fn(cfg, x)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(row, cfg.x_values)
-    else:
-        yield from map(row, cfg.x_values)
-
-
 def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     """One sweep point: median 2s-th moment over seeds at this N."""
     s = int(cfg.s)
@@ -280,7 +262,7 @@ def verify_envelope(cfg: SweepConfig) -> EnvelopeReport:
     Random families are aggregated by the median over seeds.
     """
     row_fn = mainexp_row if cfg.kind == "mainexp" else maincor_row
-    return envelope_report(cfg, sweep_rows(row_fn, cfg))
+    return envelope_report(cfg, [row_fn(cfg, x) for x in cfg.x_values])
 
 
 @dataclass(frozen=True)

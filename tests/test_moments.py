@@ -373,7 +373,7 @@ def ordered_join(left, right, unit, half=False):
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
         return moments._dedupe(keys, np.repeat(ca, lens) * cb[j], False)
 
-    parts = list(moments._in_order(batch, zip(cuts[:-1], cuts[1:])))
+    parts = list(moments._in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])))
     keys = np.concatenate([k for k, _ in parts], axis=1)
     return keys, np.concatenate([c for _, c in parts]), int(per_p1.sum())
 
@@ -526,7 +526,7 @@ class TestPairAssembly:
 
     def test_pool_workers_cannot_submit(self):
         def nested():
-            return list(moments._in_order(abs, [(-1,)]))
+            return list(moments._in_order([(abs, -1)]))
 
         with pytest.raises(RuntimeError):
             moments._POOL.submit(nested).result(timeout=60)

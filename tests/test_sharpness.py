@@ -2,13 +2,11 @@
 
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
 
 from momentcurve import (
-    BudgetError,
     ExpSumSpec,
     SpecValidationError,
     SweepConfig,
@@ -20,7 +18,7 @@ from momentcurve import (
     verify_envelope,
 )
 from momentcurve.expsums import TWO_PI
-from momentcurve.sharpness import BroadNarrowReport, sweep_rows
+from momentcurve.sharpness import BroadNarrowReport
 
 
 def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed):
@@ -248,21 +246,6 @@ class TestEnvelopeSweeps:
         a = verify_envelope(cfg)
         b = verify_envelope(cfg)
         assert [r.value for r in a.rows] == [r.value for r in b.rows]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_rows_in_order_until_first_error(self, workers):
-        # Smaller x sleep longer, so on a pool x = 2 finishes before x = 1.
-        def row_fn(cfg, x):
-            if x == 3:
-                raise BudgetError("rows", x, 2)
-            time.sleep(0.02 * (3 - x))
-            return x
-
-        done = []
-        with pytest.raises(BudgetError):
-            for row in sweep_rows(row_fn, SweepConfig(x_values=(1, 2, 3, 4), s=2), workers):
-                done.append(row)
-        assert done == [1, 2]
 
 
 class TestInterference:
