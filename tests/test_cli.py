@@ -4,20 +4,10 @@ import dataclasses
 import json
 import subprocess
 import sys
-import threading
 
 import pytest
 
-from momentcurve import (
-    BudgetError,
-    ExpSumSpec,
-    SweepConfig,
-    SweepRow,
-    build_group_table,
-    coeffs_for,
-    verify_envelope,
-)
-from momentcurve import cli
+from momentcurve import ExpSumSpec, SweepConfig, build_group_table, coeffs_for, verify_envelope
 from momentcurve.cli import SWEEP_KEYS, main
 from momentcurve.records import format_cell, sha256_file
 
@@ -398,26 +388,6 @@ budget_tuples = 100000
         # The first two points fit the budget and were flushed.
         (table,) = sorted((tmp_path / "tables").glob("*.csv"))
         assert len(table.read_text().strip().splitlines()) == 3
-
-    def test_rows_run_in_order_on_the_calling_thread_until_budget(self, tmp_path, monkeypatch):
-        calls = []
-
-        def row(cfg, x):
-            calls.append((x, threading.current_thread()))
-            if len(calls) == 2:
-                raise BudgetError("tuples", x, 1)
-            return SweepRow(x=x, value=1.0, envelope=1.0, seed_count=1,
-                            method="exact", err_estimate=0.0)
-
-        monkeypatch.setattr(cli, "mainexp_row", row)
-        cfg = write_config(tmp_path / "rows.ini", "[sweep]\nx_values = 4 8 16\ns = 2\n")
-        assert main(["sweep", cfg, "--workers", "2", "--out", str(tmp_path)]) == 3
-        assert [x for x, _ in calls] == [4, 8]
-        assert all(thread is threading.current_thread() for _, thread in calls)
-        (table,) = sorted((tmp_path / "tables").glob("*.csv"))
-        assert table.read_text().splitlines()[1:] == [
-            ",".join(format_cell(c) for c in (4, 1.0, 1.0, 1, "exact", 0.0))
-        ]
 
 
 class TestGeometryCommand:

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from momentcurve import (
+    BudgetError,
     ExpSumSpec,
     SpecValidationError,
     SweepConfig,
+    SweepRow,
     broad_narrow_check,
     coeffs_for,
     exponent_fit,
@@ -17,7 +20,10 @@ from momentcurve import (
     moment_exact,
     verify_envelope,
 )
+from momentcurve import cli, sharpness
+from momentcurve.cli import main
 from momentcurve.expsums import TWO_PI
+from momentcurve.records import format_cell
 from momentcurve.sharpness import BroadNarrowReport
 
 
@@ -246,6 +252,36 @@ class TestEnvelopeSweeps:
         a = verify_envelope(cfg)
         b = verify_envelope(cfg)
         assert [r.value for r in a.rows] == [r.value for r in b.rows]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rows_in_order_until_first_error(self, workers, tmp_path, monkeypatch):
+        # verify_envelope and `sweep --workers N` both run the rows in x order
+        # on the calling thread; the sweep keeps every row finished before a
+        # BudgetError.
+        calls = []
+
+        def row_fn(cfg, x):
+            calls.append((x, threading.current_thread()))
+            if x == 16:
+                raise BudgetError("rows", x, 2)
+            return SweepRow(x=x, value=1.0, envelope=1.0, seed_count=1,
+                            method="exact", err_estimate=0.0)
+
+        monkeypatch.setattr(sharpness, "mainexp_row", row_fn)
+        monkeypatch.setattr(cli, "mainexp_row", row_fn)
+        with pytest.raises(BudgetError):
+            verify_envelope(SweepConfig(x_values=(4, 8, 16, 32), s=2))
+        cfg = tmp_path / "rows.ini"
+        cfg.write_text("[sweep]\nx_values = 4 8 16 32\ns = 2\n", encoding="utf-8")
+        argv = ["sweep", str(cfg), "--workers", str(workers), "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert [x for x, _ in calls] == [4, 8, 16] * 2
+        assert all(thread is threading.current_thread() for _, thread in calls)
+        (table,) = sorted((tmp_path / "tables").glob("*.csv"))
+        assert table.read_text().splitlines()[1:] == [
+            ",".join(format_cell(c) for c in (x, 1.0, 1.0, 1, "exact", 0.0))
+            for x in (4, 8)
+        ]
 
 
 class TestInterference:
