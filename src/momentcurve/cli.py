@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
 import time
 
@@ -130,6 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="broad-narrow: separation parameter E")
     g.add_argument("--out", default=".", metavar="DIR")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on first use, then kept for the process."""
+    return build_parser()
 
 
 def _cmd_moment(args, argv: list[str]) -> int:
@@ -383,8 +390,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     command = ["momentcurve"] + argv
     try:
         # moment and geometry seed numpy generators, which take no negative seed.

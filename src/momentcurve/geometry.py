@@ -392,13 +392,14 @@ def _require_dyadic(r: float) -> None:
         raise SpecValidationError("r must be a positive power of two")
 
 
-def _cone_deviation(y: np.ndarray, center: float, w_ang: float, w_rad: float):
+def _cone_deviation(y: np.ndarray, center, w_ang: float, w_rad: float):
     """Angle and light-cone distance of the dilated cone images y.
 
-    Returns (zeta, ok, angular ratio, radial ratio): zeta is each point's
-    angle, ok marks points whose angle lies within w_ang / 2 of center and
-    whose distance to the cone {w3 = |(w1, w2)|} is at most w_rad, and the
-    ratios are the largest of those two deviations over their bounds.
+    center is one angle, or one per point. Returns (zeta, ok, angular ratio,
+    radial ratio): zeta is each point's angle, ok marks points whose angle
+    lies within w_ang / 2 of its center and whose distance to the cone
+    {w3 = |(w1, w2)|} is at most w_rad, and the ratios are the largest of
+    those two deviations over their bounds.
     """
     zeta = np.arctan2(y[:, 1], y[:, 0])
     dev = np.abs(_wrap_angle(zeta - center))
@@ -445,9 +446,24 @@ def check_overlap_geo1(
     magnitude then exceeds the combined B widths. Hits beyond the threshold
     count as violations.
 
-    The box ranges do not depend on the index, so the box at l serves as the
-    membership test for every l'; all l' of one l (and all far probes) are
-    inverted in one broadcast back-substitution of shape (l' count, per_l).
+    Each anchor l draws its box sample and then its far probes, in that
+    order; then the pairs of every anchor are tested in one array pass. The
+    box ranges do not depend on the index, so one box tests every pair.
+
+    Candidate window. At t' the B coordinate of q is B(t') = q1/2 - t' A, so
+    |B| <= b = b_bound (1 + SLACK), as contains_abc asks, holds only for
+    l' = r_k t' in r_k (q1/2 -+ b) / A: an interval of half width
+    W = b r_k / |A|, at most 4 c_eps (1 + SLACK) when r_next = 2 r_k. Only
+    the near l' and far probes inside it are tested, each by the same
+    elementwise frame_coordinates call as a full test, so every tested pair
+    keeps its bits. The computed B(l') and interval ends stand a few
+    roundings u = 2^-53 from the exact ones, each at most (r_k + 2 W) u in
+    index units, since |t'| < 1 and |q1| <= 2 |A| + 2 b_bound. A subnormal A
+    (r_next near 1e308) adds at most 2^-1075 r_k / |A| <= 8 u r_k per
+    rounding. err = 64 u (r_k + W) covers them all: under 1e-8 of an index
+    step at r_k <= 2^20 and W <= 16, and whole indices only past about
+    r_k = 1e14. The ends widened by err and rounded outward to whole indices
+    (which absorbs up to one index more) hold every l' that can hit.
     """
     if not (1.0 <= r_k <= r_next < math.inf and 0 < c_eps < math.inf):
         raise SpecValidationError("need 1 <= r_k <= r_next < inf and 0 < c_eps < inf")
@@ -460,35 +476,54 @@ def check_overlap_geo1(
     # No l' is farther than n_l from l, so a wider window changes nothing.
     window = min(n_l, math.ceil(min(threshold, n_l)) + 2)
 
-    def hits(box: ParamBox, lps: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        return box.contains_abc(frame_coordinates(lps[:, None] / r_k, pts))
-
-    violations = 0
-    max_mult = 0
-    pairs = 0
-    far_pairs = 0
-    used = 0
-    for l in ls:
+    blocks = []
+    probes = np.zeros((ls.size, 8), dtype=np.int64)
+    n_probes = np.zeros(ls.size, dtype=np.int64)
+    for j, l in enumerate(ls):
         box = gamma_tilde(r_k, r_next, R, int(l), c_eps)
-        pts = box.to_points(box.sample(rng, per_l))
-        used += per_l
-        near = np.arange(max(0, l - window), min(n_l, l + window + 1))
-        max_mult = max(max_mult, int(hits(box, near, pts).sum(axis=0).max()))
-        pairs += near.size
+        blocks.append(box.to_points(box.sample(rng, per_l)))
         far_candidates = np.concatenate(
             [np.arange(0, max(0, l - window)), np.arange(min(n_l, l + window + 1), n_l)]
         )
         if far_candidates.size:
-            probe = rng.choice(far_candidates, size=min(8, far_candidates.size), replace=False)
-            violations += int(np.count_nonzero(hits(box, probe, pts)))
-            far_pairs += probe.size
+            n_probes[j] = min(8, far_candidates.size)
+            probes[j, : n_probes[j]] = rng.choice(far_candidates, size=n_probes[j], replace=False)
+    pts = np.concatenate(blocks)
+    anchor = np.repeat(ls, per_l)
+
+    b = box.b_bound * (1.0 + SLACK)
+    a = pts[:, 0]
+    reach = float(n_l + 1)
+    with np.errstate(over="ignore"):
+        # Offsets from the anchor. Each interval holds its anchor, so an end
+        # that overflows is -inf below it or +inf above it, never NaN with err.
+        ends = (0.5 * pts[:, 1, None] + [-b, b]) / a[:, None] * r_k - anchor[:, None]
+        err = 64.0 * 2.0**-53 * r_k * (1.0 + b / np.abs(a))
+    first = anchor + np.maximum(np.floor(ends.min(axis=1) - err), -reach).astype(np.int64)
+    last = anchor + np.minimum(np.ceil(ends.max(axis=1) + err), reach).astype(np.int64)
+
+    def hits(point: np.ndarray, lps: np.ndarray) -> np.ndarray:
+        return box.contains_abc(frame_coordinates(lps / r_k, pts[point]))
+
+    # Near pairs: one ragged row of consecutive l' per point.
+    lo = np.maximum(first, np.maximum(anchor - window, 0))
+    counts = np.maximum(np.minimum(last, np.minimum(anchor + window, n_l - 1)) - lo + 1, 0)
+    point = np.repeat(np.arange(pts.shape[0]), counts)
+    lps = lo[point] + np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mult = np.bincount(point[hits(point, lps)], minlength=pts.shape[0])
+
+    far = np.repeat(probes, per_l, axis=0)
+    far_mask = np.arange(8) < np.repeat(n_probes, per_l)[:, None]
+    point, col = np.nonzero(far_mask & (far >= first[:, None]) & (far <= last[:, None]))
+    violations = int(np.count_nonzero(hits(point, far[point, col])))
+    near_sizes = np.minimum(ls + window, n_l - 1) - np.maximum(ls - window, 0) + 1
     return OverlapReport(
         threshold=threshold,
         l_count=int(ls.size),
-        samples_used=used,
-        pairs_checked=pairs,
-        far_pairs_checked=far_pairs,
-        max_multiplicity=max_mult,
+        samples_used=int(pts.shape[0]),
+        pairs_checked=int(near_sizes.sum()),
+        far_pairs_checked=int(n_probes.sum()),
+        max_multiplicity=int(mult.max()),
         violations=violations,
     )
 
@@ -539,16 +574,16 @@ def _cone_slab_check(
     z-first: the slab coordinate is drawn uniformly and the A coefficient
     solved from it, so every draw lands in the slab; boxes whose A range
     cannot reach the slab are skipped and counted.
+
+    The draws run box by box, in the rng order of a per-box check. The kept
+    boxes' points are then stacked, and the cone map, deviations, heights
+    and angular cells of all of them are taken in one pass. Each is
+    elementwise, a maximum, or a count of distinct cells (per box and in
+    all), so the report equals the per-box check's bit for bit.
     """
-    t_map = cone_map_T()
     slab_lo, slab_hi = 0.5 / r, 1.0 / r
-    violations = 0
-    used = 0
-    skipped = 0
-    max_ang = 0.0
-    max_rad = 0.0
-    touched: set[int] = set()
-    max_caps_per_l = 0
+    blocks = []
+    centers = []
     for box in boxes:
         t0 = box.t0
         rho = cone_radius(t0)
@@ -556,40 +591,35 @@ def _cone_slab_check(
         z_lo = max(slab_lo, box.a_lo * rho + margin)
         z_hi = min(slab_hi, box.a_hi * rho - margin)
         if z_lo >= z_hi:
-            skipped += 1
             continue
         z = rng.uniform(z_lo, z_hi, per_l)
         b = rng.uniform(-box.b_bound, box.b_bound, per_l)
         c = rng.uniform(-box.c_bound, box.c_bound, per_l)
         a = (z - b * t0 / SQRT2 - c / SQRT2) / rho
-        pts = box.to_points(np.column_stack([a, b, c]))
-        y = r * t_map.apply(pts)
-        used += per_l
-
-        zeta, ok, ang, rad = _cone_deviation(y, cone_angle(t0), w_ang, w_rad)
-        height_ok = (y[:, 2] >= 0.5 * (1.0 - SLACK)) & (y[:, 2] <= 1.0 + SLACK)
-        violations += int(np.count_nonzero(~(height_ok & ok)))
-        max_ang = max(max_ang, ang)
-        max_rad = max(max_rad, rad)
-        cells = np.unique(np.floor(zeta / w_ang).astype(int))
-        touched.update(int(v) for v in cells)
-        max_caps_per_l = max(max_caps_per_l, int(cells.size))
+        blocks.append(box.to_points(np.column_stack([a, b, c])))
+        centers.append(cone_angle(t0))
     cap_count = int(math.ceil(2.0 * math.pi / w_ang))
+    report = dict(
+        case=case, r=r, beta1=beta1, angular_halfwidth=0.5 * w_ang, radial_width=w_rad,
+        cap_count=cap_count, l_count=len(boxes), samples_used=len(blocks) * per_l,
+        skipped_l=len(boxes) - len(blocks),
+    )
+    if not blocks:
+        return ConeReport(**report, caps_touched=0, max_caps_per_l=0, violations=0,
+                          max_angular_ratio=0.0, max_radial_ratio=0.0)
+
+    y = r * cone_map_T().apply(np.concatenate(blocks))
+    zeta, ok, ang, rad = _cone_deviation(y, np.repeat(centers, per_l), w_ang, w_rad)
+    height_ok = (y[:, 2] >= 0.5 * (1.0 - SLACK)) & (y[:, 2] <= 1.0 + SLACK)
+    # One row of angular cells per kept box, sorted to count its distinct cells.
+    cells = np.sort(np.floor(zeta / w_ang).astype(int).reshape(len(blocks), per_l), axis=1)
     return ConeReport(
-        case=case,
-        r=r,
-        beta1=beta1,
-        angular_halfwidth=0.5 * w_ang,
-        radial_width=w_rad,
-        cap_count=cap_count,
-        caps_touched=len(touched),
-        max_caps_per_l=max_caps_per_l,
-        l_count=len(boxes),
-        samples_used=used,
-        skipped_l=skipped,
-        violations=violations,
-        max_angular_ratio=max_ang,
-        max_radial_ratio=max_rad,
+        **report,
+        caps_touched=int(np.unique(cells).size),
+        max_caps_per_l=int(1 + np.count_nonzero(np.diff(cells, axis=1), axis=1).max()),
+        violations=int(np.count_nonzero(~(height_ok & ok))),
+        max_angular_ratio=ang,
+        max_radial_ratio=rad,
     )
 
 

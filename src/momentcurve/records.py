@@ -9,6 +9,7 @@ across reruns with the same arguments.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -70,9 +71,13 @@ def args_digest(payload: dict) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses / numpy scalars / tuples for json."""
+    """Recursively convert dataclasses / numpy scalars / tuples for json.
+
+    A dataclass converts one level of fields at a time; dataclasses.asdict
+    would deep-copy the whole tree before this walk visits it again.
+    """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -120,6 +125,7 @@ class RunManifest:
         self.outputs.append({"path": path, "sha256": sha256_file(path)})
 
 
+@functools.cache
 def package_version() -> str:
     try:
         from importlib.metadata import version

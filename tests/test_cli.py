@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from momentcurve import ExpSumSpec, SweepConfig, build_group_table, coeffs_for, verify_envelope
+from momentcurve import cli
 from momentcurve.cli import SWEEP_KEYS, main
 from momentcurve.records import format_cell, sha256_file
 
@@ -509,3 +510,41 @@ class TestEntrypoint:
             env=child_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
+
+    def test_one_parser_serves_every_command_of_a_process(self, tmp_path, monkeypatch):
+        # After a usage error (exit 2) the kept parser reads the next argv as a
+        # fresh one does: same result bodies, bar the run id and wall time.
+        fresh_parser = cli.build_parser
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return fresh_parser()
+
+        def body(out, pattern):
+            record = read_only_json(out / "results", pattern)
+            del record["manifest"], record["wall_time_s"]
+            return json.dumps(record, sort_keys=True).encode()
+
+        commands = [
+            ("geometry", ["geometry", "partition", "--samples", "2000"], "geometry-partition-*.json"),
+            ("moment", ["moment", "--N", "8", "--s", "2"], "moment-*.json"),
+        ]
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["geometry", "no-such-check"])
+            assert exc.value.code == 2
+            kept = {}
+            for name, argv, pattern in commands:
+                assert main([*argv, "--out", str(tmp_path / "kept" / name)]) == 0
+                kept[name] = body(tmp_path / "kept" / name, pattern)
+            assert len(built) == 1
+        finally:
+            cli._shared_parser.cache_clear()
+
+        monkeypatch.setattr(cli, "_shared_parser", fresh_parser)
+        for name, argv, pattern in commands:
+            assert main([*argv, "--out", str(tmp_path / "fresh" / name)]) == 0
+            assert body(tmp_path / "fresh" / name, pattern) == kept[name]

@@ -54,7 +54,9 @@ def _geo1_loop_reference(r_k, r_next, R, c_eps=1.0, samples=10000, seed=0):
     ls = _spread_l_indices(n_l, rng)
     per_l = max(1, samples // ls.size)
     threshold = geometry.OVERLAP_FACTOR * c_eps * (r_next / r_k)
-    window = int(math.ceil(threshold)) + 2
+    # Clipped to n_l as in check_overlap_geo1: a threshold past n_l (or inf,
+    # at r_next near 1e308) leaves every l' near.
+    window = min(n_l, math.ceil(min(threshold, n_l)) + 2)
     violations = max_mult = pairs = far_pairs = used = 0
     for l in ls:
         box = gamma_tilde(r_k, r_next, R, int(l), c_eps)
@@ -85,6 +87,57 @@ def _geo1_loop_reference(r_k, r_next, R, c_eps=1.0, samples=10000, seed=0):
         far_pairs_checked=far_pairs,
         max_multiplicity=max_mult,
         violations=violations,
+    )
+
+
+def _cone_slab_loop_reference(boxes, r, w_ang, w_rad, rng, per_l, case, beta1):
+    """geometry._cone_slab_check as a loop: draws, cone map, deviations and
+    angular cells box by box."""
+    t_map = cone_map_T()
+    slab_lo, slab_hi = 0.5 / r, 1.0 / r
+    violations = used = skipped = 0
+    max_ang = max_rad = 0.0
+    touched = set()
+    max_caps_per_l = 0
+    for box in boxes:
+        t0 = box.t0
+        rho = cone_radius(t0)
+        margin = box.b_bound * t0 / SQRT2 + box.c_bound / SQRT2
+        z_lo = max(slab_lo, box.a_lo * rho + margin)
+        z_hi = min(slab_hi, box.a_hi * rho - margin)
+        if z_lo >= z_hi:
+            skipped += 1
+            continue
+        z = rng.uniform(z_lo, z_hi, per_l)
+        b = rng.uniform(-box.b_bound, box.b_bound, per_l)
+        c = rng.uniform(-box.c_bound, box.c_bound, per_l)
+        a = (z - b * t0 / SQRT2 - c / SQRT2) / rho
+        pts = box.to_points(np.column_stack([a, b, c]))
+        y = r * t_map.apply(pts)
+        used += per_l
+        zeta, ok, ang, rad = geometry._cone_deviation(y, cone_angle(t0), w_ang, w_rad)
+        height_ok = (y[:, 2] >= 0.5 * (1.0 - geometry.SLACK)) & (y[:, 2] <= 1.0 + geometry.SLACK)
+        violations += int(np.count_nonzero(~(height_ok & ok)))
+        max_ang = max(max_ang, ang)
+        max_rad = max(max_rad, rad)
+        cells = np.unique(np.floor(zeta / w_ang).astype(int))
+        touched.update(int(v) for v in cells)
+        max_caps_per_l = max(max_caps_per_l, int(cells.size))
+    return ConeReport(
+        case=case,
+        r=r,
+        beta1=beta1,
+        angular_halfwidth=0.5 * w_ang,
+        radial_width=w_rad,
+        cap_count=int(math.ceil(2.0 * math.pi / w_ang)),
+        caps_touched=len(touched),
+        max_caps_per_l=max_caps_per_l,
+        l_count=len(boxes),
+        samples_used=used,
+        skipped_l=skipped,
+        violations=violations,
+        max_angular_ratio=max_ang,
+        max_radial_ratio=max_rad,
     )
 
 
@@ -375,6 +428,9 @@ GEO1_ORACLE_CASES = [
     (1.0, 1.0, 1.0, 500, 0),
     (2.0, 4.0, 1.0, 500, 1),
     (2.0, 4.0, 4.0, 500, 2),
+    (16.0, 32.0, 1.0, 2000, 7),
+    # r_next = 1e308: the threshold overflows to inf and the window is n_l.
+    (64.0, 1e308, 1.0, 640, 2),
     # n_l > 64, far probes drawn from both sides.
     (200.0, 400.0, 1.0, 900, 4),
     # samples < ls.size gives per_l = 1.
@@ -387,6 +443,34 @@ class TestGeo1Broadcast:
     def test_matches_loop_reference(self, r_k, r_next, c_eps, samples, seed):
         args = (r_k, r_next, GEO1_R, c_eps, samples, seed)
         assert check_overlap_geo1(*args) == _geo1_loop_reference(*args)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+    def test_matches_loop_reference_at_cli_defaults(self, beta):
+        # The CLI's sample count and seed at c_eps = 4, the widest window.
+        args = (*default_geo1_scales(GEO1_R, beta), GEO1_R, 4.0, 10000, 1)
+        assert check_overlap_geo1(*args) == _geo1_loop_reference(*args)
+
+    def test_matches_loop_reference_with_subnormal_a(self, monkeypatch):
+        # Every draw is put at |A| = a_lo = 5e-309, a subnormal. One end of
+        # its candidate interval, r_k (q1/2 -+ b) / A, is past b r_k / |A|
+        # and overflows to inf, so the interval is clipped to the window; the
+        # C coordinate still confines its hits to its own l.
+        sample = geometry.ParamBox.sample
+
+        def pinned_sample(box, rng, count):
+            abc = sample(box, rng, count)
+            abc[:, 0] = np.copysign(box.a_lo, abc[:, 0])
+            return abc
+
+        monkeypatch.setattr(geometry.ParamBox, "sample", pinned_sample)
+        r_k, r_next, c_eps = 4.0, 1e308, 16.0
+        box = gamma_tilde(r_k, r_next, GEO1_R, 0, c_eps)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(box.b_bound) / box.a_lo * r_k)
+        args = (r_k, r_next, GEO1_R, c_eps, 400, 9)
+        rep = check_overlap_geo1(*args)
+        assert rep.max_multiplicity == 1
+        assert rep == _geo1_loop_reference(*args)
 
     def test_matches_loop_reference_with_far_hits(self, monkeypatch):
         # A threshold far below the true overlap range puts overlapping boxes
@@ -406,6 +490,35 @@ class TestGeo1Broadcast:
     def test_rejects_r_k_below_one(self):
         with pytest.raises(SpecValidationError):
             check_overlap_geo1(0.5, 1.0, GEO1_R)
+
+
+GEO2_ORACLE_CASES = [
+    # The criterion-7 grid at the CLI's samples and seed, both cases.
+    *[(*default_geo2_scales(GEO1_R, beta, case), c_eps, None, 10000, 1)
+      for beta in (0.5, 0.75, 1.0) for c_eps in (1.0, 4.0) for case in ("1", "2")],
+    # Slab bottom 1/(2r) = a_hi: only boxes with rho(t0) > 1, t0 > 0.91,
+    # reach it, so most are skipped.
+    (256.0, 512.0, 1.0, 128.0, 3000, 3),
+    # Slab bottom 2 a_hi: no box reaches it.
+    (256.0, 512.0, 1.0, 64.0, 3000, 4),
+]
+
+
+class TestGeo2Stacked:
+    @pytest.mark.parametrize("r_k, r_next, c_eps, r, samples, seed", GEO2_ORACLE_CASES)
+    def test_matches_loop_reference(self, r_k, r_next, c_eps, r, samples, seed, monkeypatch):
+        args = (r_k, r_next, GEO1_R, c_eps, r, samples, seed)
+        rep = check_cone_containment_geo2(*args)
+        monkeypatch.setattr(geometry, "_cone_slab_check", _cone_slab_loop_reference)
+        assert rep == check_cone_containment_geo2(*args)
+
+    def test_skipped_boxes_are_counted(self):
+        some = check_cone_containment_geo2(256.0, 512.0, GEO1_R, 1.0, 128.0, 3000, 3)
+        assert 0 < some.skipped_l < some.l_count
+        assert some.samples_used == (some.l_count - some.skipped_l) * (3000 // some.l_count)
+        none = check_cone_containment_geo2(256.0, 512.0, GEO1_R, 1.0, 64.0, 3000, 4)
+        assert none.skipped_l == none.l_count
+        assert (none.samples_used, none.caps_touched, none.max_caps_per_l) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(

@@ -27,40 +27,75 @@ from momentcurve.records import format_cell
 from momentcurve.sharpness import BroadNarrowReport
 
 
-def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed):
-    """broad_narrow_check with every separated triple's geometric mean
-    formed explicitly before the max."""
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, (samples, 3))
-    k = np.arange(1, spec.n + 1, dtype=float)
+U = 2.0**-53
+
+
+def _np_exp_waves(x, n):
+    """e(phi_k) as exp of the whole rounded phase k x1 + k^2 x2 + k^3 x3, the
+    route broad_narrow_check took before the recurrence."""
+    k = np.arange(1, n + 1, dtype=float)
     phase = (
         k[:, None] * x[None, :, 0]
         + (k**2)[:, None] * x[None, :, 1]
         + (k**3)[:, None] * x[None, :, 2]
     )
-    waves = spec.coeffs[:, None] * np.exp(1j * TWO_PI * phase)
+    return np.exp(1j * TWO_PI * phase)
+
+
+def _recurrence_wave_bound(k):
+    """The bound stated in sharpness._cubic_waves' docstring."""
+    return 1.001 * U * (56 + 185 * (k - 1) + 191 * math.comb(k - 1, 2) + 65 * math.comb(k - 1, 3))
+
+
+def _np_exp_wave_bound(k):
+    """The rounded phase errs by (3k + 3k^2 + 2k^3) u and the angle by 2 pi
+    (5k + 5k^2 + 4k^3) u; sin and cos within 4 ulps add 8 sqrt(2) u < 12u."""
+    return TWO_PI * U * (5 * k + 5 * k**2 + 4 * k**3) + 12 * U
+
+
+def _band_sums(spec, waves, n_bands):
+    """|band sums| (n_bands, samples) and |f| from the coefficient-weighted waves."""
+    k = np.arange(1, spec.n + 1, dtype=float)
     band_of = np.minimum((k / spec.n * n_bands).astype(int), n_bands - 1)
-    band_abs = np.empty((n_bands, samples))
-    total = waves.sum(axis=0)
+    band_abs = np.empty((n_bands, waves.shape[1]))
     for j in range(n_bands):
         mask = band_of == j
         band_abs[j] = np.abs(waves[mask].sum(axis=0)) if mask.any() else 0.0
-    m = band_abs.max(axis=0)
-    f_abs = np.abs(total)
-    significant = band_abs >= (m / n_bands)[None, :] * (1.0 - 1e-12)
-    broad = significant.sum(axis=0) >= 3.0 * e_sep - 1e-12
-    triples = [
+    return band_abs, np.abs(waves.sum(axis=0))
+
+
+def _separated_triples(n_bands, e_sep):
+    return [
         t
         for t in itertools.combinations(range(n_bands), 3)
         if t[1] - t[0] >= e_sep and t[2] - t[1] >= e_sep
     ]
+
+
+def _rhs(band_abs, n_bands, e_sep):
+    """4E max_band + bands^2 * best separated GM, every triple formed explicitly."""
+    triples = _separated_triples(n_bands, e_sep)
     if triples:
         ti = np.array(triples)
         gm = (band_abs[ti[:, 0]] * band_abs[ti[:, 1]] * band_abs[ti[:, 2]]) ** (1.0 / 3.0)
         gm_best = gm.max(axis=0)
     else:
-        gm_best = np.zeros(samples)
-    rhs = 4.0 * e_sep * m + n_bands**2 * gm_best
+        gm_best = np.zeros(band_abs.shape[1])
+    return 4.0 * e_sep * band_abs.max(axis=0) + n_bands**2 * gm_best
+
+
+def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed, waves_of=None):
+    """broad_narrow_check with every separated triple's geometric mean
+    formed explicitly before the max. The waves come from waves_of(x, n),
+    by default the recurrence broad_narrow_check uses."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (samples, 3))
+    waves_of = waves_of or sharpness._cubic_waves
+    band_abs, f_abs = _band_sums(spec, spec.coeffs[:, None] * waves_of(x, spec.n), n_bands)
+    m = band_abs.max(axis=0)
+    significant = band_abs >= (m / n_bands)[None, :] * (1.0 - 1e-12)
+    broad = significant.sum(axis=0) >= 3.0 * e_sep - 1e-12
+    rhs = _rhs(band_abs, n_bands, e_sep)
     ratio = np.divide(f_abs, rhs, out=np.zeros_like(f_abs), where=rhs > 0)
     return BroadNarrowReport(
         max_ratio=float(ratio.max()),
@@ -69,7 +104,7 @@ def _broad_narrow_reference(spec, n_bands, e_sep, samples, seed):
         samples_used=samples,
         broad_count=int(np.count_nonzero(broad)),
         narrow_count=int(np.count_nonzero(~broad)),
-        triple_count=len(triples),
+        triple_count=len(_separated_triples(n_bands, e_sep)),
     )
 
 
@@ -371,3 +406,52 @@ class TestBroadNarrow:
         spec = ExpSumSpec(n=16, coeffs=np.ones(16))
         with pytest.raises(SpecValidationError):
             broad_narrow_check(spec, n_bands=6, e_sep=1.0, samples=0)
+
+    def test_waves_are_within_the_stated_bound_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.random.default_rng(11).uniform(0.0, 1.0, (40, 3))
+        top = 1.0 - U
+        x = np.vstack([x, [[0.0, 0.0, 0.0], [top, top, top], [0.5, 0.25, top], [0.0, 0.0, top]]])
+        n = 64
+        waves = sharpness._cubic_waves(x, n)
+        direct = _np_exp_waves(x, n)
+        with mpmath.workdps(40):
+            for j, row in enumerate(x):
+                x1, x2, x3 = (mpmath.mpf(float(v)) for v in row)
+                for k in range(1, n + 1):
+                    exact = mpmath.expjpi(2 * (k * x1 + k**2 * x2 + k**3 * x3))
+                    assert abs(mpmath.mpc(waves[k - 1, j]) - exact) <= _recurrence_wave_bound(k)
+                    assert abs(mpmath.mpc(direct[k - 1, j]) - exact) <= _np_exp_wave_bound(k)
+
+    @pytest.mark.parametrize(
+        "n, n_bands, e_sep", [(64, 16, 2.0), (64, 16, 1.0), (8, 16, 2.0), (64, 5, 1.5)]
+    )
+    @pytest.mark.parametrize("family", ["random_sign", "random_phase", "constant"])
+    def test_holds_the_np_exp_route_within_the_propagated_bound(self, n, n_bands, e_sep, family):
+        seed = 3
+        spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, seed))
+        args = (spec, n_bands, e_sep, 2000, seed)
+        rep = broad_narrow_check(*args)
+        old = _broad_narrow_reference(*args, waves_of=_np_exp_waves)
+        for name in ("n_bands", "samples_used", "broad_count", "narrow_count", "triple_count"):
+            assert getattr(rep, name) == getattr(old, name)
+        # Each term a_k e(phi_k) of a band sum and of f moves between the two
+        # routes by at most |a_k| times both wave bounds, plus, per route, the
+        # coefficient product (sqrt(5) u), the summation ((n - 1) u) and the
+        # modulus (2u). The rhs is nondecreasing in every band modulus, so
+        # moving each by its bound brackets the ratio at every sample.
+        k = np.arange(1, n + 1)
+        bound = np.array([_recurrence_wave_bound(j) + _np_exp_wave_bound(j) for j in k])
+        per_term = np.abs(spec.coeffs) * (bound + (2 * n + 7) * U)
+        band_of = np.minimum((k / n * n_bands).astype(int), n_bands - 1)
+        d_band = np.bincount(band_of, weights=per_term, minlength=n_bands)[:, None]
+        d_f = per_term.sum()
+        x = np.random.default_rng(seed).uniform(0.0, 1.0, (2000, 3))
+        band_abs, f_abs = _band_sums(spec, spec.coeffs[:, None] * _np_exp_waves(x, n), n_bands)
+        rhs_hi = _rhs(band_abs + d_band, n_bands, e_sep)
+        rhs_lo = _rhs(np.maximum(band_abs - d_band, 0.0), n_bands, e_sep)
+        lo = np.max((f_abs - d_f) / rhs_hi)
+        hi = np.max(np.where(rhs_lo > 0, (f_abs + d_f) / np.where(rhs_lo > 0, rhs_lo, 1.0), np.inf))
+        # 1e-14: the ratio formula's own few roundings, on both sides.
+        assert lo * (1.0 - 1e-14) <= rep.max_ratio <= hi * (1.0 + 1e-14)
+        assert hi - lo < 1e-6
