@@ -428,6 +428,24 @@ class OverlapReport:
     violations: int
 
 
+def _far_probes(rng: np.random.Generator, n_l: int, l: int, window: int) -> np.ndarray:
+    """Up to 8 distinct indices of 0..n_l-1 outside l -+ window, drawn by rng.
+
+    The n_far indices below and above the window are numbered 0..n_far-1 in
+    order; rng.choice(n_far, ...) draws numbers and the window's width is
+    added to those above it. rng.choice(a, ...) on the array a of those
+    indices draws the same positions and returns a[positions], so the
+    probes are the same, without an O(n_l) array.
+    """
+    below = max(0, l - window)
+    above = min(n_l, l + window + 1)
+    n_far = below + n_l - above
+    if n_far == 0:
+        return np.zeros(0, dtype=np.int64)
+    pick = rng.choice(n_far, size=min(8, n_far), replace=False)
+    return np.where(pick < below, pick, pick + (above - below))
+
+
 def check_overlap_geo1(
     r_k: float,
     r_next: float,
@@ -482,12 +500,9 @@ def check_overlap_geo1(
     for j, l in enumerate(ls):
         box = gamma_tilde(r_k, r_next, R, int(l), c_eps)
         blocks.append(box.to_points(box.sample(rng, per_l)))
-        far_candidates = np.concatenate(
-            [np.arange(0, max(0, l - window)), np.arange(min(n_l, l + window + 1), n_l)]
-        )
-        if far_candidates.size:
-            n_probes[j] = min(8, far_candidates.size)
-            probes[j, : n_probes[j]] = rng.choice(far_candidates, size=n_probes[j], replace=False)
+        probe = _far_probes(rng, n_l, int(l), window)
+        n_probes[j] = probe.size
+        probes[j, : probe.size] = probe
     pts = np.concatenate(blocks)
     anchor = np.repeat(ls, per_l)
 

@@ -35,20 +35,24 @@ block at hand, so the table is never unpacked whole.
 
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
-real part of its strict upper triangle, and only that triangle is formed. The
-kernel is factored per entry, with no transcendental function per pair: for
-u_i = c_i e(p3_i h0) and v_i = u_i e(p3_i L), a pair contributes
-Im(v_i conj(v_j) - u_i conj(u_j)) / (2 pi d). The phases p3 h0 and p3 L are
-reduced mod 1 exactly, h0 and L split into pieces short enough that every
-p3 times a piece is an exact float. Blocks of same-size groups, about
-_PAIR_CHUNK pairs each, run on the same pool and are taken in block order;
-math.fsum adds their partial sums with one rounding, so the value does not
-depend on the number of cores or on other callers, and err_estimate is a
-stated bound on the error, the phase reduction and exp included. A block
-forms its pairs _PAIR_PIECE at a time, u and v only for the groups the piece
-touches, and sigma = 0 squares |c| in _ENERGY_CHUNK slices; both are whole
-4096-term segments, so the sums are those of one pass while the arrays in
-flight stay a few MB.
+real part of its strict upper triangle, and only that triangle is formed.
+After the (p1, p2) match the window enters only through K, so for sigma > 0
+the moment is L sum |c_i|^2 + Re sum_d R(d) conj(K(d)); the window
+spectrum R(d) sums the weighted products c_i conj(c_j) of the pairs with
+difference d = p3_j - p3_i > 0. R depends on neither sigma nor h0, and as
+k^3 = k (mod 6) every in-group d is a multiple of 6, so R has one bin per
+d / 6.
+Blocks of same-size groups, about _PAIR_CHUNK pairs each, bin their pairs
+with np.bincount on the shared pool and are added in block order; each
+product is split at a power of 2 into a part whose bin sums are exact and a
+small rest, so the bins are exact for integer coefficients. interval_kernel
+then runs once, on the calling thread, at 0 and the distinct d, and
+math.fsum adds the diagonal's segment sums and the terms
+Re(R(d) conj(K(d))) with one rounding. So the value does not depend on
+the number of cores or on other callers, and err_estimate is a stated bound
+on the error, the kernel included. sigma = 0 squares |c| in _ENERGY_CHUNK
+slices of whole 4096-term segments, so its sums are those of one pass while
+the arrays in flight stay a few MB.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -61,7 +65,7 @@ sum unchanged, for every sigma and h0. moment_exact and vinogradov_count
 then build a mirrored table: the last join forms only the output p1 with
 2 p1 <= s(n+1), and pair assembly weighs each group with 2 p1 < s(n+1) by
 2 and the middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1,
-in the value and in the bound M alike. Complex or non-palindromic
+in the value and in the bound alike. Complex or non-palindromic
 coefficients build the whole table.
 """
 
@@ -89,25 +93,21 @@ DEFAULT_BRUTE_BUDGET = int(1e8)
 _JOIN_CHUNK = 125_000
 # Pairs per pair-assembly block. A block is a run of groups of one size
 # holding about this many upper-triangle pairs; one group with more pairs is
-# a block of its own.
-_PAIR_CHUNK = 500_000
+# a block of its own. A block's index, product and bin arrays stay a few MB.
+_PAIR_CHUNK = 65_536
 # Terms added by one np.sum. numpy sums pairwise, so a term of a segment goes
 # through at most 32 roundings; math.fsum adds the segment sums exactly, which
 # keeps the bound in _pair_assemble a constant multiple of u = 2^-53.
 _SUM_SEG = 4096
-# Pairs per piece of a block; u and v are formed per piece. Whole segments,
-# so a block's segment sums are those of one pass; a piece's arrays stay a
-# few MB.
-_PAIR_PIECE = 16 * _SUM_SEG
 # Coefficients per |c|^2 pass of the diagonal energy: whole segments, so a
 # pass holds 8 MB of |c| at most instead of a copy of the table.
 _ENERGY_CHUNK = 256 * _SUM_SEG
 # (p1, p2) comparisons per moment_brute chunk, whatever the pair budget: the
 # chunk's masks take a few MB.
 _BRUTE_CHUNK = 1 << 20
-# err_estimate = u (_ROUNDOFF_K M + _PHASE_K M_d), derived in _pair_assemble.
+# The diagonal's factor in err_estimate (all of it at sigma = 0), derived in
+# _pair_assemble.
 _ROUNDOFF_K = 40
-_PHASE_K = 32
 
 # Join batches and pair-assembly tasks of every caller run on this one pool.
 # Sorting and the blocks' ufuncs release the GIL, so tasks on different
@@ -201,34 +201,85 @@ class TupleGroupTable:
         return self.power_sum(2)
 
 
+def _split(x: float, bits: int) -> list[float]:
+    """Floats of at most `bits` significant bits each that add up to x exactly.
+
+    Veltkamp/Dekker splitting: each piece is the remainder rounded to `bits`
+    bits at the remainder's own exponent. The new remainder is a multiple of
+    ulp(x) and 2^bits times smaller, so it is exact and at most
+    ceil(53 / bits) pieces come out.
+    """
+    pieces = []
+    while x != 0.0:
+        e = math.frexp(x)[1] - bits
+        piece = math.ldexp(round(math.ldexp(x, -e)), e)
+        pieces.append(piece)
+        x -= piece
+    return pieces
+
+
+def _phase(p3: np.ndarray, pieces: list[float]) -> np.ndarray:
+    """p3 x - round(p3 x) for the integers p3 (as floats) and x = sum(pieces).
+
+    With pieces of at most 53 - b bits for p3 < 2^b, every p3 * piece is an
+    exact float and so is its reduction mod 1. Adding two reduced values
+    rounds once, by at most u/2 (u = 2^-53) as |sum| <= 1, and the sum is
+    reduced again exactly: the result errs by (len(pieces) - 1) u/2 at most.
+    """
+    out = np.zeros(p3.shape)
+    t, r = np.empty(p3.shape), np.empty(p3.shape)
+    for piece in pieces:
+        np.multiply(p3, piece, out=t)
+        np.subtract(t, np.round(t, out=r), out=t)
+        out += t
+        np.subtract(out, np.round(out, out=r), out=out)
+    return out
+
+
+# |d| below 2^_KERNEL_D_BITS: h0 splits into pieces of 53 - _KERNEL_D_BITS = 8
+# bits, at most 7 of them, whatever the array holds.
+_KERNEL_D_BITS = 45
+
+
 def interval_kernel(d, sigma: float, h0: float, n: int):
     """Integral of e(d * x3) over H = [h0, h0 + L], L = n^(-sigma), integer d.
 
     It is L e(d h0) times the mean of e(d L t) over t in [0, 1], computed as
-    L * _unit_mean(d L) * e(w - round(w)) with w = d h0, for every sigma: at
-    sigma = 0, L is 1, so d != 0 gives exactly 0 and d = 0 exactly 1 (any
-    h0), and K(0) is exactly L at every sigma. A scalar d gives a complex.
+    L * _unit_mean(d L) * e(theta) for every sigma. theta is d h0 reduced
+    mod 1 exactly (_phase): h0 - round(h0) is split into pieces of 8 bits, so
+    every d times a piece is an exact float for |d| < 2^45. The pieces do not
+    depend on d, so no value depends on the array it comes in. At sigma = 0,
+    L is 1, so d != 0 gives exactly 0 and d = 0 exactly 1 (any h0), and K(0)
+    is exactly L at every sigma. A scalar d gives a complex; |d| >= 2^45
+    raises SpecValidationError.
 
-    For the float h0 and L and |d| < 2^52 the value errs by at most
-    40 u L (1 + |d| (|h0| + L)), u = 2^-53. To first order, taking np.sin,
-    np.cos and exp within 4 ulp: d L and d h0 round by u |d| L and
-    u |d| |h0|, which move the mean by pi u |d| L (its derivative is at most
-    pi) and e(d h0) by 2 pi u |d| |h0|; the reductions are exact; the mean
-    errs by 21u from pi y (1.35u relative), e(y/2), sin and the division, the
-    phase e(.) by 10u, and the two products by u and sqrt(5) u: 34u L plus
-    the d terms, and 2 pi < 40.
+    For the float h0 and L the value errs by at most u (54 |K| + 2 L),
+    u = 2^-53: no term grows with |d|. To first order, taking np.sin, np.cos
+    and exp within 4 ulp:
+      - theta errs by at most 3u turns (seven pieces); 2 pi theta rounds by
+        at most 1.35 pi u (math.pi included) and cos and sin add 4u each, so
+        e(theta) errs by at most 6 pi u + 1.35 pi u + 4 sqrt(2) u < 29u;
+      - x = d L rounds by at most u |x|, and the mean
+        f(x) = (e(x) - 1) / (2 pi i x) has |f'(x)| <= pi and
+        |f'(x)| <= 1/|x| + 1/(pi x^2), so f moves by at most
+        u min(pi |x|, 1 + 1/(pi |x|)) <= 1.62u: 1.62u L in K;
+      - the mean then errs by at most 21u |f| from pi y (1.35u relative),
+        e(y/2), sin and the division, and the two products by
+        (1 + sqrt(5)) u: with the phase, 53.3u |K|.
 
-    moment_exact takes only the scalar K(0) = L from here; its pairs use the
-    kernel factored per entry, with an exact reduction (_pair_assemble).
-    moment_brute takes the array form.
+    moment_exact evaluates it once per sigma > 0 moment, on the distinct
+    in-group differences of its window spectrum (_pair_assemble);
+    moment_brute on the differences of its matched pairs.
     """
     d_arr = np.asarray(d)
     if not np.issubdtype(d_arr.dtype, np.integer):
         raise SpecValidationError("kernel frequency d must be integer")
+    if d_arr.size and int(np.max(np.abs(d_arr))) >> _KERNEL_D_BITS:
+        raise SpecValidationError("kernel frequency |d| must be below 2^45")
     length = float(n) ** (-sigma)
     df = d_arr.astype(float)
-    w = df * h0
-    val = length * _unit_mean(df * length) * np.exp(2j * math.pi * (w - np.round(w)))
+    theta = _phase(df, _split(h0 - round(h0), 53 - _KERNEL_D_BITS))
+    val = length * _unit_mean(df * length) * np.exp(2j * math.pi * theta)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -592,235 +643,139 @@ def _doubled_entries(table: TupleGroupTable) -> int:
     return int(np.searchsorted(table.keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
 
 
-def _split(x: float, bits: int) -> list[float]:
-    """Floats of at most `bits` significant bits each that add up to x exactly.
+def _quantum(n_pairs: int, big: float) -> float:
+    """Q = 2^(e - 51), 2^(e - 1) <= S < 2^e, for S = 8 n_pairs big^2.
 
-    Veltkamp/Dekker splitting: each piece is the remainder rounded to `bits`
-    bits at the remainder's own exponent. The new remainder is a multiple of
-    ulp(x) and 2^bits times smaller, so it is exact and at most
-    ceil(53 / bits) pieces come out.
+    big is the largest |Re c| or |Im c| of the table, so a weighted product
+    w c_i conj(c_j), w <= 4, is at most 8 big^2 in modulus and S bounds the
+    sum of all of them (_pair_assemble). Past 2^52 pairs the hi sums of
+    _spectrum could pass 2^53 Q, so that raises SpecValidationError.
     """
-    pieces = []
-    while x != 0.0:
-        e = math.frexp(x)[1] - bits
-        piece = math.ldexp(round(math.ldexp(x, -e)), e)
-        pieces.append(piece)
-        x -= piece
-    return pieces
+    if n_pairs >= 2**52:
+        raise SpecValidationError("the exact route needs fewer than 2^52 pairs")
+    return math.ldexp(1.0, math.frexp(8.0 * n_pairs * big * big)[1] - 51)
 
 
-def _phase(p3: np.ndarray, pieces: list[float]) -> np.ndarray:
-    """p3 x - round(p3 x) for the integers p3 (as floats) and x = sum(pieces).
+def _spectrum(q: np.ndarray, terms: np.ndarray, quantum: float):
+    """Sums of terms by bin q, each real component as an exact and a small part.
 
-    With pieces of at most 53 - b bits for p3 < 2^b, every p3 * piece is an
-    exact float and so is its reduction mod 1. Adding two reduced values
-    rounds once, by at most u/2 (u = 2^-53) as |sum| <= 1, and the sum is
-    reduced again exactly: the result errs by (len(pieces) - 1) u/2 at most.
+    A component t splits into hi = quantum round(t / quantum) and lo = t - hi,
+    both exact as quantum is a power of 2, with |lo| <= quantum / 2; the bin
+    sums of hi are exact too (_pair_assemble), so only those of lo round.
+    Returns (at, sums, pairs): sums holds the hi and lo bin sums of each
+    component at the bins `at`, a slice from 0, or the distinct q when the
+    bins outnumber the terms, so a block's arrays stay within a few times
+    its pair count.
     """
-    out = np.zeros(p3.shape)
-    t, r = np.empty(p3.shape), np.empty(p3.shape)
-    for piece in pieces:
-        np.multiply(p3, piece, out=t)
-        np.subtract(t, np.round(t, out=r), out=t)
-        out += t
-        np.subtract(out, np.round(out, out=r), out=out)
-    return out
-
-
-def _entry_factors(p3: np.ndarray, c: np.ndarray, h_pieces, l_pieces):
-    """v = u e(p3 L) and u = c e(p3 h0) of each entry: (vr, vi, ur, ui).
-
-    h_pieces and l_pieces split h0 and L (_split). An empty h_pieces means
-    h0 is an integer, so u = c. When u is then also real, Im(u_i conj(u_j))
-    is exactly 0 and only (vr, vi) is returned.
-    """
-    if h_pieces:
-        cos, sin = _turn(_phase(p3, h_pieces))
-        if np.iscomplexobj(c):
-            ur = c.real * cos
-            ur -= c.imag * sin
-            ui = c.real * sin
-            ui += c.imag * cos
-        else:
-            ur, ui = np.multiply(c, cos, out=cos), np.multiply(c, sin, out=sin)
-    elif np.iscomplexobj(c):
-        ur, ui = c.real, c.imag
+    top = int(q.max())
+    if top > q.size:
+        at, q = np.unique(q, return_inverse=True)
     else:
-        ur, ui = c, None
-    cos, sin = _turn(_phase(p3, l_pieces))
-    if ui is None:
-        return np.multiply(ur, cos, out=cos), np.multiply(ur, sin, out=sin)
-    vr = ur * cos
-    vr -= ui * sin
-    vi = np.multiply(ur, sin, out=sin)
-    vi += np.multiply(ui, cos, out=cos)
-    return vr, vi, ur, ui
+        at = slice(0, top + 1)
+    sums = []
+    for t in (terms.real, terms.imag) if np.iscomplexobj(terms) else (terms,):
+        hi = np.round(t / quantum)
+        hi *= quantum
+        sums += [np.bincount(q, hi), np.bincount(q, t - hi)]
+    return at, sums, q.size
 
 
-def _turn(theta: np.ndarray):
-    """cos and sin of 2 pi theta; theta's buffer holds the cosine."""
-    np.multiply(theta, 2.0 * math.pi, out=theta)
-    sin = np.sin(theta)
-    return np.cos(theta, out=theta), sin
+def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
+    """Sum c_i conj(c_j) K(p3_i - p3_j) over all same-(p1, p2) pairs, a bound, and detail.
 
+    Within a group the p3 values are distinct and increase with the entry,
+    and K(-d) = conj(K(d)), so the sum is L sum |c_i|^2 plus twice the real
+    part of sum_{i<j} c_i conj(c_j) K(-d), d = p3_j - p3_i > 0, with
+    L = K(0) = n^-sigma. At sigma = 0 the kernel is exactly 0 off the
+    diagonal and only the first term is formed. H is [h0, h0 + L] for the
+    float h0 and the float L.
 
-def _pair_terms(a, b, p3, vr, vi, *u) -> np.ndarray:
-    """Im(v_i conj(v_j) - u_i conj(u_j)) / (p3_i - p3_j) for pairs i = a[q], j = b[q].
+    Otherwise the pairs enter only through the window spectrum
+    R(d) = sum of w c_i conj(c_j) over the pairs with difference d, with
+    weight w = 2 (4 for a group that stands for its mirror too): the sum is
+    L sum |c_i|^2 + Re sum_d R(d) conj(K(d)). R does not depend on sigma or
+    h0. Every in-group d is a multiple of 6, as k^3 = k (mod 6) gives
+    p3 = p1 (mod 6), so R has a bin per d / 6 up to the table's largest
+    in-group d. Blocks of same-size groups, about _PAIR_CHUNK pairs each,
+    bin their pairs on the shared pool (_spectrum) and are added in block
+    order; the diagonal and the bound's M run as one more pool task.
+    interval_kernel is then called once, on the calling thread, at 0 (for
+    L) and the d with R(d) != 0, and math.fsum adds the diagonal's segment sums and the
+    terms Re(R(d) conj(K(d))) with one rounding. So the value does not
+    depend on the number of cores. The detail gives the spectrum's bins and
+    its distinct d.
 
-    The entry arrays hold entry i of group r at [i, r], so each pair of the
-    pattern is formed for every group at once: the result is (pairs, groups).
-    That is 2 pi Re(c_i conj(c_j) K(p3_i - p3_j)). Without u = (ur, ui) the
-    u term is left out, as _entry_factors does only where it is exactly 0.
-    """
-    x = vi[a]
-    x *= vr[b]
-    t = vr[a]
-    t *= vi[b]
-    x -= t
-    if u:
-        ur, ui = u
-        y = np.multiply(ui[a], ur[b], out=t)
-        t = ur[a]
-        t *= ui[b]
-        y -= t
-        x -= y
-    d = np.take(p3, a, axis=0, out=t)
-    d -= p3[b]
-    x /= d
-    return x
-
-
-def _triangle_rects(p: int, lo: int, hi: int):
-    """Cut pairs lo..hi-1 of consecutive groups of p pairs into rectangles.
-
-    Pair k is pair k % p of group k // p. Yields (q_lo, q_hi, r_lo, r_hi):
-    pairs q_lo..q_hi-1 of groups r_lo..r_hi-1, in the order of k.
-    """
-    r_first, r_last = -(-lo // p), hi // p  # whole groups r_first..r_last-1
-    if r_first > r_last:  # inside one group
-        yield lo % p, hi - r_last * p, r_last, r_last + 1
-        return
-    if lo % p:
-        yield lo % p, p, r_first - 1, r_first
-    if r_last > r_first:
-        yield 0, p, r_first, r_last
-    if hi % p:
-        yield 0, hi % p, r_last, r_last + 1
-
-
-def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[float, float]:
-    """Sum c_i conj(c_j) K(p3_i - p3_j) over all same-(p1, p2) pairs, and a bound.
-
-    Within a group the p3 values are distinct and K(-d) = conj(K(d)), so the
-    sum is L sum |c_i|^2 + 2 Re sum_{i<j} c_i conj(c_j) K(p3_i - p3_j) with
-    L = K(0) = n^-sigma, the one kernel value taken on the calling thread.
-    At sigma = 0 the kernel is exactly 0 off the diagonal and only the first
-    term is formed. H is [h0, h0 + L] for the float h0 and the float L.
-    Otherwise the diagonal and the bound's M run as one pool task beside the
-    pair blocks.
-
-    The kernel is factored per entry: with u_i = c_i e(p3_i h0) and
-    v_i = u_i e(p3_i L), c_i conj(c_j) K(d) = (v_i conj(v_j) - u_i conj(u_j))
-    / (2 pi i d), whose real part is Im(v_i conj(v_j) - u_i conj(u_j)) /
-    (2 pi d). So a block forms u and v once per entry and a pair costs four
-    products, three subtractions and a division by d (_pair_terms); each
-    block's segment sums are scaled by weight / (2 pi) at the end. The
-    phases p3 h0 and p3 L are reduced mod 1 exactly (_phase), with h0 and L
-    split into pieces of 53 - b bits, b the bit length of s n^3 >= p3.
+    Each component of a product t = w c_i conj(c_j) splits at
+    Q = 2^(e - 51), 2^(e - 1) <= S < 2^e for S = 8 P max(|Re c|, |Im c|)^2
+    >= sum |t| over the table's P pairs. hi is an integer multiple of Q, and
+    every partial sum of hi's, in any order, is at most
+    sum |t| + P Q / 2 < 2^53 Q in magnitude while P < 2^52, so the hi bin sums
+    are exact, in the blocks and across them. With integer coefficients and
+    S < 2^51 every product is a multiple of Q, lo is 0 and R is exact. A lo
+    bin sum goes through at most P_b + B roundings per term, P_b the most
+    pairs of a block and B the number of blocks: within a block the bin's
+    terms are added one by one, and then each block's sum into the total.
 
     The second value bounds |computed - exact sum| for the table's float
-    coefficients, h0 and L by u (k M + k' M_d), with u = 2^-53,
-    k = _ROUNDOFF_K = 40, k' = _PHASE_K = 32,
-    M = L sum_G (sum_{i in G} |c_i|)^2 (M = L sum |c_i|^2 at sigma = 0) and
-    M_d = sum_G sum_{i in G} |c_i|^2 (H_r + H_{g-1-r}) / delta_G, where entry
-    i is the r-th of its group's g, H_m = 1 + 1/2 + ... + 1/m and delta_G is
-    the least gap between the group's sorted p3. Since |p3_i - p3_j| >=
-    |r_i - r_j| delta_G and 2|c_i||c_j| <= |c_i|^2 + |c_j|^2, M_d bounds
-    sum_G sum_{i != j} |c_i||c_j| / |d_ij|. To first order in u, taking
-    np.cos and np.sin to be within 4 ulp:
-      - a phase errs by at most 3u turns (at most 7 pieces, as b <= 45);
-        2 pi times it rounds by at most 1.35 pi u (math.pi included) and
-        cos and sin add 4u each, so each e(.) errs by at most
-        6 pi u + 1.35 pi u + 4 sqrt(2) u < 29u;
-      - a complex product errs by at most sqrt(5) u |a||b|, so
-        |u_i - exact| <= 32u |c_i| and |v_i - exact| <= 64u |c_i|;
-      - Im(v_i conj(v_j)) then errs by at most 2 64u |c_i||c_j| from its
-        inputs and 2u |c_i||c_j| from its two products and subtraction, the
-        u term by 2 32u + 2u, their difference rounds by 2u and the division
-        by d (exact, as |d| < 2^45) by 2u / |d|: a pair term errs by at most
-        200u |c_i||c_j| / |d|, which is 31.9u |c_i||c_j| / |d| after the
-        factor 1 / (2 pi). Both triangles and the mirror weights give
-        31.9u M_d;
-      - a pair term is at most L |c_i||c_j| after the factor, as
-        |e(dL) - 1| <= 2 pi |d| L; a diagonal term |c_i|^2 is a hypot within
-        one ulp, then a square: at most 5u |c_i|^2;
-      - a segment sum adds at most _SUM_SEG terms pairwise, at most 32
-        roundings per term: 32u times the sum of its |terms|;
-      - L times a diagonal segment sum adds u, the factor weight / (2 pi)
-        and its product with a pair segment sum add 2u; doubling is exact;
-      - math.fsum rounds the sum of all segment sums once: u M.
-    A diagonal term errs by at most (5 + 32 + 1)u and a pair term by
-    (32 + 2)u relative to its share of M, so with fsum the M part is at
-    most 39u M. k = 40 and k' = 32 leave u M and 0.1u M_d for the
-    second-order terms.
-
-    In a mirrored table the groups with 2 p1 < s(n+1) count twice, in the
-    sums, in M and in M_d; doubling is exact, so the bound holds as derived.
+    coefficients, h0 and L by
+    u (40 L E + 3 M + 58 sum_d |R(d)| |K(d)| + 2 L sum_d |R(d)| + (P_b + B) P Q L),
+    with u = 2^-53, E = sum of the weighted |c_i|^2 and
+    M = L sum_G w_G (sum_{i in G} |c_i|)^2 >= L E + L sum |t|, w_G the
+    group's mirror weight. To first order in u, with |K| <= L:
+      - a diagonal term |c_i|^2 is a hypot within one ulp, then a square:
+        at most 5u |c_i|^2; a segment sum adds at most _SUM_SEG terms
+        pairwise, at most 32 roundings per term; L times it adds u, and
+        doubling is exact: 38u L E;
+      - a product t rounds by at most sqrt(5) u |t| (a complex product; the
+        weight is exact), moving the sum by sqrt(5) u |t| |K(d)|: at most
+        sqrt(5) u (M - L E);
+      - the lo bin sums err by at most u (P_b + B) sum |lo|, and each |lo| is
+        at most Q / 2 per component: u (P_b + B) P Q L after |K| <= L;
+      - hi + lo rounds each component of R(d) once, by u |R(d)| together;
+        Re(R conj(K)) = R_r K_r + R_i K_i rounds twice more: 3u |R(d)| |K(d)|;
+      - interval_kernel errs by at most u (54 |K(d)| + 2 L);
+      - math.fsum rounds the total once: u (L E + sum_d |R(d)| |K(d)|).
+    That is 39u L E + 2.24u M, 58u |R| |K| and 2u L |R| per bin, and the lo
+    term; 40 and 3 leave u (L E + 0.76 M) for the second-order terms.
+    sum |R(d)| |K(d)| is at most M and usually far below it: |K(d)| falls
+    like 1 / (pi |d|) once |d| L > 1.
     """
     c = table.coeffs
     m = _doubled_entries(table)
     if sigma == 0.0:
         value = math.fsum(np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])))
-        return value, _ROUNDOFF_K * 2.0**-53 * value  # value = M up to rounding
+        return value, _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
 
-    length = interval_kernel(0, sigma, h0, table.n).real
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
     split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
-    # p3 <= s n^3 < 2^(53 - bits); without pairs no piece is used.
-    bits = 53 - (table.s * table.n**3).bit_length()
-    if bits < 8 and np.any(sizes > 1):
+    wide = sizes > 1
+    if table.s * table.n**3 >> _KERNEL_D_BITS and np.any(wide):
         raise SpecValidationError("the exact route needs s N^3 < 2^45 when sigma > 0")
-    h_pieces = _split(h0 - round(h0), max(bits, 8))
-    l_pieces = _split(length, max(bits, 8))
+    n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+    parts = c.view(float)
+    quantum = _quantum(n_pairs, max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0))))
 
     def block(weight, g, rows):
+        # Entry a of the block's group r at [r, a]; pairs group by group.
         iu, ju = np.triu_indices(g, 1)
-        p = iu.size
-        n_pairs = rows.size * p
-        harmonic = np.append(0.0, np.cumsum(1.0 / np.arange(1, g)))  # H_0 .. H_{g-1}
-        rank = harmonic + harmonic[::-1]
-        sums, spread = [], 0.0
-        for lo in range(0, n_pairs, _PAIR_PIECE):
-            # Pair k of the block is upper-triangle pair k % P of the block's
-            # group k // P, P = iu.size. A piece forms u and v for the groups
-            # r0 <= r < r1 it touches, entry a of group r at [a, r - r0], and
-            # bounds the groups whose first pair it holds.
-            hi = min(lo + _PAIR_PIECE, n_pairs)
-            r0, r1 = lo // p, -(-hi // p)
-            sel = (rows[r0:r1] + np.arange(g)[:, None]).ravel()
-            p3 = table.power_sum(3, sel).astype(float).reshape(g, -1)
-            cs = c[sel].reshape(g, -1)
-            factors = _entry_factors(p3, cs, h_pieces, l_pieces)
-            terms = np.empty(hi - lo)
-            at = 0
-            for q_lo, q_hi, g_lo, g_hi in _triangle_rects(p, lo - r0 * p, hi - r0 * p):
-                x = _pair_terms(iu[q_lo:q_hi], ju[q_lo:q_hi], p3[:, g_lo:g_hi],
-                                *(f[:, g_lo:g_hi] for f in factors))
-                terms[at : at + x.size].reshape(x.shape[::-1])[...] = x.T
-                at += x.size
-            del factors
-            sums.append(_segment_sums(terms))
-            own = slice(-(-lo // p) - r0, None)
-            gaps = np.diff(p3[:, own], axis=0).min(axis=0)
-            energy = np.square(np.abs(cs[:, own]))
-            spread += float(np.sum(rank @ energy / gaps))
-        return weight / (2.0 * math.pi) * np.concatenate(sums), weight / 2.0 * spread
+        sel = (rows[:, None] + np.arange(g)).ravel()
+        p3 = table.power_sum(3, sel).reshape(-1, g)
+        q = p3[:, ju]
+        q -= p3[:, iu]
+        q //= 6
+        cs = c[sel].reshape(-1, g)
+        right = np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
+        return _spectrum(q.ravel(), (weight * cs[:, iu] * right).ravel(), quantum)
 
     def diagonal():
         group_mass = np.add.reduceat(np.abs(c), starts) ** 2
-        mass = length * (2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:]))
-        return [2.0 * length * _energy_sums(c[:m]), length * _energy_sums(c[m:])], mass
+        mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
+        # The largest in-group d sets the spectrum's length: p3 increases in a group.
+        firsts = starts[wide]
+        top = table.power_sum(3, firsts + sizes[wide] - 1) - table.power_sum(3, firsts)
+        n_bins = int(top.max(initial=0)) // 6 + 1
+        return np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])), mass, n_bins
 
     def tasks():
         yield (diagonal,)
@@ -842,13 +797,29 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float) -> tuple[flo
                     yield block, weight, g, g_starts[lo : lo + per]
 
     results = _in_order(tasks())
-    partials, mass = next(results)
-    spread = 0.0
-    for sums, part in results:
-        partials.append(sums)
-        spread += part
-    err = 2.0**-53 * (_ROUNDOFF_K * mass + _PHASE_K * spread)
-    return math.fsum(np.concatenate(partials)), err
+    energy, mass, n_bins = next(results)
+    spectrum = np.zeros((4 if np.iscomplexobj(c) else 2, n_bins))
+    n_blocks = most = 0
+    for at, sums, pairs in results:
+        for acc, part in zip(spectrum, sums):
+            acc[at] += part
+        n_blocks += 1
+        most = max(most, pairs)
+    real = spectrum[0] + spectrum[1]
+    imag = spectrum[2] + spectrum[3] if len(spectrum) == 4 else np.zeros(n_bins)
+    d = np.flatnonzero((real != 0.0) | (imag != 0.0))  # no pair has d = 0
+    kernel = interval_kernel(6 * np.append(0, d), sigma, h0, table.n)
+    length, kernel = kernel[0].real, kernel[1:]
+    energy *= length
+    terms = real[d] * kernel.real + imag[d] * kernel.imag
+    r_abs = np.hypot(real[d], imag[d])
+    err = 2.0**-53 * float(
+        _ROUNDOFF_K * math.fsum(energy) + 3.0 * length * mass
+        + 58.0 * float(np.sum(r_abs * np.abs(kernel))) + 2.0 * length * float(np.sum(r_abs))
+        + (most + n_blocks) * n_pairs * quantum * length
+    )
+    detail = {"spectrum_bins": n_bins, "distinct_d": int(d.size)}
+    return math.fsum(np.append(energy, terms)), err, detail
 
 
 def moment_exact(
@@ -859,16 +830,17 @@ def moment_exact(
     """Exact 2s-th moment of |S| over [0,1]^2 x H via tuple grouping.
 
     The x1, x2 integrals enforce the (p1, p2) matching; the x3 integral over H
-    contributes the kernel K(d - d') per inner pair, factored per entry. At
-    sigma = 0 the kernel is a Kronecker delta and the pair sum collapses to
-    sum |c|^2. err_estimate bounds the error of the assembly for the table's
-    coefficients, its per-entry phase reduction and exp included (see
-    _pair_assemble).
+    contributes the kernel K(d) per in-group difference d, through the window
+    spectrum R(d). At sigma = 0 the kernel is a Kronecker delta and the pair
+    sum collapses to sum |c|^2. err_estimate bounds the error of the assembly
+    for the table's coefficients, the kernel included (see _pair_assemble).
+    With sigma > 0 the detail gives "spectrum_bins" and "distinct_d", the
+    bins of R and the d where the kernel was evaluated.
     """
     table = build_group_table(
         spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
     )
-    value, err = _pair_assemble(table, spec.sigma, spec.h0)
+    value, err, spectrum = _pair_assemble(table, spec.sigma, spec.h0)
     return MomentResult(
         value=value,
         method="exact",
@@ -880,6 +852,7 @@ def moment_exact(
             "mirrored": table.mirrored,
             "join_pairs": table.join_pairs,
             "merged_entries": table.join_pairs - table.n_entries if table.join_pairs else 0,
+            **spectrum,
         },
     )
 
@@ -898,14 +871,13 @@ def moment_brute(
 
     err_estimate bounds |value - exact| for the float coefficients, h0 and
     L = N^-sigma, to first order in u = 2^-53, by
-    u ((2 sqrt(5) s + r + 1) L W + 40 L (W' + (|h0| + L) D)) with
-    W = sum |c_i||c_j| over the matched pairs, W' the same over those with
-    d = p3_i - p3_j != 0, and D = sum |c_i||c_j||d|:
+    u ((2 sqrt(5) s + r + 1) L W + 56 L W') with W = sum |c_i||c_j| over the
+    matched pairs and W' the same over those with d = p3_i - p3_j != 0:
       - a tuple's product rounds s - 1 complex products (the first, by 1,
         is exact), each within sqrt(5) u of its value; a pair's
         C_i conj(C_j) W then rounds once more and its product with the
         kernel once: 2 sqrt(5) s u |c_i||c_j| |K|, with |K| <= L;
-      - interval_kernel states |W - K| <= 40 u L (1 + |d| (|h0| + L)); K(0)
+      - interval_kernel states |W - K| <= u (54 |K| + 2 L) <= 56 u L; K(0)
         = L is exact, and at sigma = 0 every value is exact, so that part
         is 0 there;
       - np.sum adds a chunk's m terms pairwise: at most 32 + log2(m)
@@ -913,7 +885,7 @@ def moment_brute(
         the total, at most one rounding per chunk: r counts both, and a
         rounding of a complex sum moves it by at most u times its modulus,
         at most sum |term| <= L W (1 + O(u)). The final 1 covers the
-        second-order terms and the rounding of W, W' and D.
+        second-order terms and the rounding of W and W'.
     """
     n = spec.n
     n_pairs = n ** (2 * s)
@@ -933,7 +905,7 @@ def moment_brute(
 
     total = 0.0 + 0.0j
     matched = 0
-    mass = off_mass = spread = 0.0  # W, W' and D
+    mass = off_mass = 0.0  # W and W'
     rounds = 0
     rows = max(1, _BRUTE_CHUNK // p1.size)
     for lo in range(0, p1.size, rows):
@@ -947,14 +919,13 @@ def moment_brute(
         pair_mod = mod[i] * mod[j]
         mass += float(np.sum(pair_mod))
         off_mass += float(np.sum(pair_mod[d != 0]))
-        spread += float(np.sum(pair_mod * np.abs(d)))
         # A term of this chunk: its np.sum roundings, then one for each
         # chunk sum added into the total from here on.
         rounds = max(rounds, 32 + i.size.bit_length()) + 1
     length = float(n) ** -spec.sigma
     err = (2.0 * math.sqrt(5.0) * s + rounds + 1) * length * mass
     if spec.sigma != 0.0:
-        err += 40.0 * length * (off_mass + (abs(spec.h0) + length) * spread)
+        err += 56.0 * length * off_mass
     return MomentResult(
         value=float(total.real),
         method="brute",

@@ -147,6 +147,31 @@ class TestMomentCommand:
         else:
             assert table.n_entries == full.n_entries
 
+    def test_record_states_the_window_spectrum(self, tmp_path):
+        # sigma > 0 exact records give the spectrum's bins and distinct d in
+        # their JSON detail; sweep tables keep their columns.
+        rc = main(["moment", "--N", "11", "--s", "3", "--sigma", "1.0", "--coeffs",
+                   "random_phase", "--seed", "3", "--out", str(tmp_path / "a")])
+        assert rc == 0
+        detail = read_only_json(tmp_path / "a" / "results", "moment-*.json")["detail"]
+        assert detail["spectrum_bins"] > detail["distinct_d"] > 0
+        assert main(["moment", "--N", "11", "--s", "3", "--out", str(tmp_path / "b")]) == 0
+        flat = read_only_json(tmp_path / "b" / "results", "moment-*.json")["detail"]
+        assert "spectrum_bins" not in flat and "distinct_d" not in flat
+        cfg = write_config(tmp_path / "w.ini", """
+[sweep]
+kind = mainexp
+x_values = 6, 8, 10
+family = random_phase
+seeds = 1
+sigma = 1.0
+s = 3
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path / "c")]) == 0
+        (table,) = sorted((tmp_path / "c" / "tables").glob("*.csv"))
+        header = table.read_text().split("\n")[0]
+        assert header == "N,value,envelope,seed_count,method,err_estimate"
+
     def test_manifest_records_output_digest(self, tmp_path):
         main(["moment", "--N", "5", "--s", "2", "--out", str(tmp_path)])
         manifest = read_only_json(tmp_path / "manifests", "2*.json")

@@ -69,12 +69,12 @@ def _geo1_loop_reference(r_k, r_next, R, c_eps=1.0, samples=10000, seed=0):
             mult += other.contains_abc(frame_coordinates(other.t0, pts)).astype(int)
             pairs += 1
         max_mult = max(max_mult, int(mult.max()))
-        far_candidates = np.concatenate(
-            [np.arange(0, max(0, l - window)), np.arange(min(n_l, l + window + 1), n_l)]
-        )
-        if far_candidates.size:
-            probe = rng.choice(far_candidates, size=min(8, far_candidates.size), replace=False)
-            for lp in probe:
+        # The far indices counted without the window, then put around it.
+        below, above = max(0, l - window), min(n_l, l + window + 1)
+        n_far = below + n_l - above
+        if n_far:
+            probe = rng.choice(n_far, size=min(8, n_far), replace=False)
+            for lp in np.where(probe < below, probe, probe + above - below):
                 other = gamma_tilde(r_k, r_next, R, int(lp), c_eps)
                 abc = frame_coordinates(other.t0, pts)
                 violations += int(np.count_nonzero(other.contains_abc(abc)))
@@ -479,6 +479,16 @@ class TestGeo1Broadcast:
         args = (256.0, 512.0, GEO1_R, 4.0, 1200, 6)
         rep = check_overlap_geo1(*args)
         assert rep.violations > 0
+        assert rep == _geo1_loop_reference(*args)
+
+    def test_ladder_at_2_to_the_56_completes(self):
+        # Far probes are drawn as numbers below the far count and put around
+        # the near window. An array of all far indices per anchor, 2^56 of
+        # them, raised numpy's _ArrayMemoryError (512 PiB) here.
+        args = (2.0**56, 2.0**57, 2.0**60, 1.0, 64, 3)
+        rep = check_overlap_geo1(*args)
+        assert rep.l_count == 64 and rep.far_pairs_checked == 8 * 64
+        assert rep.violations == 0
         assert rep == _geo1_loop_reference(*args)
 
     def test_small_sample_case_uses_one_sample_per_l(self):
