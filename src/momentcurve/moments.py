@@ -93,7 +93,8 @@ DEFAULT_BRUTE_BUDGET = int(1e8)
 _JOIN_CHUNK = 125_000
 # Pairs per pair-assembly block. A block is a run of groups of one size
 # holding about this many upper-triangle pairs; one group with more pairs is
-# a block of its own. A block's index, product and bin arrays stay a few MB.
+# a block of its own. A block's index and product arrays stay a few MB; its
+# bin arrays run to its largest d / 6, which at s = 3 and large N is more.
 _PAIR_CHUNK = 65_536
 # Terms added by one np.sum. numpy sums pairwise, so a term of a segment goes
 # through at most 32 roundings; math.fsum adds the segment sums exactly, which
@@ -662,22 +663,16 @@ def _spectrum(q: np.ndarray, terms: np.ndarray, quantum: float):
     A component t splits into hi = quantum round(t / quantum) and lo = t - hi,
     both exact as quantum is a power of 2, with |lo| <= quantum / 2; the bin
     sums of hi are exact too (_pair_assemble), so only those of lo round.
-    Returns (at, sums, pairs): sums holds the hi and lo bin sums of each
-    component at the bins `at`, a slice from 0, or the distinct q when the
-    bins outnumber the terms, so a block's arrays stay within a few times
-    its pair count.
+    Returns (sums, pairs): sums holds the count of terms in each bin, then
+    the hi and lo bin sums of each component, each for the bins 0 to max(q).
     """
-    top = int(q.max())
-    if top > q.size:
-        at, q = np.unique(q, return_inverse=True)
-    else:
-        at = slice(0, top + 1)
-    sums = []
+    sums = [np.bincount(q)]
     for t in (terms.real, terms.imag) if np.iscomplexobj(terms) else (terms,):
-        hi = np.round(t / quantum)
+        hi = t / quantum
+        np.round(hi, out=hi)
         hi *= quantum
         sums += [np.bincount(q, hi), np.bincount(q, t - hi)]
-    return at, sums, q.size
+    return sums, q.size
 
 
 def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
@@ -700,10 +695,11 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     bin their pairs on the shared pool (_spectrum) and are added in block
     order; the diagonal and the bound's M run as one more pool task.
     interval_kernel is then called once, on the calling thread, at 0 (for
-    L) and the d with R(d) != 0, and math.fsum adds the diagonal's segment sums and the
-    terms Re(R(d) conj(K(d))) with one rounding. So the value does not
-    depend on the number of cores. The detail gives the spectrum's bins and
-    its distinct d.
+    L) and every d some pair has (the blocks count the pairs per bin too),
+    and math.fsum adds the diagonal's segment sums and the terms
+    Re(R(d) conj(K(d))) with one rounding. So the value does not depend on
+    the number of cores. The detail gives the spectrum's bins and the
+    number of distinct in-group d, whether or not R(d) cancels to 0.
 
     Each component of a product t = w c_i conj(c_j) splits at
     Q = 2^(e - 51), 2^(e - 1) <= S < 2^e for S = 8 P max(|Re c|, |Im c|)^2
@@ -749,8 +745,7 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
     split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
-    wide = sizes > 1
-    if table.s * table.n**3 >> _KERNEL_D_BITS and np.any(wide):
+    if table.s * table.n**3 >> _KERNEL_D_BITS and np.any(sizes > 1):
         raise SpecValidationError("the exact route needs s N^3 < 2^45 when sigma > 0")
     n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     parts = c.view(float)
@@ -765,17 +760,15 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
         q -= p3[:, iu]
         q //= 6
         cs = c[sel].reshape(-1, g)
-        right = np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
-        return _spectrum(q.ravel(), (weight * cs[:, iu] * right).ravel(), quantum)
+        terms = cs[:, iu]
+        terms *= weight
+        terms *= np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
+        return _spectrum(q.ravel(), terms.ravel(), quantum)
 
     def diagonal():
         group_mass = np.add.reduceat(np.abs(c), starts) ** 2
         mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
-        # The largest in-group d sets the spectrum's length: p3 increases in a group.
-        firsts = starts[wide]
-        top = table.power_sum(3, firsts + sizes[wide] - 1) - table.power_sum(3, firsts)
-        n_bins = int(top.max(initial=0)) // 6 + 1
-        return np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])), mass, n_bins
+        return np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])), mass
 
     def tasks():
         yield (diagonal,)
@@ -797,17 +790,23 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
                     yield block, weight, g, g_starts[lo : lo + per]
 
     results = _in_order(tasks())
-    energy, mass, n_bins = next(results)
-    spectrum = np.zeros((4 if np.iscomplexobj(c) else 2, n_bins))
-    n_blocks = most = 0
-    for at, sums, pairs in results:
+    energy, mass = next(results)
+    spectrum = np.zeros((5 if np.iscomplexobj(c) else 3, 0))
+    n_bins = n_blocks = most = 0
+    for sums, pairs in results:
+        n_bins = max(n_bins, sums[0].size)
+        if n_bins > spectrum.shape[1]:  # at least doubled, so the copies add up to O(n_bins)
+            grown = np.zeros((len(spectrum), max(n_bins, 2 * spectrum.shape[1])))
+            grown[:, : spectrum.shape[1]] = spectrum
+            spectrum = grown
         for acc, part in zip(spectrum, sums):
-            acc[at] += part
+            acc[: part.size] += part
         n_blocks += 1
         most = max(most, pairs)
-    real = spectrum[0] + spectrum[1]
-    imag = spectrum[2] + spectrum[3] if len(spectrum) == 4 else np.zeros(n_bins)
-    d = np.flatnonzero((real != 0.0) | (imag != 0.0))  # no pair has d = 0
+    spectrum = spectrum[:, :n_bins]
+    real = spectrum[1] + spectrum[2]
+    imag = spectrum[3] + spectrum[4] if len(spectrum) == 5 else np.zeros(n_bins)
+    d = np.flatnonzero(spectrum[0])  # the d that pairs have; none has d = 0
     kernel = interval_kernel(6 * np.append(0, d), sigma, h0, table.n)
     length, kernel = kernel[0].real, kernel[1:]
     energy *= length
@@ -835,7 +834,7 @@ def moment_exact(
     sum collapses to sum |c|^2. err_estimate bounds the error of the assembly
     for the table's coefficients, the kernel included (see _pair_assemble).
     With sigma > 0 the detail gives "spectrum_bins" and "distinct_d", the
-    bins of R and the d where the kernel was evaluated.
+    bins of R and the distinct in-group d, where the kernel was evaluated.
     """
     table = build_group_table(
         spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
