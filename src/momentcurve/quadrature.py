@@ -9,9 +9,26 @@ approximation whose error is estimated by halving every axis count.
 box_power_integral is the one grid evaluator. It forms the (x1, x2) plane
 factors once as a contiguous matrix and walks the grid in cache-sized tiles
 of _TILE_ROWS plane rows by _TILE_COLS x3 columns: one small GEMM per tile,
-then |.|^p (for even integer p as (re^2 + im^2)^(p/2) by repeated
-multiplication), then np.sum. math.fsum adds the tile sums, so memory per
-call is the plane matrix plus one tile whatever the cell count.
+then |.|^p (for integer p >= 2 as (re^2 + im^2)^(p//2) by repeated
+multiplication, times sqrt(re^2 + im^2) when p is odd), then np.sum.
+math.fsum adds the tile sums, so memory per call is the plane matrix plus
+one tile whatever the cell count.
+
+moment_quadrature folds the box it integrates over, [0,1]^2 x H. Its
+frequencies k = 1..N are integers, so S is 1-periodic in x1 and x2, and two
+maps take the midpoint grid onto itself and keep |S|:
+  T:  x -> x + (1/2, 1/2, 0) mod 1, as k + k^2 is even, so
+      e(k/2 + k^2/2) = 1 and S(Tx) = S(x) for every coefficient vector and
+      window. T permutes the grid when m1 and m2 are both even; the half box
+      [0, 1/2] x [0, 1] x H is a fundamental domain.
+  M:  x -> -x mod 1, for real coefficients with 2 h0 + |H| an integer,
+      where S(Mx) = conj S(x). M permutes the grid for every m, and for even
+      m1 the half box is again a fundamental domain.
+With both, MT x = (1/2 - x1, 1/2 - x2, -x3) mod 1 maps the half box onto
+itself and, when 4 | m1, pairs the cells of x1 < 1/4 with those above: the
+quarter box [0, 1/4] x [0, 1] x H, times 4. local_moment_quadrature and
+periodicity_identity_check take frequencies that are not integers and do
+not fold.
 
 The continuous-frequency entry points take curve parameters xi in [0, 1] and
 derive the frequency triples (xi, xi^2, xi^3) themselves; this module is the
@@ -79,22 +96,27 @@ def _refined(run, counts) -> tuple[float, float]:
 
 
 def _abs_power(values: np.ndarray, p: float, work: np.ndarray) -> np.ndarray:
-    """|values|^p elementwise, written into the float buffers work[0] and work[1].
+    """|values|^p elementwise, written into the float buffers of work.
 
-    work has shape (2,) + values.shape; the result is one of its two rows.
-    For even integer p below 2^53 it is (re^2 + im^2)^(p/2), the integer
-    power taken by square-and-multiply in a fixed order: no hypot and no pow,
-    which dominate np.abs(values) ** p. The chain starts at the lowest set
-    bit of p/2, where the running product is the squared base itself, so it
-    multiplies by no 1. Any other p takes np.abs(values) ** p; above 2^53
-    every float is even, and the chain would grow to ~1000 steps.
+    work has shape (3,) + values.shape (two rows suffice for even p); the
+    result is one of its rows. For integer p >= 2 below 2^53, with
+    r2 = re^2 + im^2 and k = p // 2, it is r2^k for even p and
+    r2^k * sqrt(r2) for odd p, the integer power r2^k taken by
+    square-and-multiply in a fixed order: no hypot and no pow, which dominate
+    np.abs(values) ** p. The chain starts at the lowest set bit of k, where
+    the running product is the squared base itself, so it multiplies by no 1.
+    Any other p takes np.abs(values) ** p: above 2^53 every float is even
+    and the chain would grow to ~1000 steps, and below 2 r2 could overflow
+    where |values|^p does not (box_power_integral's scaling guard keeps
+    cells * A^p, not A^2, inside float64).
     """
-    acc, base = work
-    if p % 2 or p >= 2.0**53:
+    acc, base = work[0], work[1]
+    if p % 1 or p < 2.0 or p >= 2.0**53:
         return np.power(np.abs(values, out=base), p, out=base)
     np.square(values.real, out=acc)
     acc += np.square(values.imag, out=base)
-    k = int(p) // 2  # >= 1, as p > 0
+    root = np.sqrt(acc, out=work[2]) if p % 2 else None
+    k = int(p) // 2  # >= 1, as p >= 2
     while not k & 1:
         np.square(acc, out=acc)
         k >>= 1
@@ -106,6 +128,8 @@ def _abs_power(values: np.ndarray, p: float, work: np.ndarray) -> np.ndarray:
         if k & 1:
             acc *= base
         k >>= 1
+    if root is not None:
+        acc *= root
     return acc
 
 
@@ -172,7 +196,7 @@ def box_power_integral(
     # tile and never touches fresh pages.
     tile_cells = min(_TILE_ROWS, m1 * m2) * min(_TILE_COLS, m3)
     tile_buf = np.empty(tile_cells, dtype=complex)
-    work = np.empty((2, tile_cells))
+    work = np.empty((3, tile_cells))
     sums = []
     for lo in range(0, m1 * m2, _TILE_ROWS):
         rows = planes[lo : lo + _TILE_ROWS]
@@ -181,7 +205,7 @@ def box_power_integral(
             shape = (rows.shape[0], cols.shape[1])
             size = shape[0] * shape[1]
             tile = np.matmul(rows, cols, out=tile_buf[:size].reshape(shape))
-            power = _abs_power(tile, p, work[:, :size].reshape((2,) + shape))
+            power = _abs_power(tile, p, work[:, :size].reshape((3,) + shape))
             sums.append(float(np.sum(power)))
     value = math.fsum(sums) * (sides[0] * sides[1] * sides[2] / cells)
     if scaled:
@@ -210,6 +234,21 @@ def _point_symmetric(spec: ExpSumSpec) -> bool:
     return not np.any(spec.coeffs.imag) and (2 * a * d + c * b) % (b * d) == 0
 
 
+def _fold(counts, mirror: bool) -> int:
+    """The factor by which moment_quadrature cuts a grid of these counts.
+
+    4 for the quarter box (MT, with 4 | m1 and m2 even), 2 for the half box
+    (T with m1 and m2 even, or M with m1 even), else 1; mirror is
+    _point_symmetric.
+    """
+    m1, m2, _ = counts
+    if m1 % 2:
+        return 1
+    if m2 % 2:
+        return 2 if mirror else 1
+    return 4 if mirror and m1 % 4 == 0 else 2
+
+
 def moment_quadrature(
     spec: ExpSumSpec,
     p: float,
@@ -219,19 +258,33 @@ def moment_quadrature(
     """Midpoint approximation to the p-th moment of |S| over [0,1]^2 x H.
 
     Axis counts are grid_counts over extents N^i; err_estimate is the
-    step-halving difference of _refined.
+    step-halving difference of _refined. Every grid, the fine one and the
+    coarse one of _refined, is evaluated on a fold of the box: the slab
+    [0, 1/f] x [0, 1] x H at counts (m1/f, m2, m3), times f (_fold). The
+    folded grid has the same midpoints and weights and 1/f of the cells.
 
-    Mirror: when the coefficients are real and 2 h0 + |H| is an integer
-    (_point_symmetric), the frequencies are integers, so S(-x) = conj S(x)
-    and |S|^p is even mod 1. The map x -> -x mod 1 then takes the midpoint
-    grid of counts (m1, m2, m3) onto itself: cell (j1, j2, j3) goes to
-    (m1-1-j1, m2-1-j2, m3-1-j3), and for even m1 it pairs the cells with
-    x1 > 1/2 one to one with those below. Every grid, the fine one and the
-    coarse one of _refined, whose m1 is even is therefore evaluated as twice
-    the half box [0, 1/2] x [0, 1] x H at counts (m1/2, m2, m3): the same
-    midpoints and weights, half the cells. Odd m1, complex coefficients or
-    any other window keep the full box. detail gains "mirror": true when the
-    reported value took the half box.
+    T: the frequencies k = 1..N are integers with k + k^2 even, so
+    e(k/2 + k^2/2) = 1 and S(x + (1/2, 1/2, 0)) = S(x) for every coefficient
+    vector and every window. When m1 and m2 are both even, x -> x + (1/2,
+    1/2, 0) mod 1 takes the midpoint grid onto itself: cell (j1, j2, j3)
+    goes to (j1 + m1/2, j2 + m2/2 mod m2, j3), pairing the cells with
+    x1 > 1/2 one to one with those below. f = 2.
+
+    M: when the coefficients are real and 2 h0 + |H| is an integer
+    (_point_symmetric), S(-x) = conj S(x) and |S|^p is even mod 1. The map
+    x -> -x mod 1 then takes the grid onto itself, cell (j1, j2, j3) going
+    to (m1-1-j1, m2-1-j2, m3-1-j3), and for even m1 it pairs the cells with
+    x1 > 1/2 with those below. f = 2, whatever the parity of m2.
+
+    MT: with both, MT maps x to (1/2 - x1, 1/2 - x2, -x3) mod 1 and takes
+    the half box [0, 1/2] x [0, 1] x H onto itself. On the grid, j1 goes
+    to m1/2-1-j1, which has no fixed point when 4 | m1, so the cells with
+    x1 > 1/4 pair with those below. f = 4.
+
+    Any other grid (odd m1, or odd m2 without M) keeps the full box. detail
+    gains "fold": f of the reported grid, and "mirror": true when M holds
+    and m1 is even. The fold needs integer frequencies: the local moments
+    and the box-doubling identity check take none.
     """
     sides = (1.0, 1.0, spec.h_length)
     counts = grid_counts(oversample, [spec.n**i for i in (1, 2, 3)], sides, cell_budget)
@@ -241,15 +294,15 @@ def moment_quadrature(
 
     def run(cnts) -> float:
         m1, m2, m3 = cnts
-        if mirror and m1 % 2 == 0:
-            half = (0.5, 1.0, sides[2])
-            return 2.0 * box_power_integral(
-                xi, spec.coeffs, p, corner, half, (m1 // 2, m2, m3), cell_budget
-            )
-        return box_power_integral(xi, spec.coeffs, p, corner, sides, cnts, cell_budget)
+        f = _fold(cnts, mirror)
+        slab = (1.0 / f, 1.0, sides[2])
+        return f * box_power_integral(
+            xi, spec.coeffs, p, corner, slab, (m1 // f, m2, m3), cell_budget
+        )
 
     value, err = _refined(run, counts)
     detail = {"counts": list(counts), "oversample": oversample}
+    detail["fold"] = _fold(counts, mirror)
     if mirror and counts[0] % 2 == 0:
         detail["mirror"] = True
     return MomentResult(

@@ -101,11 +101,12 @@ class TestMomentCommand:
     def test_quad_large_power_keeps_its_value(self, tmp_path):
         # 4^500 times the grid stays inside float64, so the unscaled path runs.
         # The grid sums to 9.526047767054422e+296 at 40 digits; p = 500 makes
-        # the float64 value (the mirrored half box) 8.8e-13 relative from it.
+        # the float64 value (the quarter box, folded by T and the mirror)
+        # 6.9e-13 relative from it.
         assert main(["moment", "--N", "4", "--s", "2", "--method", "quad", "--p", "500",
                      "--out", str(tmp_path)]) == 0
         record = read_only_json(tmp_path / "results", "moment-*.json")
-        assert record["value"] == 9.526047767062778e+296
+        assert record["value"] == 9.526047767061007e+296
 
     def test_quad_huge_h0_matches_exact(self, tmp_path):
         for method in ("exact", "quad"):

@@ -155,25 +155,52 @@ class TestBoxPowerIntegral:
         got = quadrature._abs_power(tile, p, np.empty((2,) + tile.shape))
         np.testing.assert_allclose(got, np.abs(tile) ** p, rtol=1e-13, atol=0.0)
 
+    @staticmethod
+    def _chain_from_one(tile, p):
+        # The chain that starts from 1 and multiplies in every set bit of p//2.
+        base = tile.real**2 + tile.imag**2
+        want = np.ones_like(base)
+        k = int(p) // 2
+        while k:
+            if k & 1:
+                want *= base
+            k >>= 1
+            if k:
+                base = base * base
+        return want
+
     @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0, 12.0, 14.0, 16.0, 500.0])
     def test_even_power_chain_keeps_every_bit(self, p):
-        # The chain that starts from 1 and multiplies in every set bit of p/2:
-        # starting from the lowest set bit must not move a single bit.
+        # Starting from the lowest set bit must not move a single bit.
         rng = np.random.default_rng(8)
         tile = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
         tile[0, 0] = 0.0
         with np.errstate(over="ignore"):
-            base = tile.real**2 + tile.imag**2
-            want = np.ones_like(base)
-            k = int(p) // 2
-            while k:
-                if k & 1:
-                    want *= base
-                k >>= 1
-                if k:
-                    base = base * base
+            want = self._chain_from_one(tile, p)
             got = quadrature._abs_power(tile, p, np.empty((2,) + tile.shape))
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [3.0, 5.0, 7.0, 9.0, 15.0, 501.0])
+    def test_odd_power_is_the_chain_times_the_root(self, p):
+        # r2^((p-1)/2) * sqrt(r2) with r2 = re^2 + im^2: no hypot, no pow.
+        rng = np.random.default_rng(8)
+        tile = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        tile[0, 0] = 0.0
+        with np.errstate(over="ignore"):
+            want = self._chain_from_one(tile, p) * np.sqrt(tile.real**2 + tile.imag**2)
+            got = quadrature._abs_power(tile, p, np.empty((3,) + tile.shape))
+        np.testing.assert_array_equal(got, want)
+        if p < 100:
+            np.testing.assert_allclose(got, np.abs(tile) ** p, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_powers_below_two_keep_the_modulus(self, p):
+        # re^2 + im^2 = 2e400 overflows; |z|^p does not.
+        tile = np.full((2, 3), 1e200 + 1e200j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quadrature._abs_power(tile, p, np.empty((3,) + tile.shape))
+        np.testing.assert_array_equal(got, np.abs(tile) ** p)
 
     def test_memory_is_bounded_by_one_tile(self):
         # 16.8M cells: the old x3 slabs held 4M complex cells (64 MiB) at once.
@@ -268,7 +295,10 @@ class TestMomentQuadrature:
 
 
 class TestMirror:
-    """Real coefficients on a window with 2 h0 + |H| integral take the half box."""
+    """Real coefficients on a window with 2 h0 + |H| integral: the mirror M.
+
+    With T as well, grids whose 4 | m1 take the quarter box.
+    """
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -292,24 +322,34 @@ class TestMirror:
         assert res.value == pytest.approx(full, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
-        "family, n, sigma, h0, oversample, halves",
+        "family, n, sigma, h0, oversample, halvings, mirror",
         [
-            ("constant", 3, 0.0, 0.0, 4.0, (True, True)),
-            ("random_sign", 3, 0.0, 0.5, 4.0, (True, True)),
-            ("random_sign", 3, 0.0, -0.5, 4.0, (True, True)),
-            ("random_sign", 2, 1.0, 0.25, 4.0, (True, True)),
-            ("random_phase", 3, 0.0, 0.0, 4.0, (False, False)),
-            ("constant", 3, 0.0, 0.25, 4.0, (False, False)),
+            # m1 = 12 takes the quarter box (MT); the coarse m1 = 6 is 2 mod 4.
+            ("constant", 3, 0.0, 0.0, 4.0, (2, 1), True),
+            ("random_sign", 3, 0.0, 0.5, 4.0, (2, 1), True),
+            ("random_sign", 3, 0.0, -0.5, 4.0, (2, 1), True),
+            ("random_sign", 2, 1.0, 0.25, 4.0, (2, 2), True),
+            # T alone: complex coefficients or a window M does not keep.
+            ("random_phase", 3, 0.0, 0.0, 4.0, (1, 1), False),
+            ("constant", 3, 0.0, 0.25, 4.0, (1, 1), False),
             # 2 h0 + 1 rounds to 1.0 in float64; the exact test is not fooled.
-            ("constant", 3, 0.0, 2.0**-60, 4.0, (False, False)),
-            ("random_sign", 2, 1.0, 0.0, 4.0, (False, False)),
-            # m1 = ceil(4.25 * 2) = 9 is odd; the coarse m1 = 4 is even.
-            ("constant", 2, 0.0, 0.0, 4.25, (False, True)),
+            ("constant", 3, 0.0, 2.0**-60, 4.0, (1, 1), False),
+            ("random_sign", 2, 1.0, 0.0, 4.0, (1, 1), False),
+            # m1 = ceil(4.25 * 2) = 9 is odd; the coarse m1 = 4 is not.
+            ("constant", 2, 0.0, 0.0, 4.25, (0, 2), False),
+            # m1 = 6 is 2 mod 4: the half box; the coarse m1 = 3 is odd.
+            ("constant", 3, 0.0, 0.0, 2.0, (1, 0), True),
+            # m2 = ceil(3.6 * 4) = 15 and the coarse m2 = 7 are odd: no T, so
+            # only the mirror halves the box.
+            ("random_phase", 2, 0.0, 0.0, 3.6, (0, 0), False),
+            ("constant", 2, 0.0, 0.0, 3.6, (1, 1), True),
         ],
     )
     def test_half_box_exactly_when_the_rule_holds(
-        self, monkeypatch, family, n, sigma, h0, oversample, halves
+        self, monkeypatch, family, n, sigma, h0, oversample, halvings, mirror
     ):
+        # halvings: how often the x1 side of the fine and the coarse grid is
+        # halved, so the fold is 2**halvings.
         calls = []
         real = quadrature.box_power_integral
 
@@ -322,21 +362,62 @@ class TestMirror:
         res = moment_quadrature(spec, 4.0, oversample=oversample)
         fine = tuple(res.detail["counts"])
         want = []
-        for counts, half in zip((fine, tuple(max(1, m // 2) for m in fine)), halves):
-            if half:
-                want.append(((0.5, 1.0, spec.h_length), (counts[0] // 2,) + counts[1:]))
-            else:
-                want.append(((1.0, 1.0, spec.h_length), counts))
+        for counts, halved in zip((fine, tuple(max(1, m // 2) for m in fine)), halvings):
+            fold = 2**halved
+            want.append(((1.0 / fold, 1.0, spec.h_length), (counts[0] // fold,) + counts[1:]))
         assert calls == want
-        assert res.detail.get("mirror", False) is halves[0]
-        if not halves[0]:
-            assert res.detail == {"counts": list(fine), "oversample": oversample}
+        detail = {"counts": list(fine), "oversample": oversample, "fold": 2**halvings[0]}
+        if mirror:
+            detail["mirror"] = True
+        assert res.detail == detail
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_constant_sixth_moment_is_j3(self, n):
         res = moment_quadrature(spec_ones(n), 6.0)
         assert res.detail["mirror"] is True
         assert abs(res.value - (6 * n**3 - 9 * n**2 + 4 * n)) <= 3.0 * res.err_estimate
+
+
+class TestFold:
+    """S(x + (1/2, 1/2, 0)) = S(x) for k = 1..N: the half box for any coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        x=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_half_translate_keeps_the_sum(self, n, x, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(0.0, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+        spec = ExpSumSpec(n=n, coeffs=coeffs)
+        moved = (x[0] + 0.5, x[1] + 0.5, x[2])
+        # Relative to sum |a_k|, the scale of S, as S itself may vanish.
+        scale = float(np.sum(np.abs(coeffs)))
+        assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        s=st.integers(min_value=1, max_value=3),
+        sigma=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        h0=st.floats(min_value=-1.0, max_value=1.0),
+        # 3.6 and 4.25 give odd m1 or m2 at some n, where T does not apply.
+        oversample=st.sampled_from([4.0, 3.6, 4.25]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fold_matches_the_full_box(self, n, s, sigma, h0, oversample, seed):
+        coeffs = coeffs_for("random_phase", n, seed)
+        spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
+        res = moment_quadrature(spec, 2.0 * s, oversample=oversample)
+        m1, m2, _ = res.detail["counts"]
+        assert res.detail["fold"] == (2 if m1 % 2 == 0 and m2 % 2 == 0 else 1)
+        xi = np.arange(1, n + 1, dtype=float)
+        full = box_power_integral(
+            xi, coeffs, 2.0 * s, (0.0, 0.0, spec.h0), (1.0, 1.0, spec.h_length),
+            res.detail["counts"],
+        )
+        assert res.value == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
 class TestLocalMoments:
@@ -447,13 +528,14 @@ def test_values_are_pinned():
             moment_quadrature(spec0, 3.0),
         )
     ]
-    grid = {"counts": [20, 100, 100], "oversample": 4.0}
-    grid0 = {"counts": [16, 64, 256], "oversample": 4.0}
+    # Complex coefficients: both specs take the half box by T.
+    grid = {"counts": [20, 100, 100], "oversample": 4.0, "fold": 2}
+    grid0 = {"counts": [16, 64, 256], "oversample": 4.0, "fold": 2}
     assert got == [
-        (8.999999999999991, 8.999999999999991e-13, grid),
-        (2.8570262036246294, 7.993623807323047e-07, grid),
-        (28.0000000000002, 2.80000000000002e-12, grid0),
-        (10.120680982579481, 4.546774418301425e-06, grid0),
+        (8.999999999999995, 8.999999999999995e-13, grid),
+        (2.85702620362463, 7.993623807323047e-07, grid),
+        (28.000000000000192, 2.800000000000019e-12, grid0),
+        (10.12068098257948, 4.5467744200777815e-06, grid0),
     ]
 
     local = []
