@@ -141,8 +141,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _cmd_moment(args, argv: list[str]) -> int:
     config = {k: v for k, v in vars(args).items() if k != "out"}
-    if args.p is not None and args.method != "quad":
-        raise SpecValidationError("--p only applies to --method quad")
+    # A flag the method ignores would still enter the config digest.
+    quad = args.method == "quad"
+    for flag, value, applies in (
+        ("--p", args.p, quad),
+        ("--budget-cells", args.budget_cells, quad),
+        ("--budget-tuples", args.budget_tuples, not quad),
+    ):
+        if value is not None and not applies:
+            raise SpecValidationError(f"{flag} does not apply to --method {args.method}")
     if args.s < 1:
         raise SpecValidationError("s must be a positive integer")
     for flag, budget in (("tuples", args.budget_tuples), ("cells", args.budget_cells)):

@@ -8,23 +8,23 @@ cube power sum p3 = sum k_i^3, and pairs the groups against the x3-interval
 kernel. Group tables are built meet-in-the-middle, never by enumerating
 2s-tuples.
 
-Up to s = 6 the join forms each multiset of s frequencies once. Sorted,
-k_1 <= ... <= k_s splits once into its s//2 least and s - s//2 greatest
-members, and halves of up to three members are multiset tables, one
-multiset per (p1, p2, p3) by Newton's identities. So the join pairs a left
-multiset only with the right ones whose least member is at least its
-greatest, and weighs the pair by the multinomial s!/prod m_i! times the
-product of the coefficients. Larger s joins the tables for s//2 and
-s - s//2 members, every ordered pair. A join never compares keys of
-different p1: both halves are sorted by p1, so the pairs that land on each
-output p1 are known in advance (the count of s-multisets with that sum, or
-the convolution of the two p1 histograms). The join cuts the output p1
-range into batches of about _JOIN_CHUNK pairs, sorts each batch on a shared
-thread pool, and writes the batches in p1 order into one output buffer. The
-result is sorted without any merge of partial results. Up to three members
-the keys of different multisets differ, so a batch is one sort; from four
-on, multisets with equal power sums (Prouhet-Tarry-Escott coincidences such
-as {1, 5, 8, 12} and {2, 3, 10, 11}) are added up.
+The join forms each multiset of s frequencies once. Sorted,
+k_1 <= ... <= k_s splits once into its s - 2 least and 2 greatest members
+(1 and 1 for s = 2), and each half is the list of multisets of its size. So
+the join pairs a left multiset only with the right ones whose least member
+is at least its greatest, and weighs the pair by the multinomial
+s!/prod m_i! times the product of the coefficients. Within one p1 slice of
+the right half the least member falls by 1 from each entry to the next, so
+the allowed entries are a prefix of the slice and every pair formed is
+kept. A join never compares keys of different p1: both halves are sorted by
+p1, so the pairs that land on each output p1 are known in advance (the
+count of s-multisets with that sum). The join cuts the output p1 range into
+batches of about _JOIN_CHUNK pairs, sorts each batch on a shared thread
+pool, and writes the batches in p1 order into one output buffer. The result
+is sorted without any merge of partial results. Up to three members the
+keys of different multisets differ, so a batch is one sort; from four on,
+multisets with equal power sums (Prouhet-Tarry-Escott coincidences such as
+{1, 5, 8, 12} and {2, 3, 10, 11}) are added up.
 
 A table keeps the join's output as it comes: the coefficients and one
 packed int64 key row p1 A + p2 B + p3, with B = s n^3 + 1 and
@@ -62,7 +62,7 @@ changes sign. When the coefficients are real and palindromic
 (a_k = a_{n+1-k}, constant coefficients among them), the products carry
 over unchanged and K(-d) = conj(K(d)) leaves the real part of each group's
 sum unchanged, for every sigma and h0. moment_exact and vinogradov_count
-then build a mirrored table: the last join forms only the output p1 with
+then build a mirrored table: the join forms only the output p1 with
 2 p1 <= s(n+1), and pair assembly weighs each group with 2 p1 < s(n+1) by
 2 and the middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1,
 in the value and in the bound alike. Complex or non-palindromic
@@ -88,8 +88,8 @@ DEFAULT_BRUTE_BUDGET = int(1e8)
 
 # Pairs per join batch. A batch is a run of consecutive output p1 values
 # holding about this many pairs; one p1 value with more pairs is a batch of
-# its own. A multiset join keeps nearly every pair it forms, so this many
-# pairs is about this many entries in flight per batch.
+# its own. The join keeps every pair it forms, so this many pairs is about
+# this many entries in flight per batch.
 _JOIN_CHUNK = 125_000
 # Pairs per pair-assembly block. A block is a run of groups of one size
 # holding about this many upper-triangle pairs; one group with more pairs is
@@ -151,8 +151,9 @@ class TupleGroupTable:
 
     A mirrored table holds only the entries with 2 p1 <= s(n+1); each entry
     with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
-    n_tuples stays n^s. join_pairs counts the pairs the last join formed and
-    sorted (0 for s = 1, which has no join).
+    n_tuples stays n^s. join_pairs counts the pairs the join formed and
+    sorted, one per s-multiset (of the lower half when mirrored; 0 for
+    s = 1, which has no join).
     """
 
     n: int
@@ -295,18 +296,18 @@ def _packing_multipliers(n: int, s: int) -> tuple[int, int] | None:
     return None
 
 
-def _dedupe(keys: np.ndarray, coeffs: np.ndarray, few_equal: bool):
+def _dedupe(keys: np.ndarray, coeffs: np.ndarray):
     """Sum coefficients of equal key columns; columns come out sorted.
 
     keys has shape (rows, entries). Equal keys keep their input order, so
     each group's summands are added in that order. Without equal keys, as
     always for multisets of up to three members, nothing is added.
 
-    few_equal says equal keys are rare, as in a multiset join: one packed
-    row then takes numpy's unstable sort, several times faster than a
-    stable one, and the runs of equal keys are put back in input order.
+    Equal keys are rare in a multiset join, so one packed row takes numpy's
+    unstable sort, several times faster than a stable one, and the runs of
+    equal keys are put back in input order; three rows take np.lexsort.
     """
-    fast = few_equal and keys.shape[0] == 1
+    fast = keys.shape[0] == 1
     order = np.argsort(keys[0]) if fast else np.lexsort(keys[::-1])
     keys = keys[:, order]
     fresh = np.empty(keys.shape[1], dtype=bool)
@@ -395,9 +396,16 @@ class _Multisets:
 
     Each entry keeps its least and greatest member with their
     multiplicities, and coeffs = size!/prod(m!) times the product of its
-    members' coefficients, m running over its multiplicities: the table
-    coefficient of its key, as up to three members (p1, p2, p3) fix the
-    multiset by Newton's identities.
+    members' coefficients, m running over its multiplicities: the sum of the
+    coefficient products of the size-tuples that order to it. Up to three
+    members (p1, p2, p3) fix the multiset by Newton's identities, so that is
+    the table coefficient of its key; from four on, multisets with equal keys
+    are separate columns, in the order they were listed.
+
+    The multinomial is carried member by member: appending member t + 1 of
+    multiplicity m so far multiplies it by (t + 1) / m. Every intermediate
+    value is an integer of at most size n^(size - 1), exact in float64 far
+    past the default tuple budget, where size!/prod(m!) would round past 18!.
     """
 
     n: int
@@ -422,67 +430,60 @@ class _Multisets:
         order = np.lexsort(keys[::-1])
         members = members[:, order]
         raw = base_c[members[0] - 1]
-        ties = np.ones(members.shape[1])  # prod(m!), one factor per member
+        weight = np.ones(members.shape[1])  # multinomial of the members so far
+        run = np.ones(members.shape[1])  # multiplicity of the last of them
         for t in range(1, size):
             raw = raw * base_c[members[t] - 1]
-            ties *= 1 + np.sum(members[:t] == members[t], axis=0)
+            run = np.where(members[t] == members[t - 1], run + 1.0, 1.0)
+            weight = weight * (t + 1) / run
         lo, hi = members[0], members[-1]
         return cls(
-            n=n, size=size, keys=keys[:, order],
-            coeffs=math.factorial(size) / ties * raw, lo=lo, hi=hi,
+            n=n, size=size, keys=keys[:, order], coeffs=weight * raw, lo=lo, hi=hi,
             lo_mult=np.sum(members == lo, axis=0), hi_mult=np.sum(members == hi, axis=0),
         )
 
 
-# C(a + b, a): a left greatest member of multiplicity a that equals a right
-# least member of multiplicity b gives the multiset's multinomial
-# left weight * right weight / C(a + b, a).
-_TIE = np.array([[math.comb(a + b, a) for b in range(4)] for a in range(4)], dtype=float)
+def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
+    """Join the least and greatest members into the sorted table of s-multisets.
 
+    Returns keys, coefficients and the number of pairs formed. left holds
+    the s - 2 least members of an s-multiset and right its 2 greatest (1 and
+    1 for s = 2); a sorted s-multiset splits so just once, so each is formed
+    once: left entry i meets only the right entries whose least member is at
+    least i's greatest. A pair's coefficient is C(s, left.size) times the
+    product of the two sides' coeffs, divided by C(a + b, a) where i's
+    greatest member (multiplicity a) equals the right least one
+    (multiplicity b): s!/prod(m!) times the product of the multiset's
+    coefficients.
 
-def _join(left, right, unit: int, half: bool = False):
-    """Join two sides into the sorted table of their key sums.
-
-    Returns keys, coefficients and the number of pairs formed. Both sides are
-    sorted by p1, so for a run of output p1 values each left entry i meets
-    one contiguous slice of the right side per right p1 (a cell). Pairs are
-    formed in (i, j) order, so every group sums its products in that order
-    whatever the batch size.
-
-    Two _Multisets sides, the s//2 least and the s - s//2 greatest members
-    of an s-multiset (s <= 6), form each s-multiset once: i meets only the
-    right entries whose least member is at least i's greatest. A pair's
-    coefficient, C(s, s//2) times the product of the two sides' coeffs and
-    divided by _TIE where those two members are equal, is s!/prod(m!) times
-    the product of the multiset's coefficients. In one p1 slice of a side of
-    at most two members the least member falls by 1 from each entry to the
-    next, so the allowed entries are a prefix of the slice; a right side of
-    three members is masked. Batches are sized by the count of s-multisets
-    per output p1 (_multiset_counts).
-
-    Two tables (s >= 7) form every ordered pair (i, j), their coefficients
-    multiplied; batches are sized by the convolution of the p1 histograms.
+    Both sides are sorted by p1, so for a run of output p1 values each left
+    entry i meets one contiguous p1 slice of the right side per right p1 (a
+    cell). Within a slice of at most two members the least member falls by 1
+    from each entry to the next, so the allowed entries are a prefix of the
+    slice and no pair is formed only to be dropped. Batches are sized by the
+    count of s-multisets per output p1 (_multiset_counts). Pairs are formed
+    in (i, j) order, so every group sums its products in that order whatever
+    the batch size.
 
     half forms only the lower half of the output p1 range, offsets q with
-    2q <= q_max: the last join of a mirrored table.
+    2q <= q_max: a mirrored table.
     """
-    p1a, hist_a = _p1_offsets(left.keys, unit)
+    p1a = _p1_offsets(left.keys, unit)[0]
     hist_b = _p1_offsets(right.keys, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
-    multiset = isinstance(left, _Multisets)
-    prefix = multiset and right.size <= 2
-    if multiset:
-        per_p1 = _multiset_counts(left.n, left.size + right.size)
-        left_c = math.comb(left.size + right.size, left.size) * left.coeffs
-    else:
-        per_p1, left_c = np.convolve(hist_a, hist_b), left.coeffs
-    # Pairs formed before the mask of a three-member right side.
-    formed = np.convolve(hist_a, hist_b) if multiset and not prefix else per_p1
+    s = left.size + right.size
+    per_p1 = _multiset_counts(left.n, s)
     if half:
         per_p1 = per_p1[: (per_p1.size + 1) // 2]
-        formed = formed[: per_p1.size]
-    batch_of = (np.cumsum(formed) - formed) // _JOIN_CHUNK
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [formed.size]])
+    left_c = math.comb(s, left.size) * left.coeffs
+    # C(a + b, a) for a left greatest member of multiplicity a that equals a
+    # right least member of multiplicity b.
+    ties = np.array(
+        [[math.comb(a + b, a) for b in range(right.size + 1)] for a in range(left.size + 1)],
+        dtype=float,
+    )
+    batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
 
     def batch(q_lo, q_hi):
         # Cells (i, r), left entry i and right p1 offset r, with
@@ -491,32 +492,20 @@ def _join(left, right, unit: int, half: bool = False):
         n_r = np.clip(q_hi - p1a, 0, hist_b.size) - r_lo
         cell_i = np.repeat(np.arange(p1a.size), n_r)
         r = _runs(r_lo, n_r)
-        lens = hist_b[r]
-        if prefix:
-            # room right entries of slice r have a least member >= i's
-            # greatest; the last of them equals it when the slice holds them all.
-            room = right.lo[starts_b[r]] - left.hi[cell_i] + 1
-            tie_cell = np.flatnonzero((room >= 1) & (room <= lens))
-            lens = np.clip(room, 0, lens)
-            tie = np.cumsum(lens)[tie_cell] - 1
+        # room right entries of slice r have a least member >= i's greatest;
+        # the last of them equals it when the slice holds them all.
+        room = right.lo[starts_b[r]] - left.hi[cell_i] + 1
+        tie_cell = np.flatnonzero((room >= 1) & (room <= hist_b[r]))
+        lens = np.clip(room, 0, hist_b[r])
+        tie = np.cumsum(lens)[tie_cell] - 1
         j = _runs(starts_b[r], lens)
-        if multiset and not prefix:
-            hi, lo = np.repeat(left.hi[cell_i], lens), right.lo[j]
-            keep = lo >= hi
-            lens = np.diff(np.concatenate([[0], np.cumsum(keep)])[np.cumsum(lens)], prepend=0)
-            j, tie = j[keep], np.flatnonzero(lo[keep] == hi[keep])
-            del hi, lo, keep
-            tie_cell = np.searchsorted(np.cumsum(lens), tie, side="right")
-        if multiset:
-            tie_w = _TIE[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
         keys = np.repeat(left.keys[:, cell_i], lens, axis=1)
         keys += right.keys[:, j]
         # Not in place: numpy's in-place complex product of one element
         # rounds differently, which would tie the bits to the batch cuts.
         coeffs = np.repeat(left_c[cell_i], lens) * right.coeffs[j]
-        if multiset:
-            coeffs[tie] /= tie_w
-        return (*_dedupe(keys, coeffs, multiset), j.size)
+        coeffs[tie] /= ties[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
+        return (*_dedupe(keys, coeffs), j.size)
 
     # Sized for no duplicates; past the filled part no page is touched, so
     # none becomes resident.
@@ -551,13 +540,13 @@ def build_group_table(
     the budget is checked against the nominal count, as is the exact-integer
     overflow bound s * N^3 < 2^63.
 
-    Tables of up to six members join the multisets of the s//2 least and the
-    s - s//2 greatest members; larger ones join the tables of s//2 and
-    s - s//2 members, built the same way (_join).
+    For s >= 2 one join meets the multisets of the s - 2 least members with
+    those of the 2 greatest (1 and 1 for s = 2), forming each s-multiset
+    once (_join).
 
-    mirrored builds only the entries with 2 p1 <= s(N+1): the lower join
-    levels stay whole and the last one stops at the middle p1. It needs
-    real palindromic coefficients.
+    mirrored builds only the entries with 2 p1 <= s(N+1): the halves stay
+    whole and the join stops at the middle p1. It needs real palindromic
+    coefficients.
     """
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
@@ -585,21 +574,14 @@ def build_group_table(
         a_mul = 1
         single = np.stack([k, k**2, k**3])
 
-    def build(m: int, half: bool = False) -> TupleGroupTable:
-        if m <= 6:
-            left = _Multisets.build(single, base_c, m // 2)
-            right = left if m % 2 == 0 else _Multisets.build(single, base_c, m - m // 2)
-        else:
-            left = build(m // 2)
-            right = left if m % 2 == 0 else build(m - m // 2)
-        keys, acc, pairs = _join(left, right, a_mul, half)
-        return TupleGroupTable(
-            n=n, s=m, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n**m,
-            mirrored=half, join_pairs=pairs,
-        )
-
     if s > 1:
-        return build(s, mirrored)
+        right = _Multisets.build(single, base_c, min(s - 1, 2))
+        left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
+        keys, acc, pairs = _join(left, right, a_mul, mirrored)
+        return TupleGroupTable(
+            n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples,
+            mirrored=mirrored, join_pairs=pairs,
+        )
     keys, acc = single, base_c
     if mirrored:
         keys, acc = keys[:, : (n + 1) // 2], acc[: (n + 1) // 2]

@@ -77,6 +77,17 @@ class TestMomentCommand:
         assert main(["moment", "--N", "4", "--s", "2", *argv, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--budget-cells", "10"], ["--method", "brute", "--budget-cells", "10"],
+         ["--method", "quad", "--budget-tuples", "10"]],
+        ids=["exact-cells", "brute-cells", "quad-tuples"],
+    )
+    def test_budget_of_another_method_exit_2(self, tmp_path, argv):
+        # The method would ignore it, yet it would enter the config digest.
+        assert main(["moment", "--N", "4", "--s", "2", *argv, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("family", ["random_phase", "constant"])
     def test_negative_seed_exit_2(self, tmp_path, family):
         # random_phase used to raise ValueError and exit 1; constant ignored the seed.

@@ -305,7 +305,9 @@ class TestJoin:
         assert np.array_equal(again.power_sum(3), want.power_sum(3))
 
     @pytest.mark.parametrize("packing", ["packed", "three rows"])
-    @pytest.mark.parametrize("n, s", [(24, 4), (13, 6), (40, 2), (30, 3)])
+    @pytest.mark.parametrize(
+        "n, s", [(24, 4), (13, 6), (40, 2), (30, 3), (20, 5), (9, 7), (6, 8)]
+    )
     def test_matches_the_ordered_join(self, monkeypatch, n, s, packing):
         # Integer products add exactly in any order, so those tables keep
         # every bit; a complex multiset takes its multinomial times one
@@ -328,22 +330,23 @@ class TestJoin:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_dedupe_adds_equal_keys_in_input_order_either_sort(self, rows):
-        # The unstable sort taken when equal keys are rare must add each
-        # group in input order, as the stable one does: the same bits.
+        # One packed row takes the unstable sort, three rows the stable
+        # lexsort; either way each group adds its summands in input order,
+        # as a stable sort and a running sum do: the same bits.
         rng = np.random.default_rng(rows)
         keys = rng.integers(0, 50, (rows, 3000))
         coeffs = phased_coeffs(rng, 3000, "complex")
-        slow = moments._dedupe(keys, coeffs, False)
-        fast = moments._dedupe(keys, coeffs, True)
-        assert slow[1].size < 3000
-        assert np.array_equal(fast[0], slow[0])
-        assert np.array_equal(fast[1].view(np.uint64), slow[1].view(np.uint64))
-        for k, c in zip(slow[0].T, slow[1]):
-            same = np.flatnonzero(np.all(keys == k[:, None], axis=0))
-            total = np.sum(coeffs[same[:1]])
-            for t in same[1:]:
-                total = total + coeffs[t]
-            assert c == total
+        got_k, got_c = moments._dedupe(keys, coeffs)
+        want_k, want_c = [], []
+        for i in np.lexsort(keys[::-1]):
+            if want_k and np.array_equal(want_k[-1], keys[:, i]):
+                want_c[-1] = want_c[-1] + coeffs[i]
+            else:
+                want_k.append(keys[:, i])
+                want_c.append(coeffs[i])
+        assert len(want_c) < 3000
+        assert np.array_equal(got_k, np.array(want_k).T)
+        assert np.array_equal(got_c.view(np.uint64), np.array(want_c).view(np.uint64))
 
     def test_multiset_counts_match_a_brute_count(self):
         for n, s in ((1, 1), (1, 4), (2, 3), (5, 2), (7, 3), (6, 4), (4, 6)):
@@ -351,11 +354,10 @@ class TestJoin:
             brute = np.bincount(np.array(sums) - s, minlength=s * (n - 1) + 1)
             assert np.array_equal(moments._multiset_counts(n, s), brute), (n, s)
 
-    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8])
     def test_joins_form_each_multiset_once(self, monkeypatch, s):
-        # Up to s = 6 the last join forms each s-multiset of 1..n once,
-        # C(n+s-1, s) pairs, and at s <= 3 no two share a key. s = 7 joins
-        # the s = 3 and s = 4 tables, every ordered pair.
+        # One join per table forms each s-multiset of 1..n once,
+        # C(n+s-1, s) pairs, and at s <= 3 no two share a key.
         joins = []
         join = moments._join
 
@@ -366,17 +368,15 @@ class TestJoin:
 
         monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
         monkeypatch.setattr(moments, "_join", spy_join)
-        n = {2: 24, 3: 24, 4: 16, 5: 9, 6: 7, 7: 5}[s]
+        n = {2: 24, 3: 24, 4: 16, 5: 9, 6: 7, 7: 5, 8: 4}[s]
         spec = ExpSumSpec(n=n, coeffs=coeffs_for("random_phase", n, 2))
         table = build_group_table(spec, s)
         res = moment_exact(spec, s)
         detail = res.detail
+        assert len(joins) == 2 and joins[0] == joins[1]  # one join per build
         assert detail["join_pairs"] == table.join_pairs == joins[-1][2]
         assert detail["join_pairs"] - detail["table_entries"] == detail["merged_entries"]
-        if s <= 6:
-            assert table.join_pairs == math.comb(n + s - 1, s)
-        else:
-            assert table.join_pairs == joins[-1][0] * joins[-1][1]
+        assert table.join_pairs == math.comb(n + s - 1, s)
         if s <= 3:
             assert detail["merged_entries"] == 0
         if s == 4:  # {1, 5, 8, 12} and {2, 3, 10, 11} share their power sums
@@ -384,10 +384,11 @@ class TestJoin:
 
 
 def ordered_join(left, right, unit, half=False):
-    """The join that forms every ordered pair (i, j) of two group tables; a
-    _Multisets side is one too, its coeffs being its keys' table
-    coefficients. half stops at the middle output p1, as in _join. Returns
-    keys, coefficients and the pair count."""
+    """The join that forms every ordered pair (i, j) of two _Multisets sides,
+    their coefficients multiplied: a multiset's coeffs sum the products of
+    the tuples that order to it, so the pairs add up the product of every
+    s-tuple. half stops at the middle output p1, as in _join. Returns keys,
+    coefficients and the pair count."""
     p1a, hist_a = moments._p1_offsets(left.keys, unit)
     _, hist_b = moments._p1_offsets(right.keys, unit)
     ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
@@ -403,7 +404,7 @@ def ordered_join(left, right, unit, half=False):
         lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
         j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
-        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j], False)
+        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j])
 
     parts = list(moments._in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])))
     keys = np.concatenate([k for k, _ in parts], axis=1)
@@ -1226,6 +1227,37 @@ class TestVinogradovCount:
         got = vinogradov_count(n, s)
         monkeypatch.setattr(moments, "_join", ordered_join)
         assert got == vinogradov_count(n, s)
+
+    @pytest.mark.parametrize("s", [7, 12, 20, 27])
+    def test_two_frequencies_count_central_binomials(self, s):
+        # p1 fixes a multiset of 1s and 2s, so the count is sum_k C(s, k)^2
+        # = C(2s, s); the left half holds up to 25 members, whose
+        # multinomials must stay exact integers.
+        assert vinogradov_count(2, s) == math.comb(2 * s, s)
+
+    @pytest.mark.parametrize("s", [10, 17])
+    def test_three_frequencies_count_squared_trinomials(self, s):
+        # (p1, p2) fix a multiset of 1s, 2s and 3s (a Vandermonde system).
+        f = math.factorial
+        want = sum(
+            (f(s) // (f(a) * f(b) * f(s - a - b))) ** 2
+            for a in range(s + 1)
+            for b in range(s + 1 - a)
+        )
+        assert vinogradov_count(3, s) == want
+
+    @pytest.mark.parametrize("n, s", [(2, 25), (2, 26), (3, 25), (3, 30)])
+    def test_table_multinomials_stay_exact_past_18_factorial(self, n, s):
+        # Left halves of 23 to 28 members, where size!/prod(m!) in float64
+        # rounds and vinogradov_count's rint would hide it. The tables have
+        # C(n+s-1, s) entries, small even where the nominal n^s is raised.
+        table = build_group_table(spec_ones(n), s, budget_tuples=n**s)
+        f = math.factorial
+        want = sorted(
+            f(s) // math.prod(f(m.count(k)) for k in range(n))
+            for m in itertools.combinations_with_replacement(range(n), s)
+        )
+        assert np.array_equal(np.sort(table.coeffs), np.array(want, dtype=float))
 
     @pytest.mark.parametrize("n, s", [(6, 3), (7, 3), (9, 4), (12, 5), (1, 3)])
     def test_half_table_matches_the_full_count(self, n, s):
