@@ -20,18 +20,22 @@ kept. A join never compares keys of different p1: both halves are sorted by
 p1, so the pairs that land on each output p1 are known in advance (the
 count of s-multisets with that sum). The join cuts the output p1 range into
 batches of about _JOIN_CHUNK pairs, sorts each batch on a shared thread
-pool, and writes the batches in p1 order into one output buffer. The result
-is sorted without any merge of partial results. Up to three members the
+pool, and yields the batches in p1 order, so their concatenation is sorted
+without any merge of partial results. Up to three members the
 keys of different multisets differ, so a batch is one sort; from four on,
 multisets with equal power sums (Prouhet-Tarry-Escott coincidences such as
 {1, 5, 8, 12} and {2, 3, 10, 11}) are added up.
 
-A table keeps the join's output as it comes: the coefficients and one
-packed int64 key row p1 A + p2 B + p3, with B = s n^3 + 1 and
-A = (s n^2 + 1) B, or the three rows (p1, p2, p3) where that could pass
-2^63. p1, p2 and p3 are decoded on access. Pair assembly finds its (p1, p2)
-groups as runs of equal key // B and decodes p3 only for the entries of the
-block at hand, so the table is never unpacked whole.
+build_group_table copies the batches into one output buffer, sized for one
+entry per s-multiset. A table keeps the join's output as it comes: the
+coefficients and one packed int64 key row p1 A + p2 B + p3, with
+B = s n^3 + 1 and A = (s n^2 + 1) B, or the three rows (p1, p2, p3) where
+that could pass 2^63. p1, p2 and p3 are decoded on access. Pair assembly
+finds its (p1, p2) groups as runs of equal key // B and decodes p3 only for
+the entries of the block at hand, so the table is never unpacked whole.
+At sigma = 0, and for vinogradov_count, no table is built: each batch is
+reduced as the join yields it and then dropped, so no more than the batches
+in flight (one per pool worker, plus one) are held at once.
 
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
@@ -50,9 +54,11 @@ then runs once, on the calling thread, at 0 and the distinct d, and
 math.fsum adds the diagonal's segment sums and the terms
 Re(R(d) conj(K(d))) with one rounding. So the value does not depend on
 the number of cores or on other callers, and err_estimate is a stated bound
-on the error, the kernel included. sigma = 0 squares |c| in _ENERGY_CHUNK
-slices of whole 4096-term segments, so its sums are those of one pass while
-the arrays in flight stay a few MB.
+on the error, the kernel included. At sigma = 0 the kernel is 0 off the
+diagonal and the moment is the sum of |c|^2 alone. It is squared batch by
+batch as the join yields them, each batch's last < 4096 squares carried
+into the next (_EnergySums), so the 4096-term segments, and every bit of
+the value, are those of one pass over the whole table.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -62,11 +68,11 @@ changes sign. When the coefficients are real and palindromic
 (a_k = a_{n+1-k}, constant coefficients among them), the products carry
 over unchanged and K(-d) = conj(K(d)) leaves the real part of each group's
 sum unchanged, for every sigma and h0. moment_exact and vinogradov_count
-then build a mirrored table: the join forms only the output p1 with
-2 p1 <= s(n+1), and pair assembly weighs each group with 2 p1 < s(n+1) by
-2 and the middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1,
-in the value and in the bound alike. Complex or non-palindromic
-coefficients build the whole table.
+then join a mirrored table: the join forms only the output p1 with
+2 p1 <= s(n+1), and each group with 2 p1 < s(n+1) is weighed by 2 and the
+middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1, in the
+value and in the bound alike. Complex or non-palindromic coefficients join
+the whole table.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ import math
 import os
 import threading
 from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -100,8 +107,8 @@ _PAIR_CHUNK = 65_536
 # through at most 32 roundings; math.fsum adds the segment sums exactly, which
 # keeps the bound in _pair_assemble a constant multiple of u = 2^-53.
 _SUM_SEG = 4096
-# Coefficients per |c|^2 pass of the diagonal energy: whole segments, so a
-# pass holds 8 MB of |c| at most instead of a copy of the table.
+# Coefficients per |c|^2 pass of a built table's diagonal energy: whole
+# segments, so a pass holds 8 MB of |c| at most instead of a copy of the table.
 _ENERGY_CHUNK = 256 * _SUM_SEG
 # (p1, p2) comparisons per moment_brute chunk, whatever the pair budget: the
 # chunk's masks take a few MB.
@@ -364,12 +371,13 @@ def _in_order(calls):
             future.cancel()
 
 
-def _multiset_counts(n: int, s: int) -> np.ndarray:
+def _multiset_counts(n: int, s: int, half: bool = False) -> np.ndarray:
     """Multisets of s members of 1..n per sum p1 = s, s + 1, ..., s n.
 
     They are the coefficients of the complete homogeneous polynomial
     h_s(x, x^2, ..., x^n), built by Newton's identities
     m h_m = sum_{e=1..m} p_e h_{m-e} with p_e = x^e + x^(2e) + ... + x^(ne).
+    half keeps the sums p1 with 2 p1 <= s(n+1), those of a mirrored table.
     """
     h = [np.ones(1, dtype=np.int64)]
     for m in range(1, s + 1):
@@ -379,7 +387,8 @@ def _multiset_counts(n: int, s: int) -> np.ndarray:
             p[e::e] = 1
             acc += np.convolve(p, h[m - e])
         h.append(acc // m)
-    return h[s][s:]
+    per_p1 = h[s][s:]
+    return per_p1[: (per_p1.size + 1) // 2] if half else per_p1
 
 
 def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -444,9 +453,10 @@ class _Multisets:
 
 
 def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
-    """Join the least and greatest members into the sorted table of s-multisets.
+    """Join the least and greatest members into the sorted s-multisets, batch by batch.
 
-    Returns keys, coefficients and the number of pairs formed. left holds
+    Yields (keys, coefficients, pairs formed) for each batch, in p1 order;
+    the batches' entries, concatenated, are the sorted table. left holds
     the s - 2 least members of an s-multiset and right its 2 greatest (1 and
     1 for s = 2); a sorted s-multiset splits so just once, so each is formed
     once: left entry i meets only the right entries whose least member is at
@@ -466,15 +476,14 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
     the batch size.
 
     half forms only the lower half of the output p1 range, offsets q with
-    2q <= q_max: a mirrored table.
+    2q <= q_max: a mirrored table. Nothing past the batch itself is kept, so
+    a caller that drops each batch never holds the table.
     """
     p1a = _p1_offsets(left.keys, unit)[0]
     hist_b = _p1_offsets(right.keys, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     s = left.size + right.size
-    per_p1 = _multiset_counts(left.n, s)
-    if half:
-        per_p1 = per_p1[: (per_p1.size + 1) // 2]
+    per_p1 = _multiset_counts(left.n, s, half)
     left_c = math.comb(s, left.size) * left.coeffs
     # C(a + b, a) for a left greatest member of multiplicity a that equals a
     # right least member of multiplicity b.
@@ -507,19 +516,7 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
         coeffs[tie] /= ties[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
         return (*_dedupe(keys, coeffs), j.size)
 
-    # Sized for no duplicates; past the filled part no page is touched, so
-    # none becomes resident.
-    n_pairs = int(per_p1.sum())
-    out_k = np.empty((left.keys.shape[0], n_pairs), dtype=np.int64)
-    out_c = np.empty(n_pairs, dtype=np.result_type(left.coeffs, right.coeffs))
-    used = pairs = 0
-    batches = ((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-    for keys, acc, n_formed in _in_order(batches):
-        out_k[:, used : used + acc.size] = keys
-        out_c[used : used + acc.size] = acc
-        used += acc.size
-        pairs += n_formed
-    return out_k[:, :used], out_c[:used], pairs
+    yield from _in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def _mirror_symmetric(coeffs: np.ndarray) -> bool:
@@ -527,27 +524,52 @@ def _mirror_symmetric(coeffs: np.ndarray) -> bool:
     return not np.any(coeffs.imag) and np.array_equal(coeffs, coeffs[::-1])
 
 
-def build_group_table(
-    spec: ExpSumSpec,
-    s: int,
-    budget_tuples: int = DEFAULT_TUPLE_BUDGET,
-    mirrored: bool = False,
-) -> TupleGroupTable:
-    """Group all s-tuples from spec's frequencies by power sums.
+@dataclass(eq=False)
+class _Stream:
+    """A table's entries as the join yields them, past build_group_table's checks.
 
-    Enumeration cost is bounded by budget_tuples conceptual tuples (N^s); the
-    meet-in-the-middle join touches far fewer rows than N^s in practice but
-    the budget is checked against the nominal count, as is the exact-integer
-    overflow bound s * N^3 < 2^63.
-
-    For s >= 2 one join meets the multisets of the s - 2 least members with
-    those of the 2 greatest (1 and 1 for s = 2), forming each s-multiset
-    once (_join).
-
-    mirrored builds only the entries with 2 p1 <= s(N+1): the halves stay
-    whole and the join stops at the middle p1. It needs real palindromic
-    coefficients.
+    Iterating yields (keys, coeffs, pairs formed) per batch, in p1 order, as
+    a table holds them; no (p1, p2) group straddles two batches. It counts
+    as it goes: n_entries and join_pairs as a TupleGroupTable states them,
+    and held_entries, the most entries of one batch. size bounds the
+    entries: one per s-multiset (of the lower half when mirrored). A stream
+    is iterated once.
     """
+
+    n: int
+    s: int
+    multipliers: tuple[int, int] | None
+    mirrored: bool
+    dtype: np.dtype
+    size: int
+    batches: Iterator[tuple[np.ndarray, np.ndarray, int]] = field(repr=False)
+    n_entries: int = 0
+    join_pairs: int = 0
+    held_entries: int = 0
+
+    def __iter__(self):
+        for keys, coeffs, pairs in self.batches:
+            self.n_entries += coeffs.size
+            self.join_pairs += pairs
+            self.held_entries = max(self.held_entries, coeffs.size)
+            yield keys, coeffs, pairs
+
+    @property
+    def key_rows(self) -> int:
+        return 3 if self.multipliers is None else 1
+
+    def halves(self):
+        """Each batch's coefficients that stand for their mirror too, then the rest."""
+        for keys, coeffs, _ in self:
+            m = _doubled_entries(self, keys)
+            yield coeffs[:m], coeffs[m:]
+
+
+def _table_stream(
+    spec: ExpSumSpec, s: int, budget_tuples: int, mirrored: bool
+) -> _Stream:
+    """build_group_table's checks and the halves of its join, which runs as
+    the stream is read. s = 1 is one batch of the frequencies themselves."""
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
     n = spec.n
@@ -577,17 +599,51 @@ def build_group_table(
     if s > 1:
         right = _Multisets.build(single, base_c, min(s - 1, 2))
         left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
-        keys, acc, pairs = _join(left, right, a_mul, mirrored)
-        return TupleGroupTable(
-            n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples,
-            mirrored=mirrored, join_pairs=pairs,
-        )
-    keys, acc = single, base_c
-    if mirrored:
-        keys, acc = keys[:, : (n + 1) // 2], acc[: (n + 1) // 2]
+        batches = _join(left, right, a_mul, mirrored)
+    else:
+        keep = (n + 1) // 2 if mirrored else n
+        batches = iter([(single[:, :keep], base_c[:keep], 0)])
+    return _Stream(
+        n=n, s=s, multipliers=packing, mirrored=mirrored, dtype=base_c.dtype,
+        size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches,
+    )
+
+
+def build_group_table(
+    spec: ExpSumSpec,
+    s: int,
+    budget_tuples: int = DEFAULT_TUPLE_BUDGET,
+    mirrored: bool = False,
+) -> TupleGroupTable:
+    """Group all s-tuples from spec's frequencies by power sums.
+
+    Enumeration cost is bounded by budget_tuples conceptual tuples (N^s); the
+    meet-in-the-middle join touches far fewer rows than N^s in practice but
+    the budget is checked against the nominal count, as is the exact-integer
+    overflow bound s * N^3 < 2^63.
+
+    For s >= 2 one join meets the multisets of the s - 2 least members with
+    those of the 2 greatest (1 and 1 for s = 2), forming each s-multiset
+    once (_join); its batches are copied in p1 order into one buffer.
+
+    mirrored builds only the entries with 2 p1 <= s(N+1): the halves stay
+    whole and the join stops at the middle p1. It needs real palindromic
+    coefficients.
+    """
+    stream = _table_stream(spec, s, budget_tuples, mirrored)
+    # Sized for no duplicates; past the filled part no page is touched, so
+    # none becomes resident.
+    keys = np.empty((stream.key_rows, stream.size), dtype=np.int64)
+    coeffs = np.empty(stream.size, dtype=stream.dtype)
+    used = 0
+    for batch_keys, batch_coeffs, _ in stream:
+        keys[:, used : used + batch_coeffs.size] = batch_keys
+        coeffs[used : used + batch_coeffs.size] = batch_coeffs
+        used += batch_coeffs.size
     return TupleGroupTable(
-        n=n, s=s, keys=keys, coeffs=acc, multipliers=packing, n_tuples=n_tuples,
-        mirrored=mirrored,
+        n=stream.n, s=s, keys=keys[:, :used], coeffs=coeffs[:used],
+        multipliers=stream.multipliers, n_tuples=stream.n**s, mirrored=mirrored,
+        join_pairs=stream.join_pairs,
     )
 
 
@@ -600,30 +656,57 @@ def _segment_sums(t: np.ndarray) -> np.ndarray:
     return np.append(t[:full].reshape(-1, _SUM_SEG).sum(axis=1), t[full:].sum())
 
 
-def _energy_sums(c: np.ndarray) -> np.ndarray:
-    """_segment_sums(|c|^2), formed _ENERGY_CHUNK coefficients at a time.
+class _EnergySums:
+    """_segment_sums of |c|^2 over coefficient arrays added in order.
 
-    Chunk edges are segment edges, so the sums are those of one pass, each
-    chunk adding only a zero for its empty tail. An empty c is one empty
-    chunk and gives [0.0], as _segment_sums does.
+    Each add squares its array and carries its last < _SUM_SEG squares into
+    the next, so the segments, and every bit of their sums, are those of one
+    pass over the concatenation, wherever the arrays were cut. Only one
+    array's squares and one partial segment are held.
     """
-    sums = []
-    for lo in range(0, max(c.size, 1), _ENERGY_CHUNK):
-        mod = np.abs(c[lo : lo + _ENERGY_CHUNK])
-        sums.append(_segment_sums(np.square(mod, out=mod)))
-    return np.concatenate(sums)
+
+    def __init__(self) -> None:
+        self._sums = []
+        self._rest = np.empty(0)
+
+    def add(self, c: np.ndarray) -> None:
+        t = np.abs(c)
+        np.square(t, out=t)
+        if self._rest.size:
+            t = np.concatenate([self._rest, t])
+        full = t.size - t.size % _SUM_SEG
+        self._sums.append(_segment_sums(t[:full])[:-1])
+        self._rest = t[full:].copy()
+
+    def sums(self) -> np.ndarray:
+        """The segment sums so far, the partial tail last: [0.0] if none."""
+        return np.concatenate([*self._sums, _segment_sums(self._rest)])
 
 
-def _doubled_entries(table: TupleGroupTable) -> int:
-    """Entries at the head of the table that stand for their mirror too.
+def _energy_sums(c: np.ndarray) -> np.ndarray:
+    """_segment_sums(|c|^2), squared _ENERGY_CHUNK coefficients at a time.
 
-    Those with 2 p1 < s(n+1) in a mirrored table, found by bisecting the
-    sorted key at the least p1 with 2 p1 >= s(n+1); 0 otherwise.
+    An empty c gives [0.0], as _segment_sums does.
+    """
+    acc = _EnergySums()
+    for lo in range(0, c.size, _ENERGY_CHUNK):
+        acc.add(c[lo : lo + _ENERGY_CHUNK])
+    return acc.sums()
+
+
+def _doubled_entries(table, keys: np.ndarray | None = None) -> int:
+    """Entries at the head of sorted keys that stand for their mirror too.
+
+    table is a TupleGroupTable or a _Stream, and keys its own key rows or
+    one batch's. In a mirrored table they are the entries with
+    2 p1 < s(n+1), found by bisecting key row 0 at the least p1 with
+    2 p1 >= s(n+1); 0 otherwise.
     """
     if not table.mirrored:
         return 0
     unit = 1 if table.multipliers is None else table.multipliers[0]
-    return int(np.searchsorted(table.keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
+    keys = table.keys if keys is None else keys
+    return int(np.searchsorted(keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
 
 
 def _quantum(n_pairs: int, big: float) -> float:
@@ -663,11 +746,12 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     Within a group the p3 values are distinct and increase with the entry,
     and K(-d) = conj(K(d)), so the sum is L sum |c_i|^2 plus twice the real
     part of sum_{i<j} c_i conj(c_j) K(-d), d = p3_j - p3_i > 0, with
-    L = K(0) = n^-sigma. At sigma = 0 the kernel is exactly 0 off the
-    diagonal and only the first term is formed. H is [h0, h0 + L] for the
-    float h0 and the float L.
+    L = K(0) = n^-sigma. H is [h0, h0 + L] for the float h0 and the float
+    L. moment_exact calls it for sigma > 0 only; at sigma = 0 the kernel is
+    exactly 0 off the diagonal, and moment_exact sums the diagonal over the
+    join's stream without a table.
 
-    Otherwise the pairs enter only through the window spectrum
+    The pairs enter only through the window spectrum
     R(d) = sum of w c_i conj(c_j) over the pairs with difference d, with
     weight w = 2 (4 for a group that stands for its mirror too): the sum is
     L sum |c_i|^2 + Re sum_d R(d) conj(K(d)). R does not depend on sigma or
@@ -720,10 +804,6 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     """
     c = table.coeffs
     m = _doubled_entries(table)
-    if sigma == 0.0:
-        value = math.fsum(np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])))
-        return value, _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
-
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
     split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
@@ -812,27 +892,49 @@ def moment_exact(
 
     The x1, x2 integrals enforce the (p1, p2) matching; the x3 integral over H
     contributes the kernel K(d) per in-group difference d, through the window
-    spectrum R(d). At sigma = 0 the kernel is a Kronecker delta and the pair
-    sum collapses to sum |c|^2. err_estimate bounds the error of the assembly
-    for the table's coefficients, the kernel included (see _pair_assemble).
-    With sigma > 0 the detail gives "spectrum_bins" and "distinct_d", the
-    bins of R and the distinct in-group d, where the kernel was evaluated.
+    spectrum R(d) of the built table (_pair_assemble). At sigma = 0 the
+    kernel is a Kronecker delta and the pair sum collapses to sum |c|^2 over
+    the (p1, p2, p3) classes: each join batch is squared as it comes and
+    dropped, so no table is built, and the segment sums are those of the
+    whole table (_EnergySums). err_estimate bounds the error for the
+    table's coefficients, the kernel included; at sigma = 0 it is the
+    diagonal's 40u times the value (_pair_assemble).
+
+    The detail states the table's entries, their bytes (key rows and
+    coefficients) and the join's pairs, whether or not the table was held,
+    and held_entries, the most entries held at once: the largest batch at
+    sigma = 0, the whole table otherwise. With sigma > 0 it gives
+    "spectrum_bins" and "distinct_d", the bins of R and the distinct
+    in-group d, where the kernel was evaluated.
     """
-    table = build_group_table(
-        spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
-    )
-    value, err, spectrum = _pair_assemble(table, spec.sigma, spec.h0)
+    mirrored = _mirror_symmetric(spec.coeffs)
+    if spec.sigma == 0.0:
+        table = _table_stream(spec, s, budget_tuples, mirrored)
+        below, rest = _EnergySums(), _EnergySums()
+        for twice, once in table.halves():
+            below.add(twice)
+            rest.add(once)
+        value = math.fsum(np.append(2.0 * below.sums(), rest.sums()))
+        err, spectrum = _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
+        held = table.held_entries
+        table_bytes = table.n_entries * (8 * table.key_rows + table.dtype.itemsize)
+    else:
+        table = build_group_table(spec, s, budget_tuples, mirrored=mirrored)
+        value, err, spectrum = _pair_assemble(table, spec.sigma, spec.h0)
+        held = table.n_entries
+        table_bytes = table.keys.nbytes + table.coeffs.nbytes
     return MomentResult(
         value=value,
         method="exact",
         err_estimate=err,
         detail={
             "table_entries": table.n_entries,
-            "table_bytes": table.keys.nbytes + table.coeffs.nbytes,
-            "n_tuples": table.n_tuples,
-            "mirrored": table.mirrored,
+            "table_bytes": table_bytes,
+            "n_tuples": spec.n**s,
+            "mirrored": mirrored,
             "join_pairs": table.join_pairs,
             "merged_entries": table.join_pairs - table.n_entries if table.join_pairs else 0,
+            "held_entries": held,
             **spectrum,
         },
     )
@@ -921,17 +1023,17 @@ def vinogradov_count(
     """Exact count of 2s-tuples in [1,n]^2s matching all three power sums.
 
     Counted as sum over (p1, p2, p3) classes of (tuple count)^2 in integer
-    arithmetic, over the mirrored table with weight 2 below the middle p1.
-    Class counts are accumulated as float64 but stay far below 2^53 under
-    the tuple budget, so the result is exact.
+    arithmetic, over the mirrored join's batches as they come, with weight
+    2 below the middle p1; no table is held. Class counts are accumulated
+    as float64 but stay far below 2^53 under the tuple budget, so the
+    result is exact.
     """
     if n < 1 or s < 1:
         raise SpecValidationError("need n >= 1 and s >= 1")
     spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=0.0)
-    table = build_group_table(
-        spec, s, budget_tuples, mirrored=_mirror_symmetric(spec.coeffs)
-    )
-    counts = np.rint(np.real(table.coeffs)).astype(np.int64)
-    squares = counts * counts
-    m = _doubled_entries(table)
-    return int(2 * np.sum(squares[:m]) + np.sum(squares[m:]))
+    total = 0
+    for twice, once in _table_stream(spec, s, budget_tuples, mirrored=True).halves():
+        for weight, part in ((2, twice), (1, once)):
+            counts = np.rint(part).astype(np.int64)
+            total += weight * int(np.sum(counts * counts))
+    return total

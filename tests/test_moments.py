@@ -362,9 +362,11 @@ class TestJoin:
         join = moments._join
 
         def spy_join(left, right, unit, half=False):
-            out = join(left, right, unit, half)
-            joins.append((left.keys.shape[1], right.keys.shape[1], out[2]))
-            return out
+            pairs = 0
+            for batch in join(left, right, unit, half):
+                pairs += batch[2]
+                yield batch
+            joins.append((left.keys.shape[1], right.keys.shape[1], pairs))
 
         monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
         monkeypatch.setattr(moments, "_join", spy_join)
@@ -373,7 +375,7 @@ class TestJoin:
         table = build_group_table(spec, s)
         res = moment_exact(spec, s)
         detail = res.detail
-        assert len(joins) == 2 and joins[0] == joins[1]  # one join per build
+        assert len(joins) == 2 and joins[0] == joins[1]  # one join per build or stream
         assert detail["join_pairs"] == table.join_pairs == joins[-1][2]
         assert detail["join_pairs"] - detail["table_entries"] == detail["merged_entries"]
         assert table.join_pairs == math.comb(n + s - 1, s)
@@ -387,8 +389,8 @@ def ordered_join(left, right, unit, half=False):
     """The join that forms every ordered pair (i, j) of two _Multisets sides,
     their coefficients multiplied: a multiset's coeffs sum the products of
     the tuples that order to it, so the pairs add up the product of every
-    s-tuple. half stops at the middle output p1, as in _join. Returns keys,
-    coefficients and the pair count."""
+    s-tuple. half stops at the middle output p1, as in _join. Yields keys,
+    coefficients and the pair count of each batch, in p1 order."""
     p1a, hist_a = moments._p1_offsets(left.keys, unit)
     _, hist_b = moments._p1_offsets(right.keys, unit)
     ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
@@ -404,11 +406,9 @@ def ordered_join(left, right, unit, half=False):
         lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
         j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
-        return moments._dedupe(keys, np.repeat(ca, lens) * cb[j])
+        return (*moments._dedupe(keys, np.repeat(ca, lens) * cb[j]), j.size)
 
-    parts = list(moments._in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])))
-    keys = np.concatenate([k for k, _ in parts], axis=1)
-    return keys, np.concatenate([c for _, c in parts]), int(per_p1.sum())
+    yield from moments._in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def group_slices(table):
@@ -901,9 +901,56 @@ class TestMomentExact:
         spec = ExpSumSpec(n=9, coeffs=coeffs_for("random_phase", 9, 1), sigma=0.5)
         table = build_group_table(spec, 3)
         res = moment_exact(spec, 3)
-        assert res.detail["table_entries"] == table.n_entries
+        assert res.detail["table_entries"] == res.detail["held_entries"] == table.n_entries
         assert res.detail["table_bytes"] == table.keys.nbytes + table.coeffs.nbytes
         assert res.detail["table_bytes"] == table.n_entries * (8 + 16)
+
+    @pytest.mark.parametrize("chunk", [None, 5_000, 997])
+    @pytest.mark.parametrize("s, n", [(1, 9000), (2, 150), (3, 40), (4, 20), (5, 14)])
+    def test_sigma0_stream_sums_the_table_bit_for_bit(self, monkeypatch, s, n, chunk):
+        # sigma = 0 squares each join batch as it comes and carries its
+        # partial 4096-term segment into the next, so wherever the batch
+        # cuts fall the segments, and every bit of the sum, are those of
+        # the whole table, entries below the middle p1 counted twice.
+        # Unit coefficients give near-integer squares whose sums round
+        # alike in any segments; moduli in [0.2, 1] do not.
+        if chunk is not None:
+            monkeypatch.setattr(moments, "_JOIN_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        moduli = rng.uniform(0.2, 1.0, (n + 1) // 2)
+        families = {
+            "constant": np.ones(n),
+            "random_sign": coeffs_for("random_sign", n, s),
+            "random_phase": coeffs_for("random_phase", n, s),
+            "palindromic": palindromic_signs(n, s),
+            "complex moduli": phased_coeffs(rng, n, "complex"),
+            "palindromic moduli": np.concatenate([moduli, moduli[: n // 2][::-1]]),
+        }
+        for family, coeffs in families.items():
+            spec = ExpSumSpec(n=n, coeffs=coeffs)
+            mirrored = moments._mirror_symmetric(spec.coeffs)
+            table = build_group_table(spec, s, mirrored=mirrored)
+            c, m = table.coeffs, moments._doubled_entries(table)
+            assert c.size - m > moments._SUM_SEG or m > moments._SUM_SEG
+            sums = (moments._energy_sums(c[:m]), moments._energy_sums(c[m:]))
+            want = math.fsum(np.append(2.0 * sums[0], sums[1]))
+            res = moment_exact(spec, s)
+            assert res.value.hex() == want.hex(), family
+            assert res.err_estimate.hex() == (moments._ROUNDOFF_K * 2.0**-53 * want).hex()
+            detail = res.detail
+            assert mirrored is (family in ("constant", "palindromic", "palindromic moduli"))
+            assert detail["mirrored"] is mirrored
+            assert detail["table_entries"] == table.n_entries
+            assert detail["table_bytes"] == table.keys.nbytes + table.coeffs.nbytes
+            assert detail["join_pairs"] == table.join_pairs
+            # The most entries held at once: one batch, of about _JOIN_CHUNK
+            # pairs or one p1 value's; s = 1 has no join and one batch.
+            if s == 1:
+                assert detail["held_entries"] == table.n_entries
+            else:
+                most = moments._JOIN_CHUNK + int(moments._multiset_counts(n, s).max())
+                assert detail["held_entries"] <= min(most, table.n_entries)
+                assert detail["held_entries"] < table.n_entries or chunk != 997
 
     @pytest.mark.parametrize(
         "n, family, value, err",
@@ -923,11 +970,12 @@ class TestMomentExact:
         res = moment_exact(spec, 4)
         assert (res.value, res.err_estimate) == (value, err)
 
-    def test_sigma0_memory_stays_near_the_table(self, child_env):
-        # Peak RSS, not tracemalloc: the join's worst-case output buffers are
-        # allocated but only their filled part is ever resident. Unpacking
-        # the key into p1, p2, p3 and copying |c| for the whole table rose
-        # about 240 MB on a 2-core Linux VM against an 84 MB table.
+    def test_sigma0_memory_stays_below_the_table(self, child_env):
+        # Peak RSS, not tracemalloc. sigma = 0 reduces each join batch as it
+        # comes and holds no table, so RSS rises by well under the table's
+        # bytes: about 24 MB against an 84 MB table on a 2-core Linux VM.
+        # Building the table first rose about 103 MB there; unpacking its
+        # key into p1, p2, p3 and copying |c| for the whole table, 240 MB.
         code = (
             "import json, resource\n"
             "from momentcurve import ExpSumSpec, coeffs_for, moment_exact\n"
@@ -944,7 +992,7 @@ class TestMomentExact:
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
-        assert got["rise"] * unit <= 2 * got["table"]
+        assert got["rise"] * unit <= got["table"] / 2
 
 
 def palindromic_signs(n, seed):
@@ -1258,6 +1306,15 @@ class TestVinogradovCount:
             for m in itertools.combinations_with_replacement(range(n), s)
         )
         assert np.array_equal(np.sort(table.coeffs), np.array(want, dtype=float))
+
+    @pytest.mark.parametrize("s, n", [(1, 50), (2, 150), (3, 40), (4, 20), (5, 12)])
+    def test_streamed_count_matches_the_table(self, monkeypatch, s, n):
+        # The count sums each mirrored batch as it comes, cut every 997
+        # pairs; it must equal the count over the whole built table.
+        monkeypatch.setattr(moments, "_JOIN_CHUNK", 997)
+        full = build_group_table(spec_ones(n), s)
+        counts = np.rint(full.coeffs).astype(np.int64)
+        assert vinogradov_count(n, s) == int(np.sum(counts * counts))
 
     @pytest.mark.parametrize("n, s", [(6, 3), (7, 3), (9, 4), (12, 5), (1, 3)])
     def test_half_table_matches_the_full_count(self, n, s):
