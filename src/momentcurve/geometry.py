@@ -482,9 +482,22 @@ def check_overlap_geo1(
     step at r_k <= 2^20 and W <= 16, and whole indices only past about
     r_k = 1e14. The ends widened by err and rounded outward to whole indices
     (which absorbs up to one index more) hold every l' that can hit.
+
+    Index resolution. Each t' = l'/r_k, 0 <= l' < r_k, must be its own
+    float, or neighbouring boxes test as one. Up to r_k = 2^53 they are:
+    l' < 2^53 converts exactly, and neighbouring exact quotients lie
+    1/r_k >= 2^-53 apart in [0, 1), where the float spacing is at most
+    2^-53 and so one rounding moves a quotient by at most 2^-54. Quotients
+    more than 2^-53 apart thus round apart, and a gap of exactly 2^-53 means
+    r_k = 2^53, where every quotient is exact. Past 2^53 a float r_k is an
+    even integer, and the r_k / 2 > 2^52 quotients l'/r_k in
+    [1/2, 1 - 1/r_k] round into the 2^52 floats of [1/2, 1 - 2^-53], so two
+    neighbours coincide. So r_k > 2^53 raises SpecValidationError.
     """
     if not (1.0 <= r_k <= r_next < math.inf and 0 < c_eps < math.inf):
         raise SpecValidationError("need 1 <= r_k <= r_next < inf and 0 < c_eps < inf")
+    if r_k > 2.0**53:
+        raise SpecValidationError("r_k past 2^53: neighbouring l'/r_k are not distinct floats")
     _require_samples(samples)
     rng = np.random.default_rng(seed)
     n_l = int(r_k)
@@ -819,7 +832,7 @@ class RescaleReport:
 def check_rescale(
     r_prev: float,
     l: int,
-    params: DecouplingParams | None = None,
+    params: DecouplingParams,
     samples: int = 10000,
     seed: int = 0,
 ) -> RescaleReport:
@@ -828,9 +841,9 @@ def check_rescale(
 
     Checks, with S = r_prev^(1/3) and t0 = l/S: (a) L(gamma(t0 + t/S)) =
     gamma(t) at random t in [0,1]; (b) L composed with its inverse is the
-    identity on random points; (c) when params is given, mapped samples of
-    block(l) intersected with the neighborhood stay inside the rescaled
-    neighborhood (defect tolerances multiplied by S^2 and S^3 exactly).
+    identity on random points; (c) mapped samples of block(l) intersected
+    with params' neighborhood stay inside the rescaled neighborhood (defect
+    tolerances multiplied by S^2 and S^3 exactly).
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
@@ -846,35 +859,30 @@ def check_rescale(
     back = lmap.inverse().apply(lmap.apply(pts))
     roundtrip = float(np.max(np.abs(back - pts)))
 
-    member_violations = 0
-    member_samples = 0
-    if params is not None:
-        s_int = round(s)
-        if s_int**3 != round(r_prev):
-            raise SpecValidationError("membership check needs an integer cube root")
-        block = CanonicalBlock(s=s_int, l=l)
-        x1 = t0 + rng.uniform(0.0, 1.0, samples) / s
-        d2 = rng.uniform(-1.0, 1.0, samples) * min(params.defect2_tol, s**-2.0) * DEFECT_MARGIN
-        d3 = rng.uniform(-1.0, 1.0, samples) * min(params.defect3_tol, s**-3.0) * DEFECT_MARGIN
-        xi = _lift(x1, d2, d3)
-        if not bool(np.all(block.contains(xi))):
-            raise SpecValidationError("internal sampling error: draws left the block")
-        target_s_cap = params.r_scale**params.beta / s
-        target_r = params.r_scale / r_prev
-        if target_s_cap < 1.0 or target_r < 1.0:
-            raise SpecValidationError("rescaled neighborhood is coarser than unit scale")
-        mapped = lmap.apply(xi)
-        ok1 = (mapped[:, 0] >= -SLACK) & (mapped[:, 0] <= 1.0 + SLACK)
-        ok = ok1 & _defects_within(mapped, target_s_cap ** (-2.0), 1.0 / target_r, SLACK)
-        member_violations = int(np.count_nonzero(~ok))
-        member_samples = samples
+    s_int = round(s)
+    if s_int**3 != round(r_prev):
+        raise SpecValidationError("membership check needs an integer cube root")
+    block = CanonicalBlock(s=s_int, l=l)
+    x1 = t0 + rng.uniform(0.0, 1.0, samples) / s
+    d2 = rng.uniform(-1.0, 1.0, samples) * min(params.defect2_tol, s**-2.0) * DEFECT_MARGIN
+    d3 = rng.uniform(-1.0, 1.0, samples) * min(params.defect3_tol, s**-3.0) * DEFECT_MARGIN
+    xi = _lift(x1, d2, d3)
+    if not bool(np.all(block.contains(xi))):
+        raise SpecValidationError("internal sampling error: draws left the block")
+    target_s_cap = params.r_scale**params.beta / s
+    target_r = params.r_scale / r_prev
+    if target_s_cap < 1.0 or target_r < 1.0:
+        raise SpecValidationError("rescaled neighborhood is coarser than unit scale")
+    mapped = lmap.apply(xi)
+    ok1 = (mapped[:, 0] >= -SLACK) & (mapped[:, 0] <= 1.0 + SLACK)
+    ok = ok1 & _defects_within(mapped, target_s_cap ** (-2.0), 1.0 / target_r, SLACK)
 
     return RescaleReport(
         scale=s,
         max_curve_residual=residual,
         max_roundtrip_residual=roundtrip,
-        member_samples=member_samples,
-        member_violations=member_violations,
+        member_samples=samples,
+        member_violations=int(np.count_nonzero(~ok)),
     )
 
 

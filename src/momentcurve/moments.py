@@ -57,8 +57,9 @@ the number of cores or on other callers, and err_estimate is a stated bound
 on the error, the kernel included. At sigma = 0 the kernel is 0 off the
 diagonal and the moment is the sum of |c|^2 alone. It is squared batch by
 batch as the join yields them, each batch's last < 4096 squares carried
-into the next (_EnergySums), so the 4096-term segments, and every bit of
-the value, are those of one pass over the whole table.
+into the next of its weight (_weighted_energy), so the 4096-term
+segments, and every bit of the value, are those of one pass over the
+whole table. A built table's diagonal goes through the same reducer.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -69,10 +70,12 @@ changes sign. When the coefficients are real and palindromic
 over unchanged and K(-d) = conj(K(d)) leaves the real part of each group's
 sum unchanged, for every sigma and h0. moment_exact and vinogradov_count
 then join a mirrored table: the join forms only the output p1 with
-2 p1 <= s(n+1), and each group with 2 p1 < s(n+1) is weighed by 2 and the
-middle group, 2 p1 = s(n+1) (present when s(n+1) is even), by 1, in the
-value and in the bound alike. Complex or non-palindromic coefficients join
-the whole table.
+2 p1 <= s(n+1) and states each batch's weight. Batches with 2 p1 < s(n+1)
+have weight 2; the middle p1, 2 p1 = s(n+1) (present when s(n+1) is even),
+is a batch of its own with weight 1. Every reducer takes the weight as it
+comes, in the value and in the bound alike, and a built table keeps the
+count of its weight-2 entries (TupleGroupTable.doubled). Complex or
+non-palindromic coefficients join the whole table, every batch of weight 1.
 """
 
 from __future__ import annotations
@@ -107,8 +110,8 @@ _PAIR_CHUNK = 65_536
 # through at most 32 roundings; math.fsum adds the segment sums exactly, which
 # keeps the bound in _pair_assemble a constant multiple of u = 2^-53.
 _SUM_SEG = 4096
-# Coefficients per |c|^2 pass of a built table's diagonal energy: whole
-# segments, so a pass holds 8 MB of |c| at most instead of a copy of the table.
+# Coefficients squared at once by _weighted_energy: whole segments, so a pass
+# over a built table holds 8 MB of |c| at most instead of a copy of the table.
 _ENERGY_CHUNK = 256 * _SUM_SEG
 # (p1, p2) comparisons per moment_brute chunk, whatever the pair budget: the
 # chunk's masks take a few MB.
@@ -158,9 +161,10 @@ class TupleGroupTable:
 
     A mirrored table holds only the entries with 2 p1 <= s(n+1); each entry
     with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
-    n_tuples stays n^s. join_pairs counts the pairs the join formed and
-    sorted, one per s-multiset (of the lower half when mirrored; 0 for
-    s = 1, which has no join).
+    Those are the first doubled entries, the join's weight-2 batches; 0 in
+    an unmirrored table. n_tuples stays n^s. join_pairs counts the pairs
+    the join formed and sorted, one per s-multiset (of the lower half when
+    mirrored; 0 for s = 1, which has no join).
     """
 
     n: int
@@ -171,6 +175,7 @@ class TupleGroupTable:
     n_tuples: int = 0
     mirrored: bool = False
     join_pairs: int = 0
+    doubled: int = 0
 
     @property
     def n_entries(self) -> int:
@@ -455,8 +460,8 @@ class _Multisets:
 def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
     """Join the least and greatest members into the sorted s-multisets, batch by batch.
 
-    Yields (keys, coefficients, pairs formed) for each batch, in p1 order;
-    the batches' entries, concatenated, are the sorted table. left holds
+    Yields (keys, coefficients, pairs formed, weight) for each batch, in p1
+    order; the batches' entries, concatenated, are the sorted table. left holds
     the s - 2 least members of an s-multiset and right its 2 greatest (1 and
     1 for s = 2); a sorted s-multiset splits so just once, so each is formed
     once: left entry i meets only the right entries whose least member is at
@@ -476,8 +481,12 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
     the batch size.
 
     half forms only the lower half of the output p1 range, offsets q with
-    2q <= q_max: a mirrored table. Nothing past the batch itself is kept, so
-    a caller that drops each batch never holds the table.
+    2q <= q_max: a mirrored table. There the middle offset 2q = q_max
+    (present when q_max = s(n - 1) is even) is a batch of its own, of weight
+    1, and every batch below it has weight 2: its entries stand for their
+    mirror images too. Without half every batch has weight 1. Nothing past
+    the batch itself is kept, so a caller that drops each batch never holds
+    the table.
     """
     p1a = _p1_offsets(left.keys, unit)[0]
     hist_b = _p1_offsets(right.keys, unit)[1]
@@ -493,6 +502,10 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
     )
     batch_of = (np.cumsum(per_p1) - per_p1) // _JOIN_CHUNK
     cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
+    q_max = s * (left.n - 1)
+    if half and q_max % 2 == 0:  # the middle p1 is a batch of its own
+        mid = q_max // 2
+        cuts = np.concatenate([cuts[cuts < mid], [mid], cuts[cuts > mid]])
 
     def batch(q_lo, q_hi):
         # Cells (i, r), left entry i and right p1 offset r, with
@@ -514,7 +527,7 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
         # rounds differently, which would tie the bits to the batch cuts.
         coeffs = np.repeat(left_c[cell_i], lens) * right.coeffs[j]
         coeffs[tie] /= ties[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
-        return (*_dedupe(keys, coeffs), j.size)
+        return (*_dedupe(keys, coeffs), j.size, 2 if half and 2 * q_lo < q_max else 1)
 
     yield from _in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
@@ -528,48 +541,45 @@ def _mirror_symmetric(coeffs: np.ndarray) -> bool:
 class _Stream:
     """A table's entries as the join yields them, past build_group_table's checks.
 
-    Iterating yields (keys, coeffs, pairs formed) per batch, in p1 order, as
-    a table holds them; no (p1, p2) group straddles two batches. It counts
-    as it goes: n_entries and join_pairs as a TupleGroupTable states them,
-    and held_entries, the most entries of one batch. size bounds the
-    entries: one per s-multiset (of the lower half when mirrored). A stream
-    is iterated once.
+    Iterating yields (keys, coeffs, pairs formed, weight) per batch, in p1
+    order, as a table holds them; no (p1, p2) group straddles two batches.
+    weight is 2 for a mirrored batch below the middle p1, whose entries
+    stand for their mirror images too, and 1 for the middle batch and every
+    batch of an unmirrored stream (_join). It counts as it goes: n_entries
+    and join_pairs as a TupleGroupTable states them, and held_entries, the
+    most entries of one batch. size bounds the entries: one per s-multiset
+    (of the lower half when mirrored). A stream is iterated once.
     """
 
     n: int
     s: int
     multipliers: tuple[int, int] | None
-    mirrored: bool
     dtype: np.dtype
     size: int
-    batches: Iterator[tuple[np.ndarray, np.ndarray, int]] = field(repr=False)
+    batches: Iterator[tuple[np.ndarray, np.ndarray, int, int]] = field(repr=False)
     n_entries: int = 0
     join_pairs: int = 0
     held_entries: int = 0
 
     def __iter__(self):
-        for keys, coeffs, pairs in self.batches:
+        for keys, coeffs, pairs, weight in self.batches:
             self.n_entries += coeffs.size
             self.join_pairs += pairs
             self.held_entries = max(self.held_entries, coeffs.size)
-            yield keys, coeffs, pairs
+            yield keys, coeffs, pairs, weight
 
     @property
     def key_rows(self) -> int:
         return 3 if self.multipliers is None else 1
-
-    def halves(self):
-        """Each batch's coefficients that stand for their mirror too, then the rest."""
-        for keys, coeffs, _ in self:
-            m = _doubled_entries(self, keys)
-            yield coeffs[:m], coeffs[m:]
 
 
 def _table_stream(
     spec: ExpSumSpec, s: int, budget_tuples: int, mirrored: bool
 ) -> _Stream:
     """build_group_table's checks and the halves of its join, which runs as
-    the stream is read. s = 1 is one batch of the frequencies themselves."""
+    the stream is read. s = 1 is one batch of the frequencies themselves,
+    split as _join splits when mirrored: the frequencies below the middle
+    (n + 1) / 2, weight 2, then the middle one, weight 1, when n is odd."""
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
     n = spec.n
@@ -601,10 +611,10 @@ def _table_stream(
         left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
         batches = _join(left, right, a_mul, mirrored)
     else:
-        keep = (n + 1) // 2 if mirrored else n
-        batches = iter([(single[:, :keep], base_c[:keep], 0)])
+        parts = ((0, n // 2, 2), (n // 2, (n + 1) // 2, 1)) if mirrored else ((0, n, 1),)
+        batches = iter([(single[:, a:b], base_c[a:b], 0, w) for a, b, w in parts if a < b])
     return _Stream(
-        n=n, s=s, multipliers=packing, mirrored=mirrored, dtype=base_c.dtype,
+        n=n, s=s, multipliers=packing, dtype=base_c.dtype,
         size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches,
     )
 
@@ -635,15 +645,17 @@ def build_group_table(
     # none becomes resident.
     keys = np.empty((stream.key_rows, stream.size), dtype=np.int64)
     coeffs = np.empty(stream.size, dtype=stream.dtype)
-    used = 0
-    for batch_keys, batch_coeffs, _ in stream:
+    used = doubled = 0
+    for batch_keys, batch_coeffs, _, weight in stream:
         keys[:, used : used + batch_coeffs.size] = batch_keys
         coeffs[used : used + batch_coeffs.size] = batch_coeffs
         used += batch_coeffs.size
+        if weight == 2:  # the weight-2 batches come first
+            doubled = used
     return TupleGroupTable(
         n=stream.n, s=s, keys=keys[:, :used], coeffs=coeffs[:used],
         multipliers=stream.multipliers, n_tuples=stream.n**s, mirrored=mirrored,
-        join_pairs=stream.join_pairs,
+        join_pairs=stream.join_pairs, doubled=doubled,
     )
 
 
@@ -656,57 +668,29 @@ def _segment_sums(t: np.ndarray) -> np.ndarray:
     return np.append(t[:full].reshape(-1, _SUM_SEG).sum(axis=1), t[full:].sum())
 
 
-class _EnergySums:
-    """_segment_sums of |c|^2 over coefficient arrays added in order.
+def _weighted_energy(chunks) -> np.ndarray:
+    """The diagonal's segment sums: weight times _segment_sums(|c|^2) per weight.
 
-    Each add squares its array and carries its last < _SUM_SEG squares into
-    the next, so the segments, and every bit of their sums, are those of one
-    pass over the concatenation, wherever the arrays were cut. Only one
-    array's squares and one partial segment are held.
+    chunks yields (c, weight), weight 2 or 1, in table order. The entries of
+    one weight are squared _ENERGY_CHUNK at a time, each piece's last
+    < _SUM_SEG squares carried into the next, so the segments, and every bit
+    of their sums, are those of one pass over that weight's entries,
+    wherever the chunks were cut. Only one piece's squares and a partial
+    segment per weight are held. The weight-2 sums come first, a weight
+    without entries gives [0.0], and doubling is exact.
     """
-
-    def __init__(self) -> None:
-        self._sums = []
-        self._rest = np.empty(0)
-
-    def add(self, c: np.ndarray) -> None:
-        t = np.abs(c)
-        np.square(t, out=t)
-        if self._rest.size:
-            t = np.concatenate([self._rest, t])
-        full = t.size - t.size % _SUM_SEG
-        self._sums.append(_segment_sums(t[:full])[:-1])
-        self._rest = t[full:].copy()
-
-    def sums(self) -> np.ndarray:
-        """The segment sums so far, the partial tail last: [0.0] if none."""
-        return np.concatenate([*self._sums, _segment_sums(self._rest)])
-
-
-def _energy_sums(c: np.ndarray) -> np.ndarray:
-    """_segment_sums(|c|^2), squared _ENERGY_CHUNK coefficients at a time.
-
-    An empty c gives [0.0], as _segment_sums does.
-    """
-    acc = _EnergySums()
-    for lo in range(0, c.size, _ENERGY_CHUNK):
-        acc.add(c[lo : lo + _ENERGY_CHUNK])
-    return acc.sums()
-
-
-def _doubled_entries(table, keys: np.ndarray | None = None) -> int:
-    """Entries at the head of sorted keys that stand for their mirror too.
-
-    table is a TupleGroupTable or a _Stream, and keys its own key rows or
-    one batch's. In a mirrored table they are the entries with
-    2 p1 < s(n+1), found by bisecting key row 0 at the least p1 with
-    2 p1 >= s(n+1); 0 otherwise.
-    """
-    if not table.mirrored:
-        return 0
-    unit = 1 if table.multipliers is None else table.multipliers[0]
-    keys = table.keys if keys is None else keys
-    return int(np.searchsorted(keys[0], (table.s * (table.n + 1) + 1) // 2 * unit))
+    sums = {2: [], 1: []}
+    rest = {2: np.empty(0), 1: np.empty(0)}
+    for c, weight in chunks:
+        for lo in range(0, c.size, _ENERGY_CHUNK):
+            t = np.abs(c[lo : lo + _ENERGY_CHUNK])
+            np.square(t, out=t)
+            if rest[weight].size:
+                t = np.concatenate([rest[weight], t])
+            full = t.size - t.size % _SUM_SEG
+            sums[weight].append(_segment_sums(t[:full])[:-1])
+            rest[weight] = t[full:].copy()
+    return np.concatenate([w * np.concatenate([*sums[w], _segment_sums(rest[w])]) for w in sums])
 
 
 def _quantum(n_pairs: int, big: float) -> float:
@@ -749,7 +733,9 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     L = K(0) = n^-sigma. H is [h0, h0 + L] for the float h0 and the float
     L. moment_exact calls it for sigma > 0 only; at sigma = 0 the kernel is
     exactly 0 off the diagonal, and moment_exact sums the diagonal over the
-    join's stream without a table.
+    join's stream without a table. Either way the diagonal goes through
+    _weighted_energy: here the table's first table.doubled entries with
+    weight 2 and the rest with weight 1.
 
     The pairs enter only through the window spectrum
     R(d) = sum of w c_i conj(c_j) over the pairs with difference d, with
@@ -803,7 +789,7 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     like 1 / (pi |d|) once |d| L > 1.
     """
     c = table.coeffs
-    m = _doubled_entries(table)
+    m = table.doubled
     starts = table.group_starts()
     sizes = np.diff(np.append(starts, table.n_entries))
     split = int(np.searchsorted(starts, m))  # m is a group start or n_entries
@@ -830,7 +816,7 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     def diagonal():
         group_mass = np.add.reduceat(np.abs(c), starts) ** 2
         mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
-        return np.append(2.0 * _energy_sums(c[:m]), _energy_sums(c[m:])), mass
+        return _weighted_energy([(c[:m], 2), (c[m:], 1)]), mass
 
     def tasks():
         yield (diagonal,)
@@ -894,11 +880,12 @@ def moment_exact(
     contributes the kernel K(d) per in-group difference d, through the window
     spectrum R(d) of the built table (_pair_assemble). At sigma = 0 the
     kernel is a Kronecker delta and the pair sum collapses to sum |c|^2 over
-    the (p1, p2, p3) classes: each join batch is squared as it comes and
-    dropped, so no table is built, and the segment sums are those of the
-    whole table (_EnergySums). err_estimate bounds the error for the
-    table's coefficients, the kernel included; at sigma = 0 it is the
-    diagonal's 40u times the value (_pair_assemble).
+    the (p1, p2, p3) classes: each join batch is squared as it comes,
+    times its mirror weight, and dropped, so no table is built, and the
+    segment sums are those of the whole table (_weighted_energy, the
+    reducer of the sigma > 0 diagonal too). err_estimate bounds the error
+    for the table's coefficients, the kernel included; at sigma = 0 it is
+    the diagonal's 40u times the value (_pair_assemble).
 
     The detail states the table's entries, their bytes (key rows and
     coefficients) and the join's pairs, whether or not the table was held,
@@ -910,11 +897,7 @@ def moment_exact(
     mirrored = _mirror_symmetric(spec.coeffs)
     if spec.sigma == 0.0:
         table = _table_stream(spec, s, budget_tuples, mirrored)
-        below, rest = _EnergySums(), _EnergySums()
-        for twice, once in table.halves():
-            below.add(twice)
-            rest.add(once)
-        value = math.fsum(np.append(2.0 * below.sums(), rest.sums()))
+        value = math.fsum(_weighted_energy((c, weight) for _, c, _, weight in table))
         err, spectrum = _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
         held = table.held_entries
         table_bytes = table.n_entries * (8 * table.key_rows + table.dtype.itemsize)
@@ -1023,17 +1006,16 @@ def vinogradov_count(
     """Exact count of 2s-tuples in [1,n]^2s matching all three power sums.
 
     Counted as sum over (p1, p2, p3) classes of (tuple count)^2 in integer
-    arithmetic, over the mirrored join's batches as they come, with weight
-    2 below the middle p1; no table is held. Class counts are accumulated
-    as float64 but stay far below 2^53 under the tuple budget, so the
-    result is exact.
+    arithmetic, over the mirrored join's batches as they come, each times
+    its weight (2 below the middle p1); no table is held. Class counts are
+    accumulated as float64 but stay far below 2^53 under the tuple budget,
+    so the result is exact.
     """
     if n < 1 or s < 1:
         raise SpecValidationError("need n >= 1 and s >= 1")
     spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=0.0)
     total = 0
-    for twice, once in _table_stream(spec, s, budget_tuples, mirrored=True).halves():
-        for weight, part in ((2, twice), (1, once)):
-            counts = np.rint(part).astype(np.int64)
-            total += weight * int(np.sum(counts * counts))
+    for _, c, _, weight in _table_stream(spec, s, budget_tuples, mirrored=True):
+        counts = np.rint(c).astype(np.int64)
+        total += weight * int(np.sum(counts * counts))
     return total

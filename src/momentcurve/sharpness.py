@@ -386,10 +386,8 @@ def broad_narrow_check(
     """
     if not e_sep >= 1.0:
         raise SpecValidationError("E must be >= 1")
-    if n_bands < 3 * e_sep:
+    if n_bands < 3 * e_sep:  # so n_bands >= 3 too
         raise SpecValidationError("need at least 3E bands")
-    if n_bands < 3:
-        raise SpecValidationError("need at least 3 bands")
     if samples < 1:
         raise SpecValidationError("samples must be >= 1")
     rng = np.random.default_rng(seed)

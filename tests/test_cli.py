@@ -444,6 +444,17 @@ class TestGeometryCommand:
         report = read_only_json(tmp_path / "results", "geometry-geo1-*.json")
         assert report["payload"]["report"]["far_pairs_checked"] == 0
 
+    @pytest.mark.parametrize("r_k, rc", [("9007199254740992", 0), ("9007199254740994", 2)])
+    def test_geo1_index_resolution_bound(self, tmp_path, r_k, rc):
+        # r_k = 2^53 is the largest whose neighbouring l'/r_k are distinct
+        # floats; the next float up is refused as a validation error.
+        argv = ["geometry", "geo1", "--r-k", r_k, "--r-next", str(2 * int(r_k)),
+                "--R", str(2**60), "--samples", "64", "--out", str(tmp_path)]
+        assert main(argv) == rc
+        if rc == 0:
+            report = read_only_json(tmp_path / "results", "geometry-geo1-*.json")
+            assert report["violations"] == 0
+
     def test_geo2_both_cases(self, tmp_path):
         rc = main(["geometry", "geo2", "--samples", "800", "--out", str(tmp_path)])
         assert rc == 0

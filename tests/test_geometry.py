@@ -481,15 +481,28 @@ class TestGeo1Broadcast:
         assert rep.violations > 0
         assert rep == _geo1_loop_reference(*args)
 
-    def test_ladder_at_2_to_the_56_completes(self):
-        # Far probes are drawn as numbers below the far count and put around
-        # the near window. An array of all far indices per anchor, 2^56 of
-        # them, raised numpy's _ArrayMemoryError (512 PiB) here.
-        args = (2.0**56, 2.0**57, 2.0**60, 1.0, 64, 3)
-        rep = check_overlap_geo1(*args)
-        assert rep.l_count == 64 and rep.far_pairs_checked == 8 * 64
-        assert rep.violations == 0
-        assert rep == _geo1_loop_reference(*args)
+    def test_ladder_at_2_to_the_53_completes(self):
+        # The largest r_k admitted, and the float below it. Far probes are
+        # drawn as numbers below the far count and put around the near
+        # window; an array of all far indices per anchor, 2^53 of them, would
+        # raise numpy's _ArrayMemoryError (64 PiB).
+        for r_k in (2.0**53, 2.0**53 - 1):
+            args = (r_k, 2 * r_k, 2.0**60, 1.0, 64, 3)
+            rep = check_overlap_geo1(*args)
+            assert rep.l_count == 64 and rep.far_pairs_checked == 8 * 64
+            assert rep.violations == 0
+            assert rep == _geo1_loop_reference(*args)
+            top = np.array([int(r_k) - 2, int(r_k) - 1], dtype=np.int64)
+            assert np.diff(top / r_k)[0] > 0  # the last two indices stay apart
+
+    def test_ladder_past_2_to_the_53_is_refused(self):
+        # Past 2^53 neighbouring l'/r_k round to one float (2^53 and 2^53 + 1
+        # here), so neighbouring boxes would test as one: at 2^56 the report
+        # read max_multiplicity 16-48 with 0 violations, a false clean pass.
+        for r_k in (2.0**53 + 2, 2.0**56):
+            assert np.diff(np.array([2**53, 2**53 + 1], dtype=np.int64) / r_k)[0] == 0
+            with pytest.raises(SpecValidationError, match="2\\^53"):
+                check_overlap_geo1(r_k, 2 * r_k, 2.0**60, 1.0, 64, 3)
 
     def test_small_sample_case_uses_one_sample_per_l(self):
         rep = check_overlap_geo1(256.0, 512.0, GEO1_R, 4.0, samples=10, seed=5)

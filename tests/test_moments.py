@@ -389,24 +389,30 @@ def ordered_join(left, right, unit, half=False):
     """The join that forms every ordered pair (i, j) of two _Multisets sides,
     their coefficients multiplied: a multiset's coeffs sum the products of
     the tuples that order to it, so the pairs add up the product of every
-    s-tuple. half stops at the middle output p1, as in _join. Yields keys,
-    coefficients and the pair count of each batch, in p1 order."""
+    s-tuple. half stops at the middle output p1, as in _join, and cuts a
+    batch there. Yields keys, coefficients, the pair count and the weight of
+    each batch, in p1 order: 2 below the middle p1 of a half join, else 1."""
     p1a, hist_a = moments._p1_offsets(left.keys, unit)
     _, hist_b = moments._p1_offsets(right.keys, unit)
     ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     per_p1 = np.convolve(hist_a, hist_b)
+    q_max = per_p1.size - 1
     if half:
-        per_p1 = per_p1[: (per_p1.size + 1) // 2]
+        per_p1 = per_p1[: q_max // 2 + 1]
     batch_of = (np.cumsum(per_p1) - per_p1) // moments._JOIN_CHUNK
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(batch_of)) + 1, [per_p1.size]])
+    cuts = set(np.flatnonzero(np.diff(batch_of)) + 1) | {0, per_p1.size}
+    if half and q_max % 2 == 0:
+        cuts.add(q_max // 2)
+    cuts = sorted(int(q) for q in cuts)
 
     def batch(q_lo, q_hi):
         jlo = starts_b[np.clip(q_lo - p1a, 0, hist_b.size)]
         lens = starts_b[np.clip(q_hi - p1a, 0, hist_b.size)] - jlo
         j = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens - jlo, lens)
         keys = np.repeat(ka, lens, axis=1) + kb[:, j]
-        return (*moments._dedupe(keys, np.repeat(ca, lens) * cb[j]), j.size)
+        weight = 2 if half and 2 * (q_hi - 1) < q_max else 1
+        return (*moments._dedupe(keys, np.repeat(ca, lens) * cb[j]), j.size, weight)
 
     yield from moments._in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
@@ -565,11 +571,11 @@ class TestPairAssembly:
         "size", [256 * 4096 - 1, 256 * 4096, 256 * 4096 + 4097]
     )
     def test_chunked_energy_matches_one_pass(self, size, kind):
-        # sigma = 0 sums |c|^2 in chunks of whole segments; each full chunk
-        # adds only a zero for its empty tail.
+        # The diagonal is squared in pieces of whole segments; the weight
+        # without entries adds only a zero.
         assert moments._ENERGY_CHUNK == 256 * moments._SUM_SEG == 256 * 4096
         c = phased_coeffs(np.random.default_rng(size), size, kind)
-        got = moments._energy_sums(c)
+        got = moments._weighted_energy([(c, 1)])
         want = moments._segment_sums(np.square(np.abs(c)))
         assert np.array_equal(got[got != 0.0], want[want != 0.0])
         assert math.fsum(got).hex() == math.fsum(want).hex()
@@ -930,9 +936,9 @@ class TestMomentExact:
             spec = ExpSumSpec(n=n, coeffs=coeffs)
             mirrored = moments._mirror_symmetric(spec.coeffs)
             table = build_group_table(spec, s, mirrored=mirrored)
-            c, m = table.coeffs, moments._doubled_entries(table)
+            c, m = table.coeffs, table.doubled
             assert c.size - m > moments._SUM_SEG or m > moments._SUM_SEG
-            sums = (moments._energy_sums(c[:m]), moments._energy_sums(c[m:]))
+            sums = [moments._segment_sums(np.square(np.abs(part))) for part in (c[:m], c[m:])]
             want = math.fsum(np.append(2.0 * sums[0], sums[1]))
             res = moment_exact(spec, s)
             assert res.value.hex() == want.hex(), family
@@ -1080,7 +1086,7 @@ class TestMirror:
         spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=sigma, h0=0.3)
         table = build_group_table(spec, s, mirrored=True)
         assert (table.multipliers is None) == (packing == "three rows")
-        doubled = moments._doubled_entries(table)
+        doubled = table.doubled
         assert (doubled < table.n_entries) == middle
         assert np.all(2 * table.p1[:doubled] < s * (n + 1))
         assert np.all(2 * table.p1[doubled:] == s * (n + 1))
@@ -1092,11 +1098,50 @@ class TestMirror:
         else:
             assert abs(res.value - moment_brute(spec, s).value) <= res.err_estimate
 
+    @pytest.mark.parametrize("join", ["multiset", "ordered"])
+    @pytest.mark.parametrize("chunk", [None, 997])
+    @pytest.mark.parametrize(
+        "s, ns",
+        [(1, (9, 10)), (2, (80, 81)), (3, (30, 31)), (4, (14, 15)), (5, (12, 13)), (6, (10, 11))],
+    )
+    def test_batches_carry_their_mirror_weight(self, monkeypatch, s, ns, chunk, join):
+        # A mirrored stream is weight-2 batches, then one weight-1 batch that
+        # holds exactly the middle p1, 2 p1 = s(N+1), when s(N+1) is even.
+        # Every batch of an unmirrored stream has weight 1.
+        if chunk is not None:
+            monkeypatch.setattr(moments, "_JOIN_CHUNK", chunk)
+        if join == "ordered":
+            monkeypatch.setattr(moments, "_join", ordered_join)
+        for n in ns:
+            middle = s * (n + 1)
+            full = build_group_table(spec_ones(n), s)
+            assert full.doubled == 0
+            stream = moments._table_stream(spec_ones(n), s, n**s, mirrored=False)
+            assert {weight for *_, weight in stream} == {1}
+            stream = moments._table_stream(spec_ones(n), s, n**s, mirrored=True)
+            unit = 1 if stream.multipliers is None else stream.multipliers[0]
+            batches = [(keys[0] // unit, weight) for keys, _, _, weight in stream]
+            weights = [weight for _, weight in batches]
+            twice = [2 * p1 for p1, _ in batches]
+            if middle % 2 == 0:
+                assert weights == [2] * (len(batches) - 1) + [1]
+                assert np.all(twice[-1] == middle)
+                twice = twice[:-1]
+            else:
+                assert weights == [2] * len(batches)
+            assert all(np.all(t < middle) for t in twice)
+            if chunk == 997 and s > 1:
+                assert len(twice) > 1  # the cut falls among several weight-2 batches
+            table = build_group_table(spec_ones(n), s, mirrored=True)
+            assert table.doubled == int(np.sum(2 * table.p1 < middle))
+            assert table.n_entries - table.doubled == int(np.sum(2 * table.p1 == middle))
+
     def test_empty_sums_are_zero(self):
         # A table without a middle group sums an empty tail.
         for empty in (np.empty(0), np.empty(0, dtype=complex)):
             assert moments._segment_sums(np.abs(empty)).tolist() == [0.0]
-            assert moments._energy_sums(empty).tolist() == [0.0]
+            assert moments._weighted_energy([(empty, 2), (empty, 1)]).tolist() == [0.0, 0.0]
+        assert moments._weighted_energy([]).tolist() == [0.0, 0.0]
 
     def test_s1_keeps_the_lower_frequencies(self):
         for n in (5, 6):
