@@ -19,12 +19,16 @@ the allowed entries are a prefix of the slice and every pair formed is
 kept. A join never compares keys of different p1: both halves are sorted by
 p1, so the pairs that land on each output p1 are known in advance (the
 count of s-multisets with that sum). The join cuts the output p1 range into
-batches of about _JOIN_CHUNK pairs, sorts each batch on a shared thread
-pool, and yields the batches in p1 order, so their concatenation is sorted
-without any merge of partial results. Up to three members the
-keys of different multisets differ, so a batch is one sort; from four on,
-multisets with equal power sums (Prouhet-Tarry-Escott coincidences such as
-{1, 5, 8, 12} and {2, 3, 10, 11}) are added up.
+batches of about _JOIN_CHUNK pairs, forms them on a shared thread pool, and
+yields the batches in p1 order. Pairs are formed by output p1, then left
+entry, then right entry, whatever the batch cuts. For a consumer that reads
+keys each batch is sorted, so the batches' concatenation is the sorted
+table without any merge of partial results, and multisets with equal power
+sums (from four members on: Prouhet-Tarry-Escott coincidences such as
+{1, 5, 8, 12} and {2, 3, 10, 11}) are added up. Up to three members the
+power sums fix the multiset, so each is a class of its own: a consumer that
+reads only coefficients (sigma = 0 moments, vinogradov_count) takes such a
+batch as it is formed, with no key rows and no sort.
 
 build_group_table copies the batches into one output buffer, sized for one
 entry per s-multiset. A table keeps the join's output as it comes: the
@@ -59,7 +63,9 @@ diagonal and the moment is the sum of |c|^2 alone. It is squared batch by
 batch as the join yields them, each batch's last < 4096 squares carried
 into the next of its weight (_weighted_energy), so the 4096-term
 segments, and every bit of the value, are those of one pass over the
-whole table. A built table's diagonal goes through the same reducer.
+batches' concatenation, wherever the batches were cut. From s = 4 on that
+is the table; up to s = 3 it is the table's entries in the join's pair
+order. A built table's diagonal goes through the same reducer.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -80,6 +86,7 @@ non-palindromic coefficients join the whole table, every batch of weight 1.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -130,6 +137,13 @@ else:
 _POOL_PREFIX = "momentcurve-pool"
 _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix=_POOL_PREFIX)
 
+# glibc's malloc_trim, or None where the C library has none (_release_heap).
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
 
 @dataclass(frozen=True)
 class MomentResult:
@@ -163,7 +177,7 @@ class TupleGroupTable:
     with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
     Those are the first doubled entries, the join's weight-2 batches; 0 in
     an unmirrored table. n_tuples stays n^s. join_pairs counts the pairs
-    the join formed and sorted, one per s-multiset (of the lower half when
+    the join formed, one per s-multiset (of the lower half when
     mirrored; 0 for s = 1, which has no join).
     """
 
@@ -376,6 +390,19 @@ def _in_order(calls):
             future.cancel()
 
 
+def _release_heap() -> None:
+    """Return the free pages of every malloc arena to the OS (glibc; elsewhere a no-op).
+
+    Join batches are allocated on pool threads, in those threads' arenas,
+    and freed on the caller's. How much of that freed memory stays resident
+    depends on which thread freed what last: after the N = 96, s = 4 build
+    the process held 67-82 MB from run to run, 64-66 MB after a trim, and
+    the peak of the pair assembly that follows moved with it.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
 def _multiset_counts(n: int, s: int, half: bool = False) -> np.ndarray:
     """Multisets of s members of 1..n per sum p1 = s, s + 1, ..., s n.
 
@@ -457,14 +484,16 @@ class _Multisets:
         )
 
 
-def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
+def _join(
+    left: _Multisets, right: _Multisets, unit: int, half: bool = False, keyed: bool = True
+):
     """Join the least and greatest members into the sorted s-multisets, batch by batch.
 
     Yields (keys, coefficients, pairs formed, weight) for each batch, in p1
-    order; the batches' entries, concatenated, are the sorted table. left holds
-    the s - 2 least members of an s-multiset and right its 2 greatest (1 and
-    1 for s = 2); a sorted s-multiset splits so just once, so each is formed
-    once: left entry i meets only the right entries whose least member is at
+    order; keyed, the batches' entries, concatenated, are the sorted table.
+    left holds the s - 2 least members of an s-multiset and right its 2
+    greatest (1 and 1 for s = 2); a sorted s-multiset splits so just once,
+    so each is formed once: left entry i meets only the right entries whose least member is at
     least i's greatest. A pair's coefficient is C(s, left.size) times the
     product of the two sides' coeffs, divided by C(a + b, a) where i's
     greatest member (multiplicity a) equals the right least one
@@ -477,8 +506,15 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
     from each entry to the next, so the allowed entries are a prefix of the
     slice and no pair is formed only to be dropped. Batches are sized by the
     count of s-multisets per output p1 (_multiset_counts). Pairs are formed
-    in (i, j) order, so every group sums its products in that order whatever
-    the batch size.
+    in (q, i, j) order, q the output p1 offset, whatever the batch cuts: so
+    equal keys, which share q, sum their products in (i, j) order.
+
+    keyed=False is for a consumer that reads only coefficients and weights.
+    Up to s = 3 every multiset is then its own (p1, p2, p3) class, so a
+    batch forms no key rows and is not sorted: it yields
+    (None, coefficients in (q, i, j) order, pairs, weight). From s = 4 on,
+    batches are sorted and summed as with keys, so that the
+    Prouhet-Tarry-Escott coincidences still merge.
 
     half forms only the lower half of the output p1 range, offsets q with
     2q <= q_max: a mirrored table. There the middle offset 2q = q_max
@@ -508,12 +544,15 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
         cuts = np.concatenate([cuts[cuts < mid], [mid], cuts[cuts > mid]])
 
     def batch(q_lo, q_hi):
-        # Cells (i, r), left entry i and right p1 offset r, with
-        # q_lo <= p1a[i] + r < q_hi; then the pairs (i, j) of each cell.
-        r_lo = np.clip(q_lo - p1a, 0, hist_b.size)
-        n_r = np.clip(q_hi - p1a, 0, hist_b.size) - r_lo
-        cell_i = np.repeat(np.arange(p1a.size), n_r)
-        r = _runs(r_lo, n_r)
+        # Cells (i, r), left entry i and right p1 offset r, by output offset
+        # q = p1a[i] + r in [q_lo, q_hi) and then i: the left entries with
+        # 0 <= q - p1a[i] < hist_b.size are one run of the sorted p1a. Then
+        # the pairs (i, j) of each cell, so pairs come in (q, i, j) order.
+        q = np.arange(q_lo, q_hi)
+        i_lo = np.searchsorted(p1a, q - hist_b.size, side="right")
+        n_i = np.searchsorted(p1a, q, side="right") - i_lo
+        cell_i = _runs(i_lo, n_i)
+        r = np.repeat(q, n_i) - p1a[cell_i]
         # room right entries of slice r have a least member >= i's greatest;
         # the last of them equals it when the slice holds them all.
         room = right.lo[starts_b[r]] - left.hi[cell_i] + 1
@@ -521,13 +560,16 @@ def _join(left: _Multisets, right: _Multisets, unit: int, half: bool = False):
         lens = np.clip(room, 0, hist_b[r])
         tie = np.cumsum(lens)[tie_cell] - 1
         j = _runs(starts_b[r], lens)
-        keys = np.repeat(left.keys[:, cell_i], lens, axis=1)
-        keys += right.keys[:, j]
         # Not in place: numpy's in-place complex product of one element
         # rounds differently, which would tie the bits to the batch cuts.
         coeffs = np.repeat(left_c[cell_i], lens) * right.coeffs[j]
         coeffs[tie] /= ties[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
-        return (*_dedupe(keys, coeffs), j.size, 2 if half and 2 * q_lo < q_max else 1)
+        weight = 2 if half and 2 * q_lo < q_max else 1
+        if not keyed and s <= 3:  # each multiset is its own class: nothing to sort or add
+            return None, coeffs, j.size, weight
+        keys = np.repeat(left.keys[:, cell_i], lens, axis=1)
+        keys += right.keys[:, j]
+        return (*_dedupe(keys, coeffs), j.size, weight)
 
     yield from _in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
 
@@ -542,10 +584,13 @@ class _Stream:
     """A table's entries as the join yields them, past build_group_table's checks.
 
     Iterating yields (keys, coeffs, pairs formed, weight) per batch, in p1
-    order, as a table holds them; no (p1, p2) group straddles two batches.
-    weight is 2 for a mirrored batch below the middle p1, whose entries
-    stand for their mirror images too, and 1 for the middle batch and every
-    batch of an unmirrored stream (_join). It counts as it goes: n_entries
+    order; no (p1, p2) group straddles two batches. A keyed stream yields
+    the entries as a table holds them. An unkeyed one (keyed=False) up to
+    s = 3 yields keys None and each batch's coefficients in the join's
+    pair order, a permutation of the table's (_join). weight is 2 for a
+    mirrored batch below the middle p1, whose entries stand for their
+    mirror images too, and 1 for the middle batch and every batch of an
+    unmirrored stream (_join). It counts as it goes: n_entries
     and join_pairs as a TupleGroupTable states them, and held_entries, the
     most entries of one batch. size bounds the entries: one per s-multiset
     (of the lower half when mirrored). A stream is iterated once.
@@ -556,7 +601,7 @@ class _Stream:
     multipliers: tuple[int, int] | None
     dtype: np.dtype
     size: int
-    batches: Iterator[tuple[np.ndarray, np.ndarray, int, int]] = field(repr=False)
+    batches: Iterator[tuple[np.ndarray | None, np.ndarray, int, int]] = field(repr=False)
     n_entries: int = 0
     join_pairs: int = 0
     held_entries: int = 0
@@ -574,12 +619,14 @@ class _Stream:
 
 
 def _table_stream(
-    spec: ExpSumSpec, s: int, budget_tuples: int, mirrored: bool
+    spec: ExpSumSpec, s: int, budget_tuples: int, mirrored: bool, keyed: bool = True
 ) -> _Stream:
     """build_group_table's checks and the halves of its join, which runs as
     the stream is read. s = 1 is one batch of the frequencies themselves,
     split as _join splits when mirrored: the frequencies below the middle
-    (n + 1) / 2, weight 2, then the middle one, weight 1, when n is odd."""
+    (n + 1) / 2, weight 2, then the middle one, weight 1, when n is odd.
+    keyed=False is for a consumer that reads no keys: up to s = 3 its
+    batches come with keys None and unsorted (_join)."""
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
     n = spec.n
@@ -609,10 +656,12 @@ def _table_stream(
     if s > 1:
         right = _Multisets.build(single, base_c, min(s - 1, 2))
         left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
-        batches = _join(left, right, a_mul, mirrored)
+        batches = _join(left, right, a_mul, mirrored, keyed)
     else:
         parts = ((0, n // 2, 2), (n // 2, (n + 1) // 2, 1)) if mirrored else ((0, n, 1),)
-        batches = iter([(single[:, a:b], base_c[a:b], 0, w) for a, b, w in parts if a < b])
+        batches = iter([
+            (single[:, a:b] if keyed else None, base_c[a:b], 0, w) for a, b, w in parts if a < b
+        ])
     return _Stream(
         n=n, s=s, multipliers=packing, dtype=base_c.dtype,
         size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches,
@@ -634,7 +683,8 @@ def build_group_table(
 
     For s >= 2 one join meets the multisets of the s - 2 least members with
     those of the 2 greatest (1 and 1 for s = 2), forming each s-multiset
-    once (_join); its batches are copied in p1 order into one buffer.
+    once (_join); its batches are copied in p1 order into one buffer, and
+    the memory they held goes back to the OS (_release_heap).
 
     mirrored builds only the entries with 2 p1 <= s(N+1): the halves stay
     whole and the join stops at the middle p1. It needs real palindromic
@@ -652,6 +702,7 @@ def build_group_table(
         used += batch_coeffs.size
         if weight == 2:  # the weight-2 batches come first
             doubled = used
+    _release_heap()
     return TupleGroupTable(
         n=stream.n, s=s, keys=keys[:, :used], coeffs=coeffs[:used],
         multipliers=stream.multipliers, n_tuples=stream.n**s, mirrored=mirrored,
@@ -745,7 +796,9 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     p3 = p1 (mod 6), so R has a bin per d / 6 up to the table's largest
     in-group d. Blocks of same-size groups, about _PAIR_CHUNK pairs each,
     bin their pairs on the shared pool (_spectrum) and are added in block
-    order; the diagonal and the bound's M run as one more pool task.
+    order. The diagonal and the bound's M are summed first, on the calling
+    thread: as a pool task their whole-table |c| arrays met the blocks' or
+    not as the threads fell, and the peak RSS moved with that.
     interval_kernel is then called once, on the calling thread, at 0 (for
     L) and every d some pair has (the blocks count the pairs per bin too),
     and math.fsum adds the diagonal's segment sums and the terms
@@ -813,13 +866,11 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
         terms *= np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
         return _spectrum(q.ravel(), terms.ravel(), quantum)
 
-    def diagonal():
-        group_mass = np.add.reduceat(np.abs(c), starts) ** 2
-        mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
-        return _weighted_energy([(c[:m], 2), (c[m:], 1)]), mass
+    group_mass = np.add.reduceat(np.abs(c), starts) ** 2
+    mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
+    energy = _weighted_energy([(c[:m], 2), (c[m:], 1)])
 
     def tasks():
-        yield (diagonal,)
         # Twice the real part of each upper triangle, twice more below the middle.
         for weight, part in ((4.0, slice(0, split)), (2.0, slice(split, None))):
             p_starts, p_sizes = starts[part], sizes[part]
@@ -837,11 +888,9 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
                 for lo in range(0, g_starts.size, per):
                     yield block, weight, g, g_starts[lo : lo + per]
 
-    results = _in_order(tasks())
-    energy, mass = next(results)
     spectrum = np.zeros((5 if np.iscomplexobj(c) else 3, 0))
     n_bins = n_blocks = most = 0
-    for sums, pairs in results:
+    for sums, pairs in _in_order(tasks()):
         n_bins = max(n_bins, sums[0].size)
         if n_bins > spectrum.shape[1]:  # at least doubled, so the copies add up to O(n_bins)
             grown = np.zeros((len(spectrum), max(n_bins, 2 * spectrum.shape[1])))
@@ -881,11 +930,13 @@ def moment_exact(
     spectrum R(d) of the built table (_pair_assemble). At sigma = 0 the
     kernel is a Kronecker delta and the pair sum collapses to sum |c|^2 over
     the (p1, p2, p3) classes: each join batch is squared as it comes,
-    times its mirror weight, and dropped, so no table is built, and the
-    segment sums are those of the whole table (_weighted_energy, the
-    reducer of the sigma > 0 diagonal too). err_estimate bounds the error
-    for the table's coefficients, the kernel included; at sigma = 0 it is
-    the diagonal's 40u times the value (_pair_assemble).
+    times its mirror weight, and dropped, so no table is built. Up to
+    s = 3 the batches come unsorted, in the join's pair order, which does
+    not depend on the batch cuts; the segment sums are those of one pass
+    over that order (_weighted_energy, the reducer of the sigma > 0
+    diagonal too), the table's order from s = 4 on. err_estimate bounds
+    the error for the table's coefficients, the kernel included; at
+    sigma = 0 it is the diagonal's 40u times the value (_pair_assemble).
 
     The detail states the table's entries, their bytes (key rows and
     coefficients) and the join's pairs, whether or not the table was held,
@@ -896,7 +947,7 @@ def moment_exact(
     """
     mirrored = _mirror_symmetric(spec.coeffs)
     if spec.sigma == 0.0:
-        table = _table_stream(spec, s, budget_tuples, mirrored)
+        table = _table_stream(spec, s, budget_tuples, mirrored, keyed=False)
         value = math.fsum(_weighted_energy((c, weight) for _, c, _, weight in table))
         err, spectrum = _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
         held = table.held_entries
@@ -1007,7 +1058,8 @@ def vinogradov_count(
 
     Counted as sum over (p1, p2, p3) classes of (tuple count)^2 in integer
     arithmetic, over the mirrored join's batches as they come, each times
-    its weight (2 below the middle p1); no table is held. Class counts are
+    its weight (2 below the middle p1); no table is held, and up to s = 3
+    no batch is sorted (_join with keyed=False). Class counts are
     accumulated as float64 but stay far below 2^53 under the tuple budget,
     so the result is exact.
     """
@@ -1015,7 +1067,7 @@ def vinogradov_count(
         raise SpecValidationError("need n >= 1 and s >= 1")
     spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=0.0)
     total = 0
-    for _, c, _, weight in _table_stream(spec, s, budget_tuples, mirrored=True):
+    for _, c, _, weight in _table_stream(spec, s, budget_tuples, mirrored=True, keyed=False):
         counts = np.rint(c).astype(np.int64)
         total += weight * int(np.sum(counts * counts))
     return total

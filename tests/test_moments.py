@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import threading
@@ -218,6 +220,18 @@ class TestGroupTable:
         for e in (1, 2, 3):
             assert np.array_equal(table.power_sum(e, sel), rows.power_sum(e, sel))
 
+    def test_build_hands_the_batches_memory_back(self, monkeypatch):
+        # The batches are allocated on pool threads and freed on this one;
+        # the build trims the heap once, after its last copy.
+        released = []
+        release = moments._release_heap
+        monkeypatch.setattr(moments, "_release_heap", lambda: released.append(1))
+        build_group_table(spec_ones(20), 4)
+        assert released == [1]
+        release()
+        if sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc":
+            assert moments._MALLOC_TRIM is not None
+
 
 def column(table, name):
     """The table's attribute name, or p3 = power_sum(3) for name "p3"."""
@@ -357,23 +371,34 @@ class TestJoin:
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7, 8])
     def test_joins_form_each_multiset_once(self, monkeypatch, s):
         # One join per table forms each s-multiset of 1..n once,
-        # C(n+s-1, s) pairs, and at s <= 3 no two share a key.
+        # C(n+s-1, s) pairs, and at s <= 3 no two share a key, so the
+        # sigma = 0 stream, which reads no keys, sorts no batch there.
         joins = []
         join = moments._join
+        dedupe = moments._dedupe
+        sorts = []
 
-        def spy_join(left, right, unit, half=False):
+        def spy_join(left, right, unit, half=False, keyed=True):
             pairs = 0
-            for batch in join(left, right, unit, half):
+            for batch in join(left, right, unit, half, keyed):
                 pairs += batch[2]
                 yield batch
             joins.append((left.keys.shape[1], right.keys.shape[1], pairs))
 
+        def spy_dedupe(keys, coeffs):
+            sorts.append(coeffs.size)
+            return dedupe(keys, coeffs)
+
         monkeypatch.setattr(moments, "_JOIN_CHUNK", 5_000)
         monkeypatch.setattr(moments, "_join", spy_join)
+        monkeypatch.setattr(moments, "_dedupe", spy_dedupe)
         n = {2: 24, 3: 24, 4: 16, 5: 9, 6: 7, 7: 5, 8: 4}[s]
         spec = ExpSumSpec(n=n, coeffs=coeffs_for("random_phase", n, 2))
         table = build_group_table(spec, s)
+        assert sum(sorts) == table.join_pairs  # every pair of the build is sorted
+        sorts.clear()
         res = moment_exact(spec, s)
+        assert sum(sorts) == (0 if s <= 3 else table.join_pairs)
         detail = res.detail
         assert len(joins) == 2 and joins[0] == joins[1]  # one join per build or stream
         assert detail["join_pairs"] == table.join_pairs == joins[-1][2]
@@ -385,13 +410,15 @@ class TestJoin:
             assert detail["merged_entries"] > 0
 
 
-def ordered_join(left, right, unit, half=False):
+def ordered_join(left, right, unit, half=False, keyed=True):
     """The join that forms every ordered pair (i, j) of two _Multisets sides,
     their coefficients multiplied: a multiset's coeffs sum the products of
     the tuples that order to it, so the pairs add up the product of every
     s-tuple. half stops at the middle output p1, as in _join, and cuts a
     batch there. Yields keys, coefficients, the pair count and the weight of
-    each batch, in p1 order: 2 below the middle p1 of a half join, else 1."""
+    each batch, in p1 order: 2 below the middle p1 of a half join, else 1.
+    Ordered pairs meet the same multiset many times, so every batch is
+    sorted and summed, whatever keyed says."""
     p1a, hist_a = moments._p1_offsets(left.keys, unit)
     _, hist_b = moments._p1_offsets(right.keys, unit)
     ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
@@ -444,6 +471,24 @@ def phased_coeffs(rng, n, kind):
 
 
 class TestPairAssembly:
+    def test_only_blocks_run_on_the_pool(self, monkeypatch):
+        # The diagonal is summed on the calling thread before any block is
+        # submitted, so its whole-table arrays never meet the blocks'.
+        table = build_group_table(spec_ones(24), 4)
+        submitted = []
+        in_order = moments._in_order
+
+        def spy(calls):
+            def seen():
+                for call in calls:
+                    submitted.append(call[0].__name__)
+                    yield call
+            return in_order(seen())
+
+        monkeypatch.setattr(moments, "_in_order", spy)
+        moments._pair_assemble(table, 1.0, 0.3)
+        assert submitted and set(submitted) == {"block"}
+
     @pytest.mark.parametrize("h0", [0.0, 0.37])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("s, n", [(2, 12), (3, 10), (4, 8)])
@@ -917,9 +962,14 @@ class TestMomentExact:
         # sigma = 0 squares each join batch as it comes and carries its
         # partial 4096-term segment into the next, so wherever the batch
         # cuts fall the segments, and every bit of the sum, are those of
-        # the whole table, entries below the middle p1 counted twice.
+        # one pass over the batches' concatenation, entries below the
+        # middle p1 counted twice. From s = 4 on that concatenation is the
+        # table, in table order. Up to s = 3 the batches come unsorted:
+        # their concatenation is the table's coefficients, bit for bit, in
+        # the join's pair order, the same order for every batch size.
         # Unit coefficients give near-integer squares whose sums round
         # alike in any segments; moduli in [0.2, 1] do not.
+        sizes = (moments._JOIN_CHUNK, 5_000, 997)
         if chunk is not None:
             monkeypatch.setattr(moments, "_JOIN_CHUNK", chunk)
         rng = np.random.default_rng(n)
@@ -938,7 +988,27 @@ class TestMomentExact:
             table = build_group_table(spec, s, mirrored=mirrored)
             c, m = table.coeffs, table.doubled
             assert c.size - m > moments._SUM_SEG or m > moments._SUM_SEG
-            sums = [moments._segment_sums(np.square(np.abs(part))) for part in (c[:m], c[m:])]
+            streams = []  # the weight-2 and the weight-1 entries, per batch size
+            for size in sizes:
+                with monkeypatch.context() as mp:
+                    mp.setattr(moments, "_JOIN_CHUNK", size)
+                    stream = moments._table_stream(
+                        spec, s, moments.DEFAULT_TUPLE_BUDGET, mirrored, keyed=False
+                    )
+                    batches = list(stream)
+                assert all((keys is None) == (s <= 3) for keys, *_ in batches)
+                streams.append([
+                    np.concatenate([b[1] for b in batches if b[3] == w] or [c[:0]]) for w in (2, 1)
+                ])
+            streamed = streams[0 if chunk is None else sizes.index(chunk)]
+            for other in streams:
+                for a, b in zip(streamed, other):
+                    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), family
+            for part, whole in zip(streamed, (c[:m], c[m:])):
+                if s <= 3:
+                    part, whole = np.sort(part), np.sort(whole)
+                assert np.array_equal(part.view(np.uint64), whole.view(np.uint64)), family
+            sums = [moments._segment_sums(np.square(np.abs(part))) for part in streamed]
             want = math.fsum(np.append(2.0 * sums[0], sums[1]))
             res = moment_exact(spec, s)
             assert res.value.hex() == want.hex(), family
@@ -976,12 +1046,61 @@ class TestMomentExact:
         res = moment_exact(spec, 4)
         assert (res.value, res.err_estimate) == (value, err)
 
+    def test_values_do_not_depend_on_the_core_count(self, monkeypatch, child_env):
+        # The shared pool has one worker per available core. A child pinned
+        # to one core before it imports momentcurve runs a one-worker pool;
+        # its values and bounds must be this process's, bit for bit, and so
+        # must the sigma = 0 stream's coefficients, in their order. Small
+        # join batches and pair blocks put several tasks in flight here.
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is not available")
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2 or moments._WORKERS < 2:
+            pytest.skip("only one CPU is available")
+        chunks = {"_JOIN_CHUNK": 5_000, "_PAIR_CHUNK": 4_096}
+        setup = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from momentcurve import ExpSumSpec, coeffs_for, moment_exact, moments\n"
+        )
+        compute = (
+            "rng = np.random.default_rng(60)\n"
+            "moduli = rng.uniform(0.2, 1.0, 60) * np.exp(2j * np.pi * rng.uniform(0, 1, 60))\n"
+            "phases = coeffs_for('random_phase', 24, 5)\n"
+            "results = [\n"
+            "    moment_exact(ExpSumSpec(n=60, coeffs=moduli), 3),\n"
+            "    moment_exact(ExpSumSpec(n=24, coeffs=phases, sigma=1.0, h0=0.3), 4),\n"
+            "]\n"
+            "got = [moments._WORKERS] + [[r.value.hex(), r.err_estimate.hex()] for r in results]\n"
+            "spec = ExpSumSpec(n=60, coeffs=moduli)\n"
+            "stream = moments._table_stream(spec, 3, 10**6, mirrored=False, keyed=False)\n"
+            "got.append(hashlib.sha256(b''.join(c.tobytes() for _, c, _, _ in stream)).hexdigest())\n"
+        )
+        for name, value in chunks.items():
+            monkeypatch.setattr(moments, name, value)
+        here = {}
+        exec(setup + compute, here)
+        pinned = (
+            f"import json, os\nos.sched_setaffinity(0, {{{min(cpus)}}})\n{setup}"
+            + "".join(f"moments.{name} = {value}\n" for name, value in chunks.items())
+            + f"{compute}print(json.dumps(got))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", pinned],
+            env=child_env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child[0] == 1 and child[1:] == here["got"][1:]
+
     def test_sigma0_memory_stays_below_the_table(self, child_env):
         # Peak RSS, not tracemalloc. sigma = 0 reduces each join batch as it
         # comes and holds no table, so RSS rises by well under the table's
-        # bytes: about 24 MB against an 84 MB table on a 2-core Linux VM.
-        # Building the table first rose about 103 MB there; unpacking its
-        # key into p1, p2, p3 and copying |c| for the whole table, 240 MB.
+        # bytes: 18.5-19.5 MB against an 84 MB table on a 2-core Linux VM,
+        # with batches that form no key rows and are not sorted (24.7-25.4 MB
+        # when every batch was sorted). Building the table first rose about
+        # 103 MB there; unpacking its key into p1, p2, p3 and copying |c|
+        # for the whole table, 240 MB.
         code = (
             "import json, resource\n"
             "from momentcurve import ExpSumSpec, coeffs_for, moment_exact\n"
@@ -1312,6 +1431,15 @@ class TestVinogradovCount:
     def test_closed_form_small(self):
         for n in (1, 2, 3, 5, 10, 50, 1100):
             assert vinogradov_count(n, 2) == 2 * n * n - n
+
+    def test_closed_forms_at_s_1_and_3(self):
+        # J_1 = N and J_3 = 6N^3 - 9N^2 + 4N (Newton's identities: up to
+        # s = 3 every solution is a permutation pair). s(N+1) takes both
+        # parities at s = 3, so the mirrored stream runs with and without
+        # its middle batch.
+        for n in [*range(1, 41), 383, 384]:
+            assert vinogradov_count(n, 1) == n
+            assert vinogradov_count(n, 3) == 6 * n**3 - 9 * n**2 + 4 * n, n
 
     @pytest.mark.parametrize("n, s", [(20, 4), (10, 6)])
     def test_matches_the_ordered_join(self, monkeypatch, n, s):
