@@ -18,10 +18,6 @@ from .errors import SpecValidationError
 
 TWO_PI = 2.0 * math.pi
 
-# Unit-modulus phase factors drift away from the unit circle under repeated
-# multiplication; renormalize after this many recurrence steps.
-RENORM_INTERVAL = 4096
-
 COEFF_MODULUS_TOL = 1e-12
 
 
@@ -105,22 +101,20 @@ def _unit_mean(x) -> np.ndarray:
 def phase_row(nu: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
     """Phase factors e(nu * (start + step*j)) for j = 0..count-1, per frequency.
 
-    Built with one exp per frequency and a multiplicative recurrence along the
-    axis, renormalized to unit modulus every RENORM_INTERVAL steps. Shape of
-    the result is (len(nu), count).
+    Built with two exps per frequency and a multiplicative recurrence along
+    the axis, then every entry is divided by its modulus. Under the
+    recurrence alone |.| drifts by up to about j ulp at step j, which set
+    quadrature moments off by up to ~1e-13 relative (7e-13 at p = 500);
+    after the division each entry is within a few ulp of the unit circle.
+    The angle still drifts by up to about j ulp. Shape of the result is
+    (len(nu), count).
     """
     nu = np.asarray(nu, dtype=float)
     out = np.empty((nu.size, count), dtype=complex)
     if count == 0:
         return out
     out[:, 0] = np.exp(2j * math.pi * nu * start)
-    ratio = np.exp(2j * math.pi * nu * step)
-    pos = 1
-    while pos < count:
-        block = min(RENORM_INTERVAL, count - pos)
-        steps = np.cumprod(np.broadcast_to(ratio[:, None], (nu.size, block)), axis=1)
-        out[:, pos : pos + block] = out[:, pos - 1 : pos] * steps
-        pos += block
-        last = out[:, pos - 1]
-        out[:, pos - 1] = last / np.abs(last)
+    out[:, 1:] = np.exp(2j * math.pi * nu * step)[:, None]
+    np.cumprod(out, axis=1, out=out)
+    out /= np.abs(out)
     return out

@@ -15,18 +15,24 @@ math.fsum adds the tile sums, so memory per call is the plane matrix plus
 one tile whatever the cell count.
 
 moment_quadrature folds the box it integrates over, [0,1]^2 x H. Its
-frequencies k = 1..N are integers, so S is 1-periodic in x1 and x2, and two
-maps take the midpoint grid onto itself and keep |S|:
-  T:  x -> x + (1/2, 1/2, 0) mod 1, as k + k^2 is even, so
-      e(k/2 + k^2/2) = 1 and S(Tx) = S(x) for every coefficient vector and
-      window. T permutes the grid when m1 and m2 are both even; the half box
-      [0, 1/2] x [0, 1] x H is a fundamental domain.
+frequencies k = 1..N are integers, and a k + b k^2 + c k^3 is an integer
+for every integer k exactly when 6c, 2b + 6c and a + b + c are integers
+(write it in the basis C(k,1), C(k,2), C(k,3) of the integer-valued
+polynomials). Mod 1 these shifts g = (a, b, c) form a group G of order 12,
+generated by T = (1/2, 1/2, 0) and the shear (1/6, 0, -1/6), and
+S(x + g) = S(x) for every coefficient vector. A shift moves the midpoint
+grid onto itself when m_i g_i is an integer on every axis, and keeps the
+box when it keeps H mod 1: T always, every g of G when |H| = 1.
+  |H| = 1, 6 | m1, 6 | m3: the slab x1 < 1/6, x2 < 1/2 (x2 < 1 for odd
+      m2), times 12 (6).
+  |H| = 1, m1 and m3 even: the slab x1 < 1/2, x2 < 1/2 (or 1), times 4 (2).
+  otherwise, m1 and m2 even: T, the half box x1 < 1/2, times 2.
   M:  x -> -x mod 1, for real coefficients with 2 h0 + |H| an integer,
-      where S(Mx) = conj S(x). M permutes the grid for every m, and for even
-      m1 the half box is again a fundamental domain.
-With both, MT x = (1/2 - x1, 1/2 - x2, -x3) mod 1 maps the half box onto
-itself and, when 4 | m1, pairs the cells of x1 < 1/4 with those above: the
-quarter box [0, 1/4] x [0, 1] x H, times 4. local_moment_quadrature and
+      where S(Mx) = conj S(x). For the g of the group used whose (x1, x2)
+      part is the slab's sides, x -> g - x maps the slab onto itself and
+      halves its x1 side when the slab's m1 is even.
+At oversample 4 a sigma = 0 grid with the mirror folds by 24 when 3 | N and
+by 8 otherwise (12 and 4 without it). local_moment_quadrature and
 periodicity_identity_check take frequencies that are not integers and do
 not fold.
 
@@ -234,19 +240,26 @@ def _point_symmetric(spec: ExpSumSpec) -> bool:
     return not np.any(spec.coeffs.imag) and (2 * a * d + c * b) % (b * d) == 0
 
 
-def _fold(counts, mirror: bool) -> int:
-    """The factor by which moment_quadrature cuts a grid of these counts.
+def _fold(counts, full_period: bool, mirror: bool) -> tuple[int, int, bool]:
+    """How moment_quadrature cuts a grid of these counts: (f1, f2, mirrored).
 
-    4 for the quarter box (MT, with 4 | m1 and m2 even), 2 for the half box
-    (T with m1 and m2 even, or M with m1 even), else 1; mirror is
-    _point_symmetric.
+    The slab [0, 1/f1) x [0, 1/f2) x H at counts (m1/f1, m2/f2, m3), times
+    f1 f2, has the midpoints and weights of the full grid. full_period is
+    |H| = 1 and mirror is _point_symmetric. a = 6 when full_period with
+    6 | m1 and 6 | m3, else a = 2 when full_period with m1 and m3 even, else
+    a = 1. For a > 1, f1 = a and f2 = 2 for even m2, else 1 (the shifts of
+    G); for a = 1, f1 = 2 when m1 and m2 are even (T), else 1, and f2 = 1.
+    mirrored: mirror holds and m1/f1 is even; then f1 doubles.
     """
-    m1, m2, _ = counts
-    if m1 % 2:
-        return 1
-    if m2 % 2:
-        return 2 if mirror else 1
-    return 4 if mirror and m1 % 4 == 0 else 2
+    m1, m2, m3 = counts
+    if full_period and m1 % 6 == 0 and m3 % 6 == 0:
+        f1, f2 = 6, 2 - m2 % 2
+    elif full_period and m1 % 2 == 0 and m3 % 2 == 0:
+        f1, f2 = 2, 2 - m2 % 2
+    else:
+        f1, f2 = (2 if m1 % 2 == 0 and m2 % 2 == 0 else 1), 1
+    mirrored = mirror and (m1 // f1) % 2 == 0
+    return (2 * f1 if mirrored else f1), f2, mirrored
 
 
 def moment_quadrature(
@@ -260,50 +273,63 @@ def moment_quadrature(
     Axis counts are grid_counts over extents N^i; err_estimate is the
     step-halving difference of _refined. Every grid, the fine one and the
     coarse one of _refined, is evaluated on a fold of the box: the slab
-    [0, 1/f] x [0, 1] x H at counts (m1/f, m2, m3), times f (_fold). The
-    folded grid has the same midpoints and weights and 1/f of the cells.
+    [0, 1/f1] x [0, 1/f2] x H at counts (m1/f1, m2/f2, m3), times f1 f2
+    (_fold). The folded grid has the same midpoints and weights and
+    1/(f1 f2) of the cells.
 
-    T: the frequencies k = 1..N are integers with k + k^2 even, so
-    e(k/2 + k^2/2) = 1 and S(x + (1/2, 1/2, 0)) = S(x) for every coefficient
-    vector and every window. When m1 and m2 are both even, x -> x + (1/2,
-    1/2, 0) mod 1 takes the midpoint grid onto itself: cell (j1, j2, j3)
-    goes to (j1 + m1/2, j2 + m2/2 mod m2, j3), pairing the cells with
-    x1 > 1/2 one to one with those below. f = 2.
+    The shifts. The frequencies k = 1..N are integers, and in the basis
+    C(k,1), C(k,2), C(k,3) of the integer-valued polynomials
+    a k + b k^2 + c k^3 = (a + b + c) C(k,1) + (2b + 6c) C(k,2) + 6c C(k,3).
+    So g = (a, b, c) has e(g . (k, k^2, k^3)) = 1 for every k, and
+    S(x + g) = S(x) for every coefficient vector, exactly when 6c, 2b + 6c
+    and a + b + c are integers. Mod 1 these g form a group G of order 12,
+    generated by the shear (1/6, 0, -1/6) (k^3 = k mod 6) and by
+    T = (1/2, 1/2, 0); its (x1, x2) parts are all of (Z/6) x (Z/2), each
+    once. A shift keeps the box only when it keeps H mod 1: T always, the
+    others when |H| = N^-sigma = 1, where H is a full period.
 
-    M: when the coefficients are real and 2 h0 + |H| is an integer
-    (_point_symmetric), S(-x) = conj S(x) and |S|^p is even mod 1. The map
-    x -> -x mod 1 then takes the grid onto itself, cell (j1, j2, j3) going
-    to (m1-1-j1, m2-1-j2, m3-1-j3), and for even m1 it pairs the cells with
-    x1 > 1/2 with those below. f = 2, whatever the parity of m2.
+    The grid conditions. A shift by g permutes the midpoint grid when
+    m_i g_i is an integer on every axis. With |H| = 1, 6 | m1 and 6 | m3,
+    the shifts of G with x2-part 0 or 1/2 (0 only, for odd m2) tile the box
+    by the slab x1 < 1/6, x2 < 1/2 (or 1): f1 = 6, f2 = 2 (or 1). With
+    |H| = 1 and m1, m3 even, the subgroup {0, T, (0, 1/2, 1/2),
+    (1/2, 0, 1/2)} does the same with f1 = 2. Otherwise T alone, when m1
+    and m2 are both even: cell (j1, j2, j3) goes to (j1 + m1/2,
+    j2 + m2/2 mod m2, j3), f1 = 2, f2 = 1.
 
-    MT: with both, MT maps x to (1/2 - x1, 1/2 - x2, -x3) mod 1 and takes
-    the half box [0, 1/2] x [0, 1] x H onto itself. On the grid, j1 goes
-    to m1/2-1-j1, which has no fixed point when 4 | m1, so the cells with
-    x1 > 1/4 pair with those below. f = 4.
+    The mirror M: when the coefficients are real and 2 h0 + |H| is an
+    integer (_point_symmetric), S(-x) = conj S(x), and x -> -x mod 1 takes
+    the grid onto itself, cell (j1, j2, j3) going to (m1-1-j1, m2-1-j2,
+    m3-1-j3). Take the g in the group used with x1-part 1/f1 and x2-part
+    1/f2 mod 1 (for f1 = 6, f2 = 2 that is (1/6, 1/2, 1/3)); its x3 part
+    times m3 is an integer. Then x -> g - x keeps |S| and maps the slab
+    onto itself, j1 going to m1/f1-1-j1; when m1/f1 is even that has no
+    fixed point, and f1 doubles. At oversample 4 a sigma = 0 grid with the
+    mirror folds by 24 when 3 | N and by 8 otherwise.
 
-    Any other grid (odd m1, or odd m2 without M) keeps the full box. detail
-    gains "fold": f of the reported grid, and "mirror": true when M holds
-    and m1 is even. The fold needs integer frequencies: the local moments
-    and the box-doubling identity check take none.
+    detail gains "fold": f1 f2 of the reported grid, and "mirror": true
+    when the mirror doubled f1. The fold needs integer frequencies: the
+    local moments and the box-doubling identity check take none.
     """
     sides = (1.0, 1.0, spec.h_length)
     counts = grid_counts(oversample, [spec.n**i for i in (1, 2, 3)], sides, cell_budget)
     xi = np.arange(1, spec.n + 1, dtype=float)
     corner = (0.0, 0.0, spec.h0)
+    full_period = spec.h_length == 1.0
     mirror = _point_symmetric(spec)
 
     def run(cnts) -> float:
         m1, m2, m3 = cnts
-        f = _fold(cnts, mirror)
-        slab = (1.0 / f, 1.0, sides[2])
-        return f * box_power_integral(
-            xi, spec.coeffs, p, corner, slab, (m1 // f, m2, m3), cell_budget
+        f1, f2, _ = _fold(cnts, full_period, mirror)
+        slab = (1.0 / f1, 1.0 / f2, sides[2])
+        return f1 * f2 * box_power_integral(
+            xi, spec.coeffs, p, corner, slab, (m1 // f1, m2 // f2, m3), cell_budget
         )
 
     value, err = _refined(run, counts)
-    detail = {"counts": list(counts), "oversample": oversample}
-    detail["fold"] = _fold(counts, mirror)
-    if mirror and counts[0] % 2 == 0:
+    f1, f2, mirrored = _fold(counts, full_period, mirror)
+    detail = {"counts": list(counts), "oversample": oversample, "fold": f1 * f2}
+    if mirrored:
         detail["mirror"] = True
     return MomentResult(
         value=value,

@@ -112,12 +112,13 @@ class TestMomentCommand:
     def test_quad_large_power_keeps_its_value(self, tmp_path):
         # 4^500 times the grid stays inside float64, so the unscaled path runs.
         # The grid sums to 9.526047767054422e+296 at 40 digits; p = 500 makes
-        # the float64 value (the quarter box, folded by T and the mirror)
-        # 6.9e-13 relative from it.
+        # the float64 value (fold 8: the slab x1 < 1/4, x2 < 1/2) 6.6e-15
+        # relative from it. With phase rows that drifted off the unit circle
+        # it was 6.9e-13 (quarter box) and 9.8e-13 (fold 8).
         assert main(["moment", "--N", "4", "--s", "2", "--method", "quad", "--p", "500",
                      "--out", str(tmp_path)]) == 0
         record = read_only_json(tmp_path / "results", "moment-*.json")
-        assert record["value"] == 9.526047767061007e+296
+        assert record["value"] == 9.526047767054485e+296
 
     def test_quad_huge_h0_matches_exact(self, tmp_path):
         for method in ("exact", "quad"):

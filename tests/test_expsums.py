@@ -138,7 +138,8 @@ class TestGrids:
         np.testing.assert_allclose(row, direct, atol=1e-11)
 
     def test_phase_row_stays_unit_modulus_over_long_runs(self):
-        # The recurrence renormalizes, so 10^5 steps keep |.| = 1 tightly.
+        # Every entry is divided by its modulus, so 10^5 steps keep |.| = 1
+        # to a few ulp. Renormalizing every 4096 steps let it drift to 1.4e-13.
         row = phase_row(np.array([123.0]), start=0.0, step=1e-4, count=100000)
         drift = np.abs(np.abs(row) - 1.0).max()
-        assert drift < 1e-12
+        assert drift < 1e-15

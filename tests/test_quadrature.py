@@ -297,7 +297,7 @@ class TestMomentQuadrature:
 class TestMirror:
     """Real coefficients on a window with 2 h0 + |H| integral: the mirror M.
 
-    With T as well, grids whose 4 | m1 take the quarter box.
+    On top of the shifts, x -> g - x halves x1 once more when m1/f1 is even.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -322,34 +322,55 @@ class TestMirror:
         assert res.value == pytest.approx(full, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
-        "family, n, sigma, h0, oversample, halvings, mirror",
+        "family, n, sigma, h0, oversample, half_box, mirror",
         [
-            # m1 = 12 takes the quarter box (MT); the coarse m1 = 6 is 2 mod 4.
-            ("constant", 3, 0.0, 0.0, 4.0, (2, 1), True),
-            ("random_sign", 3, 0.0, 0.5, 4.0, (2, 1), True),
-            ("random_sign", 3, 0.0, -0.5, 4.0, (2, 1), True),
-            ("random_sign", 2, 1.0, 0.25, 4.0, (2, 2), True),
-            # T alone: complex coefficients or a window M does not keep.
-            ("random_phase", 3, 0.0, 0.0, 4.0, (1, 1), False),
-            ("constant", 3, 0.0, 0.25, 4.0, (1, 1), False),
+            # (12, 36, 108): |H| = 1 with 6 | m1 and 6 | m3, so the slab
+            # x1 < 1/6, x2 < 1/2, and the mirror halves x1 again (m1/6 = 2).
+            # The coarse (6, 18, 54) has m1/6 = 1 odd: no mirror.
+            ("constant", 3, 0.0, 0.0, 4.0, ((12, 2), (6, 2)), True),
+            ("random_sign", 3, 0.0, 0.5, 4.0, ((12, 2), (6, 2)), True),
+            ("random_sign", 3, 0.0, -0.5, 4.0, ((12, 2), (6, 2)), True),
+            # (12, 45, 180): a = 6 with odd m2 keeps x2 whole; the coarse
+            # (6, 22, 90) has even m2 again.
+            ("constant", 4, 0.0, 0.0, 2.8, ((12, 1), (6, 2)), True),
+            ("random_phase", 4, 0.0, 0.0, 2.8, ((6, 1), (6, 2)), False),
+            # (6, 16, 46): 6 divides m1 but not m3, so a = 2; m1/2 = 3 is odd,
+            # so no mirror. The coarse (3, 8, 23) has odd m1 and m3.
+            ("constant", 3, 0.0, 0.0, 1.7, ((2, 2), (1, 1)), False),
+            # (8, 16, 32): 6 does not divide m1, so a = 2 with x2 halved.
+            ("constant", 2, 0.0, 0.0, 4.0, ((4, 2), (4, 2)), True),
+            # (4, 7, 14): a = 2 with odd m2; the coarse (2, 3, 7) has odd m3,
+            # so a = 1 and, with m2 odd, no T: only the mirror cuts.
+            ("random_sign", 2, 0.0, 0.0, 1.7, ((4, 1), (2, 1)), True),
+            ("random_phase", 2, 0.0, 0.0, 1.7, ((2, 1), (1, 1)), False),
+            # sigma > 0: no x3 shift keeps H, so T and the mirror alone.
+            ("random_sign", 2, 1.0, 0.25, 4.0, ((4, 1), (4, 1)), True),
+            ("random_sign", 2, 1.0, 0.0, 4.0, ((2, 1), (2, 1)), False),
+            # N = 1 has |H| = 1 at any sigma: (4, 4, 4), a = 2.
+            ("random_phase", 1, 1.0, 0.3, 4.0, ((2, 2), (2, 2)), False),
+            # Complex coefficients or a window M does not keep: G alone.
+            ("random_phase", 3, 0.0, 0.0, 4.0, ((6, 2), (6, 2)), False),
+            ("constant", 3, 0.0, 0.25, 4.0, ((6, 2), (6, 2)), False),
             # 2 h0 + 1 rounds to 1.0 in float64; the exact test is not fooled.
-            ("constant", 3, 0.0, 2.0**-60, 4.0, (1, 1), False),
-            ("random_sign", 2, 1.0, 0.0, 4.0, (1, 1), False),
-            # m1 = ceil(4.25 * 2) = 9 is odd; the coarse m1 = 4 is not.
-            ("constant", 2, 0.0, 0.0, 4.25, (0, 2), False),
-            # m1 = 6 is 2 mod 4: the half box; the coarse m1 = 3 is odd.
-            ("constant", 3, 0.0, 0.0, 2.0, (1, 0), True),
-            # m2 = ceil(3.6 * 4) = 15 and the coarse m2 = 7 are odd: no T, so
-            # only the mirror halves the box.
-            ("random_phase", 2, 0.0, 0.0, 3.6, (0, 0), False),
-            ("constant", 2, 0.0, 0.0, 3.6, (1, 1), True),
+            ("constant", 3, 0.0, 2.0**-60, 4.0, ((6, 2), (6, 2)), False),
+            # (9, 17, 34): m1 is odd, no cut at all; the coarse (4, 8, 17) has
+            # odd m3, so T with the mirror.
+            ("constant", 2, 0.0, 0.0, 4.25, ((1, 1), (4, 1)), False),
+            # (6, 18, 54): a = 6 and m1/6 = 1 is odd, so the mirror is not
+            # applied and not reported; the coarse m1 = 3 is odd.
+            ("constant", 3, 0.0, 0.0, 2.0, ((6, 2), (1, 1)), False),
+            # (8, 15, 29): odd m3 and odd m2, so only the mirror cuts; the
+            # coarse (4, 7, 14) takes a = 2 with x2 whole.
+            ("random_phase", 2, 0.0, 0.0, 3.6, ((1, 1), (2, 1)), False),
+            ("constant", 2, 0.0, 0.0, 3.6, ((2, 1), (4, 1)), True),
         ],
     )
     def test_half_box_exactly_when_the_rule_holds(
-        self, monkeypatch, family, n, sigma, h0, oversample, halvings, mirror
+        self, monkeypatch, family, n, sigma, h0, oversample, half_box, mirror
     ):
-        # halvings: how often the x1 side of the fine and the coarse grid is
-        # halved, so the fold is 2**halvings.
+        # half_box: (f1, f2) of the fine and the coarse grid. Each is
+        # evaluated on the slab [0, 1/f1) x [0, 1/f2) x H at counts
+        # (m1/f1, m2/f2, m3).
         calls = []
         real = quadrature.box_power_integral
 
@@ -362,11 +383,11 @@ class TestMirror:
         res = moment_quadrature(spec, 4.0, oversample=oversample)
         fine = tuple(res.detail["counts"])
         want = []
-        for counts, halved in zip((fine, tuple(max(1, m // 2) for m in fine)), halvings):
-            fold = 2**halved
-            want.append(((1.0 / fold, 1.0, spec.h_length), (counts[0] // fold,) + counts[1:]))
+        for (m1, m2, m3), (f1, f2) in zip((fine, tuple(max(1, m // 2) for m in fine)), half_box):
+            want.append(((1.0 / f1, 1.0 / f2, spec.h_length), (m1 // f1, m2 // f2, m3)))
         assert calls == want
-        detail = {"counts": list(fine), "oversample": oversample, "fold": 2**halvings[0]}
+        (f1, f2), _ = half_box
+        detail = {"counts": list(fine), "oversample": oversample, "fold": f1 * f2}
         if mirror:
             detail["mirror"] = True
         assert res.detail == detail
@@ -378,8 +399,38 @@ class TestMirror:
         assert abs(res.value - (6 * n**3 - 9 * n**2 + 4 * n)) <= 3.0 * res.err_estimate
 
 
+def _expected_fold(counts, full_period, mirror):
+    """(f1, f2, mirrored) of moment_quadrature's rule, restated.
+
+    On a full period x1 is cut by the larger of 6 and 2 that divides both
+    m1 and m3, and x2 is then halved when m2 is even. Otherwise only
+    T = (1/2, 1/2, 0) is left, which halves x1 when m1 and m2 are both
+    even. The mirror halves x1 once more when the cut count is even.
+    """
+    m1, m2, m3 = counts
+    cuts = [a for a in (6, 2) if full_period and m1 % a == m3 % a == 0]
+    if cuts:
+        f1, f2 = cuts[0], (2 if m2 % 2 == 0 else 1)
+    else:
+        f1, f2 = (2 if m1 % 2 == m2 % 2 == 0 else 1), 1
+    if mirror and (m1 // f1) % 2 == 0:
+        return 2 * f1, f2, True
+    return f1, f2, False
+
+
 class TestFold:
-    """S(x + (1/2, 1/2, 0)) = S(x) for k = 1..N: the half box for any coefficients."""
+    """The shifts g with e(g . (k, k^2, k^3)) = 1 for every integer k.
+
+    They are the g with 6 g3, 2 g2 + 6 g3 and g1 + g2 + g3 all integers: a
+    group of order 12 mod 1, generated by T = (1/2, 1/2, 0) and the shear
+    (1/6, 0, -1/6).
+    """
+
+    @staticmethod
+    def _drawn(n, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(0.0, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+        return ExpSumSpec(n=n, coeffs=coeffs), float(np.sum(np.abs(coeffs)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -388,30 +439,64 @@ class TestFold:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_half_translate_keeps_the_sum(self, n, x, seed):
-        rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(0.0, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
-        spec = ExpSumSpec(n=n, coeffs=coeffs)
+        spec, scale = self._drawn(n, seed)
         moved = (x[0] + 0.5, x[1] + 0.5, x[2])
         # Relative to sum |a_k|, the scale of S, as S itself may vanish.
-        scale = float(np.sum(np.abs(coeffs)))
         assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=8),
+        x=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+        g=st.sampled_from([(1 / 6, 0.0, -1 / 6), (0.0, 0.5, 0.5), (1 / 6, 0.5, 1 / 3)]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_shear_and_x3_shifts_keep_the_sum(self, n, x, g, seed):
+        # k^3 = k mod 6, so the shear keeps S; (0, 1/2, 1/2) holds as
+        # (k^2 + k^3) / 2 = k^2 (k + 1) / 2 is an integer.
+        spec, scale = self._drawn(n, seed)
+        moved = tuple(xi + gi for xi, gi in zip(x, g))
+        assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "g", [(1 / 3, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5), (1 / 12, 0.0, -1 / 12)]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_shifts_outside_the_group_move_the_modulus(self, n, g):
+        # Each g fails one of the three integer conditions, so |S| moves at
+        # some point and no fold may use g: the fold cannot grow past G.
+        spec, scale = self._drawn(n, 5)
+        rng = np.random.default_rng(6)
+        moved = max(
+            abs(abs(eval_sum(spec, tuple(x + g))) - abs(eval_sum(spec, tuple(x)))) / scale
+            for x in rng.uniform(0.0, 1.0, (16, 3))
+        )
+        assert moved > 1e-3
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=8),
         s=st.integers(min_value=1, max_value=3),
         sigma=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        # Real coefficients on h0 in {0, 1/2} take the mirror where |H| = 1.
+        real=st.booleans(),
         h0=st.floats(min_value=-1.0, max_value=1.0),
-        # 3.6 and 4.25 give odd m1 or m2 at some n, where T does not apply.
-        oversample=st.sampled_from([4.0, 3.6, 4.25]),
+        # 3.0, 3.6 and 4.25 give m1, m2 or m3 that 2 or 6 does not divide.
+        oversample=st.sampled_from([4.0, 3.0, 3.6, 4.25]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_fold_matches_the_full_box(self, n, s, sigma, h0, oversample, seed):
-        coeffs = coeffs_for("random_phase", n, seed)
+    def test_fold_matches_the_full_box(self, n, s, sigma, real, h0, oversample, seed):
+        if real:
+            coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+            h0 = 0.5 if h0 > 0 else 0.0
+        else:
+            coeffs = coeffs_for("random_phase", n, seed)
         spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
         res = moment_quadrature(spec, 2.0 * s, oversample=oversample)
-        m1, m2, _ = res.detail["counts"]
-        assert res.detail["fold"] == (2 if m1 % 2 == 0 and m2 % 2 == 0 else 1)
+        full_period = spec.h_length == 1.0
+        f1, f2, mirrored = _expected_fold(res.detail["counts"], full_period, real and full_period)
+        assert res.detail["fold"] == f1 * f2
+        assert res.detail.get("mirror", False) is mirrored
         xi = np.arange(1, n + 1, dtype=float)
         full = box_power_integral(
             xi, coeffs, 2.0 * s, (0.0, 0.0, spec.h0), (1.0, 1.0, spec.h_length),
@@ -517,6 +602,8 @@ def test_values_are_pinned():
     # Every quadrature route against pinned literals; a refactor must not move
     # a single bit. The tiled evaluator's fsum of tile sums moved the p = 3
     # moment and the full-cube local moment, and their err, in the last bits.
+    # Unit-modulus phase rows moved every value here towards the exact one
+    # (spec's p = 4 moment is 9 and spec0's 28; the identity's sides are 729).
     spec = ExpSumSpec(n=5, coeffs=coeffs_for("random_phase", 5, 3), sigma=1.0, h0=0.3)
     spec0 = ExpSumSpec(n=4, coeffs=coeffs_for("random_phase", 4, 3))
     got = [
@@ -528,14 +615,15 @@ def test_values_are_pinned():
             moment_quadrature(spec0, 3.0),
         )
     ]
-    # Complex coefficients: both specs take the half box by T.
+    # Complex coefficients: spec (sigma = 1) takes the half box by T, and
+    # spec0 (|H| = 1, a = 2) the slab x1 < 1/2, x2 < 1/2.
     grid = {"counts": [20, 100, 100], "oversample": 4.0, "fold": 2}
-    grid0 = {"counts": [16, 64, 256], "oversample": 4.0, "fold": 2}
+    grid0 = {"counts": [16, 64, 256], "oversample": 4.0, "fold": 4}
     assert got == [
-        (8.999999999999995, 8.999999999999995e-13, grid),
-        (2.85702620362463, 7.993623807323047e-07, grid),
-        (28.000000000000192, 2.800000000000019e-12, grid0),
-        (10.12068098257948, 4.5467744200777815e-06, grid0),
+        (9.0, 9e-13, grid),
+        (2.857026203624632, 7.9936238339684e-07, grid),
+        (28.000000000000007, 2.800000000000001e-12, grid0),
+        (10.120680982579428, 4.546774478697557e-06, grid0),
     ]
 
     local = []
@@ -546,18 +634,18 @@ def test_values_are_pinned():
         )
         local.append((res.method, res.value, res.err_estimate, res.detail))
     assert local == [
-        ("quadrature", 27.999999999999932, 0.055912196395851765,
+        ("quadrature", 28.000000000000007, 0.05591219639591216,
          {"route": "full-cube", "counts": [48, 36, 27]}),
-        ("quadrature", 472.0587523896382, 95.93353793352753,
+        ("quadrature", 472.05875238963847, 95.9335379335276,
          {"route": "translates", "n_translates": 32, "counts_per_cell": 12}),
         ("exact", 4.0, 4e-13, {"route": "pair-sum"}),
     ]
 
     rep = periodicity_identity_check(ExpSumSpec(n=3, coeffs=np.ones(3), sigma=1.0), 1)
     assert (rep.lhs, rep.rhs_scaled, rep.residual) == (
-        728.9999999999984, 728.9999999999966, 2.4951843670039237e-15
+        729.0000000000002, 729.0000000000001, 1.5594902293774484e-16
     )
     rep = interference_lower_bound(ExpSumSpec(n=16, coeffs=np.ones(16), sigma=1.0), 4)
     assert (rep.value, rep.ratio, rep.box_fraction, rep.counts) == (
-        0.029304044382540674, 0.00011446892336929951, 0.05, (8, 8, 8)
+        0.029304044382540716, 0.00011446892336929967, 0.05, (8, 8, 8)
     )
