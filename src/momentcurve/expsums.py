@@ -69,15 +69,27 @@ class ExpSumSpec:
 def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
     """Evaluate S(x) at one point (a length-3 sequence) or at an (m, 3) batch.
 
-    Returns a scalar for a single point, else an array of shape (m,).
+    Returns a scalar for a single point, else an array of shape (m,). Each
+    term's phase k x1 + k^2 x2 + k^3 x3 is reduced mod 1 exactly, axis by
+    axis: x_i - round(x_i) splits into pieces of 53 - b bits, k^i < 2^b,
+    so every k^i times a piece is an exact float (_split, _phase). Each axis
+    then errs by at most u (u = 2^-53) and each of the two sums of reduced
+    phases rounds by at most u: the phase errs by a few u whatever N and x,
+    where the unreduced sum errs by about N^3 |x3| u. It needs N^3 < 2^52.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise SpecValidationError(f"expected points of shape (m, 3), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise SpecValidationError("points must be finite")
-    k = np.arange(1, spec.n + 1, dtype=float)
-    phase = np.outer(k, pts[:, 0]) + np.outer(k**2, pts[:, 1]) + np.outer(k**3, pts[:, 2])
+    if spec.n**3 >= 2**52:
+        raise SpecValidationError("eval_sum needs N^3 < 2^52")
+    k = np.arange(1, spec.n + 1, dtype=float)[:, None]
+    phase = np.zeros((spec.n, pts.shape[0]))
+    for i in (1, 2, 3):
+        axis = pts[:, i - 1] - np.round(pts[:, i - 1])
+        phase += _phase(k**i, _split(axis, 53 - (spec.n**i).bit_length()))
+        phase -= np.round(phase)
     values = spec.coeffs @ np.exp(2j * math.pi * phase)
     if np.asarray(x).ndim == 1 and values.shape == (1,):
         return complex(values[0])
@@ -96,6 +108,45 @@ def _unit_mean(x) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.exp(1j * math.pi * y) * (np.sin(math.pi * y) / (math.pi * x))
     return np.where(x == 0.0, 1.0, mean)
+
+
+def _split(x, bits: int) -> list:
+    """Floats of at most `bits` significant bits each that add up to x exactly.
+
+    Elementwise for an array x; a float x gives floats. Veltkamp/Dekker
+    splitting: each piece is the remainder rounded to `bits` bits at the
+    remainder's own exponent. The new remainder is a multiple of ulp(x) and
+    2^bits times smaller, so it is exact and at most ceil(53 / bits) pieces
+    come out.
+    """
+    x = np.array(x, dtype=float)
+    pieces = []
+    while np.any(x):
+        e = np.frexp(x)[1] - bits
+        piece = np.ldexp(np.round(np.ldexp(x, -e)), e)
+        pieces.append(piece[()])
+        x -= piece
+    return pieces
+
+
+def _phase(p: np.ndarray, pieces: list) -> np.ndarray:
+    """p x - round(p x) for the integers p (as floats) and x = sum(pieces).
+
+    The pieces are floats or arrays that broadcast against p. With pieces
+    of at most 53 - b bits for p < 2^b, every p * piece is an exact float
+    and so is its reduction mod 1. Adding two reduced values rounds once,
+    by at most u/2 (u = 2^-53) as |sum| <= 1, and the sum is reduced again
+    exactly: the result errs by (len(pieces) - 1) u/2 at most.
+    """
+    shape = np.broadcast_shapes(p.shape, *(np.shape(piece) for piece in pieces))
+    out = np.zeros(shape)
+    t, r = np.empty(shape), np.empty(shape)
+    for piece in pieces:
+        np.multiply(p, piece, out=t)
+        np.subtract(t, np.round(t, out=r), out=t)
+        out += t
+        np.subtract(out, np.round(out, out=r), out=out)
+    return out
 
 
 def phase_row(nu: np.ndarray, start: float, step: float, count: int) -> np.ndarray:

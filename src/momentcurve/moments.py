@@ -35,8 +35,9 @@ entry per s-multiset. A table keeps the join's output as it comes: the
 coefficients and one packed int64 key row p1 A + p2 B + p3, with
 B = s n^3 + 1 and A = (s n^2 + 1) B, or the three rows (p1, p2, p3) where
 that could pass 2^63. p1, p2 and p3 are decoded on access. Pair assembly
-finds its (p1, p2) groups as runs of equal key // B and decodes p3 only for
-the entries of the block at hand, so the table is never unpacked whole.
+finds its (p1, p2) groups as runs of equal key // B and decodes no power
+sum: within a group two keys differ by p3_j - p3_i, so it reads the
+packed key (or the p3 row) itself, and the table is never unpacked.
 At sigma = 0, and for vinogradov_count, no table is built: each batch is
 reduced as the join yields it and then dropped, so no more than the batches
 in flight (one per pool worker, plus one) are held at once.
@@ -49,11 +50,16 @@ the moment is L sum |c_i|^2 + Re sum_d R(d) conj(K(d)); the window
 spectrum R(d) sums the weighted products c_i conj(c_j) of the pairs with
 difference d = p3_j - p3_i > 0. R depends on neither sigma nor h0, and as
 k^3 = k (mod 6) every in-group d is a multiple of 6, so R has one bin per
-d / 6.
+d / 6: the difference of the two entries' key // 6, as two keys of a group
+differ by their p3 difference.
 Blocks of same-size groups, about _PAIR_CHUNK pairs each, bin their pairs
 with np.bincount on the shared pool and are added in block order; each
 product is split at a power of 2 into a part whose bin sums are exact and a
-small rest, so the bins are exact for integer coefficients. interval_kernel
+small rest. A real integer table whose products are all multiples of that
+power of 2 (Q <= 1) has no rest: its block bins the unweighted products
+with one np.bincount, exactly, and scales the bins by the power-of-2 weight;
+a positive one (constant coefficients) also finds its occupied bins as the
+nonzero ones and counts no pairs per bin. interval_kernel
 then runs once, on the calling thread, at 0 and the distinct d, and
 math.fsum adds the diagonal's segment sums and the terms
 Re(R(d) conj(K(d))) with one rounding. So the value does not depend on
@@ -98,7 +104,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, SpecValidationError
-from .expsums import ExpSumSpec, _unit_mean
+from .expsums import ExpSumSpec, _phase, _split, _unit_mean
 
 DEFAULT_TUPLE_BUDGET = int(2e8)
 DEFAULT_BRUTE_BUDGET = int(1e8)
@@ -170,8 +176,9 @@ class TupleGroupTable:
 
     keys is the join's output as it comes: one int64 row p1 A + p2 B + p3
     when multipliers = (A, B) packs the power sums, else the three rows
-    (p1, p2, p3) and multipliers = None. p1, p2 and power_sum(3) decode on
-    each access; group_starts and power_sum read the key without a full unpack.
+    (p1, p2, p3) and multipliers = None. p1, p2 and power_sum(3) decode
+    the whole row on each access; group_starts reads the key without a full
+    unpack, and pair assembly decodes nothing (_pair_assemble).
 
     A mirrored table holds only the entries with 2 p1 <= s(n+1); each entry
     with 2 p1 < s(n+1) also stands for its mirror image (module docstring).
@@ -195,12 +202,12 @@ class TupleGroupTable:
     def n_entries(self) -> int:
         return int(self.keys.shape[1])
 
-    def power_sum(self, e: int, index=...) -> np.ndarray:
-        """p_e (e = 1, 2, 3) of the entries selected by index."""
+    def power_sum(self, e: int) -> np.ndarray:
+        """p_e (e = 1, 2, 3) of every entry."""
         if self.multipliers is None:
-            return self.keys[e - 1][index]
+            return self.keys[e - 1]
         a, b = self.multipliers
-        key = self.keys[0][index]
+        key = self.keys[0]
         if e == 1:
             return key // a
         if e == 2:
@@ -227,41 +234,6 @@ class TupleGroupTable:
     @property
     def p2(self) -> np.ndarray:
         return self.power_sum(2)
-
-
-def _split(x: float, bits: int) -> list[float]:
-    """Floats of at most `bits` significant bits each that add up to x exactly.
-
-    Veltkamp/Dekker splitting: each piece is the remainder rounded to `bits`
-    bits at the remainder's own exponent. The new remainder is a multiple of
-    ulp(x) and 2^bits times smaller, so it is exact and at most
-    ceil(53 / bits) pieces come out.
-    """
-    pieces = []
-    while x != 0.0:
-        e = math.frexp(x)[1] - bits
-        piece = math.ldexp(round(math.ldexp(x, -e)), e)
-        pieces.append(piece)
-        x -= piece
-    return pieces
-
-
-def _phase(p3: np.ndarray, pieces: list[float]) -> np.ndarray:
-    """p3 x - round(p3 x) for the integers p3 (as floats) and x = sum(pieces).
-
-    With pieces of at most 53 - b bits for p3 < 2^b, every p3 * piece is an
-    exact float and so is its reduction mod 1. Adding two reduced values
-    rounds once, by at most u/2 (u = 2^-53) as |sum| <= 1, and the sum is
-    reduced again exactly: the result errs by (len(pieces) - 1) u/2 at most.
-    """
-    out = np.zeros(p3.shape)
-    t, r = np.empty(p3.shape), np.empty(p3.shape)
-    for piece in pieces:
-        np.multiply(p3, piece, out=t)
-        np.subtract(t, np.round(t, out=r), out=t)
-        out += t
-        np.subtract(out, np.round(out, out=r), out=out)
-    return out
 
 
 # |d| below 2^_KERNEL_D_BITS: h0 splits into pieces of 53 - _KERNEL_D_BITS = 8
@@ -775,6 +747,21 @@ def _spectrum(q: np.ndarray, terms: np.ndarray, quantum: float):
     return sums, q.size
 
 
+def _integer_spectrum(q: np.ndarray, products: np.ndarray, weight: float, positive: bool):
+    """_spectrum for the products of a real integer table with Q <= 1, exactly.
+
+    Every product and every partial sum of them is an integer below 2^51
+    (_pair_assemble), so one np.bincount adds them exactly, in any order, and
+    the power-of-2 weight scales its bins exactly. Returns (sums, pairs):
+    sums holds the count of products in each bin, then the weighted bin
+    sums, for the bins 0 to max(q). A positive table (every c > 0) leaves
+    the count out: a bin holds a product exactly when its sum is nonzero.
+    """
+    sums = np.bincount(q, products)
+    sums *= weight
+    return ([sums] if positive else [np.bincount(q), sums]), q.size
+
+
 def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     """Sum c_i conj(c_j) K(p3_i - p3_j) over all same-(p1, p2) pairs, a bound, and detail.
 
@@ -794,8 +781,12 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     L sum |c_i|^2 + Re sum_d R(d) conj(K(d)). R does not depend on sigma or
     h0. Every in-group d is a multiple of 6, as k^3 = k (mod 6) gives
     p3 = p1 (mod 6), so R has a bin per d / 6 up to the table's largest
-    in-group d. Blocks of same-size groups, about _PAIR_CHUNK pairs each,
-    bin their pairs on the shared pool (_spectrum) and are added in block
+    in-group d. Two keys of a group differ by d (the packed key's p1 and p2
+    parts cancel; the three-row layout's last row is p3), both keys are
+    congruent mod 6, and so d / 6 = key_j // 6 - key_i // 6: one floor
+    division per entry and none per pair. Blocks of same-size groups, about
+    _PAIR_CHUNK pairs each, ordered by a stable sort of the sizes, bin their
+    pairs on the shared pool (_spectrum) and are added in block
     order. The diagonal and the bound's M are summed first, on the calling
     thread: as a pool task their whole-table |c| arrays met the blocks' or
     not as the threads fell, and the peak RSS moved with that.
@@ -812,7 +803,14 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
     every partial sum of hi's, in any order, is at most
     sum |t| + P Q / 2 < 2^53 Q in magnitude while P < 2^52, so the hi bin sums
     are exact, in the blocks and across them. With integer coefficients and
-    S < 2^51 every product is a multiple of Q, lo is 0 and R is exact. A lo
+    S < 2^51 (Q <= 1) every product is a multiple of Q, lo is 0 and R is
+    exact. Such a real table skips the split (_integer_spectrum): its block
+    bins the unweighted products c_i c_j, integers whose bin sums are exact
+    as well, and multiplies the bins by the block's weight, a power of 2, so
+    its R has the bits of the hi sums, and the lo sums of +0.0 it leaves out
+    change no bit. When every c is positive, so is every product, and a bin
+    holds pairs exactly when its sum is nonzero: the pairs per bin are not
+    counted. A lo
     bin sum goes through at most P_b + B roundings per term, P_b the most
     pairs of a block and B the number of blocks: within a block the bin's
     terms are added one by one, and then each block's sum into the total.
@@ -850,18 +848,26 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
         raise SpecValidationError("the exact route needs s N^3 < 2^45 when sigma > 0")
     n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     parts = c.view(float)
-    quantum = _quantum(n_pairs, max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0))))
+    least = float(parts.min(initial=np.inf))
+    quantum = _quantum(n_pairs, max(float(parts.max(initial=0.0)), -least))
+    exact = not np.iscomplexobj(c) and quantum <= 1.0 and np.array_equal(c, np.rint(c))
+    positive = exact and least > 0.0
+    # Within a group key_j - key_i = p3_j - p3_i: the packed key's p1 and p2
+    # parts cancel, and the three-row layout's last row is p3.
+    key = table.keys[-1]
 
     def block(weight, g, rows):
         # Entry a of the block's group r at [r, a]; pairs group by group.
         iu, ju = np.triu_indices(g, 1)
         sel = (rows[:, None] + np.arange(g)).ravel()
-        p3 = table.power_sum(3, sel).reshape(-1, g)
-        q = p3[:, ju]
-        q -= p3[:, iu]
-        q //= 6
+        k6 = (key[sel] // 6).reshape(-1, g)
+        q = k6[:, ju]
+        q -= k6[:, iu]
         cs = c[sel].reshape(-1, g)
         terms = cs[:, iu]
+        if exact:
+            terms *= cs[:, ju]
+            return _integer_spectrum(q.ravel(), terms.ravel(), weight, positive)
         terms *= weight
         terms *= np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
         return _spectrum(q.ravel(), terms.ravel(), quantum)
@@ -874,9 +880,10 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
         # Twice the real part of each upper triangle, twice more below the middle.
         for weight, part in ((4.0, slice(0, split)), (2.0, slice(split, None))):
             p_starts, p_sizes = starts[part], sizes[part]
-            # Groups by size, then in table order: size * count + index is a
-            # distinct key, so the fast unstable sort gives the stable order.
-            order = np.argsort(p_sizes * p_sizes.size + np.arange(p_sizes.size))
+            # Groups by size, then in table order: a stable sort, which numpy
+            # runs as a radix sort on a type this narrow.
+            narrow = p_sizes.astype(np.min_scalar_type(p_sizes.max(initial=0)))
+            order = np.argsort(narrow, kind="stable")
             ranked = p_sizes[order]
             # Each run of one size starts where the size changes; counting
             # from 1 skips the run of single entries, which have no pairs.
@@ -888,7 +895,10 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
                 for lo in range(0, g_starts.size, per):
                     yield block, weight, g, g_starts[lo : lo + per]
 
-    spectrum = np.zeros((5 if np.iscomplexobj(c) else 3, 0))
+    # Rows: the count of pairs per bin (left out when positive), then R exactly,
+    # or the hi and lo sums of each component of R.
+    n_rows = (1 if positive else 2) if exact else 5 if np.iscomplexobj(c) else 3
+    spectrum = np.zeros((n_rows, 0))
     n_bins = n_blocks = most = 0
     for sums, pairs in _in_order(tasks()):
         n_bins = max(n_bins, sums[0].size)
@@ -901,9 +911,11 @@ def _pair_assemble(table: TupleGroupTable, sigma: float, h0: float):
         n_blocks += 1
         most = max(most, pairs)
     spectrum = spectrum[:, :n_bins]
-    real = spectrum[1] + spectrum[2]
+    real = spectrum[-1] if exact else spectrum[1] + spectrum[2]
     imag = spectrum[3] + spectrum[4] if len(spectrum) == 5 else np.zeros(n_bins)
-    d = np.flatnonzero(spectrum[0])  # the d that pairs have; none has d = 0
+    # The d that pairs have (none has d = 0): the counted bins, or for a
+    # positive table the bins whose sum, a sum of positive products, is nonzero.
+    d = np.flatnonzero(spectrum[0])
     kernel = interval_kernel(6 * np.append(0, d), sigma, h0, table.n)
     length, kernel = kernel[0].real, kernel[1:]
     energy *= length

@@ -26,6 +26,9 @@ box when it keeps H mod 1: T always, every g of G when |H| = 1.
   |H| = 1, 6 | m1, 6 | m3: the slab x1 < 1/6, x2 < 1/2 (x2 < 1 for odd
       m2), times 12 (6).
   |H| = 1, m1 and m3 even: the slab x1 < 1/2, x2 < 1/2 (or 1), times 4 (2).
+  |H| = 1, odd m1, 3 | m1, 3 | m3: the slab x1 < 1/3, x2 < 1/2 when m2 and
+      m3 are even, else x2 < 1, times 6 (3), by (1/3, 0, 2/3) and
+      (0, 1/2, 1/2).
   otherwise, m1 and m2 even: T, the half box x1 < 1/2, times 2.
   M:  x -> -x mod 1, for real coefficients with 2 h0 + |H| an integer,
       where S(Mx) = conj S(x). For the g of the group used whose (x1, x2)
@@ -250,12 +253,23 @@ def _fold(counts, full_period: bool, mirror: bool) -> tuple[int, int, bool]:
     a = 1. For a > 1, f1 = a and f2 = 2 for even m2, else 1 (the shifts of
     G); for a = 1, f1 = 2 when m1 and m2 are even (T), else 1, and f2 = 1.
     mirrored: mirror holds and m1/f1 is even; then f1 doubles.
+
+    Odd m1 takes neither a > 1 nor T. With full_period, 3 | m1 and 3 | m3
+    it takes f1 = 3: g = (1/3, 0, 2/3) is in G (6 g3 = 4, 2 g2 + 6 g3 = 4
+    and g1 + g2 + g3 = 1 are integers), m1/3 and 2 m3/3 are integers, so g
+    and 2g = (2/3, 0, 1/3) permute the grid and tile x1 by thirds. When m2
+    and m3 are even too, h = (0, 1/2, 1/2) (6 h3 = 3, 2 h2 + 6 h3 = 4,
+    h1 + h2 + h3 = 1) permutes it and halves x2: f2 = 2, and the six
+    shifts ig + jh have the six distinct (x1, x2) parts of the slab's
+    translates. m1/3 is odd, so the mirror does not double f1.
     """
     m1, m2, m3 = counts
     if full_period and m1 % 6 == 0 and m3 % 6 == 0:
         f1, f2 = 6, 2 - m2 % 2
     elif full_period and m1 % 2 == 0 and m3 % 2 == 0:
         f1, f2 = 2, 2 - m2 % 2
+    elif full_period and m1 % 2 == 1 and m1 % 3 == 0 and m3 % 3 == 0:
+        f1, f2 = 3, (2 if m2 % 2 == m3 % 2 == 0 else 1)
     else:
         f1, f2 = (2 if m1 % 2 == 0 and m2 % 2 == 0 else 1), 1
     mirrored = mirror and (m1 // f1) % 2 == 0
@@ -293,7 +307,10 @@ def moment_quadrature(
     the shifts of G with x2-part 0 or 1/2 (0 only, for odd m2) tile the box
     by the slab x1 < 1/6, x2 < 1/2 (or 1): f1 = 6, f2 = 2 (or 1). With
     |H| = 1 and m1, m3 even, the subgroup {0, T, (0, 1/2, 1/2),
-    (1/2, 0, 1/2)} does the same with f1 = 2. Otherwise T alone, when m1
+    (1/2, 0, 1/2)} does the same with f1 = 2. With |H| = 1, odd m1,
+    3 | m1 and 3 | m3, the shifts by (1/3, 0, 2/3) and its double do it
+    with f1 = 3, and with (0, 1/2, 1/2) too, when m2 and m3 are even,
+    f2 = 2 (_fold). Otherwise T alone, when m1
     and m2 are both even: cell (j1, j2, j3) goes to (j1 + m1/2,
     j2 + m2/2 mod m2, j3), f1 = 2, f2 = 1.
 

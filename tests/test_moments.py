@@ -1,5 +1,6 @@
 """Unit tests for the exact moment engine and its brute-force oracle."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from momentcurve import (
     moment_exact,
     vinogradov_count,
 )
-from momentcurve import moments
+from momentcurve import expsums, moments
 from momentcurve.moments import _packing_multipliers
 
 
@@ -218,7 +219,7 @@ class TestGroupTable:
         assert np.array_equal(table.group_starts(), np.flatnonzero(first))
         sel = np.array([[0, 5], [7, table.n_entries - 1]])
         for e in (1, 2, 3):
-            assert np.array_equal(table.power_sum(e, sel), rows.power_sum(e, sel))
+            assert np.array_equal(table.power_sum(e)[sel], rows.power_sum(e)[sel])
 
     def test_build_hands_the_batches_memory_back(self, monkeypatch):
         # The batches are allocated on pool threads and freed on this one;
@@ -455,7 +456,7 @@ def full_square_sum(table, sigma, h0):
     """Sum of c_i conj(c_j) K(p3_i - p3_j) over the full g x g square of each group."""
     total = 0.0 + 0.0j
     for sl in group_slices(table):
-        p3 = table.power_sum(3, sl)
+        p3 = table.power_sum(3)[sl]
         d = p3[:, None] - p3[None, :]
         w = interval_kernel(d.ravel(), sigma, h0, table.n).reshape(d.shape)
         c = table.coeffs[sl].astype(complex)
@@ -517,7 +518,7 @@ class TestPairAssembly:
         exact *= Fraction(float(n) ** -sigma)
         if sigma > 0.0:
             for sl in group_slices(table):
-                p3 = table.power_sum(3, sl)
+                p3 = table.power_sum(3)[sl]
                 c = [(Fraction(z.real), Fraction(z.imag)) for z in table.coeffs[sl].tolist()]
                 for i, j in zip(*np.triu_indices(p3.size, 1)):
                     k = complex(interval_kernel(int(p3[j] - p3[i]), sigma, spec.h0, n))
@@ -540,7 +541,7 @@ class TestPairAssembly:
         want = set()
         n_pairs = 0
         for sl in group_slices(table):
-            p3 = table.power_sum(3, sl)
+            p3 = table.power_sum(3)[sl]
             i, j = np.triu_indices(p3.size, 1)
             want.update((p3[j] - p3[i]).tolist())
             n_pairs += i.size
@@ -664,34 +665,109 @@ class TestWindowSpectrum:
 
     @pytest.mark.parametrize("family", ["constant", "random_sign"])
     def test_integer_coefficients_give_an_exact_spectrum(self, monkeypatch, family):
-        # Integer products are multiples of the split's quantum, so every lo
-        # part is 0 and the bins hold R(d) exactly, mirrored table or not.
+        # Integer products are multiples of the split's quantum, so lo would
+        # be 0: such a table takes the exact route, whose bins hold R(d)
+        # exactly, mirrored table or not, and never the split (_spectrum).
         n, s = 16, 4
         spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 3), sigma=1.0, h0=0.3)
         full = build_group_table(spec, s)
         want = {}
         for sl in group_slices(full):
-            p3 = full.power_sum(3, sl).tolist()
+            p3 = full.power_sum(3)[sl].tolist()
             c = [int(x) for x in np.rint(full.coeffs[sl]).tolist()]
             for i, j in itertools.combinations(range(len(p3)), 2):
                 key = (p3[j] - p3[i]) // 6
                 want[key] = want.get(key, 0) + 2 * c[i] * c[j]
-        spectrum = moments._spectrum
+        table = build_group_table(spec, s, mirrored=family == "constant")
+        sizes = np.diff(np.append(table.group_starts(), table.n_entries))
+        n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+        assert moments._quantum(n_pairs, float(np.max(np.abs(table.coeffs)))) <= 1.0
+        exact = moments._integer_spectrum
         got = {}
 
-        def spy(q, terms, quantum):
-            sums, pairs = spectrum(q, terms, quantum)
-            count, hi, lo = sums
-            assert quantum <= 1.0 and not lo.any() and np.array_equal(hi, np.rint(hi))
-            assert count.sum() == pairs
+        def spy(q, products, weight, positive):
+            sums, pairs = exact(q, products, weight, positive)
+            *count, hi = sums
+            assert positive is (family == "constant") and np.array_equal(hi, np.rint(hi))
+            if positive:  # a bin holds pairs exactly when its sum is nonzero
+                assert np.array_equal(hi != 0, np.bincount(q) != 0) and pairs == q.size
+            else:
+                assert count[0].sum() == pairs
             for key, value in enumerate(hi.tolist()):
                 got[key] = got.get(key, 0) + int(value)
             return sums, pairs
 
-        monkeypatch.setattr(moments, "_spectrum", spy)
+        def split(*args):
+            raise AssertionError("an integer table took the split route")
+
+        monkeypatch.setattr(moments, "_integer_spectrum", spy)
+        monkeypatch.setattr(moments, "_spectrum", split)
         res = moment_exact(spec, s)
         assert res.detail["mirrored"] is (family == "constant")
         assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("s, n", [(3, 14), (4, 11), (5, 8)])
+    def test_matches_the_split_route_bit_for_bit(self, monkeypatch, s, n, chunk):
+        # Every table, on the exact route or not, gives the value, bound and
+        # detail of split_route_pair_assemble, which splits every product
+        # and divides each pair's p3 difference by 6.
+        if chunk is not None:
+            monkeypatch.setattr(moments, "_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(10 * s + n)
+        families = {
+            "constant": np.ones(n),
+            "random_sign": coeffs_for("random_sign", n, s),
+            "random_phase": coeffs_for("random_phase", n, s),
+            "palindromic": oracle_coeffs(rng, n, "palindromic"),
+            "palindromic_signs": palindromic_signs(n, s),
+        }
+        for family, coeffs in families.items():
+            for mirrored in (False, True) if family.startswith(("constant", "palindromic")) else (False,):
+                table = build_group_table(ExpSumSpec(n=n, coeffs=coeffs), s, mirrored=mirrored)
+                for sigma, h0 in ((0.5, 0.0), (1.3, 0.3), (2.0, 0.3)):
+                    value, err, detail = moments._pair_assemble(table, sigma, h0)
+                    ref_value, ref_err, ref_detail = split_route_pair_assemble(table, sigma, h0)
+                    case = (family, mirrored, sigma, h0)
+                    assert (value.hex(), err.hex()) == (ref_value.hex(), ref_err.hex()), case
+                    assert detail == ref_detail, case
+
+    @pytest.mark.parametrize("family", ["constant", "random_sign", "random_phase"])
+    def test_three_row_table_matches_the_packed_key(self, family):
+        # A table built by hand in the three-row key layout: q comes from
+        # its p3 row, and every bit is that of the packed table.
+        n, s = 12, 4
+        packed = build_group_table(ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 2)), s)
+        rows = moments.TupleGroupTable(
+            n=n, s=s, keys=np.stack([packed.p1, packed.p2, packed.power_sum(3)]),
+            coeffs=packed.coeffs, n_tuples=n**s,
+        )
+        assert rows.multipliers is None and packed.multipliers is not None
+        for sigma, h0 in ((1.0, 0.3), (1.7, 0.0)):
+            got = moments._pair_assemble(rows, sigma, h0)
+            want = moments._pair_assemble(packed, sigma, h0)
+            assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
+            ref = split_route_pair_assemble(rows, sigma, h0)
+            assert (got[0].hex(), got[1].hex(), got[2]) == (ref[0].hex(), ref[1].hex(), ref[2])
+
+    def test_large_integers_take_the_split_route(self, monkeypatch):
+        # Integers near 2^24 make S = 8 P big^2 pass 2^51, so Q > 1: the
+        # products are not all multiples of Q and must be split.
+        table = build_group_table(spec_ones(10), 4, mirrored=True)
+        rng = np.random.default_rng(4)
+        big = rng.integers(2**23, 2**24, table.n_entries) * rng.choice([-1, 1], table.n_entries)
+        table = dataclasses.replace(table, coeffs=big.astype(float))
+        sizes = np.diff(np.append(table.group_starts(), table.n_entries))
+        n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+        assert moments._quantum(n_pairs, float(np.max(np.abs(big)))) > 1.0
+
+        def exact(*args):
+            raise AssertionError("a table with Q > 1 took the exact route")
+
+        monkeypatch.setattr(moments, "_integer_spectrum", exact)
+        got = moments._pair_assemble(table, 1.2, 0.3)
+        want = split_route_pair_assemble(table, 1.2, 0.3)
+        assert (got[0].hex(), got[1].hex(), got[2]) == (want[0].hex(), want[1].hex(), want[2])
 
     def test_quantum_refuses_2_to_the_52_pairs(self):
         # S = 8 P big^2 = 720 lies in [2^9, 2^10), so Q = 2^(10 - 51).
@@ -719,7 +795,7 @@ class TestWindowSpectrum:
         table = build_group_table(spec, 4)
         spectrum = {}
         for sl in group_slices(table):
-            p3, c = table.power_sum(3, sl), table.coeffs[sl]
+            p3, c = table.power_sum(3)[sl], table.coeffs[sl]
             i, j = np.triu_indices(p3.size, 1)
             for d, t in zip((p3[j] - p3[i]).tolist(), (c[i] * np.conj(c[j])).tolist()):
                 spectrum[d] = spectrum.get(d, 0) + t
@@ -730,6 +806,82 @@ class TestWindowSpectrum:
         # sigma = 0 forms no spectrum and says nothing about one.
         flat = moment_exact(ExpSumSpec(n=14, coeffs=spec.coeffs), 4).detail
         assert "spectrum_bins" not in flat and "distinct_d" not in flat
+
+
+def split_route_pair_assemble(table, sigma, h0):
+    """moments._pair_assemble with every table on the split route, serially.
+
+    Each block decodes p3 for its entries and divides each pair's difference
+    by 6, weighs every product and splits it at Q (moments._spectrum);
+    groups are ordered by the distinct key size * count + index. Blocks are
+    added in the same order as the pool's, so every bit must agree.
+    """
+    c = table.coeffs
+    m = table.doubled
+    starts = table.group_starts()
+    sizes = np.diff(np.append(starts, table.n_entries))
+    split = int(np.searchsorted(starts, m))
+    n_pairs = int(np.sum(sizes * (sizes - 1) // 2))
+    parts = c.view(float)
+    quantum = moments._quantum(
+        n_pairs, max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    )
+    p3_row = table.power_sum(3)
+
+    def block(weight, g, rows):
+        iu, ju = np.triu_indices(g, 1)
+        sel = (rows[:, None] + np.arange(g)).ravel()
+        p3 = p3_row[sel].reshape(-1, g)
+        q = p3[:, ju]
+        q -= p3[:, iu]
+        q //= 6
+        cs = c[sel].reshape(-1, g)
+        terms = cs[:, iu]
+        terms *= weight
+        terms *= np.conj(cs[:, ju]) if np.iscomplexobj(cs) else cs[:, ju]
+        return moments._spectrum(q.ravel(), terms.ravel(), quantum)
+
+    group_mass = np.add.reduceat(np.abs(c), starts) ** 2
+    mass = 2.0 * np.sum(group_mass[:split]) + np.sum(group_mass[split:])
+    energy = moments._weighted_energy([(c[:m], 2), (c[m:], 1)])
+    spectrum = np.zeros((5 if np.iscomplexobj(c) else 3, 0))
+    n_bins = n_blocks = most = 0
+    for weight, part in ((4.0, slice(0, split)), (2.0, slice(split, None))):
+        p_starts, p_sizes = starts[part], sizes[part]
+        order = np.argsort(p_sizes * p_sizes.size + np.arange(p_sizes.size))
+        ranked = p_sizes[order]
+        heads = np.flatnonzero(np.diff(ranked, prepend=1))
+        for a, b in zip(heads, np.append(heads[1:], ranked.size)):
+            g = int(ranked[a])
+            g_starts = p_starts[order[a:b]]
+            per = max(1, moments._PAIR_CHUNK // (g * (g - 1) // 2))
+            for lo in range(0, g_starts.size, per):
+                sums, pairs = block(weight, g, g_starts[lo : lo + per])
+                n_bins = max(n_bins, sums[0].size)
+                if n_bins > spectrum.shape[1]:
+                    grown = np.zeros((len(spectrum), max(n_bins, 2 * spectrum.shape[1])))
+                    grown[:, : spectrum.shape[1]] = spectrum
+                    spectrum = grown
+                for acc, row in zip(spectrum, sums):
+                    acc[: row.size] += row
+                n_blocks += 1
+                most = max(most, pairs)
+    spectrum = spectrum[:, :n_bins]
+    real = spectrum[1] + spectrum[2]
+    imag = spectrum[3] + spectrum[4] if len(spectrum) == 5 else np.zeros(n_bins)
+    d = np.flatnonzero(spectrum[0])
+    kernel = interval_kernel(6 * np.append(0, d), sigma, h0, table.n)
+    length, kernel = kernel[0].real, kernel[1:]
+    energy *= length
+    terms = real[d] * kernel.real + imag[d] * kernel.imag
+    r_abs = np.hypot(real[d], imag[d])
+    err = 2.0**-53 * float(
+        moments._ROUNDOFF_K * math.fsum(energy) + 3.0 * length * mass
+        + 58.0 * float(np.sum(r_abs * np.abs(kernel))) + 2.0 * length * float(np.sum(r_abs))
+        + (most + n_blocks) * n_pairs * quantum * length
+    )
+    detail = {"spectrum_bins": n_bins, "distinct_d": int(d.size)}
+    return math.fsum(np.append(energy, terms)), err, detail
 
 
 def mpmath_moment(table, sigma, h0):
@@ -748,7 +900,7 @@ def mpmath_moment(table, sigma, h0):
         kernel = {0: length}
         total = mpmath.mpf(0)
         for sl in group_slices(table):
-            p3 = table.power_sum(3, sl).tolist()
+            p3 = table.power_sum(3)[sl].tolist()
             c = [mpmath.mpc(z) for z in table.coeffs[sl].astype(complex).tolist()]
             for ci, pi in zip(c, p3):
                 for cj, pj in zip(c, p3):
@@ -783,7 +935,7 @@ class TestFactoredKernel:
         bits = 53 - top.bit_length()
         rng = np.random.default_rng(top)
         for x in [0.61 - 1.0, 0.37, 1e-300, -0.5, float(n) ** -2.0, *rng.uniform(-0.5, 1, 20)]:
-            pieces = moments._split(x, bits)
+            pieces = expsums._split(x, bits)
             assert sum(Fraction(p) for p in pieces) == Fraction(x)
             assert len(pieces) <= -(-53 // bits)
             for p in pieces:
@@ -806,7 +958,7 @@ class TestFactoredKernel:
         top = s * n**3
         p3 = np.random.default_rng(seed).integers(0, top + 1, 64)
         p3[:2] = (top, top - 1)
-        got = moments._phase(p3.astype(float), moments._split(x, 53 - top.bit_length()))
+        got = expsums._phase(p3.astype(float), expsums._split(x, 53 - top.bit_length()))
         assert np.all(np.abs(got) <= 0.5)
         with mpmath.workdps(60):
             for k, g in zip(p3.tolist(), got.tolist()):
@@ -1132,7 +1284,7 @@ def fsum_full_square(table, sigma, h0):
     term added by math.fsum: only the terms' own products round."""
     terms = []
     for sl in group_slices(table):
-        p3 = table.power_sum(3, sl)
+        p3 = table.power_sum(3)[sl]
         d = p3[:, None] - p3[None, :]
         w = interval_kernel(d.ravel(), sigma, h0, table.n)
         c = table.coeffs[sl].astype(complex)
@@ -1181,7 +1333,7 @@ class TestMirror:
         assert np.array_equal(half.keys, full.keys[:, head])
         assert np.array_equal(half.coeffs.view(np.uint64), full.coeffs[head].view(np.uint64))
         # ... and the tail is the mirror image of the part below the middle.
-        p1, p2, p3 = (full.power_sum(e, ~head) for e in (1, 2, 3))
+        p1, p2, p3 = (full.power_sum(e)[~head] for e in (1, 2, 3))
         m = n + 1
         image = np.stack([
             s * m - p1, s * m**2 - 2 * m * p1 + p2, s * m**3 - 3 * m**2 * p1 + 3 * m * p2 - p3

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -357,8 +358,22 @@ class TestMirror:
             # odd m3, so T with the mirror.
             ("constant", 2, 0.0, 0.0, 4.25, ((1, 1), (4, 1)), False),
             # (6, 18, 54): a = 6 and m1/6 = 1 is odd, so the mirror is not
-            # applied and not reported; the coarse m1 = 3 is odd.
-            ("constant", 3, 0.0, 0.0, 2.0, ((6, 2), (1, 1)), False),
+            # applied and not reported. The coarse (3, 9, 27) has odd m1 with
+            # 3 | m1 and 3 | m3: x1 in thirds, x2 whole (odd m2).
+            ("constant", 3, 0.0, 0.0, 2.0, ((6, 2), (3, 1)), False),
+            # Odd m1 with 3 | m1 and 3 | m3 is cut in thirds by (1/3, 0, 2/3);
+            # m1/3 is odd, so the mirror never doubles it. (9, 27, 81): odd m2
+            # and m3 keep x2 whole; the coarse (4, 13, 40) takes a = 2 and,
+            # for constant coefficients, the mirror.
+            ("constant", 3, 0.0, 0.0, 3.0, ((3, 1), (4, 1)), False),
+            ("random_phase", 3, 0.0, 0.0, 3.0, ((3, 1), (2, 1)), False),
+            # (3, 6, 12) and (9, 26, 78): m2 and m3 even, so (0, 1/2, 1/2)
+            # halves x2 as well. The coarse (1, 3, 6) is not cut; the coarse
+            # (4, 13, 39) has odd m3, so only the mirror cuts it.
+            ("random_phase", 2, 0.0, 0.0, 1.5, ((3, 2), (1, 1)), False),
+            ("constant", 3, 0.0, 0.0, 2.87, ((3, 2), (2, 1)), False),
+            # sigma > 0 keeps odd m1 whole: (3, 9, 9) at N = 3, sigma = 1.
+            ("constant", 3, 1.0, 0.0, 1.0, ((1, 1), (1, 1)), False),
             # (8, 15, 29): odd m3 and odd m2, so only the mirror cuts; the
             # coarse (4, 7, 14) takes a = 2 with x2 whole.
             ("random_phase", 2, 0.0, 0.0, 3.6, ((1, 1), (2, 1)), False),
@@ -403,14 +418,18 @@ def _expected_fold(counts, full_period, mirror):
     """(f1, f2, mirrored) of moment_quadrature's rule, restated.
 
     On a full period x1 is cut by the larger of 6 and 2 that divides both
-    m1 and m3, and x2 is then halved when m2 is even. Otherwise only
-    T = (1/2, 1/2, 0) is left, which halves x1 when m1 and m2 are both
-    even. The mirror halves x1 once more when the cut count is even.
+    m1 and m3, and x2 is then halved when m2 is even. For odd m1 it is cut
+    by 3 when 3 divides m1 and m3, and x2 is then halved when m2 and m3 are
+    both even. Otherwise only T = (1/2, 1/2, 0) is left, which halves x1
+    when m1 and m2 are both even. The mirror halves x1 once more when the
+    cut count is even.
     """
     m1, m2, m3 = counts
     cuts = [a for a in (6, 2) if full_period and m1 % a == m3 % a == 0]
     if cuts:
         f1, f2 = cuts[0], (2 if m2 % 2 == 0 else 1)
+    elif full_period and m1 % 2 == 1 and m1 % 3 == m3 % 3 == 0:
+        f1, f2 = 3, (2 if m2 % 2 == m3 % 2 == 0 else 1)
     else:
         f1, f2 = (2 if m1 % 2 == m2 % 2 == 0 else 1), 1
     if mirror and (m1 // f1) % 2 == 0:
@@ -446,17 +465,30 @@ class TestFold:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=8),
-        x=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
-        g=st.sampled_from([(1 / 6, 0.0, -1 / 6), (0.0, 0.5, 0.5), (1 / 6, 0.5, 1 / 3)]),
+        n=st.integers(min_value=1, max_value=12),
+        # x_i = j 2^-53 < 1/12, so x + float(g) is exact for every g below.
+        x=st.tuples(*[st.integers(min_value=0, max_value=2**53 // 12 - 1)] * 3),
+        g=st.sampled_from([
+            (Fraction(1, 6), 0, Fraction(-1, 6)),
+            (0, Fraction(1, 2), Fraction(1, 2)),
+            (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
+        ]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_shear_and_x3_shifts_keep_the_sum(self, n, x, g, seed):
         # k^3 = k mod 6, so the shear keeps S; (0, 1/2, 1/2) holds as
         # (k^2 + k^3) / 2 = k^2 (k + 1) / 2 is an integer.
         spec, scale = self._drawn(n, seed)
-        moved = tuple(xi + gi for xi, gi in zip(x, g))
-        assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 1e-12 * scale
+        x = tuple(math.ldexp(j, -53) for j in x)
+        moved = tuple(xi + float(gi) for xi, gi in zip(x, g))
+        assert all(Fraction(m) == Fraction(xi) + Fraction(float(gi)) for m, xi, gi in zip(moved, x, g))
+        # Only float(g) != g moves the phase of term k, by 2 pi times
+        # sum_i k^i (float(g_i) - g_i): at most 2e-13 sum |a_k| at N = 12.
+        drift = sum(
+            abs(a) * abs(float(sum(k**i * (Fraction(float(gi)) - gi) for i, gi in enumerate(g, 1))))
+            for k, a in enumerate(spec.coeffs.tolist(), 1)
+        )
+        assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 2 * math.pi * drift + 1e-14 * scale
 
     @pytest.mark.parametrize(
         "g", [(1 / 3, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5), (1 / 12, 0.0, -1 / 12)]
