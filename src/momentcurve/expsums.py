@@ -72,10 +72,11 @@ def eval_sum(spec: ExpSumSpec, x) -> complex | np.ndarray:
     Returns a scalar for a single point, else an array of shape (m,). Each
     term's phase k x1 + k^2 x2 + k^3 x3 is reduced mod 1 exactly, axis by
     axis: x_i - round(x_i) splits into pieces of 53 - b bits, k^i < 2^b,
-    so every k^i times a piece is an exact float (_split, _phase). Each axis
-    then errs by at most u (u = 2^-53) and each of the two sums of reduced
-    phases rounds by at most u: the phase errs by a few u whatever N and x,
-    where the unreduced sum errs by about N^3 |x3| u. It needs N^3 < 2^52.
+    so every k^i times a piece is an exact float (_split, _phase). While
+    N^3 < 2^26 every split has at most two pieces, so each axis errs by at
+    most u/2 (u = 2^-53) and each of the two sums of reduced phases rounds
+    by at most u/2: the phase errs by at most 5u/2 turns whatever x, where
+    the unreduced sum errs by about N^3 |x3| u. It needs N^3 < 2^52.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
