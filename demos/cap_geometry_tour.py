@@ -1,8 +1,10 @@
 """Tour of the curve neighborhood: frames, caps, cone map, rescaling ladder.
 
-Prints the frame at a sample parameter, shows how the quadratic and cubic
-defects transform under the renormalization map, maps tangent directions onto
-the light cone, and runs the sampled containment checks at modest sizes.
+Prints the frame at a sample parameter, recovers a difference box's frame
+coefficients from its points, shows how far a dilated block's draws reach,
+shows how the quadratic and cubic defects transform under the
+renormalization map, maps tangent directions onto the light cone, and runs
+the sampled containment checks at modest sizes.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from momentcurve import (
+    CanonicalBlock,
     DecouplingParams,
     check_cone_containment_geo2,
     check_cone_containment_geo3,
@@ -22,9 +25,12 @@ from momentcurve import (
     default_geo1_scales,
     default_geo2_scales,
     default_geo3_scales,
+    frame_coordinates,
     frame_matrix,
     frenet_frame,
+    gamma_tilde,
     rescale_map_L,
+    sample_block,
 )
 
 
@@ -40,6 +46,20 @@ def main() -> None:
     print(f"curve point gamma({t0}) = {curve_point(t0)}")
     frame = frame_matrix(t0)
     print(f"frame determinant {np.linalg.det(frame):.12g} (always 12)")
+
+    rng = np.random.default_rng(args.seed)
+    r_k = 64.0
+    box = gamma_tilde(r_k, 2.0 * r_k, args.R, 32)
+    pts = box.to_points(box.sample(rng, 200))
+    print(f"\ndifference box at l=32 of r_k={r_k:.0f}: its points, read back in frames at l':")
+    for lp in (32, 33, 40):
+        inside = box.contains_abc(frame_coordinates(lp / r_k, pts))
+        print(f"  l'={lp}: {np.count_nonzero(inside)} of {len(pts)} inside")
+    block = CanonicalBlock(16, 5)
+    for dilation in (1.0, 4.0):
+        drawn = sample_block(block, rng, 1000, dilation=dilation)
+        print(f"  block (s=16, l=5) dilated {dilation:g}: "
+              f"{np.count_nonzero(block.contains(drawn))} of 1000 draws in the core block")
 
     print("\ncone map T on tangent directions (angle falls from pi/2):")
     cone = cone_map_T()

@@ -190,8 +190,7 @@ def _cmd_moment(args, argv: list[str]) -> int:
         "detail": res.detail,
     }
     path = layout.result_path("moment-" + args_digest(config))
-    write_json(path, record)
-    manifest.add_output(path)
+    manifest.add_output(path, write_json(path, record))
     manifest.wall_time_s = wall
     layout.flush_manifest(manifest)
     print(
@@ -255,8 +254,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
             rows.append(row_fn(cfg, x))
     except BudgetError as exc:
         # Flush whatever completed so the run is diagnosable post hoc.
-        _write_sweep_csv(csv_path, cfg.x_label, rows)
-        manifest.add_output(csv_path)
+        manifest.add_output(csv_path, _write_sweep_csv(csv_path, cfg.x_label, rows))
         manifest.status = "failed"
         manifest.wall_time_s = time.perf_counter() - t0
         layout.flush_manifest(manifest)
@@ -264,7 +262,7 @@ def _cmd_sweep(args, argv: list[str]) -> int:
         return EXIT_BUDGET
     report = envelope_report(cfg, rows)
     fit = report.fit
-    _write_sweep_csv(csv_path, cfg.x_label, rows)
+    csv_digest = _write_sweep_csv(csv_path, cfg.x_label, rows)
     verdict = "PASS" if report.passed else "FAIL"
     summary = {
         "command": "sweep",
@@ -282,9 +280,9 @@ def _cmd_sweep(args, argv: list[str]) -> int:
         "detail": {**report.detail, "kind": cfg.kind},
         "table": csv_path,
     }
-    write_json(fit_path, summary)
-    manifest.add_output(csv_path)
-    manifest.add_output(fit_path)
+    fit_digest = write_json(fit_path, summary)
+    manifest.add_output(csv_path, csv_digest)
+    manifest.add_output(fit_path, fit_digest)
     manifest.wall_time_s = time.perf_counter() - t0
     layout.flush_manifest(manifest)
     print(
@@ -295,13 +293,13 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _write_sweep_csv(path: str, x_label: str, rows) -> None:
+def _write_sweep_csv(path: str, x_label: str, rows) -> str:
     header = [x_label, "value", "envelope", "seed_count", "method", "err_estimate"]
     body = [
         [r.x, r.value, r.envelope, r.seed_count, r.method, r.err_estimate]
         for r in rows
     ]
-    write_csv(path, header, body)
+    return write_csv(path, header, body)
 
 
 def _geometry_report(args):
@@ -384,8 +382,7 @@ def _cmd_geometry(args, argv: list[str]) -> int:
         "payload": payload,
     }
     path = layout.result_path(f"geometry-{args.check}-" + args_digest(config))
-    write_json(path, record)
-    manifest.add_output(path)
+    manifest.add_output(path, write_json(path, record))
     manifest.wall_time_s = wall
     manifest.status = "ok" if violations == 0 else "violation"
     layout.flush_manifest(manifest)

@@ -66,6 +66,24 @@ def frame_matrix(t: float) -> np.ndarray:
     return np.column_stack(frenet_frame(t))
 
 
+def _frame_points(abc, t0) -> np.ndarray:
+    """Points A gamma'(t0) + B gamma''(t0) + C gamma'''(t0) of coefficient rows.
+
+    abc is (..., n, 3) and t0 a float or an array of the leading shape: one
+    np.matmul of abc with the stacked transposed frames frame_matrix(t0).T,
+    built entry by entry as frenet_frame builds them. A stack of boxes gets
+    the bits of box-by-box products, since matmul runs the same product per
+    leading index.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    zero = np.zeros(t0.shape)
+    rows = np.stack(
+        [zero + 1.0, 2.0 * t0, 3.0 * t0 * t0, zero, zero + 2.0, 6.0 * t0, zero, zero, zero + 6.0],
+        axis=-1,
+    )
+    return np.matmul(abc, rows.reshape(t0.shape + (3, 3)))
+
+
 def frame_coordinates(t0, q) -> np.ndarray:
     """Coefficients (A, B, C) with q = A gamma'(t0) + B gamma''(t0) + C gamma'''(t0).
 
@@ -76,9 +94,15 @@ def frame_coordinates(t0, q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     a = q[..., 0]
-    b = (q[..., 1] - 2.0 * t0 * a) / 2.0
-    c = (q[..., 2] - 3.0 * t0 * t0 * a - 6.0 * t0 * b) / 6.0
+    b, c = _frame_bc(t0, a, q[..., 1], q[..., 2])
     return np.stack(np.broadcast_arrays(a, b, c), axis=-1)
+
+
+def _frame_bc(t0, a, q1, q2):
+    """frame_coordinates' B and C of the points with coordinates (a, q1, q2)."""
+    b = (q1 - 2.0 * t0 * a) / 2.0
+    c = (q2 - 3.0 * t0 * t0 * a - 6.0 * t0 * b) / 6.0
+    return b, c
 
 
 def defect2(xi) -> np.ndarray:
@@ -97,11 +121,17 @@ def _defects_within(xi, tol2: float, tol3: float, slack: float):
     return ok2 & (np.abs(defect3(xi)) <= tol3 * (1.0 + slack))
 
 
-def _lift(x1, d2, d3) -> np.ndarray:
-    """Points with first coordinate x1 and defects (d2, d3)."""
+def _lift_columns(x1, d2, d3):
+    """Coordinate columns (x1, x2, x3) of the points with first coordinate x1
+    and defects (d2, d3)."""
     x2 = x1**2 + d2
     x3 = 3.0 * x1 * x2 - 2.0 * x1**3 + d3
-    return np.column_stack([x1, x2, x3])
+    return x1, x2, x3
+
+
+def _lift(x1, d2, d3) -> np.ndarray:
+    """Points with first coordinate x1 and defects (d2, d3)."""
+    return np.column_stack(_lift_columns(x1, d2, d3))
 
 
 def _require_global_scale(R: float) -> None:
@@ -224,12 +254,19 @@ def sample_block(block: CanonicalBlock, rng, count: int, dilation: float = 1.0) 
     Dilation acts on the slice/defect parametrization: the xi1 slice and both
     defect tolerances are widened by the factor about the block center.
     """
+    return np.column_stack(_block_columns(block, rng, count, dilation))
+
+
+def _block_columns(block: CanonicalBlock, rng, count: int, dilation: float):
+    """The coordinate columns of sample_block's draws."""
     s = float(block.s)
     center = (block.l + 0.5) / s
     x1 = center + (rng.uniform(0.0, 1.0, count) - 0.5) * dilation / s
+    # Left to right as written: folding dilation * s**-2.0 * DEFECT_MARGIN
+    # into one factor first rounds differently and moves geo3 reports.
     d2 = rng.uniform(-1.0, 1.0, count) * dilation * s**-2.0 * DEFECT_MARGIN
     d3 = rng.uniform(-1.0, 1.0, count) * dilation * s**-3.0 * DEFECT_MARGIN
-    return _lift(x1, d2, d3)
+    return _lift_columns(x1, d2, d3)
 
 
 @dataclass(frozen=True)
@@ -269,8 +306,7 @@ class ParamBox:
         return ok_a & ok_b & ok_c
 
     def to_points(self, abc) -> np.ndarray:
-        abc = np.asarray(abc, dtype=float)
-        return abc @ frame_matrix(self.t0).T
+        return _frame_points(np.asarray(abc, dtype=float), self.t0)
 
 
 def gamma_tilde(r_k: float, r_next: float, R: float, l: int, c_eps: float = 1.0) -> ParamBox:
@@ -408,13 +444,23 @@ def _cone_deviation(y: np.ndarray, center, w_ang: float, w_rad: float):
     return zeta, ok, float(np.max(dev / (0.5 * w_ang))), float(np.max(radial / w_rad))
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array in increasing order, as np.unique
+    gives them, from one sort and a comparison of neighbours. (np.unique's
+    first call imports numpy.ma, some 8 ms of a short command.)"""
+    x = np.sort(x)
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
+
+
 def _spread_l_indices(n_slots: int, rng, cap: int = 64) -> np.ndarray:
     if n_slots > np.iinfo(np.int64).max:
         raise SpecValidationError(f"{float(n_slots):.3g} ladder indices do not fit in int64")
     if n_slots <= cap:
         return np.arange(n_slots)
     picked = rng.choice(n_slots, size=cap - 2, replace=False)
-    return np.unique(np.concatenate([[0, n_slots - 1], picked]))
+    return _sorted_distinct(np.concatenate([[0, n_slots - 1], picked]))
 
 
 @dataclass(frozen=True)
@@ -464,17 +510,23 @@ def check_overlap_geo1(
     magnitude then exceeds the combined B widths. Hits beyond the threshold
     count as violations.
 
-    Each anchor l draws its box sample and then its far probes, in that
-    order; then the pairs of every anchor are tested in one array pass. The
-    box ranges do not depend on the index, so one box tests every pair.
+    The anchor loop holds only the draws: each anchor l draws its box sample
+    (ParamBox.sample) and then its far probes, in that order. The box ranges
+    do not depend on the index, so one gamma_tilde box draws for every
+    anchor and tests every pair. One stacked frame product (_frame_points,
+    the product ParamBox.to_points takes) then gives every anchor's points,
+    and the pairs of all anchors are tested in one array pass. A point's A
+    is its first coordinate at every t', so the A range is tested once per
+    point.
 
     Candidate window. At t' the B coordinate of q is B(t') = q1/2 - t' A, so
     |B| <= b = b_bound (1 + SLACK), as contains_abc asks, holds only for
     l' = r_k t' in r_k (q1/2 -+ b) / A: an interval of half width
     W = b r_k / |A|, at most 4 c_eps (1 + SLACK) when r_next = 2 r_k. Only
-    the near l' and far probes inside it are tested, each by the same
-    elementwise frame_coordinates call as a full test, so every tested pair
-    keeps its bits. The computed B(l') and interval ends stand a few
+    the near l' and far probes inside it are tested, each forming B and C
+    from the point's coordinates as frame_coordinates does (_frame_bc), so
+    every tested pair keeps the bits of a full test. The computed B(l') and
+    interval ends stand a few
     roundings u = 2^-53 from the exact ones, each at most (r_k + 2 W) u in
     index units, since |t'| < 1 and |q1| <= 2 |A| + 2 b_bound. A subnormal A
     (r_next near 1e308) adds at most 2^-1075 r_k / |A| <= 8 u r_k per
@@ -507,48 +559,64 @@ def check_overlap_geo1(
     # No l' is farther than n_l from l, so a wider window changes nothing.
     window = min(n_l, math.ceil(min(threshold, n_l)) + 2)
 
-    blocks = []
+    box = gamma_tilde(r_k, r_next, R, 0, c_eps)
+    abc = np.empty((ls.size, per_l, 3))
     probes = np.zeros((ls.size, 8), dtype=np.int64)
     n_probes = np.zeros(ls.size, dtype=np.int64)
     for j, l in enumerate(ls):
-        box = gamma_tilde(r_k, r_next, R, int(l), c_eps)
-        blocks.append(box.to_points(box.sample(rng, per_l)))
+        abc[j] = box.sample(rng, per_l)
         probe = _far_probes(rng, n_l, int(l), window)
         n_probes[j] = probe.size
         probes[j, : probe.size] = probe
-    pts = np.concatenate(blocks)
+    q0, q1, q2 = _frame_points(abc, ls / r_k).reshape(-1, 3).T
     anchor = np.repeat(ls, per_l)
 
     b = box.b_bound * (1.0 + SLACK)
-    a = pts[:, 0]
+    c = box.c_bound * (1.0 + SLACK)
+    # A is q0 at every t', so contains_abc's A test is one test per point.
+    mag = np.abs(q0)
+    ok_a = (mag >= box.a_lo * (1.0 - SLACK)) & (mag <= box.a_hi * (1.0 + SLACK))
     reach = float(n_l + 1)
     with np.errstate(over="ignore"):
         # Offsets from the anchor. Each interval holds its anchor, so an end
         # that overflows is -inf below it or +inf above it, never NaN with err.
-        ends = (0.5 * pts[:, 1, None] + [-b, b]) / a[:, None] * r_k - anchor[:, None]
-        err = 64.0 * 2.0**-53 * r_k * (1.0 + b / np.abs(a))
-    first = anchor + np.maximum(np.floor(ends.min(axis=1) - err), -reach).astype(np.int64)
-    last = anchor + np.minimum(np.ceil(ends.max(axis=1) + err), reach).astype(np.int64)
+        end_lo = (0.5 * q1 - b) / q0 * r_k - anchor
+        end_hi = (0.5 * q1 + b) / q0 * r_k - anchor
+        err = 64.0 * 2.0**-53 * r_k * (1.0 + b / mag)
+    first = np.maximum(np.floor(np.minimum(end_lo, end_hi) - err), -reach)
+    last = np.minimum(np.ceil(np.maximum(end_lo, end_hi) + err), reach)
+    first = anchor + first.astype(np.int64)
+    last = anchor + last.astype(np.int64)
 
-    def hits(point: np.ndarray, lps: np.ndarray) -> np.ndarray:
-        return box.contains_abc(frame_coordinates(lps / r_k, pts[point]))
+    def hits(a: np.ndarray, x1: np.ndarray, x2: np.ndarray, lps: np.ndarray) -> np.ndarray:
+        # frame_coordinates' B and C at t' = lps / r_k, without stacking
+        # (A, B, C) rows, so each pair keeps the bits of contains_abc's test.
+        b_t, c_t = _frame_bc(lps / r_k, a, x1, x2)
+        return (np.abs(b_t) <= b) & (np.abs(c_t) <= c)
 
-    # Near pairs: one ragged row of consecutive l' per point.
+    # Near pairs: one ragged row of consecutive l' per point, and each
+    # point's hits summed over its row.
     lo = np.maximum(first, np.maximum(anchor - window, 0))
     counts = np.maximum(np.minimum(last, np.minimum(anchor + window, n_l - 1)) - lo + 1, 0)
-    point = np.repeat(np.arange(pts.shape[0]), counts)
-    lps = lo[point] + np.arange(point.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    mult = np.bincount(point[hits(point, lps)], minlength=pts.shape[0])
+    counts[~ok_a] = 0
+    row_end = np.cumsum(counts)
+    lps = np.repeat(lo - (row_end - counts), counts) + np.arange(row_end[-1])
+    near = [np.repeat(x, counts) for x in (q0, q1, q2)]
+    hit_total = np.concatenate([[0], np.cumsum(hits(*near, lps))])
+    mult = hit_total[row_end] - hit_total[row_end - counts]
 
-    far = np.repeat(probes, per_l, axis=0)
-    far_mask = np.arange(8) < np.repeat(n_probes, per_l)[:, None]
-    point, col = np.nonzero(far_mask & (far >= first[:, None]) & (far <= last[:, None]))
-    violations = int(np.count_nonzero(hits(point, far[point, col])))
+    # Far probes, (anchor, point, probe) at once against each point's interval.
+    rows = (ls.size, per_l, 1)
+    live = (np.arange(8) < n_probes[:, None])[:, None, :] & ok_a.reshape(rows)
+    far = probes[:, None, :]
+    j, i, col = np.nonzero(live & (far >= first.reshape(rows)) & (far <= last.reshape(rows)))
+    point = j * per_l + i
+    violations = int(np.count_nonzero(hits(q0[point], q1[point], q2[point], probes[j, col])))
     near_sizes = np.minimum(ls + window, n_l - 1) - np.maximum(ls - window, 0) + 1
     return OverlapReport(
         threshold=threshold,
         l_count=int(ls.size),
-        samples_used=int(pts.shape[0]),
+        samples_used=int(q0.size),
         pairs_checked=int(near_sizes.sum()),
         far_pairs_checked=int(n_probes.sum()),
         max_multiplicity=int(mult.max()),
@@ -603,15 +671,16 @@ def _cone_slab_check(
     solved from it, so every draw lands in the slab; boxes whose A range
     cannot reach the slab are skipped and counted.
 
-    The draws run box by box, in the rng order of a per-box check. The kept
-    boxes' points are then stacked, and the cone map, deviations, heights
-    and angular cells of all of them are taken in one pass. Each is
+    The box loop holds only the three draws per box, in the rng order of a
+    per-box check. The A coefficients, the frame product (_frame_points,
+    stacked over the kept boxes), the cone map, deviations, heights and
+    angular cells of all kept boxes are then taken in one pass. Each is
     elementwise, a maximum, or a count of distinct cells (per box and in
     all), so the report equals the per-box check's bit for bit.
     """
     slab_lo, slab_hi = 0.5 / r, 1.0 / r
-    blocks = []
-    centers = []
+    kept = []
+    draws = []
     for box in boxes:
         t0 = box.t0
         rho = cone_radius(t0)
@@ -620,30 +689,35 @@ def _cone_slab_check(
         z_hi = min(slab_hi, box.a_hi * rho - margin)
         if z_lo >= z_hi:
             continue
-        z = rng.uniform(z_lo, z_hi, per_l)
-        b = rng.uniform(-box.b_bound, box.b_bound, per_l)
-        c = rng.uniform(-box.c_bound, box.c_bound, per_l)
-        a = (z - b * t0 / SQRT2 - c / SQRT2) / rho
-        blocks.append(box.to_points(np.column_stack([a, b, c])))
-        centers.append(cone_angle(t0))
+        draws.append([
+            rng.uniform(z_lo, z_hi, per_l),
+            rng.uniform(-box.b_bound, box.b_bound, per_l),
+            rng.uniform(-box.c_bound, box.c_bound, per_l),
+        ])
+        kept.append((t0, rho))
     cap_count = int(math.ceil(2.0 * math.pi / w_ang))
     report = dict(
         case=case, r=r, beta1=beta1, angular_halfwidth=0.5 * w_ang, radial_width=w_rad,
-        cap_count=cap_count, l_count=len(boxes), samples_used=len(blocks) * per_l,
-        skipped_l=len(boxes) - len(blocks),
+        cap_count=cap_count, l_count=len(boxes), samples_used=len(kept) * per_l,
+        skipped_l=len(boxes) - len(kept),
     )
-    if not blocks:
+    if not kept:
         return ConeReport(**report, caps_touched=0, max_caps_per_l=0, violations=0,
                           max_angular_ratio=0.0, max_radial_ratio=0.0)
 
-    y = r * cone_map_T().apply(np.concatenate(blocks))
+    t0, rho = np.array(kept).T
+    z, b, c = np.array(draws).transpose(1, 0, 2)
+    a = (z - b * t0[:, None] / SQRT2 - c / SQRT2) / rho[:, None]
+    pts = _frame_points(np.stack([a, b, c], axis=-1), t0)
+    y = r * cone_map_T().apply(pts.reshape(-1, 3))
+    centers = [cone_angle(t) for t in t0]
     zeta, ok, ang, rad = _cone_deviation(y, np.repeat(centers, per_l), w_ang, w_rad)
     height_ok = (y[:, 2] >= 0.5 * (1.0 - SLACK)) & (y[:, 2] <= 1.0 + SLACK)
     # One row of angular cells per kept box, sorted to count its distinct cells.
-    cells = np.sort(np.floor(zeta / w_ang).astype(int).reshape(len(blocks), per_l), axis=1)
+    cells = np.sort(np.floor(zeta / w_ang).astype(int).reshape(len(kept), per_l), axis=1)
     return ConeReport(
         **report,
-        caps_touched=int(np.unique(cells).size),
+        caps_touched=int(_sorted_distinct(cells.ravel()).size),
         max_caps_per_l=int(1 + np.count_nonzero(np.diff(cells, axis=1), axis=1).max()),
         violations=int(np.count_nonzero(~(height_ok & ok))),
         max_angular_ratio=ang,
@@ -738,6 +812,15 @@ def check_cone_containment_geo3(
     cone-distance width WIDTH_FACTOR * c_eps^2 * r^2 * r_k_scale^(-4/3)
     around the angle of the block's base parameter. The inverse dilation 1/r
     must lie in [r_next_scale^(-1/3), c_eps * r_k_scale^(-1/3)].
+
+    Each block draws batches of 4 per_l pairs until per_l differences are
+    kept (at most 200 batches); the batch size and this stop rule fix the
+    rng stream. A batch draws the two samples' coordinate columns as
+    sample_block does, takes their difference column by column, its norm
+    as np.linalg.norm sums it, and the cone map by AffineMap3.apply. The
+    deviations of all kept images are then taken in one pass; they are
+    elementwise and the report keeps their count and maxima, so it equals
+    a batch-by-batch check bit for bit.
     """
     _require_samples(samples)
     rng = np.random.default_rng(seed)
@@ -771,38 +854,37 @@ def check_cone_containment_geo3(
 
     ls = _spread_l_indices(s, rng)
     per_l = max(1, samples // ls.size)
-    violations = 0
-    used = 0
+    draw = 4 * per_l
     rejected = 0
-    max_ang = 0.0
-    max_rad = 0.0
+    images = []
+    kept_per_block = []
     for l in ls:
         block = CanonicalBlock(s=s, l=int(l))
-        t0 = block.t0
-        center = cone_angle(t0)
         kept = 0
         batches = 0
         while kept < per_l and batches < 200:
             batches += 1
-            draw = 4 * per_l
-            delta = sample_block(block, rng, draw, dilation=c_eps) - sample_block(
-                block, rng, draw, dilation=c_eps
-            )
-            norms = np.linalg.norm(delta, axis=1)
-            q = t_map.apply(delta)
+            first = _block_columns(block, rng, draw, c_eps)
+            second = _block_columns(block, rng, draw, c_eps)
+            d0, d1, d2 = (u - v for u, v in zip(first, second))
+            norms = np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+            q = t_map.apply(np.column_stack([d0, d1, d2]))
             keep = (norms >= ball) & (q[:, 2] >= slab_lo) & (q[:, 2] <= slab_hi)
             rejected += int(np.count_nonzero(~keep))
             q = q[keep][: per_l - kept]
-            if q.size == 0:
-                continue
             kept += q.shape[0]
-            _, ok, ang, rad = _cone_deviation(r * q, center, w_ang, w_rad)
-            violations += int(np.count_nonzero(~ok))
-            max_ang = max(max_ang, ang)
-            max_rad = max(max_rad, rad)
-        used += kept
+            images.append(q)
+        kept_per_block.append(kept)
+    used = sum(kept_per_block)
 
     angles = np.array([cone_angle(l / s) for l in range(s)])
+    violations = 0
+    max_ang = max_rad = 0.0
+    if used:
+        centers = np.repeat(angles[ls], kept_per_block)
+        y = r * np.concatenate(images)
+        _, ok, max_ang, max_rad = _cone_deviation(y, centers, w_ang, w_rad)
+        violations = int(np.count_nonzero(~ok))
     gaps = np.abs(np.diff(angles))
     min_gap_ratio = float(np.min(gaps) * s) if gaps.size else math.inf
     return CanonicalConeReport(

@@ -9,7 +9,6 @@ across reruns with the same arguments.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -50,19 +49,15 @@ def format_cell(x) -> str:
     return str(x)
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text: str) -> str:
+    """Write text as UTF-8 through a temporary file; returns the SHA-256 of
+    the bytes written, so no caller reads the file back to hash it."""
+    data = text.encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
-
-
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def args_digest(payload: dict) -> str:
@@ -89,16 +84,19 @@ def to_jsonable(obj):
     return obj
 
 
-def write_json(path: str, payload) -> None:
-    write_text_atomic(path, json.dumps(to_jsonable(payload), indent=2, sort_keys=True) + "\n")
+def write_json(path: str, payload) -> str:
+    """Sorted, indented JSON; returns the file's SHA-256."""
+    text = json.dumps(to_jsonable(payload), indent=2, sort_keys=True)
+    return write_text_atomic(path, text + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Comma-separated, LF endings, header row, formatted numeric cells."""
+def write_csv(path: str, header: list[str], rows: list[list]) -> str:
+    """Comma-separated, LF endings, header row, formatted numeric cells;
+    returns the file's SHA-256."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_cell(c) for c in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -121,18 +119,18 @@ class RunManifest:
     outputs: list[dict] = field(default_factory=list)
     status: str = "ok"
 
-    def add_output(self, path: str) -> None:
-        self.outputs.append({"path": path, "sha256": sha256_file(path)})
+    def add_output(self, path: str, sha256: str) -> None:
+        """Record an output file with the digest its writer returned."""
+        self.outputs.append({"path": path, "sha256": sha256})
 
 
-@functools.cache
 def package_version() -> str:
-    try:
-        from importlib.metadata import version
+    """momentcurve.__version__, which pyproject.toml reads as the package
+    version: right from a checkout too, where no distribution metadata is
+    installed, and without importing importlib.metadata."""
+    from . import __version__
 
-        return version("momentcurve")
-    except Exception:
-        return "0.0.0"
+    return __version__
 
 
 def new_manifest(command: list[str], config: dict, seeds: list[int]) -> RunManifest:

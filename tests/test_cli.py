@@ -1,16 +1,22 @@
 """End-to-end tests for the command-line front end."""
 
 import dataclasses
+import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from momentcurve import ExpSumSpec, SweepConfig, build_group_table, coeffs_for, verify_envelope
 from momentcurve import cli
 from momentcurve.cli import SWEEP_KEYS, main
-from momentcurve.records import format_cell, sha256_file
+import momentcurve
+from momentcurve.records import format_cell
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, body):
@@ -189,11 +195,37 @@ s = 3
         main(["moment", "--N", "5", "--s", "2", "--out", str(tmp_path)])
         manifest = read_only_json(tmp_path / "manifests", "2*.json")
         (entry,) = manifest["outputs"]
-        assert sha256_file(entry["path"]) == entry["sha256"]
+        # The digest the writer returned is that of the bytes on disk.
+        assert hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
         record = json.loads(open(entry["path"]).read())
         assert record["manifest"] == manifest["run_id"]
         index = (tmp_path / "manifests" / "index.jsonl").read_text().strip()
         assert json.loads(index)["run_id"] == manifest["run_id"]
+
+
+    def test_manifest_version_is_pyprojects(self, tmp_path):
+        # pyproject.toml takes its version from momentcurve.__version__, so a
+        # run from a checkout, with no installed metadata, records it too.
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
+        assert re.search(r'^version = \{attr = "momentcurve.__version__"\}$', pyproject, re.M)
+        main(["moment", "--N", "5", "--s", "2", "--out", str(tmp_path)])
+        manifest = read_only_json(tmp_path / "manifests", "2*.json")
+        assert manifest["version"] == momentcurve.__version__ == "0.1.0"
+
+    def test_sweep_manifest_digests_match_files(self, tmp_path):
+        cfg = write_config(tmp_path / "s.ini", """
+[sweep]
+kind = mainexp
+x_values = 4, 8, 16
+sigma = 1.0
+s = 2
+""")
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 0
+        manifest = read_only_json(tmp_path / "manifests", "2*.json")
+        assert len(manifest["outputs"]) == 2
+        for entry in manifest["outputs"]:
+            assert hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
 
 
 class TestSweepCommand:
@@ -552,6 +584,25 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0
         assert "value=15" in proc.stdout
+
+    def test_geometry_commands_skip_numpy_ma_and_metadata(self, tmp_path, child_env):
+        # A fresh process running geo1 and geo2 imports neither numpy.ma
+        # (np.unique's first call does) nor importlib.metadata (a version
+        # lookup of installed distributions).
+        code = (
+            "import sys\n"
+            "from momentcurve.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for check in ('geo1', 'geo2'):\n"
+            "    assert main(['geometry', check, '--samples', '500', '--out', out]) == 0\n"
+            "print(sorted(m for m in ('numpy.ma', 'importlib.metadata') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_usage_error_is_exit_2(self, child_env):
         proc = subprocess.run(

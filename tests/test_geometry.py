@@ -40,6 +40,7 @@ from momentcurve.geometry import (
     OverlapReport,
     PartitionReport,
     RescaleReport,
+    _sorted_distinct,
     _spread_l_indices,
 )
 
@@ -141,6 +142,75 @@ def _cone_slab_loop_reference(boxes, r, w_ang, w_rad, rng, per_l, case, beta1):
     )
 
 
+def _sample_block_reference(block, rng, count, dilation):
+    """sample_block written out: the draws, the defect factors multiplied
+    left to right, and the lift to the curve."""
+    s = float(block.s)
+    center = (block.l + 0.5) / s
+    x1 = center + (rng.uniform(0.0, 1.0, count) - 0.5) * dilation / s
+    d2 = rng.uniform(-1.0, 1.0, count) * dilation * s**-2.0 * geometry.DEFECT_MARGIN
+    d3 = rng.uniform(-1.0, 1.0, count) * dilation * s**-3.0 * geometry.DEFECT_MARGIN
+    x2 = x1**2 + d2
+    return np.column_stack([x1, x2, 3.0 * x1 * x2 - 2.0 * x1**3 + d3])
+
+
+def _geo3_loop_reference(r_k_scale, r_next_scale, r=None, c_eps=1.0, samples=10000, seed=0):
+    """check_cone_containment_geo3 batch by batch: two block samples per
+    batch, their difference, np.linalg.norm, the cone map and the
+    deviations of each batch's kept images."""
+    rng = np.random.default_rng(seed)
+    s = round(r_k_scale ** (1.0 / 3.0))
+    if r is None:
+        r_lo = r_k_scale ** (1.0 / 3.0) / c_eps
+        r = 2.0 ** round(0.5 * (math.log2(r_lo) + math.log2(r_next_scale ** (1.0 / 3.0))))
+    w_ang = geometry.WIDTH_FACTOR * c_eps * r * r_k_scale ** (-2.0 / 3.0)
+    w_rad = geometry.WIDTH_FACTOR * c_eps**2 * r**2 * r_k_scale ** (-4.0 / 3.0)
+    ball = r_next_scale ** (-1.0 / 3.0)
+    slab_lo, slab_hi = 0.5 / r, 1.0 / r
+    t_map = cone_map_T()
+    ls = _spread_l_indices(s, rng)
+    per_l = max(1, samples // ls.size)
+    violations = used = rejected = 0
+    max_ang = max_rad = 0.0
+    for l in ls:
+        block = CanonicalBlock(s=s, l=int(l))
+        center = cone_angle(block.t0)
+        kept = batches = 0
+        while kept < per_l and batches < 200:
+            batches += 1
+            draw = 4 * per_l
+            delta = _sample_block_reference(block, rng, draw, c_eps) - _sample_block_reference(
+                block, rng, draw, c_eps
+            )
+            norms = np.linalg.norm(delta, axis=1)
+            q = t_map.apply(delta)
+            keep = (norms >= ball) & (q[:, 2] >= slab_lo) & (q[:, 2] <= slab_hi)
+            rejected += int(np.count_nonzero(~keep))
+            q = q[keep][: per_l - kept]
+            if q.size == 0:
+                continue
+            kept += q.shape[0]
+            _, ok, ang, rad = geometry._cone_deviation(r * q, center, w_ang, w_rad)
+            violations += int(np.count_nonzero(~ok))
+            max_ang = max(max_ang, ang)
+            max_rad = max(max_rad, rad)
+        used += kept
+    gaps = np.abs(np.diff([cone_angle(l / s) for l in range(s)]))
+    return CanonicalConeReport(
+        r=r,
+        angular_halfwidth=0.5 * w_ang,
+        radial_width=w_rad,
+        block_count=s,
+        l_count=int(ls.size),
+        samples_used=used,
+        rejected=rejected,
+        violations=violations,
+        max_angular_ratio=max_ang,
+        max_radial_ratio=max_rad,
+        min_angle_gap_ratio=float(np.min(gaps) * s) if gaps.size else math.inf,
+    )
+
+
 class TestFrame:
     def test_curve_point(self):
         np.testing.assert_allclose(curve_point(2.0), [2.0, 4.0, 8.0])
@@ -162,6 +232,19 @@ class TestFrame:
             pts = abc @ frame_matrix(t0).T
             back = frame_coordinates(t0, pts)
             np.testing.assert_allclose(back, abc, atol=1e-12)
+
+    def test_stacked_frame_product_is_bitwise(self):
+        # One matmul over a stack of boxes gives each box's to_points bits,
+        # and to_points gives those of the product with frame_matrix(t0).T.
+        rng = np.random.default_rng(12)
+        for k, n in [(1, 1), (3, 7), (64, 156), (8, 1250), (17, 33)]:
+            t0 = rng.integers(0, 4096, k) / 4096.0
+            abc = rng.uniform(-1, 1, (k, n, 3)) * [1e-2, 1e-4, 1e-6]
+            stacked = geometry._frame_points(abc, t0)
+            for j in range(k):
+                box = geometry.ParamBox(float(t0[j]), 0.0, 1.0, 1.0, 1.0)
+                assert np.array_equal(stacked[j], box.to_points(abc[j]))
+                assert np.array_equal(stacked[j], abc[j] @ frame_matrix(t0[j]).T)
 
     def test_frame_coordinates_broadcast_over_t0_is_bitwise(self):
         rng = np.random.default_rng(11)
@@ -456,11 +539,18 @@ class TestGeo1Broadcast:
         # and overflows to inf, so the interval is clipped to the window; the
         # C coordinate still confines its hits to its own l.
         sample = geometry.ParamBox.sample
+        calls = []
+        frame_points = geometry._frame_points
 
         def pinned_sample(box, rng, count):
+            calls.append(count)
             abc = sample(box, rng, count)
             abc[:, 0] = np.copysign(box.a_lo, abc[:, 0])
             return abc
+
+        def spied_frame_points(abc, t0):
+            points.append(frame_points(abc, t0))
+            return points[-1]
 
         monkeypatch.setattr(geometry.ParamBox, "sample", pinned_sample)
         r_k, r_next, c_eps = 4.0, 1e308, 16.0
@@ -468,9 +558,18 @@ class TestGeo1Broadcast:
         with np.errstate(over="ignore"):
             assert np.isinf(np.float64(box.b_bound) / box.a_lo * r_k)
         args = (r_k, r_next, GEO1_R, c_eps, 400, 9)
+        points = []
+        monkeypatch.setattr(geometry, "_frame_points", spied_frame_points)
         rep = check_overlap_geo1(*args)
+        # Every anchor drew through the patched sampler, and every tested
+        # point has |A| = a_lo (A is a point's first coordinate at any t0).
+        assert calls == [100] * 4
+        (pts,) = points
+        assert np.array_equal(np.abs(pts[..., 0]), np.full((4, 100), box.a_lo))
         assert rep.max_multiplicity == 1
+        calls.clear()
         assert rep == _geo1_loop_reference(*args)
+        assert calls == [100] * 4
 
     def test_matches_loop_reference_with_far_hits(self, monkeypatch):
         # A threshold far below the true overlap range puts overlapping boxes
@@ -542,6 +641,52 @@ class TestGeo2Stacked:
         none = check_cone_containment_geo2(256.0, 512.0, GEO1_R, 1.0, 64.0, 3000, 4)
         assert none.skipped_l == none.l_count
         assert (none.samples_used, none.caps_touched, none.max_caps_per_l) == (0, 0, 0)
+
+
+GEO3_ORACLE_CASES = [
+    # The criterion-7 grid at the CLI's samples and seed: geo3's scales do not
+    # depend on beta, so its six (beta, c_eps) pairs are two cases.
+    *[(*default_geo3_scales(GEO1_R), c_eps, 10000, 1) for c_eps in (1.0, 4.0)],
+    # Fewer samples at other seeds and c_eps.
+    *[(512.0, 4096.0, c_eps, samples, seed)
+      for c_eps, samples, seed in [(1.0, 500, 2), (1.0, 3000, 5), (4.0, 500, 7), (2.0, 3000, 11)]],
+    # Other rungs: s = 64 (anchors drawn), s = 4 and s = 16.
+    (2.0**18, 2.0**24, 1.0, 3000, 4),
+    (64.0, 4096.0, 1.0, 3000, 6),
+    (4096.0, 32768.0, 1.0, 500, 8),
+    (4096.0, 32768.0, 4.0, 3000, 9),
+    # s or c_eps off the powers of two, where the defect factors round: with
+    # dilation * s**-2.0 * DEFECT_MARGIN folded first, each of these reports
+    # moves. s = 3, 5, 12 and 8.
+    (27.0, 729.0, 1.5, 3000, 0),
+    (125.0, 8000.0, 1.0, 500, 1),
+    (1728.0, 13824.0, 3.0, 3000, 3),
+    (512.0, 4096.0, 3.0, 3000, 4),
+]
+
+
+@pytest.mark.parametrize("size, high", [(0, 1), (1, 1), (62, 5), (64, 2**40), (4096, 30)])
+def test_sorted_distinct_is_unique(size, high):
+    x = np.random.default_rng(size).integers(-high, high, size)
+    got = _sorted_distinct(x)
+    assert got.dtype == x.dtype and np.array_equal(got, np.unique(x))
+
+
+class TestGeo3Batched:
+    @pytest.mark.parametrize("r_k, r_next, c_eps, samples, seed", GEO3_ORACLE_CASES)
+    def test_matches_loop_reference(self, r_k, r_next, c_eps, samples, seed):
+        args = (r_k, r_next, None, c_eps, samples, seed)
+        assert check_cone_containment_geo3(*args) == _geo3_loop_reference(*args)
+
+    def test_norms_are_linalg_norm_bits(self):
+        # Each batch sums the squared difference columns left to right, which
+        # is np.linalg.norm(delta, axis=1) bit for bit. Reports cannot show a
+        # one-ulp change, which would move a draw across the ball only rarely.
+        rng = np.random.default_rng(13)
+        delta = rng.standard_normal((5000, 3)) * [1e-1, 1e-2, 1e-3]
+        d0, d1, d2 = delta.T.copy()
+        assert np.array_equal(np.sqrt((d0 * d0 + d1 * d1) + d2 * d2),
+                              np.linalg.norm(delta, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -644,6 +789,13 @@ class TestDefaultScales:
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("s, l, dilation", [(8, 3, 1.0), (12, 5, 3.0), (27, 26, 1.5)])
+    def test_sample_block_matches_reference(self, s, l, dilation):
+        block = CanonicalBlock(s, l)
+        got = sample_block(block, np.random.default_rng(s), 2000, dilation=dilation)
+        want = _sample_block_reference(block, np.random.default_rng(s), 2000, dilation)
+        assert np.array_equal(got, want)
+
     def test_block_contains_its_samples(self):
         block = CanonicalBlock(64, 10)
         rng = np.random.default_rng(8)
