@@ -444,6 +444,12 @@ def _cone_deviation(y: np.ndarray, center, w_ang: float, w_rad: float):
     return zeta, ok, float(np.max(dev / (0.5 * w_ang))), float(np.max(radial / w_rad))
 
 
+def _column_norms(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows (d0, d1, d2), summed left to right as
+    np.linalg.norm(axis=1) sums a row of three, so with its bits."""
+    return np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+
+
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of a 1-D array in increasing order, as np.unique
     gives them, from one sort and a comparison of neighbours. (np.unique's
@@ -867,7 +873,7 @@ def check_cone_containment_geo3(
             first = _block_columns(block, rng, draw, c_eps)
             second = _block_columns(block, rng, draw, c_eps)
             d0, d1, d2 = (u - v for u, v in zip(first, second))
-            norms = np.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+            norms = _column_norms(d0, d1, d2)
             q = t_map.apply(np.column_stack([d0, d1, d2]))
             keep = (norms >= ball) & (q[:, 2] >= slab_lo) & (q[:, 2] <= slab_hi)
             rejected += int(np.count_nonzero(~keep))

@@ -35,6 +35,8 @@ SWEEP_KINDS = ("mainexp", "maincor")
 # (minimum ~1.10e-4) and fixed at a quarter of the observed minimum.
 INTERFERENCE_KAPPA = 2.5e-5
 INTERFERENCE_BOX_FRACTION = 0.05
+# Complex waves per block of broad_narrow_check (2 MiB): 2048 samples at N = 64.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def coeffs_for(family: str, n: int, seed: int) -> np.ndarray:
@@ -133,7 +135,10 @@ def exponent_fit(points) -> ExponentFit:
         raise SpecValidationError("exponent fit needs at least 3 points")
     x = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    if np.unique(x).size != x.size:
+    # Equal neighbours once sorted, or two NaNs (sorted last): np.unique's
+    # duplicates, without its first call's numpy.ma import.
+    xs = np.sort(x)
+    if np.any(xs[1:] == xs[:-1]) or np.isnan(xs[-2]):
         raise SpecValidationError("duplicate x values make the fit degenerate")
     if np.any(x <= 0) or np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise SpecValidationError("fit needs positive finite x and values")
@@ -166,6 +171,18 @@ class EnvelopeReport:
     detail: dict = field(default_factory=dict, compare=False)
 
 
+def _median(values) -> float:
+    """np.median of a nonempty sequence, bit for bit: the middle of the
+    sorted values, or (a + b) / 2 of the middle two, as np.mean forms it; NaN
+    if any value is NaN. (np.median's first call imports numpy.ma, some 9 ms
+    of a short sweep.)"""
+    v = np.sort(np.asarray(values, dtype=float))
+    h = v.size // 2
+    if np.isnan(v[-1]):  # np.sort puts NaN last
+        return float("nan")
+    return float(v[h] if v.size % 2 else (v[h - 1] + v[h]) / 2.0)
+
+
 def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     """One sweep point: median 2s-th moment over seeds at this N."""
     s = int(cfg.s)
@@ -184,7 +201,7 @@ def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     envelope = float(n) ** (s - cfg.sigma) + float(n) ** (2 * s - 6)
     return SweepRow(
         x=n,
-        value=float(np.median(vals)),
+        value=_median(vals),
         envelope=envelope,
         seed_count=len(cfg.seeds),
         method="exact",
@@ -221,7 +238,7 @@ def maincor_row(cfg: SweepConfig, r_scale: int) -> SweepRow:
     envelope = float(r_scale) ** (beta * p / 2.0)
     return SweepRow(
         x=r_scale,
-        value=float(np.median(vals)),
+        value=_median(vals),
         envelope=envelope,
         seed_count=len(cfg.seeds),
         method=methods[0],
@@ -383,6 +400,12 @@ def broad_narrow_check(
     four sin/cos pairs per sample, each wave within about 3.3e-10 of its
     exact value at N = 64 (the bound stated there), where exp of the rounded
     phase is only held to about 7.5e-10.
+
+    The samples are drawn at once and then walked in blocks of about
+    _BLOCK_ENTRIES waves (_sample_blocks), so memory grows as N times the
+    block, not N times samples. Only the largest ratio and the broad count
+    carry from one block to the next, and the report equals a one-block
+    evaluation's bit for bit.
     """
     if not e_sep >= 1.0:
         raise SpecValidationError("E must be >= 1")
@@ -393,10 +416,54 @@ def broad_narrow_check(
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, (samples, 3))
 
-    k = np.arange(1, spec.n + 1, dtype=float)
-    waves = spec.coeffs[:, None] * _cubic_waves(x, spec.n)
-    band_of = np.minimum((k / spec.n * n_bands).astype(int), n_bands - 1)
-    band_abs = np.empty((n_bands, samples))
+    max_ratio = 0.0
+    broad_count = 0
+    for lo, hi in _sample_blocks(samples, spec.n):
+        ratio, _, broad = _broad_narrow_block(spec.coeffs, x[lo:hi], n_bands, e_sep)
+        max_ratio = max(max_ratio, float(ratio.max()))
+        broad_count += int(np.count_nonzero(broad))
+    gap = math.ceil(e_sep)
+    mid = np.arange(gap, n_bands - gap)
+    return BroadNarrowReport(
+        max_ratio=max_ratio,
+        n_bands=n_bands,
+        e_sep=float(e_sep),
+        samples_used=samples,
+        broad_count=broad_count,
+        narrow_count=samples - broad_count,
+        triple_count=int(np.sum((mid - gap + 1) * (n_bands - gap - mid))),
+    )
+
+
+def _sample_blocks(samples: int, n: int) -> list[tuple[int, int]]:
+    """Column ranges [lo, hi) of broad_narrow_check's blocks: about
+    _BLOCK_ENTRIES waves each, and never one column wide unless samples is 1.
+
+    numpy sums an (n, 1) array along axis 0 pairwise, but a wider one row by
+    row, as every column of the whole (n, samples) array is summed. So a
+    one-column tail joins the block before it.
+    """
+    width = max(2, _BLOCK_ENTRIES // n)
+    starts = list(range(0, samples, width))
+    if len(starts) > 1 and samples - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], samples]))
+
+
+def _broad_narrow_block(coeffs: np.ndarray, x: np.ndarray, n_bands: int, e_sep: float):
+    """Per sample (row of x): |f| / RHS, the largest band modulus and whether
+    the sample is broad (see broad_narrow_check).
+
+    Every step works on each sample alone, so a block's values equal those
+    of a larger block holding its samples, as long as neither is one column
+    wide (_sample_blocks).
+    """
+    n = coeffs.size
+    waves = _cubic_waves(x, n)
+    np.multiply(coeffs[:, None], waves, out=waves)
+    k = np.arange(1, n + 1, dtype=float)
+    band_of = np.minimum((k / n * n_bands).astype(int), n_bands - 1)
+    band_abs = np.empty((n_bands, x.shape[0]))
     total = waves.sum(axis=0)
     for j in range(n_bands):
         mask = band_of == j
@@ -417,23 +484,14 @@ def broad_narrow_check(
     # monotone too, so it is taken once, after the max.
     gap = math.ceil(e_sep)
     mid = np.arange(gap, n_bands - gap)
-    triple_count = int(np.sum((mid - gap + 1) * (n_bands - gap - mid)))
     if mid.size:
         prefix = np.maximum.accumulate(band_abs, axis=0)
         suffix = np.maximum.accumulate(band_abs[::-1], axis=0)[::-1]
         prod = prefix[mid - gap] * band_abs[mid] * suffix[mid + gap]
         gm_best = prod.max(axis=0) ** (1.0 / 3.0)
     else:
-        gm_best = np.zeros(samples)
+        gm_best = np.zeros(x.shape[0])
 
     rhs = 4.0 * e_sep * m + n_bands**2 * gm_best
     ratio = np.divide(f_abs, rhs, out=np.zeros_like(f_abs), where=rhs > 0)
-    return BroadNarrowReport(
-        max_ratio=float(ratio.max()),
-        n_bands=n_bands,
-        e_sep=float(e_sep),
-        samples_used=samples,
-        broad_count=int(np.count_nonzero(broad)),
-        narrow_count=int(np.count_nonzero(~broad)),
-        triple_count=triple_count,
-    )
+    return ratio, m, broad

@@ -626,6 +626,26 @@ class TestPairAssembly:
         assert np.array_equal(got[got != 0.0], want[want != 0.0])
         assert math.fsum(got).hex() == math.fsum(want).hex()
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("chunk", [4096, 2 * 4096, 3 * 4096])
+    def test_energy_pieces_of_any_length_match_one_pass(self, monkeypatch, chunk, kind):
+        # Pieces of both weights, interleaved, whose lengths are not multiples
+        # of a segment: a carried rest is completed from the head of the next
+        # piece, or from several short pieces, and every segment sum keeps the
+        # bits of one pass over that weight's entries.
+        monkeypatch.setattr(moments, "_ENERGY_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        lengths = [4095, 1, 5000, 0, 3, 4093, 12289, 8191, 4097, 2, 4096, 9000]
+        pieces = [(phased_coeffs(rng, n, kind), 2 if i % 3 == 1 else 1)
+                  for i, n in enumerate(lengths)]
+        got = moments._weighted_energy(pieces)
+        want = np.concatenate([
+            w * moments._segment_sums(np.square(np.abs(np.concatenate(
+                [c for c, weight in pieces if weight == w]))))
+            for w in (2, 1)
+        ])
+        assert got.tobytes() == want.tobytes()
+
     def test_segment_sums_are_pairwise(self):
         # The err_estimate bound counts at most 32 roundings per term of a
         # segment. Added one by one, 1 + (_SUM_SEG - 1) halves of an ulp

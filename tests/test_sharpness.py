@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -167,6 +169,57 @@ class TestExponentFit:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(SpecValidationError):
             exponent_fit([(1, 1.0), (2, 0.0), (4, 3.0)])
+
+    @pytest.mark.parametrize(
+        "xs",
+        [(1.0, 2.0, 4.0), (4.0, 1.0, 4.0), (0.0, -0.0, 3.0), (math.nan, 1.0, math.nan),
+         (math.nan, 1.0, 2.0), (math.inf, 2.0, math.inf), (3.0, 2.0, 1.0, 2.0)],
+    )
+    def test_duplicates_are_np_uniques(self, xs):
+        # The sorted-neighbour test rejects exactly what np.unique collapses:
+        # equal values, +-0 and two NaNs. Other inputs meet the later checks.
+        collapsed = np.unique(np.array(xs)).size != len(xs)
+        try:
+            exponent_fit((x, 1.0 + i) for i, x in enumerate(xs))
+        except SpecValidationError as exc:
+            assert ("duplicate" in str(exc)) == collapsed
+        except np.linalg.LinAlgError:
+            assert not collapsed
+        else:
+            assert not collapsed
+
+
+class TestMedian:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 8, 11])
+    def test_is_np_median_bits(self, count):
+        rng = np.random.default_rng(count)
+        for scale in (1e-300, 1.0, 1e300):
+            vals = list(rng.standard_normal(count) * scale)
+            for got, want in ((sharpness._median(vals), np.median(vals)),
+                              (sharpness._median(vals[::-1]), np.median(vals[::-1]))):
+                assert got.hex() == float(want).hex()
+        if count > 1:
+            assert math.isnan(sharpness._median([*vals[:-1], math.nan]))
+
+    def test_sweep_skips_numpy_ma(self, child_env):
+        # np.median's and np.unique's first calls import numpy.ma, some 9 ms
+        # of a fresh process; a sweep's rows and fit call neither.
+        code = (
+            "import sys\n"
+            "from momentcurve.sharpness import SweepConfig, verify_envelope\n"
+            "for cfg in (\n"
+            "    SweepConfig(x_values=(8, 16, 32), family='random_phase', seeds=(1, 2),\n"
+            "                sigma=1.0, s=2),\n"
+            "    SweepConfig(x_values=(4, 8, 16), kind='maincor', family='random_sign',\n"
+            "                seeds=(1, 2, 3), p=4.0, beta=0.5),\n"
+            "):\n"
+            "    assert verify_envelope(cfg).rows[0].seed_count == len(cfg.seeds)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestSweepConfig:
@@ -406,6 +459,66 @@ class TestBroadNarrow:
         spec = ExpSumSpec(n=16, coeffs=np.ones(16))
         with pytest.raises(SpecValidationError):
             broad_narrow_check(spec, n_bands=6, e_sep=1.0, samples=0)
+
+    @pytest.mark.parametrize("n", [8, 17, 64])
+    @pytest.mark.parametrize("family", ["random_sign", "random_phase", "constant"])
+    def test_blocks_keep_every_sample_bit(self, n, family):
+        # Per-sample ratio, band maximum and broad flag, block by block as the
+        # check walks them, against one block of all samples. A one-column
+        # block would sum its waves pairwise and move the bits; samples =
+        # width + 1 is where a tail would be one column wide.
+        coeffs = coeffs_for(family, n, n)
+        width = sharpness._BLOCK_ENTRIES // n
+        for samples in (1, 2, width, width + 1, 2 * width + 3):
+            x = np.random.default_rng(samples).uniform(0.0, 1.0, (samples, 3))
+            blocks = sharpness._sample_blocks(samples, n)
+            got = [sharpness._broad_narrow_block(coeffs, x[lo:hi], 16, 2.0) for lo, hi in blocks]
+            want = sharpness._broad_narrow_block(coeffs, x, 16, 2.0)
+            for part, whole in zip(zip(*got), want):
+                assert np.concatenate(part).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 1 << 16, 1 << 17, 1 << 20])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 2047, 2048, 2049, 2050, 10**4])
+    def test_sample_blocks_tile_without_one_column_blocks(self, n, samples):
+        blocks = sharpness._sample_blocks(samples, n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == samples
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        widths = [hi - lo for lo, hi in blocks]
+        assert min(widths) >= min(2, samples)
+        assert max(widths) <= max(2, sharpness._BLOCK_ENTRIES // n) + 1
+
+    @pytest.mark.parametrize("entries", [16, 200])
+    @pytest.mark.parametrize("n, n_bands, e_sep", [(8, 16, 2.0), (17, 6, 2.0), (64, 5, 1.5)])
+    def test_small_blocks_match_all_triples_reference(self, monkeypatch, entries, n, n_bands,
+                                                      e_sep):
+        # Many blocks, two columns wide at N = 64 with 16 entries, against the
+        # one-pass reference that forms every triple.
+        monkeypatch.setattr(sharpness, "_BLOCK_ENTRIES", entries)
+        for family in ("random_sign", "random_phase", "constant"):
+            spec = ExpSumSpec(n=n, coeffs=coeffs_for(family, n, 5))
+            for samples in (1, 2, 3, 97, 301):
+                args = (spec, n_bands, e_sep, samples, samples)
+                assert broad_narrow_check(*args) == _broad_narrow_reference(*args)
+
+    def test_memory_grows_by_a_block_not_by_the_samples(self, child_env):
+        # The whole (N, samples) waves at N = 64 and 2e5 samples took about
+        # 400 MB; blocks of 2^17 waves take a few MB.
+        code = (
+            "import resource\n"
+            "from momentcurve import ExpSumSpec, broad_narrow_check, coeffs_for\n"
+            "spec = ExpSumSpec(n=64, coeffs=coeffs_for('random_phase', 64, 1))\n"
+            "broad_narrow_check(spec, 16, 2.0, 10, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rep = broad_narrow_check(spec, 16, 2.0, 200_000, 1)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) / 1024, rep.max_ratio, rep.samples_used)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        growth_mb, max_ratio, used = proc.stdout.split()
+        assert float(growth_mb) < 64.0
+        assert 0.0 < float(max_ratio) <= 1.0 and int(used) == 200_000
 
     def test_waves_are_within_the_stated_bound_of_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
