@@ -698,11 +698,9 @@ def _weighted_energy(chunks) -> np.ndarray:
     one weight are squared _ENERGY_CHUNK at a time, each piece's last
     < _SUM_SEG squares carried into the next, so the segments, and every bit
     of their sums, are those of one pass over that weight's entries,
-    wherever the chunks were cut. A carried rest is completed to one segment
-    from the head of the next piece, and the piece's other segments are
-    summed where they lie. Only one piece's squares and a partial segment
-    per weight are held. The weight-2 sums come first, a weight without
-    entries gives [0.0], and doubling is exact.
+    wherever the chunks were cut. Only one piece's squares and a partial
+    segment per weight are held. The weight-2 sums come first, a weight
+    without entries gives [0.0], and doubling is exact.
     """
     sums = {2: [], 1: []}
     rest = {2: np.empty(0), 1: np.empty(0)}
@@ -711,13 +709,7 @@ def _weighted_energy(chunks) -> np.ndarray:
             t = np.abs(c[lo : lo + _ENERGY_CHUNK])
             np.square(t, out=t)
             if rest[weight].size:
-                head = _SUM_SEG - rest[weight].size
-                first = np.concatenate([rest[weight], t[:head]])
-                if first.size < _SUM_SEG:
-                    rest[weight] = first
-                    continue
-                sums[weight].append(_segment_sums(first)[:-1])
-                t = t[head:]
+                t = np.concatenate([rest[weight], t])
             full = t.size - t.size % _SUM_SEG
             sums[weight].append(_segment_sums(t[:full])[:-1])
             rest[weight] = t[full:].copy()

@@ -135,10 +135,7 @@ def exponent_fit(points) -> ExponentFit:
         raise SpecValidationError("exponent fit needs at least 3 points")
     x = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    # Equal neighbours once sorted, or two NaNs (sorted last): np.unique's
-    # duplicates, without its first call's numpy.ma import.
-    xs = np.sort(x)
-    if np.any(xs[1:] == xs[:-1]) or np.isnan(xs[-2]):
+    if np.unique(x).size != x.size:
         raise SpecValidationError("duplicate x values make the fit degenerate")
     if np.any(x <= 0) or np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise SpecValidationError("fit needs positive finite x and values")
@@ -171,18 +168,6 @@ class EnvelopeReport:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _median(values) -> float:
-    """np.median of a nonempty sequence, bit for bit: the middle of the
-    sorted values, or (a + b) / 2 of the middle two, as np.mean forms it; NaN
-    if any value is NaN. (np.median's first call imports numpy.ma, some 9 ms
-    of a short sweep.)"""
-    v = np.sort(np.asarray(values, dtype=float))
-    h = v.size // 2
-    if np.isnan(v[-1]):  # np.sort puts NaN last
-        return float("nan")
-    return float(v[h] if v.size % 2 else (v[h - 1] + v[h]) / 2.0)
-
-
 def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     """One sweep point: median 2s-th moment over seeds at this N."""
     s = int(cfg.s)
@@ -201,7 +186,7 @@ def mainexp_row(cfg: SweepConfig, n: int) -> SweepRow:
     envelope = float(n) ** (s - cfg.sigma) + float(n) ** (2 * s - 6)
     return SweepRow(
         x=n,
-        value=_median(vals),
+        value=float(np.median(vals)),
         envelope=envelope,
         seed_count=len(cfg.seeds),
         method="exact",
@@ -238,7 +223,7 @@ def maincor_row(cfg: SweepConfig, r_scale: int) -> SweepRow:
     envelope = float(r_scale) ** (beta * p / 2.0)
     return SweepRow(
         x=r_scale,
-        value=_median(vals),
+        value=float(np.median(vals)),
         envelope=envelope,
         seed_count=len(cfg.seeds),
         method=methods[0],
@@ -416,16 +401,18 @@ def broad_narrow_check(
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, (samples, 3))
 
-    max_ratio = 0.0
+    # Block maxima are kept and reduced by np.max, so a NaN ratio (sums
+    # overflowed to inf) gives NaN as one max over every sample would.
+    block_max = []
     broad_count = 0
     for lo, hi in _sample_blocks(samples, spec.n):
         ratio, _, broad = _broad_narrow_block(spec.coeffs, x[lo:hi], n_bands, e_sep)
-        max_ratio = max(max_ratio, float(ratio.max()))
+        block_max.append(ratio.max())
         broad_count += int(np.count_nonzero(broad))
     gap = math.ceil(e_sep)
     mid = np.arange(gap, n_bands - gap)
     return BroadNarrowReport(
-        max_ratio=max_ratio,
+        max_ratio=float(np.max(block_max)),
         n_bands=n_bands,
         e_sep=float(e_sep),
         samples_used=samples,
@@ -460,7 +447,13 @@ def _broad_narrow_block(coeffs: np.ndarray, x: np.ndarray, n_bands: int, e_sep: 
     """
     n = coeffs.size
     waves = _cubic_waves(x, n)
-    np.multiply(coeffs[:, None], waves, out=waves)
+    # In place, which spares a block-sized allocation and its page faults,
+    # except for one element, where numpy's in-place complex product rounds
+    # differently from a * b.
+    if waves.size > 1:
+        np.multiply(coeffs[:, None], waves, out=waves)
+    else:
+        waves = coeffs[:, None] * waves
     k = np.arange(1, n + 1, dtype=float)
     band_of = np.minimum((k / n * n_bands).astype(int), n_bands - 1)
     band_abs = np.empty((n_bands, x.shape[0]))

@@ -630,8 +630,8 @@ class TestPairAssembly:
     @pytest.mark.parametrize("chunk", [4096, 2 * 4096, 3 * 4096])
     def test_energy_pieces_of_any_length_match_one_pass(self, monkeypatch, chunk, kind):
         # Pieces of both weights, interleaved, whose lengths are not multiples
-        # of a segment: a carried rest is completed from the head of the next
-        # piece, or from several short pieces, and every segment sum keeps the
+        # of a segment: a rest carried into the next piece of its weight, or
+        # through several short pieces, leaves every segment sum with the
         # bits of one pass over that weight's entries.
         monkeypatch.setattr(moments, "_ENERGY_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
