@@ -328,6 +328,10 @@ def _geometry_report(args):
             rep = check_cone_containment_geo2(
                 r_k, r_next, args.R, args.c_eps, args.r, args.samples, args.seed
             )
+            if rep.case != case:
+                raise SpecValidationError(
+                    f"--case {case} asked, but r_k = {r_k:g} at R = {args.R:g} is case {rep.case}"
+                )
             reports[f"case{case}"] = {"scales": {"r_k": r_k, "r_next": r_next}, "report": rep}
             violations += rep.violations
         return reports, violations

@@ -19,23 +19,25 @@ frequencies k = 1..N are integers, and a k + b k^2 + c k^3 is an integer
 for every integer k exactly when 6c, 2b + 6c and a + b + c are integers
 (write it in the basis C(k,1), C(k,2), C(k,3) of the integer-valued
 polynomials). Mod 1 these shifts g = (a, b, c) form a group G of order 12,
-generated by T = (1/2, 1/2, 0) and the shear (1/6, 0, -1/6), and
-S(x + g) = S(x) for every coefficient vector. A shift moves the midpoint
-grid onto itself when m_i g_i is an integer on every axis, and keeps the
-box when it keeps H mod 1: T always, every g of G when |H| = 1.
-  |H| = 1, 6 | m1, 6 | m3: the slab x1 < 1/6, x2 < 1/2 (x2 < 1 for odd
-      m2), times 12 (6).
-  |H| = 1, m1 and m3 even: the slab x1 < 1/2, x2 < 1/2 (or 1), times 4 (2).
-  |H| = 1, odd m1, 3 | m1, 3 | m3: the slab x1 < 1/3, x2 < 1/2 when m2 and
-      m3 are even, else x2 < 1, times 6 (3), by (1/3, 0, 2/3) and
-      (0, 1/2, 1/2).
-  otherwise, m1 and m2 even: T, the half box x1 < 1/2, times 2.
-  M:  x -> -x mod 1, for real coefficients with 2 h0 + |H| an integer,
-      where S(Mx) = conj S(x). For the g of the group used whose (x1, x2)
-      part is the slab's sides, x -> g - x maps the slab onto itself and
-      halves its x1 side when the slab's m1 is even.
-At oversample 4 a sigma = 0 grid with the mirror folds by 24 when 3 | N and
-by 8 otherwise (12 and 4 without it). local_moment_quadrature and
+generated by the shear (1/6, 0, -1/6) (k^3 = k mod 6) and T = (1/2, 1/2, 0),
+and S(x + g) = S(x) for every coefficient vector. _SHIFTS lists G as
+(6 g1, 2 g2, 6 g3) = ((i + 3j) mod 6, j, -i mod 6), i < 6, j < 2.
+  The rule: a shift is kept when it moves the midpoint grid onto itself,
+      m_i g_i an integer on every axis, and keeps H mod 1, g3 = 0 unless
+      |H| = 1. The kept shifts form K, the largest subgroup of G that
+      keeps the grid and the box. With f1 the number of distinct x1 parts
+      in K, those parts are the multiples of 1/f1, so f1 divides m1;
+      f2 = |K| / f1 is 2 exactly when some (0, 1/2, g3) is in K, so f2
+      divides m2. G's (x1, x2) parts are all distinct, so the slab
+      [0, 1/f1) x [0, 1/f2) x H holds one point of each orbit of K.
+  The mirror: x -> -x mod 1, for real coefficients with 2 h0 + |H| an
+      integer, where S(-x) = conj S(x). For a g in K with x1 part 1/f1
+      (and x2 part 1/2 when f2 = 2), x -> g - x maps the slab onto itself
+      and pairs its cells without a fixed one when m1/f1 is even; then f1
+      doubles.
+"fold" = f1 f2 is therefore 1, 2, 3, 4, 6, 8, 12 or 24. At oversample 4 a
+sigma = 0 grid with the mirror folds by 24 when 3 | N and by 8 otherwise
+(12 and 4 without it). local_moment_quadrature and
 periodicity_identity_check take frequencies that are not integers and do
 not fold.
 
@@ -64,6 +66,9 @@ _TILE_ROWS = 512
 _TILE_COLS = 128
 # Error estimates never drop below machine-noise scale; see _refined.
 ERR_FLOOR = 1e-13
+
+# G of the module docstring as exact integers (6 g1, 2 g2, 6 g3) mod (6, 2, 6).
+_SHIFTS = tuple(((i + 3 * j) % 6, j, -i % 6) for i in range(6) for j in range(2))
 
 LOCAL_FULL_CUBE_LIMIT = 64.0
 LOCAL_TRANSLATES = 32
@@ -246,32 +251,18 @@ def _point_symmetric(spec: ExpSumSpec) -> bool:
 def _fold(counts, full_period: bool, mirror: bool) -> tuple[int, int, bool]:
     """How moment_quadrature cuts a grid of these counts: (f1, f2, mirrored).
 
-    The slab [0, 1/f1) x [0, 1/f2) x H at counts (m1/f1, m2/f2, m3), times
-    f1 f2, has the midpoints and weights of the full grid. full_period is
-    |H| = 1 and mirror is _point_symmetric. a = 6 when full_period with
-    6 | m1 and 6 | m3, else a = 2 when full_period with m1 and m3 even, else
-    a = 1. For a > 1, f1 = a and f2 = 2 for even m2, else 1 (the shifts of
-    G); for a = 1, f1 = 2 when m1 and m2 are even (T), else 1, and f2 = 1.
-    mirrored: mirror holds and m1/f1 is even; then f1 doubles.
-
-    Odd m1 takes neither a > 1 nor T. With full_period, 3 | m1 and 3 | m3
-    it takes f1 = 3: g = (1/3, 0, 2/3) is in G (6 g3 = 4, 2 g2 + 6 g3 = 4
-    and g1 + g2 + g3 = 1 are integers), m1/3 and 2 m3/3 are integers, so g
-    and 2g = (2/3, 0, 1/3) permute the grid and tile x1 by thirds. When m2
-    and m3 are even too, h = (0, 1/2, 1/2) (6 h3 = 3, 2 h2 + 6 h3 = 4,
-    h1 + h2 + h3 = 1) permutes it and halves x2: f2 = 2, and the six
-    shifts ig + jh have the six distinct (x1, x2) parts of the slab's
-    translates. m1/3 is odd, so the mirror does not double f1.
+    The rule and the mirror of the module docstring. The slab
+    [0, 1/f1) x [0, 1/f2) x H at counts (m1/f1, m2/f2, m3), times f1 f2, has
+    the midpoints and weights of the full grid. full_period is |H| = 1 and
+    mirror is _point_symmetric; mirrored is True when the mirror doubled f1.
     """
     m1, m2, m3 = counts
-    if full_period and m1 % 6 == 0 and m3 % 6 == 0:
-        f1, f2 = 6, 2 - m2 % 2
-    elif full_period and m1 % 2 == 0 and m3 % 2 == 0:
-        f1, f2 = 2, 2 - m2 % 2
-    elif full_period and m1 % 2 == 1 and m1 % 3 == 0 and m3 % 3 == 0:
-        f1, f2 = 3, (2 if m2 % 2 == m3 % 2 == 0 else 1)
-    else:
-        f1, f2 = (2 if m1 % 2 == 0 and m2 % 2 == 0 else 1), 1
+    kept = [
+        a for a, b, c in _SHIFTS
+        if m1 * a % 6 == m2 * b % 2 == m3 * c % 6 == 0 and (full_period or c == 0)
+    ]
+    f1 = len(set(kept))
+    f2 = len(kept) // f1
     mirrored = mirror and (m1 // f1) % 2 == 0
     return (2 * f1 if mirrored else f1), f2, mirrored
 
@@ -287,42 +278,10 @@ def moment_quadrature(
     Axis counts are grid_counts over extents N^i; err_estimate is the
     step-halving difference of _refined. Every grid, the fine one and the
     coarse one of _refined, is evaluated on a fold of the box: the slab
-    [0, 1/f1] x [0, 1/f2] x H at counts (m1/f1, m2/f2, m3), times f1 f2
+    [0, 1/f1) x [0, 1/f2) x H at counts (m1/f1, m2/f2, m3), times f1 f2,
+    with (f1, f2) from the shifts and the mirror of the module docstring
     (_fold). The folded grid has the same midpoints and weights and
     1/(f1 f2) of the cells.
-
-    The shifts. The frequencies k = 1..N are integers, and in the basis
-    C(k,1), C(k,2), C(k,3) of the integer-valued polynomials
-    a k + b k^2 + c k^3 = (a + b + c) C(k,1) + (2b + 6c) C(k,2) + 6c C(k,3).
-    So g = (a, b, c) has e(g . (k, k^2, k^3)) = 1 for every k, and
-    S(x + g) = S(x) for every coefficient vector, exactly when 6c, 2b + 6c
-    and a + b + c are integers. Mod 1 these g form a group G of order 12,
-    generated by the shear (1/6, 0, -1/6) (k^3 = k mod 6) and by
-    T = (1/2, 1/2, 0); its (x1, x2) parts are all of (Z/6) x (Z/2), each
-    once. A shift keeps the box only when it keeps H mod 1: T always, the
-    others when |H| = N^-sigma = 1, where H is a full period.
-
-    The grid conditions. A shift by g permutes the midpoint grid when
-    m_i g_i is an integer on every axis. With |H| = 1, 6 | m1 and 6 | m3,
-    the shifts of G with x2-part 0 or 1/2 (0 only, for odd m2) tile the box
-    by the slab x1 < 1/6, x2 < 1/2 (or 1): f1 = 6, f2 = 2 (or 1). With
-    |H| = 1 and m1, m3 even, the subgroup {0, T, (0, 1/2, 1/2),
-    (1/2, 0, 1/2)} does the same with f1 = 2. With |H| = 1, odd m1,
-    3 | m1 and 3 | m3, the shifts by (1/3, 0, 2/3) and its double do it
-    with f1 = 3, and with (0, 1/2, 1/2) too, when m2 and m3 are even,
-    f2 = 2 (_fold). Otherwise T alone, when m1
-    and m2 are both even: cell (j1, j2, j3) goes to (j1 + m1/2,
-    j2 + m2/2 mod m2, j3), f1 = 2, f2 = 1.
-
-    The mirror M: when the coefficients are real and 2 h0 + |H| is an
-    integer (_point_symmetric), S(-x) = conj S(x), and x -> -x mod 1 takes
-    the grid onto itself, cell (j1, j2, j3) going to (m1-1-j1, m2-1-j2,
-    m3-1-j3). Take the g in the group used with x1-part 1/f1 and x2-part
-    1/f2 mod 1 (for f1 = 6, f2 = 2 that is (1/6, 1/2, 1/3)); its x3 part
-    times m3 is an integer. Then x -> g - x keeps |S| and maps the slab
-    onto itself, j1 going to m1/f1-1-j1; when m1/f1 is even that has no
-    fixed point, and f1 doubles. At oversample 4 a sigma = 0 grid with the
-    mirror folds by 24 when 3 | N and by 8 otherwise.
 
     detail gains "fold": f1 f2 of the reported grid, and "mirror": true
     when the mirror doubled f1. The fold needs integer frequencies: the

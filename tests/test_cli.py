@@ -520,6 +520,17 @@ class TestGeometryCommand:
         assert main(["geometry", "geo2", "--case", "both", "--r-k", "1024",
                      "--r-next", "2048", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("case, r_k", [("2", "2048"), ("1", "256")])
+    def test_geo2_scales_of_the_other_case_exit_2(self, tmp_path, capsys, case, r_k):
+        # At R = 2^20, r_k = 2048 >= sqrt(R) is case 1 and r_k = 256 case 2:
+        # the report would be filed under the case that was not run.
+        argv = ["geometry", "geo2", "--case", case, "--r-k", r_k,
+                "--r-next", str(2 * int(r_k)), "--samples", "50", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--case {case} asked" in err and f"is case {'1' if case == '2' else '2'}" in err
+        assert not list(tmp_path.glob("results/geometry-geo2-*.json"))
+
 
     @pytest.mark.parametrize(
         "argv",

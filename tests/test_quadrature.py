@@ -1,5 +1,7 @@
 """Unit tests for the quadrature oracle and local cube moments."""
 
+import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -331,23 +333,23 @@ class TestMirror:
             ("constant", 3, 0.0, 0.0, 4.0, ((12, 2), (6, 2)), True),
             ("random_sign", 3, 0.0, 0.5, 4.0, ((12, 2), (6, 2)), True),
             ("random_sign", 3, 0.0, -0.5, 4.0, ((12, 2), (6, 2)), True),
-            # (12, 45, 180): a = 6 with odd m2 keeps x2 whole; the coarse
+            # (12, 45, 180): f1 = 6, and odd m2 keeps x2 whole; the coarse
             # (6, 22, 90) has even m2 again.
             ("constant", 4, 0.0, 0.0, 2.8, ((12, 1), (6, 2)), True),
             ("random_phase", 4, 0.0, 0.0, 2.8, ((6, 1), (6, 2)), False),
-            # (6, 16, 46): 6 divides m1 but not m3, so a = 2; m1/2 = 3 is odd,
+            # (6, 16, 46): 6 divides m1 but not m3, so f1 = 2; m1/2 = 3 is odd,
             # so no mirror. The coarse (3, 8, 23) has odd m1 and m3.
             ("constant", 3, 0.0, 0.0, 1.7, ((2, 2), (1, 1)), False),
-            # (8, 16, 32): 6 does not divide m1, so a = 2 with x2 halved.
+            # (8, 16, 32): 6 does not divide m1, so f1 = 2 with x2 halved.
             ("constant", 2, 0.0, 0.0, 4.0, ((4, 2), (4, 2)), True),
-            # (4, 7, 14): a = 2 with odd m2; the coarse (2, 3, 7) has odd m3,
-            # so a = 1 and, with m2 odd, no T: only the mirror cuts.
+            # (4, 7, 14): f1 = 2 with odd m2; the coarse (2, 3, 7) has odd m3,
+            # so no shear and, with m2 odd, no T: only the mirror cuts.
             ("random_sign", 2, 0.0, 0.0, 1.7, ((4, 1), (2, 1)), True),
             ("random_phase", 2, 0.0, 0.0, 1.7, ((2, 1), (1, 1)), False),
             # sigma > 0: no x3 shift keeps H, so T and the mirror alone.
             ("random_sign", 2, 1.0, 0.25, 4.0, ((4, 1), (4, 1)), True),
             ("random_sign", 2, 1.0, 0.0, 4.0, ((2, 1), (2, 1)), False),
-            # N = 1 has |H| = 1 at any sigma: (4, 4, 4), a = 2.
+            # N = 1 has |H| = 1 at any sigma: (4, 4, 4), f1 = 2.
             ("random_phase", 1, 1.0, 0.3, 4.0, ((2, 2), (2, 2)), False),
             # Complex coefficients or a window M does not keep: G alone.
             ("random_phase", 3, 0.0, 0.0, 4.0, ((6, 2), (6, 2)), False),
@@ -357,13 +359,13 @@ class TestMirror:
             # (9, 17, 34): m1 is odd, no cut at all; the coarse (4, 8, 17) has
             # odd m3, so T with the mirror.
             ("constant", 2, 0.0, 0.0, 4.25, ((1, 1), (4, 1)), False),
-            # (6, 18, 54): a = 6 and m1/6 = 1 is odd, so the mirror is not
+            # (6, 18, 54): f1 = 6 and m1/6 = 1 is odd, so the mirror is not
             # applied and not reported. The coarse (3, 9, 27) has odd m1 with
             # 3 | m1 and 3 | m3: x1 in thirds, x2 whole (odd m2).
             ("constant", 3, 0.0, 0.0, 2.0, ((6, 2), (3, 1)), False),
             # Odd m1 with 3 | m1 and 3 | m3 is cut in thirds by (1/3, 0, 2/3);
             # m1/3 is odd, so the mirror never doubles it. (9, 27, 81): odd m2
-            # and m3 keep x2 whole; the coarse (4, 13, 40) takes a = 2 and,
+            # and m3 keep x2 whole; the coarse (4, 13, 40) takes f1 = 2 and,
             # for constant coefficients, the mirror.
             ("constant", 3, 0.0, 0.0, 3.0, ((3, 1), (4, 1)), False),
             ("random_phase", 3, 0.0, 0.0, 3.0, ((3, 1), (2, 1)), False),
@@ -375,9 +377,15 @@ class TestMirror:
             # sigma > 0 keeps odd m1 whole: (3, 9, 9) at N = 3, sigma = 1.
             ("constant", 3, 1.0, 0.0, 1.0, ((1, 1), (1, 1)), False),
             # (8, 15, 29): odd m3 and odd m2, so only the mirror cuts; the
-            # coarse (4, 7, 14) takes a = 2 with x2 whole.
+            # coarse (4, 7, 14) takes f1 = 2 with x2 whole.
             ("random_phase", 2, 0.0, 0.0, 3.6, ((1, 1), (2, 1)), False),
             ("constant", 2, 0.0, 0.0, 3.6, ((2, 1), (4, 1)), True),
+            # (5, 10, 20): odd m1 with m2 and m3 even keeps (0, 1/2, 1/2), so
+            # x2 is halved though x1 is not cut. (6, 19, 57): 3 divides m3
+            # but 6 does not, so the shear's order-3 part cuts x1 in thirds,
+            # and the mirror halves it again (m1/3 = 2).
+            ("random_phase", 2, 0.0, 0.0, 2.5, ((1, 2), (2, 1)), False),
+            ("constant", 3, 0.0, 0.0, 4.25, ((1, 1), (6, 1)), False),
         ],
     )
     def test_half_box_exactly_when_the_rule_holds(
@@ -414,27 +422,45 @@ class TestMirror:
         assert abs(res.value - (6 * n**3 - 9 * n**2 + 4 * n)) <= 3.0 * res.err_estimate
 
 
-def _expected_fold(counts, full_period, mirror):
-    """(f1, f2, mirrored) of moment_quadrature's rule, restated.
+@functools.lru_cache(maxsize=None)
+def _group():
+    """G by brute force: the g in (Z/12)^3 / 12 with g . (k, k^2, k^3) an
+    integer for k = 1..12."""
+    twelfths = [Fraction(i, 12) for i in range(12)]
+    return tuple(
+        g for g in itertools.product(twelfths, repeat=3)
+        if all((g[0] * k + g[1] * k**2 + g[2] * k**3).denominator == 1 for k in range(1, 13))
+    )
 
-    On a full period x1 is cut by the larger of 6 and 2 that divides both
-    m1 and m3, and x2 is then halved when m2 is even. For odd m1 it is cut
-    by 3 when 3 divides m1 and m3, and x2 is then halved when m2 and m3 are
-    both even. Otherwise only T = (1/2, 1/2, 0) is left, which halves x1
-    when m1 and m2 are both even. The mirror halves x1 once more when the
-    cut count is even.
-    """
-    m1, m2, m3 = counts
-    cuts = [a for a in (6, 2) if full_period and m1 % a == m3 % a == 0]
-    if cuts:
-        f1, f2 = cuts[0], (2 if m2 % 2 == 0 else 1)
-    elif full_period and m1 % 2 == 1 and m1 % 3 == m3 % 3 == 0:
-        f1, f2 = 3, (2 if m2 % 2 == m3 % 2 == 0 else 1)
-    else:
-        f1, f2 = (2 if m1 % 2 == m2 % 2 == 0 else 1), 1
-    if mirror and (m1 // f1) % 2 == 0:
-        return 2 * f1, f2, True
-    return f1, f2, False
+
+def _midpoints(m, side=1):
+    return [Fraction(side) * Fraction(2 * j + 1, 2 * m) for j in range(m)]
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_kept(m, g, side):
+    """True when x -> x + g mod 1 maps the m midpoints of [0, side) onto themselves."""
+    points = _midpoints(m, side)
+    return {(x + g) % 1 for x in points} == set(points)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_in_slab(m, g, f):
+    """For each of the m midpoints x of [0, 1): is x + g mod 1 below 1/f?"""
+    return np.array([(x + g) % 1 < Fraction(1, f) for x in _midpoints(m)], dtype=int)
+
+
+def _kept_shifts(counts, window):
+    """The g of G that map the midpoint grid of [0, 1)^2 x [0, window) onto itself mod 1."""
+    sides = (1, 1, Fraction(window))
+    return [g for g in _group() if all(map(_axis_kept, counts, g, sides))]
+
+
+def _orbit_hits(counts, kept, f1, f2):
+    """For each (x1, x2) midpoint, how many points of its orbit under kept
+    lie in the slab x1 < 1/f1, x2 < 1/f2 (x3 is not cut)."""
+    m1, m2, _ = counts
+    return sum(np.outer(_axis_in_slab(m1, g1, f1), _axis_in_slab(m2, g2, f2)) for g1, g2, _ in kept)
 
 
 class TestFold:
@@ -463,32 +489,52 @@ class TestFold:
         # Relative to sum |a_k|, the scale of S, as S itself may vanish.
         assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 1e-12 * scale
 
+    def test_the_shift_table_is_the_group(self):
+        # quadrature._SHIFTS holds (6 g1, 2 g2, 6 g3); G is its own brute force.
+        table = {(Fraction(a, 6), Fraction(b, 2), Fraction(c, 6)) for a, b, c in quadrature._SHIFTS}
+        assert len(quadrature._SHIFTS) == len(table) == 12
+        assert table == set(_group())
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=12),
-        # x_i = j 2^-53 < 1/12, so x + float(g) is exact for every g below.
+        # x_i = j 2^-53 < 1/12 and every g_i is below 11/12, so x + float(g) is exact.
         x=st.tuples(*[st.integers(min_value=0, max_value=2**53 // 12 - 1)] * 3),
-        g=st.sampled_from([
-            (Fraction(1, 6), 0, Fraction(-1, 6)),
-            (0, Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
-        ]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_shear_and_x3_shifts_keep_the_sum(self, n, x, g, seed):
-        # k^3 = k mod 6, so the shear keeps S; (0, 1/2, 1/2) holds as
-        # (k^2 + k^3) / 2 = k^2 (k + 1) / 2 is an integer.
+    def test_shear_and_x3_shifts_keep_the_sum(self, n, x, seed):
+        # Every shift of the module's table: k^3 = k mod 6 gives the shear,
+        # and (k^2 + k^3) / 2 = k^2 (k + 1) / 2 is an integer for (0, 1/2, 1/2).
         spec, scale = self._drawn(n, seed)
         x = tuple(math.ldexp(j, -53) for j in x)
-        moved = tuple(xi + float(gi) for xi, gi in zip(x, g))
-        assert all(Fraction(m) == Fraction(xi) + Fraction(float(gi)) for m, xi, gi in zip(moved, x, g))
-        # Only float(g) != g moves the phase of term k, by 2 pi times
-        # sum_i k^i (float(g_i) - g_i): at most 2e-13 sum |a_k| at N = 12.
-        drift = sum(
-            abs(a) * abs(float(sum(k**i * (Fraction(float(gi)) - gi) for i, gi in enumerate(g, 1))))
-            for k, a in enumerate(spec.coeffs.tolist(), 1)
-        )
-        assert abs(eval_sum(spec, moved) - eval_sum(spec, x)) <= 2 * math.pi * drift + 1e-14 * scale
+        here = eval_sum(spec, x)
+        for a, b, c in quadrature._SHIFTS:
+            g = (Fraction(a, 6), Fraction(b, 2), Fraction(c, 6))
+            moved = tuple(xi + float(gi) for xi, gi in zip(x, g))
+            assert all(Fraction(m) == Fraction(xi) + Fraction(float(gi))
+                       for m, xi, gi in zip(moved, x, g))
+            # Only float(g) != g moves the phase of term k, by 2 pi times
+            # sum_i k^i (float(g_i) - g_i): at most 2e-13 sum |a_k| at N = 12.
+            drift = sum(
+                abs(coeff) * abs(float(sum(k**i * (Fraction(float(gi)) - gi)
+                                           for i, gi in enumerate(g, 1))))
+                for k, coeff in enumerate(spec.coeffs.tolist(), 1)
+            )
+            assert abs(eval_sum(spec, moved) - here) <= 2 * math.pi * drift + 1e-14 * scale
+
+    @pytest.mark.parametrize("window", [1, Fraction(1, 2)])
+    def test_fold_is_every_shift_that_keeps_the_grid(self, window):
+        # Every count triple up to 12: the slab of _fold holds one point of
+        # each orbit of the shifts that keep the midpoints and the window,
+        # so f1 f2 is the order of that subgroup.
+        wrong = []
+        for counts in itertools.product(range(1, 13), repeat=3):
+            f1, f2, mirrored = quadrature._fold(counts, window == 1, False)
+            kept = _kept_shifts(counts, window)
+            if (mirrored or f1 * f2 != len(kept) or counts[0] % f1 or counts[1] % f2
+                    or not np.all(_orbit_hits(counts, kept, f1, f2) == 1)):
+                wrong.append((counts, f1, f2, len(kept)))
+        assert wrong == []
 
     @pytest.mark.parametrize(
         "g", [(1 / 3, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5), (1 / 12, 0.0, -1 / 12)]
@@ -525,10 +571,17 @@ class TestFold:
             coeffs = coeffs_for("random_phase", n, seed)
         spec = ExpSumSpec(n=n, coeffs=coeffs, sigma=sigma, h0=h0)
         res = moment_quadrature(spec, 2.0 * s, oversample=oversample)
+        counts = tuple(res.detail["counts"])
         full_period = spec.h_length == 1.0
-        f1, f2, mirrored = _expected_fold(res.detail["counts"], full_period, real and full_period)
+        f1, f2, mirrored = quadrature._fold(counts, full_period, real and full_period)
         assert res.detail["fold"] == f1 * f2
         assert res.detail.get("mirror", False) is mirrored
+        # The shift part of the fold against the brute-force orbits; the
+        # value check below covers the mirror too.
+        kept = _kept_shifts(counts, Fraction(spec.h_length))
+        f1 //= 2 if mirrored else 1
+        assert f1 * f2 == len(kept)
+        assert np.all(_orbit_hits(counts, kept, f1, f2) == 1)
         xi = np.arange(1, n + 1, dtype=float)
         full = box_power_integral(
             xi, coeffs, 2.0 * s, (0.0, 0.0, spec.h0), (1.0, 1.0, spec.h_length),
@@ -648,7 +701,7 @@ def test_values_are_pinned():
         )
     ]
     # Complex coefficients: spec (sigma = 1) takes the half box by T, and
-    # spec0 (|H| = 1, a = 2) the slab x1 < 1/2, x2 < 1/2.
+    # spec0 (|H| = 1, 3 does not divide N) the slab x1 < 1/2, x2 < 1/2.
     grid = {"counts": [20, 100, 100], "oversample": 4.0, "fold": 2}
     grid0 = {"counts": [16, 64, 256], "oversample": 4.0, "fold": 4}
     assert got == [
