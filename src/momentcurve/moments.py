@@ -28,7 +28,20 @@ sums (from four members on: Prouhet-Tarry-Escott coincidences such as
 {1, 5, 8, 12} and {2, 3, 10, 11}) are added up. Up to three members the
 power sums fix the multiset, so each is a class of its own: a consumer that
 reads only coefficients (sigma = 0 moments, vinogradov_count) takes such a
-batch as it is formed, with no key rows and no sort.
+batch as it is formed, with no key rows and no sort. There a consumer that
+only squares the coefficients and adds them up (sigma = 0 moments of exact
+tables, vinogradov_count) forms no pair at all. A join cell is one left
+entry with the allowed prefix of one right p1 slice. Every pair of the
+cell has the coefficient l r_j, l the left entry's share and r_j the right
+entry's, except the tie pair, whose right least member equals the left
+entry's greatest and whose product is divided by a binomial t. So the cell
+adds l^2 times the sum of r_j^2 short of the tie entry, read off a prefix
+sum, plus the square of the tie pair's coefficient l r_tie / t, formed as
+the pair join forms it. A table is exact when its coefficients are real
+integers (-1, 0 or 1) and s! n^s < 2^53: every term and partial sum is
+then an integer below 2^53, so the cells' total is the pairs' bit for bit,
+in any order. That is O(n^2) cells at s = 3 in place of O(n^3) pairs.
+Other tables keep the pairs, the only route that keeps their bits.
 
 build_group_table copies the batches into one output buffer, sized for one
 entry per s-multiset. A table keeps the join's output as it comes: the
@@ -40,7 +53,9 @@ sum: within a group two keys differ by p3_j - p3_i, so it reads the
 packed key (or the p3 row) itself, and the table is never unpacked.
 At sigma = 0, and for vinogradov_count, no table is built: each batch is
 reduced as the join yields it and then dropped, so no more than the batches
-in flight (one per pool worker, plus one) are held at once.
+in flight (one per pool worker, plus one) are held at once. Cell sums run
+on the calling thread, one batch at a time: a batch's few thousand cells
+took longer to hand to the pool than to sum.
 
 Pair assembly uses the kernel's symmetry K(-d) = conj(K(d)): within a group
 the p3 values are distinct, so the group's sum is L sum |c_i|^2 plus twice the
@@ -71,7 +86,8 @@ into the next of its weight (_weighted_energy), so the 4096-term
 segments, and every bit of the value, are those of one pass over the
 batches' concatenation, wherever the batches were cut. From s = 4 on that
 is the table; up to s = 3 it is the table's entries in the join's pair
-order. A built table's diagonal goes through the same reducer.
+order, and an exact table sums its cells instead, to the same bits. A
+built table's diagonal goes through the same reducer.
 
 Mirror symmetry. The map k -> n+1-k sends an s-tuple's power sums to
 p1' = s(n+1) - p1, p2' = s(n+1)^2 - 2(n+1) p1 + p2 and
@@ -456,52 +472,40 @@ class _Multisets:
         )
 
 
-def _join(
-    left: _Multisets, right: _Multisets, unit: int, half: bool = False, keyed: bool = True
-):
-    """Join the least and greatest members into the sorted s-multisets, batch by batch.
+def _join_plan(left: _Multisets, right: _Multisets, unit: int, half: bool):
+    """The batches and cells of joining the least and greatest members into s-multisets.
 
-    Yields (keys, coefficients, pairs formed, weight) for each batch, in p1
-    order; keyed, the batches' entries, concatenated, are the sorted table.
     left holds the s - 2 least members of an s-multiset and right its 2
     greatest (1 and 1 for s = 2); a sorted s-multiset splits so just once,
-    so each is formed once: left entry i meets only the right entries whose least member is at
-    least i's greatest. A pair's coefficient is C(s, left.size) times the
-    product of the two sides' coeffs, divided by C(a + b, a) where i's
-    greatest member (multiplicity a) equals the right least one
-    (multiplicity b): s!/prod(m!) times the product of the multiset's
-    coefficients.
+    so each is formed once: left entry i meets only the right entries whose
+    least member is at least i's greatest. Both sides are sorted by p1, so
+    for a run of output p1 values each left entry i meets one contiguous p1
+    slice of the right side per right p1: a cell. Within a slice of at most
+    two members the least member falls by 1 from each entry to the next, so
+    the allowed entries are a prefix of the slice and no pair is formed only
+    to be dropped. Its last entry ties when its least member equals i's
+    greatest: that pair's coefficient is divided by C(a + b, a), a and b the
+    two members' multiplicities.
 
-    Both sides are sorted by p1, so for a run of output p1 values each left
-    entry i meets one contiguous p1 slice of the right side per right p1 (a
-    cell). Within a slice of at most two members the least member falls by 1
-    from each entry to the next, so the allowed entries are a prefix of the
-    slice and no pair is formed only to be dropped. Batches are sized by the
-    count of s-multisets per output p1 (_multiset_counts). Pairs are formed
-    in (q, i, j) order, q the output p1 offset, whatever the batch cuts: so
-    equal keys, which share q, sum their products in (i, j) order.
-
-    keyed=False is for a consumer that reads only coefficients and weights.
-    Up to s = 3 every multiset is then its own (p1, p2, p3) class, so a
-    batch forms no key rows and is not sorted: it yields
-    (None, coefficients in (q, i, j) order, pairs, weight). From s = 4 on,
-    batches are sorted and summed as with keys, so that the
-    Prouhet-Tarry-Escott coincidences still merge.
-
-    half forms only the lower half of the output p1 range, offsets q with
-    2q <= q_max: a mirrored table. There the middle offset 2q = q_max
-    (present when q_max = s(n - 1) is even) is a batch of its own, of weight
-    1, and every batch below it has weight 2: its entries stand for their
-    mirror images too. Without half every batch has weight 1. Nothing past
-    the batch itself is kept, so a caller that drops each batch never holds
-    the table.
+    Returns (spans, cells, left_c). spans lists (q_lo, q_hi, weight) per
+    batch, in p1 order: a run of output p1 offsets q = p1 - s of about
+    _JOIN_CHUNK pairs, sized by the count of s-multisets per output p1
+    (_multiset_counts). half plans only the lower half of the output p1
+    range, offsets q with 2q <= q_max: a mirrored table. There the middle
+    offset 2q = q_max (present when q_max = s(n - 1) is even) is a batch of
+    its own, of weight 1, and every batch below it has weight 2: its
+    entries stand for their mirror images too. Without half every batch has
+    weight 1. cells(q_lo, q_hi) gives the batch's cells in (q, i) order as
+    (i, start, lens, tie, divisor): left entry, the slice's first right
+    index, its prefix length, the cells whose last entry ties and their
+    divisors. left_c is C(s, left.size) times left's coefficients, the
+    factor every pair of a cell shares.
     """
     p1a = _p1_offsets(left.keys, unit)[0]
     hist_b = _p1_offsets(right.keys, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     s = left.size + right.size
     per_p1 = _multiset_counts(left.n, s, half)
-    left_c = math.comb(s, left.size) * left.coeffs
     # C(a + b, a) for a left greatest member of multiplicity a that equals a
     # right least member of multiplicity b.
     ties = np.array(
@@ -514,41 +518,121 @@ def _join(
     if half and q_max % 2 == 0:  # the middle p1 is a batch of its own
         mid = q_max // 2
         cuts = np.concatenate([cuts[cuts < mid], [mid], cuts[cuts > mid]])
+    spans = [
+        (lo, hi, 2 if half and 2 * lo < q_max else 1) for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
 
-    def batch(q_lo, q_hi):
+    def cells(q_lo, q_hi):
         # Cells (i, r), left entry i and right p1 offset r, by output offset
         # q = p1a[i] + r in [q_lo, q_hi) and then i: the left entries with
-        # 0 <= q - p1a[i] < hist_b.size are one run of the sorted p1a. Then
-        # the pairs (i, j) of each cell, so pairs come in (q, i, j) order.
+        # 0 <= q - p1a[i] < hist_b.size are one run of the sorted p1a.
         q = np.arange(q_lo, q_hi)
         i_lo = np.searchsorted(p1a, q - hist_b.size, side="right")
         n_i = np.searchsorted(p1a, q, side="right") - i_lo
         cell_i = _runs(i_lo, n_i)
         r = np.repeat(q, n_i) - p1a[cell_i]
+        start = starts_b[r]
         # room right entries of slice r have a least member >= i's greatest;
         # the last of them equals it when the slice holds them all.
-        room = right.lo[starts_b[r]] - left.hi[cell_i] + 1
-        tie_cell = np.flatnonzero((room >= 1) & (room <= hist_b[r]))
+        room = right.lo[start] - left.hi[cell_i] + 1
+        tie = np.flatnonzero((room >= 1) & (room <= hist_b[r]))
         lens = np.clip(room, 0, hist_b[r])
+        divisor = ties[left.hi_mult[cell_i[tie]], right.lo_mult[start[tie] + lens[tie] - 1]]
+        return cell_i, start, lens, tie, divisor
+
+    return spans, cells, math.comb(s, left.size) * left.coeffs
+
+
+def _join(
+    left: _Multisets, right: _Multisets, unit: int, half: bool = False, keyed: bool = True
+):
+    """Join the least and greatest members into the sorted s-multisets, batch by batch.
+
+    Yields (keys, coefficients, pairs formed, weight) for each batch of
+    _join_plan, in p1 order; keyed, the batches' entries, concatenated, are
+    the sorted table. A cell's pairs are its left entry with each allowed
+    right entry, and a pair's coefficient is left_c times the right
+    coefficient, divided by the tie divisor for the tie pair: s!/prod(m!)
+    times the product of the multiset's coefficients. Pairs are formed in
+    (q, i, j) order, q the output p1 offset, whatever the batch cuts: so
+    equal keys, which share q, sum their products in (i, j) order.
+
+    keyed=False is for a consumer that reads only coefficients and weights.
+    Up to s = 3 every multiset is then its own (p1, p2, p3) class, so a
+    batch forms no key rows and is not sorted: it yields
+    (None, coefficients in (q, i, j) order, pairs, weight). From s = 4 on,
+    batches are sorted and summed as with keys, so that the
+    Prouhet-Tarry-Escott coincidences still merge. Nothing past the batch
+    itself is kept, so a caller that drops each batch never holds the table.
+    """
+    spans, cells, left_c = _join_plan(left, right, unit, half)
+    s = left.size + right.size
+
+    def batch(q_lo, q_hi, weight):
+        cell_i, start, lens, tie_cell, divisor = cells(q_lo, q_hi)
         tie = np.cumsum(lens)[tie_cell] - 1
-        j = _runs(starts_b[r], lens)
+        j = _runs(start, lens)
         # Not in place: numpy's in-place complex product of one element
         # rounds differently, which would tie the bits to the batch cuts.
         coeffs = np.repeat(left_c[cell_i], lens) * right.coeffs[j]
-        coeffs[tie] /= ties[left.hi_mult[cell_i[tie_cell]], right.lo_mult[j[tie]]]
-        weight = 2 if half and 2 * q_lo < q_max else 1
+        coeffs[tie] /= divisor
         if not keyed and s <= 3:  # each multiset is its own class: nothing to sort or add
             return None, coeffs, j.size, weight
         keys = np.repeat(left.keys[:, cell_i], lens, axis=1)
         keys += right.keys[:, j]
         return (*_dedupe(keys, coeffs), j.size, weight)
 
-    yield from _in_order((batch, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    yield from _in_order((batch, *span) for span in spans)
+
+
+def _cell_sums(left: _Multisets, right: _Multisets, unit: int, half: bool):
+    """The sum of |c|^2 over each cell's pairs, batch by batch, forming no pair.
+
+    Yields (None, the sums of the batch's cells, pairs, weight) for each
+    batch of _join_plan, in p1 order, for s = 2 and 3, where each pair is a
+    (p1, p2, p3) class of its own. A pair's c is left_c times the right
+    coefficient r_j, so a cell adds left_c^2 times the sum of r_j^2 over its
+    allowed entries short of the tie one, read off a prefix sum of r^2, and
+    then the square of the tie pair's coefficient, formed as _join forms it.
+    For real integer coefficients whose squared class sums total below
+    2^53 every term and every partial sum is an exact integer
+    (_exact_table), so the cells' sums add up to the pairs' bit for bit, in
+    any order; vinogradov_count's unit coefficients keep each cell's sum
+    exact at every size the tuple budget admits.
+    """
+    spans, cells, left_c = _join_plan(left, right, unit, half)
+    prefix = np.concatenate([[0.0], np.cumsum(np.square(right.coeffs))])
+
+    def batch(q_lo, q_hi, weight):
+        cell_i, start, lens, tie, divisor = cells(q_lo, q_hi)
+        c = left_c[cell_i]
+        end = start + lens
+        end[tie] -= 1  # the tie entry is added on its own
+        sums = np.square(c) * (prefix[end] - prefix[start])
+        tie_c = c[tie] * right.coeffs[end[tie]]
+        tie_c /= divisor
+        sums[tie] += np.square(tie_c)
+        return None, sums, int(lens.sum()), weight
+
+    for span in spans:  # a batch's few thousand cells take longer to hand to the pool
+        yield batch(*span)
 
 
 def _mirror_symmetric(coeffs: np.ndarray) -> bool:
     """True for real coefficients with a_k = a_{n+1-k} (module docstring)."""
     return not np.any(coeffs.imag) and np.array_equal(coeffs, coeffs[::-1])
+
+
+def _exact_table(coeffs: np.ndarray, bound: int) -> bool:
+    """True when a table's sigma = 0 moment sums exactly in float64 in any order.
+
+    That holds for real integer coefficients, -1, 0 or 1 under |a_k| <= 1,
+    when bound = s! N^s is below 2^53. Up to s = 3 each (p1, p2, p3) class
+    is one multiset, with at most s! tuples, so its squared coefficient is
+    at most s! times its tuple count, and the squares of all classes total
+    at most s! N^s: every term and partial sum is an integer below 2^53.
+    """
+    return bound < 2**53 and not np.any(coeffs.imag) and np.array_equal(coeffs, np.rint(coeffs))
 
 
 @dataclass(eq=False)
@@ -562,10 +646,12 @@ class _Stream:
     pair order, a permutation of the table's (_join). weight is 2 for a
     mirrored batch below the middle p1, whose entries stand for their
     mirror images too, and 1 for the middle batch and every batch of an
-    unmirrored stream (_join). It counts as it goes: n_entries
-    and join_pairs as a TupleGroupTable states them, and held_entries, the
-    most entries of one batch. size bounds the entries: one per s-multiset
-    (of the lower half when mirrored). A stream is iterated once.
+    unmirrored stream (_join). A cell stream (cells=True) yields the sums
+    of |c|^2 over each batch's cells in place of coefficients (_cell_sums).
+    It counts as it goes: n_entries and join_pairs as a TupleGroupTable
+    states them, and held_entries, the most entries of one batch, 0 for a
+    cell stream, which forms none. size bounds the entries: one per
+    s-multiset (of the lower half when mirrored). A stream is iterated once.
     """
 
     n: int
@@ -574,16 +660,20 @@ class _Stream:
     dtype: np.dtype
     size: int
     batches: Iterator[tuple[np.ndarray | None, np.ndarray, int, int]] = field(repr=False)
+    cells: bool = False
     n_entries: int = 0
     join_pairs: int = 0
     held_entries: int = 0
 
     def __iter__(self):
-        for keys, coeffs, pairs, weight in self.batches:
-            self.n_entries += coeffs.size
+        for keys, values, pairs, weight in self.batches:
             self.join_pairs += pairs
-            self.held_entries = max(self.held_entries, coeffs.size)
-            yield keys, coeffs, pairs, weight
+            if self.cells:  # one entry per pair up to s = 3, none of them formed
+                self.n_entries += pairs
+            else:
+                self.n_entries += values.size
+                self.held_entries = max(self.held_entries, values.size)
+            yield keys, values, pairs, weight
 
     @property
     def key_rows(self) -> int:
@@ -591,14 +681,21 @@ class _Stream:
 
 
 def _table_stream(
-    spec: ExpSumSpec, s: int, budget_tuples: int, mirrored: bool, keyed: bool = True
+    spec: ExpSumSpec,
+    s: int,
+    budget_tuples: int,
+    mirrored: bool,
+    keyed: bool = True,
+    cells: bool = False,
 ) -> _Stream:
     """build_group_table's checks and the halves of its join, which runs as
     the stream is read. s = 1 is one batch of the frequencies themselves,
     split as _join splits when mirrored: the frequencies below the middle
     (n + 1) / 2, weight 2, then the middle one, weight 1, when n is odd.
     keyed=False is for a consumer that reads no keys: up to s = 3 its
-    batches come with keys None and unsorted (_join)."""
+    batches come with keys None and unsorted (_join). cells=True, for
+    s = 2 and 3 only, yields each batch's cell sums of |c|^2 and forms no
+    pair (_cell_sums)."""
     if s < 1:
         raise SpecValidationError(f"need s >= 1, got {s}")
     n = spec.n
@@ -628,7 +725,10 @@ def _table_stream(
     if s > 1:
         right = _Multisets.build(single, base_c, min(s - 1, 2))
         left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
-        batches = _join(left, right, a_mul, mirrored, keyed)
+        if cells:
+            batches = _cell_sums(left, right, a_mul, mirrored)
+        else:
+            batches = _join(left, right, a_mul, mirrored, keyed)
     else:
         parts = ((0, n // 2, 2), (n // 2, (n + 1) // 2, 1)) if mirrored else ((0, n, 1),)
         batches = iter([
@@ -636,7 +736,7 @@ def _table_stream(
         ])
     return _Stream(
         n=n, s=s, multipliers=packing, dtype=base_c.dtype,
-        size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches,
+        size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches, cells=cells,
     )
 
 
@@ -946,21 +1046,31 @@ def moment_exact(
     s = 3 the batches come unsorted, in the join's pair order, which does
     not depend on the batch cuts; the segment sums are those of one pass
     over that order (_weighted_energy, the reducer of the sigma > 0
-    diagonal too), the table's order from s = 4 on. err_estimate bounds
-    the error for the table's coefficients, the kernel included; at
-    sigma = 0 it is the diagonal's 40u times the value (_pair_assemble).
+    diagonal too), the table's order from s = 4 on. At s = 2 and 3 an
+    exact table (_exact_table: real integer coefficients, s! N^s < 2^53)
+    forms no pair at all: each batch gives the sums of its join cells
+    (_cell_sums), integers whose total is the pairs' to the bit; any other
+    table keeps the pairs, the only route that keeps their bits.
+    err_estimate bounds the error for the table's coefficients, the kernel
+    included; at sigma = 0 it is the diagonal's 40u times the value
+    (_pair_assemble).
 
     The detail states the table's entries, their bytes (key rows and
     coefficients) and the join's pairs, whether or not the table was held,
     and held_entries, the most entries held at once: the largest batch at
-    sigma = 0, the whole table otherwise. With sigma > 0 it gives
+    sigma = 0, 0 on the cell route, which forms none, and the whole table
+    otherwise. With sigma > 0 it gives
     "spectrum_bins" and "distinct_d", the bins of R and the distinct
     in-group d, where the kernel was evaluated.
     """
     mirrored = _mirror_symmetric(spec.coeffs)
     if spec.sigma == 0.0:
-        table = _table_stream(spec, s, budget_tuples, mirrored, keyed=False)
-        value = math.fsum(_weighted_energy((c, weight) for _, c, _, weight in table))
+        cells = 2 <= s <= 3 and _exact_table(spec.coeffs, math.factorial(s) * spec.n**s)
+        table = _table_stream(spec, s, budget_tuples, mirrored, keyed=False, cells=cells)
+        if cells:
+            value = math.fsum(weight * float(np.sum(sums)) for _, sums, _, weight in table)
+        else:
+            value = math.fsum(_weighted_energy((c, weight) for _, c, _, weight in table))
         err, spectrum = _ROUNDOFF_K * 2.0**-53 * value, {}  # value = M up to rounding
         held = table.held_entries
         table_bytes = table.n_entries * (8 * table.key_rows + table.dtype.itemsize)
@@ -1070,16 +1180,21 @@ def vinogradov_count(
 
     Counted as sum over (p1, p2, p3) classes of (tuple count)^2 in integer
     arithmetic, over the mirrored join's batches as they come, each times
-    its weight (2 below the middle p1); no table is held, and up to s = 3
-    no batch is sorted (_join with keyed=False). Class counts are
-    accumulated as float64 but stay far below 2^53 under the tuple budget,
-    so the result is exact.
+    its weight (2 below the middle p1); no table is held. At s = 2 and 3
+    the batches are the join's cell sums of squared counts (_cell_sums),
+    and no pair is formed; from s = 4 on they are the class counts
+    themselves, squared here. Class counts and cell sums are accumulated
+    as float64 but stay far below 2^53 under the tuple budget, so they are
+    exact, and int64 adds them up.
     """
     if n < 1 or s < 1:
         raise SpecValidationError("need n >= 1 and s >= 1")
     spec = ExpSumSpec(n=n, coeffs=np.ones(n), sigma=0.0)
+    cells = 2 <= s <= 3
     total = 0
-    for _, c, _, weight in _table_stream(spec, s, budget_tuples, mirrored=True, keyed=False):
+    for _, c, _, weight in _table_stream(
+        spec, s, budget_tuples, mirrored=True, keyed=False, cells=cells
+    ):
         counts = np.rint(c).astype(np.int64)
-        total += weight * int(np.sum(counts * counts))
+        total += weight * int(np.sum(counts if cells else counts * counts))
     return total

@@ -1200,6 +1200,72 @@ class TestMomentExact:
                 assert detail["held_entries"] <= min(most, table.n_entries)
                 assert detail["held_entries"] < table.n_entries or chunk != 997
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_sigma0_cells_sum_the_pairs_bit_for_bit(self, s):
+        # An exact table at s = 2, 3 sums its join cells and forms no pair.
+        # Every term and partial sum is an integer below 2^53, so the value
+        # and err_estimate are the pair stream's to the bit: 256 cases per
+        # s, N = 1 (one tie pair, divided by 3 at s = 3) included, and two of
+        # the four families have zeros among their coefficients. The detail
+        # states the pair stream's entries, bytes and pairs, and holds no
+        # entry.
+        cases = 0
+        for n in [*range(1, 61), 97, 128, 200, 321]:
+            for family, coeffs in integer_families(n, s).items():
+                spec = ExpSumSpec(n=n, coeffs=coeffs)
+                mirrored = moments._mirror_symmetric(spec.coeffs)
+                stream = moments._table_stream(
+                    spec, s, moments.DEFAULT_TUPLE_BUDGET, mirrored, keyed=False
+                )
+                want = math.fsum(moments._weighted_energy((c, w) for _, c, _, w in stream))
+                res = moment_exact(spec, s)
+                assert res.value.hex() == want.hex(), (n, family)
+                assert res.err_estimate.hex() == (moments._ROUNDOFF_K * 2.0**-53 * want).hex()
+                detail = res.detail
+                assert detail["table_entries"] == stream.n_entries == stream.join_pairs
+                assert detail["table_bytes"] == stream.n_entries * (8 * stream.key_rows + 8)
+                assert detail["join_pairs"] == stream.join_pairs
+                assert detail["merged_entries"] == 0
+                assert (detail["held_entries"], detail["mirrored"]) == (0, mirrored)
+                cases += 1
+        assert cases == 256
+
+    def test_sigma0_integer_tables_form_no_pair(self, monkeypatch):
+        # Spy on the pair join: sigma = 0 moments of integer tables at
+        # s = 2, 3 and vinogradov_count there never call it; complex and
+        # non-integer tables, and s = 4, still do.
+        calls = []
+        join = moments._join
+
+        def spy_join(left, right, unit, half=False, keyed=True):
+            calls.append(left.size + right.size)
+            yield from join(left, right, unit, half, keyed)
+
+        monkeypatch.setattr(moments, "_join", spy_join)
+        for s in (2, 3):
+            for coeffs in integer_families(30, s).values():
+                moment_exact(ExpSumSpec(n=30, coeffs=coeffs), s)
+            vinogradov_count(30, s)
+        assert calls == []
+        for s in (2, 3):
+            for family in ("random_phase", "random_sign"):
+                coeffs = coeffs_for(family, 30, s) * (0.5 if family == "random_sign" else 1.0)
+                moment_exact(ExpSumSpec(n=30, coeffs=coeffs), s)
+        moment_exact(spec_ones(12), 4)
+        vinogradov_count(12, 4)
+        assert calls == [2, 2, 3, 3, 4, 4]
+
+    def test_exact_table_needs_integers_and_s_factorial_n_to_the_s_below_2_53(self):
+        # The bound s! N^s itself is the argument: a table with
+        # s! N^s = 2^53 could not be built.
+        ones = np.ones(5, dtype=complex)
+        assert moments._exact_table(ones, 2**53 - 1)
+        assert not moments._exact_table(ones, 2**53)
+        assert moments._exact_table(np.array([-1.0, 0.0, 1.0], dtype=complex), 6)
+        assert not moments._exact_table(np.array([1.0, 0.5]), 2)
+        assert not moments._exact_table(np.array([1.0, 1j]), 2)
+        assert moments._exact_table(spec_ones(384).coeffs, math.factorial(3) * 384**3)
+
     @pytest.mark.parametrize(
         "n, family, value, err",
         [
@@ -1266,33 +1332,66 @@ class TestMomentExact:
         assert child[0] == 1 and child[1:] == here["got"][1:]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_sigma0_memory_stays_below_the_table(self, child_env):
+    @pytest.mark.parametrize("family", ["random_sign", "random_phase"])
+    def test_sigma0_memory_stays_below_the_table(self, child_env, family):
         # Peak RSS, not tracemalloc. sigma = 0 reduces each join batch as it
         # comes and holds no table, so RSS rises by well under the table's
-        # bytes: 18-20 MB against an 88 MB table (10^6 bytes) on a 2-core
-        # Linux VM. Building the table first rose 109-111 MB there. The
-        # child's peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts
-        # at the RSS of the process it was forked from, so under a large
-        # test process both rises read 0.
-        code = (
-            "import json\n"
-            "from momentcurve import ExpSumSpec, coeffs_for, moment_exact\n"
-            "def peak_bytes():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')) * 1024\n"
-            "spec = ExpSumSpec(n=320, coeffs=coeffs_for('random_sign', 320, 1))\n"
-            "before = peak_bytes()\n"
-            "res = moment_exact(spec, 3)\n"
-            "after = peak_bytes()\n"
-            "print(json.dumps({'rise': after - before, 'table': res.detail['table_bytes']}))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=child_env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
+        # bytes. On a 2-core Linux VM random_phase streams the pairs and
+        # rose 25-27 MiB against a 126 MiB table; random_sign sums the cells
+        # and rose 5.3 MiB against an 84 MiB table (18 MiB when it streamed
+        # the pairs; building the table first rose 109-111 MB, 10^6 bytes).
+        got = sigma0_peak_rise(child_env, 320, family)
         assert got["rise"] <= got["table"] / 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_sigma0_cells_hold_less_than_the_pairs(self, child_env):
+        # The cell route at N = 584, s = 3 (mirrored, 16.7M pairs) holds one
+        # batch's cells and the right half's prefix sum: RSS rose
+        # 16.6-16.9 MiB on a 2-core Linux VM, where streaming the pairs rose
+        # 27.2-30.2 MiB. The bound is the least of those pair-route rises.
+        got = sigma0_peak_rise(child_env, 584, "constant")
+        assert got["held"] == 0
+        assert got["rise"] <= 27 * 2**20
+
+
+def integer_families(n, s):
+    """Four real integer coefficient families of length n: constant, random
+    signs, and -1, 0, 1 draws with and without the mirror symmetry."""
+    rng = np.random.default_rng(1000 * s + n)
+    half = rng.choice([-1.0, 0.0, 1.0], (n + 1) // 2)
+    return {
+        "constant": np.ones(n),
+        "random_sign": coeffs_for("random_sign", n, s),
+        "signs with zeros": rng.choice([-1.0, 0.0, 1.0], n),
+        "palindromic with zeros": np.concatenate([half, half[: n // 2][::-1]]),
+    }
+
+
+def sigma0_peak_rise(child_env, n, family):
+    """The VmHWM rise of one s = 3, sigma = 0 moment_exact call in a fresh child.
+
+    VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of the
+    process it was forked from, so under a large test process a rise would
+    read 0. Returns the rise, the table's bytes and held_entries.
+    """
+    code = (
+        "import json\n"
+        "from momentcurve import ExpSumSpec, coeffs_for, moment_exact\n"
+        "def peak_bytes():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:')) * 1024\n"
+        f"spec = ExpSumSpec(n={n}, coeffs=coeffs_for({family!r}, {n}, 1))\n"
+        "before = peak_bytes()\n"
+        "res = moment_exact(spec, 3)\n"
+        "after = peak_bytes()\n"
+        "print(json.dumps({'rise': after - before, 'table': res.detail['table_bytes'],\n"
+        "                  'held': res.detail['held_entries']}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def palindromic_signs(n, seed):
