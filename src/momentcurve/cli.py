@@ -3,7 +3,7 @@
 Every invocation writes its outputs under --out (results/, tables/,
 manifests/) and flushes one manifest; result records carry the manifest's
 run_id. Exit codes: 0 success, 1 geometry violation, 2 validation failure,
-3 budget exceeded.
+3 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .sharpness import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_VALIDATION = 2
-EXIT_BUDGET = 3
+EXIT_BUDGET = 3  # a budget exceeded, or an allocation that failed
 
 RESCALE_RESIDUAL_TOL = 1e-9
 
@@ -252,13 +252,13 @@ def _cmd_sweep(args, argv: list[str]) -> int:
     try:
         for x in cfg.x_values:
             rows.append(row_fn(cfg, x))
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:
         # Flush whatever completed so the run is diagnosable post hoc.
         manifest.add_output(csv_path, _write_sweep_csv(csv_path, cfg.x_label, rows))
         manifest.status = "failed"
         manifest.wall_time_s = time.perf_counter() - t0
         layout.flush_manifest(manifest)
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        print(_resource_failure(exc), file=sys.stderr)
         return EXIT_BUDGET
     report = envelope_report(cfg, rows)
     fit = report.fit
@@ -412,9 +412,16 @@ def main(argv=None) -> int:
     except SpecValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        print(_resource_failure(exc), file=sys.stderr)
         return EXIT_BUDGET
+
+
+def _resource_failure(exc: BudgetError | MemoryError) -> str:
+    """The stderr line of a run that exits EXIT_BUDGET."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {str(exc) or 'an allocation failed'}"
+    return f"budget exceeded: {exc}"
 
 
 def entrypoint() -> None:

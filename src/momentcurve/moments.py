@@ -10,10 +10,14 @@ kernel. Group tables are built meet-in-the-middle, never by enumerating
 
 The join forms each multiset of s frequencies once. Sorted,
 k_1 <= ... <= k_s splits once into its s - 2 least and 2 greatest members
-(1 and 1 for s = 2), and each half is the list of multisets of its size. So
-the join pairs a left multiset only with the right ones whose least member
-is at least its greatest, and weighs the pair by the multinomial
-s!/prod m_i! times the product of the coefficients. Within one p1 slice of
+(1 and 1 for s = 2), and each half is the list of multisets of its size,
+sorted by key. Halves of one or two members come out in key order as they
+are listed, with no sort: p1 rises, and within one p1 the least member
+falls, as p2 rises. Only a left half of three or more members (s >= 5) is
+listed member by member and then sorted. So the join pairs a left multiset
+only with the right ones whose least member is at least its greatest, and
+weighs the pair by the multinomial s!/prod m_i! times the product of the
+coefficients. Within one p1 slice of
 the right half the least member falls by 1 from each entry to the next, so
 the allowed entries are a prefix of the slice and every pair formed is
 kept. A join never compares keys of different p1: both halves are sorted by
@@ -423,8 +427,12 @@ def _runs(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _Multisets:
     """Every multiset of `size` members of 1..n, one per column, sorted by key.
 
-    Each entry keeps its least and greatest member with their
-    multiplicities, and coeffs = size!/prod(m!) times the product of its
+    One or two members are listed in key order as they are built
+    (_in_key_order), so nothing is sorted or gathered into order; three or
+    more are listed member by member and sorted once by np.lexsort of their
+    keys. Each entry keeps its least and greatest member with their
+    multiplicities, read off the run of equal members that the multinomial
+    loop below tracks, and coeffs = size!/prod(m!) times the product of its
     members' coefficients, m running over its multiplicities: the sum of the
     coefficient products of the size-tuples that order to it. Up to three
     members (p1, p2, p3) fix the multiset by Newton's identities, so that is
@@ -449,30 +457,58 @@ class _Multisets:
     @classmethod
     def build(cls, single: np.ndarray, base_c: np.ndarray, size: int):
         n = base_c.size
-        members = np.arange(1, n + 1)[None, :]
-        for _ in range(size - 1):  # append each member >= the last one
-            last = members[-1]
-            lens = n + 1 - last
-            owner = np.repeat(np.arange(last.size), lens)
-            members = np.vstack([members[:, owner], _runs(last, lens)])
-        keys = sum(single[:, row - 1] for row in members)
-        order = np.lexsort(keys[::-1])
-        members = members[:, order]
-        raw = base_c[members[0] - 1]
-        weight = np.ones(members.shape[1])  # multinomial of the members so far
-        run = np.ones(members.shape[1])  # multiplicity of the last of them
+        if size <= 2:
+            members = cls._in_key_order(n, size)
+            keys = sum(np.take(single, row - 1, axis=1) for row in members)
+        else:  # listed member by member, then sorted
+            members = np.arange(1, n + 1)[None, :]
+            for _ in range(size - 1):  # append each member >= the last one
+                last = members[-1]
+                lens = n + 1 - last
+                owner = np.repeat(np.arange(last.size), lens)
+                members = np.vstack([members[:, owner], _runs(last, lens)])
+            keys = sum(np.take(single, row - 1, axis=1) for row in members)
+            order = np.lexsort(keys[::-1])
+            members, keys = members[:, order], keys[:, order]
+        lo, hi = members[0], members[-1]
+        raw = base_c[lo - 1]
+        weight = np.ones(lo.size)  # multinomial of the members so far
+        run = np.ones(lo.size)  # multiplicity of the last of them
+        lo_run = run  # multiplicity of the least member
         for t in range(1, size):
+            # Keep this line's shape. numpy's complex product is not bitwise
+            # commutative (it may use FMA), and past numpy's 256 KB temporary
+            # elision threshold this line runs as base_c[...] * raw in the
+            # temporary's buffer; another shape, such as
+            # base_c[a - 1] * base_c[b - 1], moves coefficients by an ulp.
             raw = raw * base_c[members[t] - 1]
             run = np.where(members[t] == members[t - 1], run + 1.0, 1.0)
             weight = weight * (t + 1) / run
-        lo, hi = members[0], members[-1]
+            lo_run = np.where(members[t] == lo, run, lo_run)
         return cls(
-            n=n, size=size, keys=keys[:, order], coeffs=weight * raw, lo=lo, hi=hi,
-            lo_mult=np.sum(members == lo, axis=0), hi_mult=np.sum(members == hi, axis=0),
+            n=n, size=size, keys=keys, coeffs=weight * raw, lo=lo, hi=hi,
+            lo_mult=lo_run.astype(int), hi_mult=run.astype(int),
         )
 
+    @staticmethod
+    def _in_key_order(n: int, size: int) -> list[np.ndarray]:
+        """The member rows of the multisets of 1 or 2 members of 1..n, in key order.
 
-def _join_plan(left: _Multisets, right: _Multisets, unit: int, half: bool):
+        Keys sort by p1, then p2. One member k has p1 = k. Two members
+        a <= b run through p1 = a + b = 2, ..., 2n, and within one p1 the
+        least member falls from p1 // 2 to max(1, p1 - n), as p2 = a^2 + b^2
+        rises while a falls.
+        """
+        if size == 1:
+            return [np.arange(1, n + 1)]
+        p1 = np.arange(2, 2 * n + 1)
+        top = p1 // 2
+        lens = top - np.maximum(1, p1 - n) + 1
+        least = -_runs(-top, lens)
+        return [least, np.repeat(p1, lens) - least]
+
+
+def _join_plan(left: _Multisets, right: _Multisets, unit: int, per_p1: np.ndarray, half: bool):
     """The batches and cells of joining the least and greatest members into s-multisets.
 
     left holds the s - 2 least members of an s-multiset and right its 2
@@ -489,13 +525,13 @@ def _join_plan(left: _Multisets, right: _Multisets, unit: int, half: bool):
 
     Returns (spans, cells, left_c). spans lists (q_lo, q_hi, weight) per
     batch, in p1 order: a run of output p1 offsets q = p1 - s of about
-    _JOIN_CHUNK pairs, sized by the count of s-multisets per output p1
-    (_multiset_counts). half plans only the lower half of the output p1
-    range, offsets q with 2q <= q_max: a mirrored table. There the middle
-    offset 2q = q_max (present when q_max = s(n - 1) is even) is a batch of
-    its own, of weight 1, and every batch below it has weight 2: its
-    entries stand for their mirror images too. Without half every batch has
-    weight 1. cells(q_lo, q_hi) gives the batch's cells in (q, i) order as
+    _JOIN_CHUNK pairs, sized by per_p1, the count of s-multisets per output
+    p1 (_multiset_counts, with half). half plans only the lower half of the
+    output p1 range, offsets q with 2q <= q_max: a mirrored table. There the
+    middle offset 2q = q_max (present when q_max = s(n - 1) is even) is a
+    batch of its own, of weight 1, and every batch below it has weight 2:
+    its entries stand for their mirror images too. Without half every batch
+    has weight 1. cells(q_lo, q_hi) gives the batch's cells in (q, i) order as
     (i, start, lens, tie, divisor): left entry, the slice's first right
     index, its prefix length, the cells whose last entry ties and their
     divisors. left_c is C(s, left.size) times left's coefficients, the
@@ -505,7 +541,6 @@ def _join_plan(left: _Multisets, right: _Multisets, unit: int, half: bool):
     hist_b = _p1_offsets(right.keys, unit)[1]
     starts_b = np.concatenate([[0], np.cumsum(hist_b)])
     s = left.size + right.size
-    per_p1 = _multiset_counts(left.n, s, half)
     # C(a + b, a) for a left greatest member of multiplicity a that equals a
     # right least member of multiplicity b.
     ties = np.array(
@@ -544,7 +579,12 @@ def _join_plan(left: _Multisets, right: _Multisets, unit: int, half: bool):
 
 
 def _join(
-    left: _Multisets, right: _Multisets, unit: int, half: bool = False, keyed: bool = True
+    left: _Multisets,
+    right: _Multisets,
+    unit: int,
+    per_p1: np.ndarray,
+    half: bool = False,
+    keyed: bool = True,
 ):
     """Join the least and greatest members into the sorted s-multisets, batch by batch.
 
@@ -565,7 +605,7 @@ def _join(
     Prouhet-Tarry-Escott coincidences still merge. Nothing past the batch
     itself is kept, so a caller that drops each batch never holds the table.
     """
-    spans, cells, left_c = _join_plan(left, right, unit, half)
+    spans, cells, left_c = _join_plan(left, right, unit, per_p1, half)
     s = left.size + right.size
 
     def batch(q_lo, q_hi, weight):
@@ -585,7 +625,7 @@ def _join(
     yield from _in_order((batch, *span) for span in spans)
 
 
-def _cell_sums(left: _Multisets, right: _Multisets, unit: int, half: bool):
+def _cell_sums(left: _Multisets, right: _Multisets, unit: int, per_p1: np.ndarray, half: bool):
     """The sum of |c|^2 over each cell's pairs, batch by batch, forming no pair.
 
     Yields (None, the sums of the batch's cells, pairs, weight) for each
@@ -600,7 +640,7 @@ def _cell_sums(left: _Multisets, right: _Multisets, unit: int, half: bool):
     any order; vinogradov_count's unit coefficients keep each cell's sum
     exact at every size the tuple budget admits.
     """
-    spans, cells, left_c = _join_plan(left, right, unit, half)
+    spans, cells, left_c = _join_plan(left, right, unit, per_p1, half)
     prefix = np.concatenate([[0.0], np.cumsum(np.square(right.coeffs))])
 
     def batch(q_lo, q_hi, weight):
@@ -722,13 +762,14 @@ def _table_stream(
         a_mul = 1
         single = np.stack([k, k**2, k**3])
 
+    per_p1 = _multiset_counts(n, s, mirrored)
     if s > 1:
         right = _Multisets.build(single, base_c, min(s - 1, 2))
         left = right if s == 2 * right.size else _Multisets.build(single, base_c, s - right.size)
         if cells:
-            batches = _cell_sums(left, right, a_mul, mirrored)
+            batches = _cell_sums(left, right, a_mul, per_p1, mirrored)
         else:
-            batches = _join(left, right, a_mul, mirrored, keyed)
+            batches = _join(left, right, a_mul, per_p1, mirrored, keyed)
     else:
         parts = ((0, n // 2, 2), (n // 2, (n + 1) // 2, 1)) if mirrored else ((0, n, 1),)
         batches = iter([
@@ -736,7 +777,7 @@ def _table_stream(
         ])
     return _Stream(
         n=n, s=s, multipliers=packing, dtype=base_c.dtype,
-        size=int(_multiset_counts(n, s, mirrored).sum()), batches=batches, cells=cells,
+        size=int(per_p1.sum()), batches=batches, cells=cells,
     )
 
 

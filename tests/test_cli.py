@@ -145,6 +145,22 @@ class TestMomentCommand:
         assert main(["moment", "--N", "4", "--s", "2", "--method", "quad",
                      "--oversample", "1e308", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "message, line",
+        [("Unable to allocate 2.90 GiB", "Unable to allocate 2.90 GiB"), ("", "an allocation failed")],
+    )
+    def test_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys, message, line):
+        # A failed allocation is a resource failure like a budget exceeded,
+        # not a geometry violation (exit 1), and it writes no record.
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "moment_exact", no_memory)
+        rc = main(["moment", "--N", "584", "--s", "3", "--sigma", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"out of memory: {line}\n"
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("family, mirrored", [("constant", True), ("random_sign", False)])
     def test_record_states_the_table_built(self, tmp_path, family, mirrored):
         # Constant coefficients are palindromic: the record describes the
@@ -459,6 +475,31 @@ budget_tuples = 100000
         # The first two points fit the budget and were flushed.
         (table,) = sorted((tmp_path / "tables").glob("*.csv"))
         assert len(table.read_text().strip().splitlines()) == 3
+
+    def test_out_of_memory_exit_3_flushes_failed_manifest(self, tmp_path, monkeypatch, capsys):
+        # As a budget exceeded: the rows done so far are flushed, the
+        # manifest says failed, and stderr names the failure.
+        cfg = write_config(tmp_path / "tiny.ini", """
+[sweep]
+kind = mainexp
+x_values = 4 8 64
+s = 2
+""")
+        row = cli.mainexp_row
+
+        def row_or_no_memory(cfg, x):
+            if x == 64:
+                raise MemoryError("Unable to allocate 2.90 GiB")
+            return row(cfg, x)
+
+        monkeypatch.setattr(cli, "mainexp_row", row_or_no_memory)
+        assert main(["sweep", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 2.90 GiB\n"
+        manifest = read_only_json(tmp_path / "manifests", "2*.json")
+        assert manifest["status"] == "failed"
+        (table,) = sorted((tmp_path / "tables").glob("*.csv"))
+        assert len(table.read_text().strip().splitlines()) == 3
+        assert not list((tmp_path / "results").glob("sweep-*-fit.json"))
 
 
 class TestGeometryCommand:

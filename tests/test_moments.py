@@ -379,9 +379,9 @@ class TestJoin:
         dedupe = moments._dedupe
         sorts = []
 
-        def spy_join(left, right, unit, half=False, keyed=True):
+        def spy_join(left, right, unit, per_p1, half=False, keyed=True):
             pairs = 0
-            for batch in join(left, right, unit, half, keyed):
+            for batch in join(left, right, unit, per_p1, half, keyed):
                 pairs += batch[2]
                 yield batch
             joins.append((left.keys.shape[1], right.keys.shape[1], pairs))
@@ -411,7 +411,73 @@ class TestJoin:
             assert detail["merged_entries"] > 0
 
 
-def ordered_join(left, right, unit, half=False, keyed=True):
+def sorted_multisets(single, base_c, size):
+    """The multisets of `size` members listed by sorting, the reference for
+    _Multisets.build: member by member, then by np.lexsort of their keys,
+    every row gathered into key order, and the multiplicities counted by
+    comparing members. Returns the fields of a _Multisets."""
+    n = base_c.size
+    members = np.arange(1, n + 1)[None, :]
+    for _ in range(size - 1):
+        last = members[-1]
+        lens = n + 1 - last
+        owner = np.repeat(np.arange(last.size), lens)
+        members = np.vstack([members[:, owner], moments._runs(last, lens)])
+    keys = sum(single[:, row - 1] for row in members)
+    order = np.lexsort(keys[::-1])
+    members = members[:, order]
+    raw = base_c[members[0] - 1]
+    weight = np.ones(members.shape[1])
+    run = np.ones(members.shape[1])
+    for t in range(1, size):
+        raw = raw * base_c[members[t] - 1]
+        run = np.where(members[t] == members[t - 1], run + 1.0, 1.0)
+        weight = weight * (t + 1) / run
+    lo, hi = members[0], members[-1]
+    return {
+        "keys": keys[:, order], "coeffs": weight * raw, "lo": lo, "hi": hi,
+        "lo_mult": np.sum(members == lo, axis=0), "hi_mult": np.sum(members == hi, axis=0),
+    }
+
+
+class TestMultisets:
+    @pytest.mark.parametrize("packing", ["packed", "three rows"])
+    def test_halves_match_the_sort_by_bytes(self, packing):
+        # Halves of one and two members are listed in key order as they are
+        # built; they must be the sorted listing's arrays byte for byte. From
+        # N = 181 on a complex two-member half passes numpy's 256 KB
+        # temporary elision threshold, where the product's operand order
+        # shows in its bits. Three members (left halves at s >= 5, N <= 45
+        # under the default budget) still sort, and are checked to N = 64.
+        for n in [*range(1, 41), 64, 181, 200, 320, 384, 584]:
+            k = np.arange(1, n + 1, dtype=np.int64)
+            if packing == "packed":
+                a_mul, b_mul = _packing_multipliers(n, 3)
+                single = (k * a_mul + k**2 * b_mul + k**3)[None, :]
+            else:
+                single = np.stack([k, k**2, k**3])
+            rng = np.random.default_rng(n)
+            families = {
+                family: coeffs_for(family, n, 11)
+                for family in ("constant", "random_sign", "random_phase")
+            }
+            families["moduli in [0.5, 1]"] = rng.uniform(0.5, 1.0, n) * np.exp(
+                2j * math.pi * rng.uniform(0.0, 1.0, n)
+            )
+            for family, coeffs in families.items():
+                # As _table_stream passes them: real coefficients as float.
+                base_c = coeffs.real.astype(float) if not np.any(coeffs.imag) else coeffs
+                for size in (1, 2, 3) if n <= 64 else (1, 2):
+                    got = moments._Multisets.build(single, base_c, size)
+                    assert (got.n, got.size) == (n, size)
+                    for name, want in sorted_multisets(single, base_c, size).items():
+                        have = getattr(got, name)
+                        where = (n, family, size, name)
+                        assert (have.dtype, have.shape) == (want.dtype, want.shape), where
+                        assert have.tobytes() == want.tobytes(), where
+
+
+def ordered_join(left, right, unit, per_p1, half=False, keyed=True):
     """The join that forms every ordered pair (i, j) of two _Multisets sides,
     their coefficients multiplied: a multiset's coeffs sum the products of
     the tuples that order to it, so the pairs add up the product of every
@@ -419,7 +485,11 @@ def ordered_join(left, right, unit, half=False, keyed=True):
     batch there. Yields keys, coefficients, the pair count and the weight of
     each batch, in p1 order: 2 below the middle p1 of a half join, else 1.
     Ordered pairs meet the same multiset many times, so every batch is
-    sorted and summed, whatever keyed says."""
+    sorted and summed, whatever keyed says. per_p1, the stream's count of
+    s-multisets per output p1, sizes nothing here; it is checked against
+    _multiset_counts."""
+    s = left.size + right.size
+    assert np.array_equal(per_p1, moments._multiset_counts(left.n, s, half))
     p1a, hist_a = moments._p1_offsets(left.keys, unit)
     _, hist_b = moments._p1_offsets(right.keys, unit)
     ka, ca, kb, cb = left.keys, left.coeffs, right.keys, right.coeffs
@@ -1035,10 +1105,54 @@ class TestFactoredKernel:
         assert moment_exact(big, 1).value == pytest.approx(1.0, rel=1e-12)
 
 
+def pinned_coeffs(family, n):
+    """coeffs_for at seed 1, or moduli drawn in [0.5, 1] with random phases."""
+    if family != "moduli in [0.5, 1]":
+        return coeffs_for(family, n, 1)
+    rng = np.random.default_rng(n)
+    return rng.uniform(0.5, 1.0, n) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
+
+
+# moment_exact's value and err_estimate (hex) and detail, recorded before the
+# halves of at most two members were listed in key order as built; every
+# bit must stay. (n, s, sigma, h0, family, value, err_estimate, detail):
+# the two exact-full-period moments (cell route), complex sigma = 0 moments
+# on the pair route past numpy's elision threshold, and a complex sigma > 0
+# moment on the spectrum route.
+PINNED_MOMENTS = [
+    (320, 3, 0.0, 0.0, "random_sign", "0x1.753ea00000000p+27", "0x1.d28e480000000p-21",
+     {"table_entries": 5512640, "table_bytes": 88202240, "n_tuples": 32768000,
+      "mirrored": False, "join_pairs": 5512640, "merged_entries": 0, "held_entries": 0}),
+    (384, 3, 0.0, 0.0, "constant", "0x1.42bc600000000p+28", "0x1.936b780000000p-20",
+     {"table_entries": 4755520, "table_bytes": 76088320, "n_tuples": 56623104,
+      "mirrored": True, "join_pairs": 4755520, "merged_entries": 0, "held_entries": 0}),
+    (320, 3, 0.0, 0.0, "random_phase", "0x1.753ea00000000p+27", "0x1.d28e480000000p-21",
+     {"table_entries": 5512640, "table_bytes": 132303360, "n_tuples": 32768000,
+      "mirrored": False, "join_pairs": 5512640, "merged_entries": 0, "held_entries": 136106}),
+    (320, 3, 0.0, 0.0, "moduli in [0.5, 1]", "0x1.34ba3976b5525p+25", "0x1.81e8c7d462a6ep-23",
+     {"table_entries": 5512640, "table_bytes": 132303360, "n_tuples": 32768000,
+      "mirrored": False, "join_pairs": 5512640, "merged_entries": 0, "held_entries": 136106}),
+    (200, 3, 1.0, 0.3, "random_phase", "0x1.d13c3cdf06462p+17", "0x1.4cfac159b7543p-30",
+     {"table_entries": 1353400, "table_bytes": 32481600, "n_tuples": 8000000,
+      "mirrored": False, "join_pairs": 1353400, "merged_entries": 0, "held_entries": 1353400,
+      "spectrum_bins": 242551, "distinct_d": 3840}),
+]
+
+
 class TestMomentExact:
     def test_n5_s2_constant_is_45(self):
         # 2N^2 - N solutions at N = 5.
         assert moment_exact(spec_ones(5), 2).value == pytest.approx(45.0)
+
+    @pytest.mark.parametrize(
+        "n, s, sigma, h0, family, value, err, detail",
+        PINNED_MOMENTS,
+        ids=[f"N{n}-s{s}-sigma{sigma:g}-{family}" for n, s, sigma, _, family, *_ in PINNED_MOMENTS],
+    )
+    def test_pinned_bits(self, n, s, sigma, h0, family, value, err, detail):
+        spec = ExpSumSpec(n=n, coeffs=pinned_coeffs(family, n), sigma=sigma, h0=h0)
+        res = moment_exact(spec, s)
+        assert (res.value.hex(), res.err_estimate.hex(), res.detail) == (value, err, detail)
 
     def test_n10_s2_constant_is_190(self):
         assert moment_exact(spec_ones(10), 2).value == pytest.approx(190.0)
@@ -1237,9 +1351,9 @@ class TestMomentExact:
         calls = []
         join = moments._join
 
-        def spy_join(left, right, unit, half=False, keyed=True):
+        def spy_join(left, right, unit, per_p1, half=False, keyed=True):
             calls.append(left.size + right.size)
-            yield from join(left, right, unit, half, keyed)
+            yield from join(left, right, unit, per_p1, half, keyed)
 
         monkeypatch.setattr(moments, "_join", spy_join)
         for s in (2, 3):
